@@ -187,54 +187,28 @@ def _run_cell(kind: str, m: int, n: int, k: int, index: int, trials: int, seed: 
 
 def attention_similarity_sweep(kinds, ms, ns, ks, trials: int, seed: int,
                                enumeration_cap: int = sensing.ENUMERATION_CAP,
-                               mc_budget: int = 2000, workers: int = 0) -> SweepResult:
+                               mc_budget: int = 2000) -> SweepResult:
     """Mean/max deviation and delta estimate per (kind, m, n, k) cell.
 
-    Cells run in deterministic grid order; pair supports are drawn
-    independently, so joint supports of size <= 2k arise by construction
-    (overlaps are kept, which the bound permits). Cells are independent:
-    ``workers > 1`` fans them out and merges back in grid order, so the
-    output is identical to a serial run.
+    Cells run in deterministic grid order; (m, n) pairs the kind's ensemble
+    has no member of, and k with 2k > min(m, n), are skipped. Pair supports
+    are drawn independently, so joint supports of size <= 2k arise by
+    construction (overlaps are kept, which the bound permits). An unknown
+    kind or an oversized operator raises ParameterError before any cell runs.
     """
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
     specs = []
-    index = 0
     for kind in kinds:
         for n in ns:
             for m in ms:
-                if not _cell_valid(kind, m, n):
+                if sensing.shape_violation(kind, m, n):
                     continue
-                for k in ks:
-                    if 2 * k > min(m, n):
-                        continue
-                    specs.append((kind, m, n, k, index))
-                    index += 1
-
-    def run(spec):
-        kind, m, n, k, idx = spec
-        return _run_cell(kind, m, n, k, idx, trials, seed, enumeration_cap, mc_budget)
-
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            cells = list(pool.map(run, specs))
-    else:
-        cells = [run(s) for s in specs]
-    return SweepResult(cells=cells)
-
-
-def _cell_valid(kind: str, m: int, n: int) -> bool:
-    if kind == sensing.ORTHONORMAL_SQUARE:
-        return m == n
-    if kind == sensing.TALL_ORTHONORMAL:
-        return m >= n
-    if kind == sensing.GAUSSIAN_FAT:
-        return m < n
-    if kind == sensing.FOURIER_MASKED:
-        return m % 2 == 0 and 0 < m <= 2 * n
-    return False
+                specs.extend((kind, m, n, k) for k in ks if 2 * k <= min(m, n))
+    return SweepResult(cells=[
+        _run_cell(kind, m, n, k, index, trials, seed, enumeration_cap, mc_budget)
+        for index, (kind, m, n, k) in enumerate(specs)
+    ])
 
 
 def _unit_ksparse(rng: np.random.Generator, n: int, k: int) -> np.ndarray:

@@ -4,16 +4,13 @@ solving, training, evaluation, and cross-run reporting.
 Every command accepts both flags and a JSON config file (flags win), echoes
 the fully resolved configuration into a run record next to its outputs, and
 follows a fixed exit-code contract: 0 success, 1 verification failure,
-2 usage or configuration error. The TRUST_THREADS environment variable caps
-worker counts for the parallel paths (0 or unset: serial).
+2 usage or configuration error.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
-import os
 import sys
 import time
 from pathlib import Path
@@ -35,14 +32,6 @@ from .errors import (
 _USAGE_ERRORS = (ParameterError, DatasetError, CheckpointError, DimensionError)
 
 _LOSS_TOKENS = {"l2": "l2", "l2l1": "l2_l1", "l2ssim": "l2_ssim"}
-
-
-def _workers() -> int:
-    raw = os.environ.get("TRUST_THREADS", "0")
-    try:
-        return max(0, int(raw))
-    except ValueError:
-        return 0
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -201,18 +190,13 @@ def verify_bound(ctx, out_dir, config_path, kinds, m_list, n_list, k_list,
                    out=out_dir, kinds=kinds, m_list=m_list, n_list=n_list,
                    k_list=k_list, trials=trials, seed=seed, emit_matrix=emit_matrix)
     kind_names = [k.strip() for k in cfg["kinds"].split(",") if k.strip()]
-    for k in kind_names:
-        if k not in sensing.KINDS:
-            raise click.UsageError(f"unknown operator kind {k!r}; choose from {sensing.KINDS}")
-    if cfg["trials"] < 1:
-        raise click.UsageError("--trials must be >= 1")
     try:
         result = bound_lab.attention_similarity_sweep(
             kinds=kind_names,
             ms=_int_list(cfg["m_list"], "m"),
             ns=_int_list(cfg["n_list"], "n"),
             ks=_int_list(cfg["k_list"], "k"),
-            trials=cfg["trials"], seed=cfg["seed"], workers=_workers(),
+            trials=cfg["trials"], seed=cfg["seed"],
         )
     except (EnumerationCapExceeded, *_USAGE_ERRORS) as exc:
         raise click.UsageError(str(exc))
@@ -394,8 +378,12 @@ def train_cmd(ctx, dataset_dir, out_dir, config_path, model_kind, loss_token, sk
     except _USAGE_ERRORS as exc:
         raise click.UsageError(str(exc))
     out = Path(cfg["out"])
-    result = model.train(cfg["model"], model_cfg, train_cfg, train_pairs, val_pairs,
-                         out_dir=out)
+    try:
+        result = model.train(cfg["model"], model_cfg, train_cfg, train_pairs, val_pairs,
+                             out_dir=out)
+    except ContractError as exc:  # non-finite loss: a failed run, not a usage error
+        click.echo(f"Error: {exc}", err=True)
+        sys.exit(1)
     digests = {"dataset_manifest": _digest_file(Path(manifest["_dir"]) / "manifest.json")}
     record_cfg = dict(cfg)
     record_cfg["param_count"] = model.param_count(cfg["model"], model_cfg)
@@ -439,22 +427,10 @@ def eval_cmd(ctx, ckpt_path, dataset_dir, out_dir, config_path, split, image_dir
     except _USAGE_ERRORS as exc:
         raise click.UsageError(str(exc))
 
-    forward = model.forward_trust if model_kind == model.TRUST else model.forward_unet
+    forward = model.model_spec(model_kind).forward
     frozen = {k: nd.Tensor(p.data) for k, p in params.items()}
     report = metrics.MetricReport()
-    preds = []
-
-    def score(pair):
-        return forward(frozen, model_cfg, pair.y).data
-
-    workers = _workers()
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            preds = list(pool.map(score, pairs))
-    else:
-        preds = [score(p) for p in pairs]
+    preds = [forward(frozen, model_cfg, pair.y).data for pair in pairs]
     for pair, pred in zip(pairs, preds):
         report.add(pred, pair.x)
 

@@ -217,6 +217,8 @@ def load_manifest(path: str | Path) -> dict:
         manifest = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise DatasetError(f"unreadable manifest {path}: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise DatasetError(f"manifest {path} does not hold a JSON object")
     if manifest.get("version") != MANIFEST_VERSION:
         raise DatasetError(f"manifest version {manifest.get('version')} != {MANIFEST_VERSION}")
     manifest["_dir"] = str(path.parent)

@@ -12,6 +12,7 @@ from .params import (
     config_from_manifest,
     flop_estimate,
     init_params,
+    model_spec,
     param_count,
     param_shapes,
 )
@@ -36,6 +37,7 @@ __all__ = [
     "forward_unet",
     "init_params",
     "loss",
+    "model_spec",
     "param_count",
     "param_shapes",
     "patchify",

@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from .. import ndtensor as nd
 from ..errors import CheckpointError, ParameterError
+from . import forward as _forward
 from .config import TrustConfig, UnetConfig
 
 CHECKPOINT_VERSION = 1
@@ -73,11 +76,7 @@ def unet_param_shapes(cfg: UnetConfig) -> dict[str, tuple[int, ...]]:
 
 
 def param_shapes(model_kind: str, cfg) -> dict[str, tuple[int, ...]]:
-    if model_kind == TRUST:
-        return trust_param_shapes(cfg)
-    if model_kind == UNET:
-        return unet_param_shapes(cfg)
-    raise ParameterError(f"unknown model kind {model_kind!r}")
+    return model_spec(model_kind).param_shapes(cfg)
 
 
 def _init_value(name: str, shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
@@ -107,18 +106,7 @@ def param_count(model_kind: str, cfg) -> int:
     return sum(int(np.prod(s)) for s in param_shapes(model_kind, cfg).values())
 
 
-def flop_estimate(model_kind: str, cfg) -> int:
-    """Multiply-add estimate for one forward pass (pool/resize/pointwise excluded)."""
-    if model_kind == UNET:
-        s = cfg.image_size
-        c = cfg.base_channels
-        total = s * s * c * 1 * 9
-        total += (s // 2) ** 2 * (2 * c) * c * 9
-        total += (s // 4) ** 2 * (4 * c) * (2 * c) * 9
-        total += (s // 2) ** 2 * (2 * c) * (6 * c) * 9
-        total += s * s * c * (3 * c) * 9
-        total += s * s * 1 * c
-        return total
+def _trust_flops(cfg: TrustConfig) -> int:
     t, d = cfg.tokens, cfg.embed_dim
     total = t * cfg.patch_dim * d  # patch embedding
     per_block = 4 * t * d * d  # q, k, v, out projections
@@ -134,6 +122,53 @@ def flop_estimate(model_kind: str, cfg) -> int:
         in_ch = out_ch
     total += cfg.image_size**2 * in_ch  # 1x1 head
     return total
+
+
+def _unet_flops(cfg: UnetConfig) -> int:
+    s = cfg.image_size
+    c = cfg.base_channels
+    total = s * s * c * 1 * 9
+    total += (s // 2) ** 2 * (2 * c) * c * 9
+    total += (s // 4) ** 2 * (4 * c) * (2 * c) * 9
+    total += (s // 2) ** 2 * (2 * c) * (6 * c) * 9
+    total += s * s * c * (3 * c) * 9
+    total += s * s * 1 * c
+    return total
+
+
+def flop_estimate(model_kind: str, cfg) -> int:
+    """Multiply-add estimate for one forward pass (pool/resize/pointwise excluded)."""
+    return model_spec(model_kind).flops(cfg)
+
+
+@dataclass(frozen=True)
+class ModelSpec:
+    """Everything that differs between model kinds."""
+
+    config_class: type
+    param_shapes: Callable[..., dict[str, tuple[int, ...]]]
+    flops: Callable[..., int]
+    forward_name: str
+
+    @property
+    def forward(self) -> Callable:
+        # read from the forward module at each use, so a wrapper installed
+        # on that module attribute after import is the one that runs
+        return getattr(_forward, self.forward_name)
+
+
+_MODEL_SPECS = {
+    TRUST: ModelSpec(TrustConfig, trust_param_shapes, _trust_flops, "forward_trust"),
+    UNET: ModelSpec(UnetConfig, unet_param_shapes, _unet_flops, "forward_unet"),
+}
+
+
+def model_spec(model_kind: str) -> ModelSpec:
+    """The one place a model kind is dispatched on; ParameterError if unknown."""
+    try:
+        return _MODEL_SPECS[model_kind]
+    except (KeyError, TypeError):
+        raise ParameterError(f"unknown model kind {model_kind!r}") from None
 
 
 # ---- checkpoints -------------------------------------------------------------
@@ -165,6 +200,9 @@ def checkpoint_save(params: dict[str, nd.Tensor], model_kind: str, cfg,
     path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
 
+_MANIFEST_KEYS = ("blob", "blob_sha256", "tensors", "model_kind", "config")
+
+
 def checkpoint_load(path: str | Path) -> tuple[dict[str, nd.Tensor], dict]:
     """Load and validate a checkpoint; returns (params, manifest).
 
@@ -177,12 +215,20 @@ def checkpoint_load(path: str | Path) -> tuple[dict[str, nd.Tensor], dict]:
         manifest = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"unreadable checkpoint manifest {path}: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise CheckpointError(f"checkpoint manifest {path} does not hold a JSON object")
     if manifest.get("format_version") != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"checkpoint format version {manifest.get('format_version')} != {CHECKPOINT_VERSION}"
         )
+    missing = [key for key in _MANIFEST_KEYS if key not in manifest]
+    if missing:
+        raise CheckpointError(f"checkpoint manifest {path} lacks {', '.join(missing)}")
     blob_file = path.parent / manifest["blob"]
-    blob = blob_file.read_bytes()
+    try:
+        blob = blob_file.read_bytes()
+    except OSError as exc:
+        raise CheckpointError(f"unreadable checkpoint blob {blob_file}: {exc}") from exc
     if hashlib.sha256(blob).hexdigest() != manifest["blob_sha256"]:
         raise CheckpointError(f"checkpoint blob digest mismatch for {blob_file}")
     expected_len = sum(int(np.prod(t["shape"])) for t in manifest["tensors"]) * 8
@@ -209,10 +255,13 @@ def checkpoint_load(path: str | Path) -> tuple[dict[str, nd.Tensor], dict]:
 
 
 def config_from_manifest(manifest: dict):
-    kind = manifest["model_kind"]
-    raw = dict(manifest["config"])
-    if kind == TRUST:
-        return TrustConfig(**raw)
-    if kind == UNET:
-        return UnetConfig(**raw)
-    raise CheckpointError(f"checkpoint names unknown model kind {kind!r}")
+    try:
+        config_class = model_spec(manifest["model_kind"]).config_class
+    except ParameterError as exc:
+        raise CheckpointError(f"checkpoint names {exc}") from None
+    try:
+        return config_class(**manifest["config"])
+    except TypeError as exc:
+        raise CheckpointError(
+            f"checkpoint config does not fit {config_class.__name__}: {exc}"
+        ) from None

@@ -11,9 +11,8 @@ import numpy as np
 from .. import metrics, ndtensor as nd
 from ..errors import ContractError
 from .config import TrainConfig
-from .forward import forward_trust, forward_unet
 from .losses import loss as make_loss
-from .params import TRUST, UNET, checkpoint_save, init_params
+from .params import checkpoint_save, init_params, model_spec
 
 
 class Adam:
@@ -68,14 +67,6 @@ class TrainResult:
         return "\n".join(lines) + "\n"
 
 
-def _forward_fn(model_kind: str):
-    if model_kind == TRUST:
-        return forward_trust
-    if model_kind == UNET:
-        return forward_unet
-    raise ContractError(f"unknown model kind {model_kind!r}")
-
-
 def _abort_on_nonfinite(batch_loss: nd.Tensor, params: dict[str, nd.Tensor]) -> None:
     if math.isfinite(batch_loss.item()):
         return
@@ -99,7 +90,7 @@ def _detached(params: dict[str, nd.Tensor]) -> dict[str, nd.Tensor]:
 def evaluate(model_kind: str, params: dict[str, nd.Tensor], model_cfg,
              pairs, train_cfg: TrainConfig) -> tuple[float, float, float, float]:
     """Mean validation loss, SSIM, PSNR, FPR over (target, observation) pairs."""
-    forward = _forward_fn(model_kind)
+    forward = model_spec(model_kind).forward
     frozen = _detached(params)
     losses, ssims, psnrs, fprs = [], [], [], []
     for x_img, y_img in pairs:
@@ -129,7 +120,7 @@ def train(model_kind: str, model_cfg, train_cfg: TrainConfig, train_pairs,
     ``out_dir`` when given. Initial parameters come from the model config's
     seed unless an explicit set is passed.
     """
-    forward = _forward_fn(model_kind)
+    forward = model_spec(model_kind).forward
     if params is None:
         params = init_params(model_kind, model_cfg)
     adam = Adam(params, train_cfg.learning_rate, train_cfg.adam_beta1,

@@ -32,16 +32,6 @@ class Tensor:
         self._vjp: Callable[[np.ndarray], None] | None = None
         self._serial = next(_serial)
 
-    # ---- construction helpers -------------------------------------------
-
-    @staticmethod
-    def zeros(shape, requires_grad: bool = False, name: str | None = None) -> "Tensor":
-        return Tensor(np.zeros(shape), requires_grad=requires_grad, name=name)
-
-    @staticmethod
-    def ones(shape, requires_grad: bool = False) -> "Tensor":
-        return Tensor(np.ones(shape), requires_grad=requires_grad)
-
     # ---- introspection ---------------------------------------------------
 
     @property
@@ -56,9 +46,6 @@ class Tensor:
         if self.data.size != 1:
             raise ContractError(f"item() on tensor of shape {self.data.shape}")
         return float(self.data.reshape(()))
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
 
     def zero_grad(self) -> None:
         self.grad = None

@@ -23,6 +23,20 @@ KINDS = (ORTHONORMAL_SQUARE, TALL_ORTHONORMAL, GAUSSIAN_FAT, FOURIER_MASKED, DEN
 
 ENUMERATION_CAP = 1_000_000
 
+# Largest m * n materialized (2 GiB of float64): admits the 16384 x 16384
+# operator of a 128 px image and refuses the 32 GiB one of a 256 px image.
+MAX_OPERATOR_ENTRIES = 2**28
+
+# kind -> (predicate on m, n, the requirement it states)
+_SHAPE_RULES = {
+    ORTHONORMAL_SQUARE: (lambda m, n: m == n, "m == n"),
+    TALL_ORTHONORMAL: (lambda m, n: m >= n, "m >= n"),
+    GAUSSIAN_FAT: (lambda m, n: m < n, "m < n"),
+    FOURIER_MASKED: (lambda m, n: m % 2 == 0 and 0 < m <= 2 * n, "even m with 0 < m <= 2n"),
+    DENSE: (lambda m, n: True, "any shape"),
+    IDENTITY: (lambda m, n: m == n, "m == n"),
+}
+
 
 @dataclass
 class SensingOperator:
@@ -52,44 +66,46 @@ class SensingOperator:
             )
 
 
+def shape_violation(kind: str, m: int, n: int) -> str | None:
+    """Why the ensemble ``kind`` has no m x n member, or None when it has one.
+
+    Raises ParameterError for an unknown kind and for a matrix of more than
+    MAX_OPERATOR_ENTRIES entries, so no caller allocates one.
+    """
+    if kind not in _SHAPE_RULES:
+        raise ParameterError(f"unknown operator kind {kind!r}; choose from {KINDS}")
+    if m * n > MAX_OPERATOR_ENTRIES:
+        raise ParameterError(
+            f"a {m}x{n} operator has {m * n} entries, more than the "
+            f"{MAX_OPERATOR_ENTRIES} a dense float64 matrix may hold"
+        )
+    holds, requirement = _SHAPE_RULES[kind]
+    return None if holds(m, n) else f"{kind} requires {requirement}, got {m}x{n}"
+
+
 def sample_operator(kind: str, m: int, n: int, seed: int,
                     column_normalized: bool = False) -> SensingOperator:
     """Draw a deterministic operator of the given ensemble.
 
     Gaussian entries are i.i.d. N(0, 1/m); orthonormal kinds come from the
     QR factorization of a Gaussian draw (R-diagonal signs fixed so the
-    result is canonical).
+    result is canonical). The shape must pass ``shape_violation``.
     """
-    if kind not in KINDS:
-        raise ParameterError(f"unknown operator kind {kind!r}")
+    violation = shape_violation(kind, m, n)
+    if violation:
+        raise ParameterError(violation)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
     mask = None
     if kind == ORTHONORMAL_SQUARE:
-        if m != n:
-            raise ParameterError(f"orthonormal_square requires m == n, got {m}x{n}")
         a = _orthonormal_columns(rng, n, n)
     elif kind == TALL_ORTHONORMAL:
-        if m < n:
-            raise ParameterError(f"tall_orthonormal requires m >= n, got {m}x{n}")
         a = _orthonormal_columns(rng, m, n)
-    elif kind == GAUSSIAN_FAT:
-        if m >= n:
-            raise ParameterError(f"gaussian_fat requires m < n, got {m}x{n}")
-        a = rng.standard_normal((m, n)) / math.sqrt(m)
-        if column_normalized:
-            a = a / np.linalg.norm(a, axis=0, keepdims=True)
     elif kind == FOURIER_MASKED:
-        if m % 2 != 0 or not 0 < m <= 2 * n:
-            raise ParameterError(
-                f"fourier_masked requires even m with 0 < m <= 2n, got m={m}, n={n}"
-            )
         mask = _center_weighted_mask(rng, n, m // 2)
         a = _fourier_rows(n, mask)
     elif kind == IDENTITY:
-        if m != n:
-            raise ParameterError(f"identity requires m == n, got {m}x{n}")
         a = np.eye(n)
-    else:  # DENSE: i.i.d. Gaussian of any shape (the square forward model)
+    else:  # GAUSSIAN_FAT, DENSE: i.i.d. Gaussian (DENSE is the square forward model)
         a = rng.standard_normal((m, n)) / math.sqrt(m)
         if column_normalized:
             a = a / np.linalg.norm(a, axis=0, keepdims=True)

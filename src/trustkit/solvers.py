@@ -22,8 +22,6 @@ class SolverConfig:
     residual_tolerance: float = 1e-6
     sparsity_budget: int = 10          # greedy atom budget
     lam: float | None = None           # l1 weight; None -> 0.05 * |A^T y|_inf
-    step_rule: str = "power_iteration_lipschitz"
-    fixed_step: float | None = None
 
     def __post_init__(self):
         if self.residual_tolerance < 0:
@@ -174,58 +172,22 @@ def _objective(a, y, x, lam) -> float:
     return 0.5 * float(r @ r) + lam * float(np.sum(np.abs(x)))
 
 
-def _prox_setup(op: sensing.SensingOperator, y: np.ndarray, config: SolverConfig):
+def _proximal_gradient(op: sensing.SensingOperator, y: np.ndarray,
+                       config: SolverConfig | None, momentum: bool) -> RecoveryResult:
+    """Proximal gradient on 0.5|Ax - y|^2 + lambda |x|_1 at step 1/L.
+
+    Each step shrinks a gradient step taken from z. Without momentum z is
+    the last iterate; with it z extrapolates along the last move by
+    (t_j - 1) / t_{j+1}, where t_1 = 1 and t_{j+1} = (1 + sqrt(1 + 4 t_j^2)) / 2
+    (Beck & Teboulle 2009).
+    """
+    config = config or SolverConfig()
     a = op.matrix
     y = np.asarray(y, dtype=np.float64)
     lam = config.lam if config.lam is not None else _default_lam(a, y)
-    if config.step_rule == "fixed":
-        if not config.fixed_step or config.fixed_step <= 0:
-            raise ParameterError("fixed step rule requires a positive fixed_step")
-        step = config.fixed_step
-    else:
-        step = 1.0 / lipschitz_constant(a)
-    return a, y, lam, step
-
-
-def ista(op: sensing.SensingOperator, y: np.ndarray,
-         config: SolverConfig | None = None) -> RecoveryResult:
-    """Proximal gradient on 0.5|Ax - y|^2 + lambda |x|_1 at step 1/L."""
-    config = config or SolverConfig()
-    a, y, lam, step = _prox_setup(op, y, config)
+    step = 1.0 / lipschitz_constant(a)
     x = np.zeros(op.n)
-    gram = a.T @ a
-    aty = a.T @ y
-    history, objectives = [], []
-    prev_obj = _objective(a, y, x, lam)
-    converged = False
-    for _ in range(config.max_iterations):
-        x = shrink(x - step * (gram @ x - aty), lam * step)
-        obj = _objective(a, y, x, lam)
-        history.append(float(np.linalg.norm(a @ x - y)))
-        objectives.append(obj)
-        if config.residual_tolerance > 0 and \
-                abs(prev_obj - obj) <= config.residual_tolerance * max(1.0, abs(obj)):
-            converged = True
-            break
-        prev_obj = obj
-    return RecoveryResult(
-        x_hat=x,
-        support=np.flatnonzero(x).astype(np.intp),
-        residual_norm_history=history,
-        iterations_used=len(history),
-        converged=converged,
-        objective_history=objectives,
-    )
-
-
-def fista(op: sensing.SensingOperator, y: np.ndarray,
-          config: SolverConfig | None = None) -> RecoveryResult:
-    """Momentum-accelerated proximal gradient: t_1 = 1,
-    t_{j+1} = (1 + sqrt(1 + 4 t_j^2)) / 2."""
-    config = config or SolverConfig()
-    a, y, lam, step = _prox_setup(op, y, config)
-    x = np.zeros(op.n)
-    z = x.copy()
+    z = x
     t = 1.0
     gram = a.T @ a
     aty = a.T @ y
@@ -234,9 +196,13 @@ def fista(op: sensing.SensingOperator, y: np.ndarray,
     converged = False
     for _ in range(config.max_iterations):
         x_next = shrink(z - step * (gram @ z - aty), lam * step)
-        t_next = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
-        z = x_next + ((t - 1.0) / t_next) * (x_next - x)
-        x, t = x_next, t_next
+        if momentum:
+            t_next = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
+            z = x_next + ((t - 1.0) / t_next) * (x_next - x)
+            t = t_next
+        else:
+            z = x_next
+        x = x_next
         obj = _objective(a, y, x, lam)
         history.append(float(np.linalg.norm(a @ x - y)))
         objectives.append(obj)
@@ -253,6 +219,18 @@ def fista(op: sensing.SensingOperator, y: np.ndarray,
         converged=converged,
         objective_history=objectives,
     )
+
+
+def ista(op: sensing.SensingOperator, y: np.ndarray,
+         config: SolverConfig | None = None) -> RecoveryResult:
+    """Proximal gradient on 0.5|Ax - y|^2 + lambda |x|_1, without momentum."""
+    return _proximal_gradient(op, y, config, momentum=False)
+
+
+def fista(op: sensing.SensingOperator, y: np.ndarray,
+          config: SolverConfig | None = None) -> RecoveryResult:
+    """Proximal gradient on 0.5|Ax - y|^2 + lambda |x|_1, with momentum."""
+    return _proximal_gradient(op, y, config, momentum=True)
 
 
 def estimate_operator(pairs, ridge: float | None = None) -> sensing.SensingOperator:

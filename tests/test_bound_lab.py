@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from trustkit import bound_lab, sensing
-from trustkit.errors import ContractError
+from trustkit.errors import ContractError, ParameterError
 
 
 def _pair(rng, n, k):
@@ -128,6 +128,26 @@ def test_sweep_skips_invalid_cells():
         trials=5, seed=0,
     )
     assert res.cells == []
+
+
+def test_sweep_runs_every_shape_sample_operator_accepts():
+    res = bound_lab.attention_similarity_sweep(
+        kinds=[sensing.DENSE, sensing.IDENTITY], ms=[8, 12], ns=[12], ks=[2],
+        trials=5, seed=0,
+    )
+    assert [(c.kind, c.m) for c in res.cells] == [
+        (sensing.DENSE, 8), (sensing.DENSE, 12), (sensing.IDENTITY, 12)]
+    identity = res.cells[-1]
+    assert identity.max_dev == 0.0 and identity.delta == 0.0
+    assert res.violations() == []
+
+
+def test_sweep_unknown_kind_raises():
+    with pytest.raises(ParameterError, match="unknown operator kind 'bogus'"):
+        bound_lab.attention_similarity_sweep(
+            kinds=[sensing.GAUSSIAN_FAT, "bogus"], ms=[8], ns=[12], ks=[2],
+            trials=5, seed=0,
+        )
 
 
 def test_sweep_matrix_output():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from trustkit import model
 from trustkit.cli import main
 
 
@@ -275,3 +276,74 @@ def test_report_empty_dir_exit_1(runner, tmp_path):
     (tmp_path / "runs").mkdir()
     res = runner.invoke(main, ["report", "--runs", str(tmp_path / "runs")])
     assert res.exit_code == 1
+
+
+def test_train_nonfinite_abort_exit_1(runner, small_dataset, tmp_path):
+    res = runner.invoke(main, _train_args(small_dataset, tmp_path / "tr", ["--lr", "1e300"]))
+    assert res.exit_code == 1, res.output
+    assert "first non-finite tensor is" in res.output
+    assert "Traceback" not in res.output
+    assert isinstance(res.exception, SystemExit)
+
+
+def test_verify_bound_runs_dense_and_identity(runner, tmp_path):
+    out = tmp_path / "vb"
+    res = runner.invoke(main, [
+        "verify-bound", "--out", str(out), "--kinds", "dense,identity",
+        "--m", "8,12", "--n", "12", "--k", "2", "--trials", "5",
+    ], catch_exceptions=False)
+    assert res.exit_code == 0, res.output
+    rows = (out / "sweep.csv").read_text().strip().splitlines()[1:]
+    assert [r.split(",")[:2] for r in rows] == [["dense", "8"], ["dense", "12"],
+                                                ["identity", "12"]]
+
+
+def _missing_dataset(tmp, data):
+    return ["solve", "--dataset", str(tmp / "nope"), "--out", str(tmp / "r")]
+
+
+def _corrupt_manifest(text):
+    def args(tmp, data):
+        (tmp / "ds").mkdir()
+        (tmp / "ds" / "manifest.json").write_text(text)
+        return ["solve", "--dataset", str(tmp / "ds"), "--out", str(tmp / "r")]
+    return args
+
+
+def _checkpoint_without_blob(tmp, data):
+    cfg = model.UnetConfig(image_size=8)
+    model.checkpoint_save(model.init_params(model.UNET, cfg), model.UNET, cfg, tmp / "c.json")
+    (tmp / "c.json.bin").unlink()
+    return ["eval", "--checkpoint", str(tmp / "c.json"), "--dataset", str(data),
+            "--out", str(tmp / "ev")]
+
+
+def _bogus_kind(tmp, data):
+    return ["verify-bound", "--out", str(tmp / "vb"), "--kinds", "bogus"]
+
+
+def _oversized_sweep(tmp, data):
+    return ["verify-bound", "--out", str(tmp / "vb"), "--kinds", "gaussian_fat",
+            "--n", "100000000"]
+
+
+def _indivisible_heads(tmp, data):
+    return _train_args(data, tmp / "tr", ["--embed-dim", "64", "--heads", "3"])
+
+
+def _oversized_image(tmp, data):
+    return ["gen-data", "--out", str(tmp / "ds"), "--image-size", "256"]
+
+
+@pytest.mark.parametrize("make_args", [
+    _missing_dataset, _corrupt_manifest("{not json"), _corrupt_manifest("[1, 2]"),
+    _checkpoint_without_blob, _bogus_kind, _oversized_sweep, _indivisible_heads,
+    _oversized_image,
+], ids=["missing-dataset", "manifest-not-json", "manifest-not-object",
+        "checkpoint-blob-deleted", "bogus-kind", "oversized-sweep", "heads-3",
+        "image-size-256"])
+def test_bad_input_exits_2_without_traceback(runner, small_dataset, tmp_path, make_args):
+    res = runner.invoke(main, make_args(tmp_path, small_dataset))
+    assert res.exit_code == 2, res.output
+    assert "Traceback" not in res.output
+    assert res.exception is None or isinstance(res.exception, SystemExit)

@@ -146,7 +146,7 @@ def _model_gradcheck(model_kind, cfg, img_size, tol=1e-4):
     params = model.init_params(model_kind, cfg)
     img = np.random.default_rng(1).random((img_size, img_size))
     weights = np.random.default_rng(2).standard_normal((img_size, img_size))
-    forward = model.forward_trust if model_kind == model.TRUST else model.forward_unet
+    forward = model.model_spec(model_kind).forward
 
     loss = nd.reduce_sum(nd.mul(forward(params, cfg, img), nd.Tensor(weights)))
     loss.backward()
@@ -355,6 +355,63 @@ def test_checkpoint_version_mismatch(tmp_path):
     (tmp_path / "c.json").write_text(json.dumps(manifest))
     with pytest.raises(CheckpointError):
         model.checkpoint_load(tmp_path / "c.json")
+
+
+def _saved_checkpoint(tmp_path):
+    cfg = reduced_trust()
+    path = tmp_path / "c.json"
+    model.checkpoint_save(model.init_params(model.TRUST, cfg), model.TRUST, cfg, path)
+    return path
+
+
+def test_checkpoint_missing_blob_file(tmp_path):
+    path = _saved_checkpoint(tmp_path)
+    (tmp_path / "c.json.bin").unlink()
+    with pytest.raises(CheckpointError, match="blob"):
+        model.checkpoint_load(path)
+
+
+@pytest.mark.parametrize("key", ["blob", "blob_sha256", "tensors", "model_kind", "config"])
+def test_checkpoint_missing_manifest_key(tmp_path, key):
+    path = _saved_checkpoint(tmp_path)
+    manifest = json.loads(path.read_text())
+    del manifest[key]
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(CheckpointError, match=key):
+        model.checkpoint_load(path)
+
+
+def test_checkpoint_unknown_model_kind(tmp_path):
+    path = _saved_checkpoint(tmp_path)
+    manifest = json.loads(path.read_text())
+    manifest["model_kind"] = "mlp"
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(CheckpointError, match="unknown model kind 'mlp'"):
+        model.checkpoint_load(path)
+
+
+# ---- model kinds -----------------------------------------------------------------
+
+
+def test_model_spec_dispatch():
+    trust, unet = model.model_spec(model.TRUST), model.model_spec(model.UNET)
+    assert trust.config_class is model.TrustConfig and unet.config_class is model.UnetConfig
+    assert trust.forward is model.forward_trust and unet.forward is model.forward_unet
+    with pytest.raises(ParameterError, match="unknown model kind"):
+        model.model_spec("mlp")
+    with pytest.raises(ParameterError, match="unknown model kind"):
+        model.train("mlp", reduced_trust(), model.TrainConfig(), [], [])
+
+
+def test_model_spec_forward_follows_module_attribute(monkeypatch):
+    # wrappers installed on the forward module after import must be the ones called
+    from trustkit.model import forward as forward_module
+
+    def replacement(params, cfg, image):
+        return "replaced"
+
+    monkeypatch.setattr(forward_module, "forward_unet", replacement)
+    assert model.model_spec(model.UNET).forward is replacement
 
 
 # ---- training --------------------------------------------------------------------

@@ -36,6 +36,26 @@ def test_kind_shape_validation():
         sensing.sample_operator(sensing.GAUSSIAN_FAT, 8, 8, seed=0)
     with pytest.raises(ParameterError):
         sensing.sample_operator(sensing.TALL_ORTHONORMAL, 4, 8, seed=0)
+    with pytest.raises(ParameterError, match="identity requires m == n, got 4x8"):
+        sensing.sample_operator(sensing.IDENTITY, 4, 8, seed=0)
+    with pytest.raises(ParameterError, match="even m"):
+        sensing.sample_operator(sensing.FOURIER_MASKED, 7, 8, seed=0)
+    with pytest.raises(ParameterError, match="unknown operator kind"):
+        sensing.sample_operator("bogus", 4, 4, seed=0)
+    assert sensing.shape_violation(sensing.DENSE, 3, 7) is None
+    assert sensing.shape_violation(sensing.GAUSSIAN_FAT, 8, 8) == "gaussian_fat requires m < n, got 8x8"
+
+
+def test_operator_size_cap_refuses_before_allocating():
+    # 128 px images (n = 16384) pass; the rule is checked without drawing 2 GiB
+    assert sensing.shape_violation(sensing.DENSE, 128 * 128, 128 * 128) is None
+    n = 256 * 256
+    with pytest.raises(ParameterError, match="entries"):
+        sensing.sample_operator(sensing.DENSE, n, n, seed=0)
+    with pytest.raises(ParameterError, match="entries"):
+        sensing.sample_operator(sensing.GAUSSIAN_FAT, n // 8, n, seed=0)
+    with pytest.raises(ParameterError, match="entries"):
+        sensing.fourier_from_keep(n, 0.25, seed=0)
 
 
 def test_apply_identity_and_zero():

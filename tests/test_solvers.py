@@ -161,6 +161,28 @@ def test_fista_reaches_long_run_optimum_faster():
     assert fista_hit is not None and fista_hit < ista_hit
 
 
+def test_proximal_gradient_matches_textbook_loops():
+    # reference: ISTA and FISTA (Beck & Teboulle 2009) as two separate loops
+    op = _gaussian(16, 32, seed=5)
+    a = op.matrix
+    y = np.random.default_rng(6).standard_normal(16)
+    lam, iterations = 0.1, 40
+    step = 1.0 / solvers.lipschitz_constant(a)
+    gram, aty = a.T @ a, a.T @ y
+    x_ista = np.zeros(32)
+    for _ in range(iterations):
+        x_ista = solvers.shrink(x_ista - step * (gram @ x_ista - aty), lam * step)
+    x_fista, z, t = np.zeros(32), np.zeros(32), 1.0
+    for _ in range(iterations):
+        x_next = solvers.shrink(z - step * (gram @ z - aty), lam * step)
+        t_next = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
+        z = x_next + ((t - 1.0) / t_next) * (x_next - x_fista)
+        x_fista, t = x_next, t_next
+    cfg = solvers.SolverConfig(max_iterations=iterations, residual_tolerance=0.0, lam=lam)
+    assert solvers.ista(op, y, cfg).x_hat.tobytes() == x_ista.tobytes()
+    assert solvers.fista(op, y, cfg).x_hat.tobytes() == x_fista.tobytes()
+
+
 def test_power_iteration_matches_svd():
     rng = np.random.default_rng(3)
     a = rng.standard_normal((20, 35))
