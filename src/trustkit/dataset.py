@@ -52,6 +52,8 @@ class DatasetSpec:
     target: TargetSpec = field(default_factory=TargetSpec)
 
     def __post_init__(self):
+        if self.image_size < 1:
+            raise ParameterError(f"image_size must be >= 1, got {self.image_size}")
         if self.train < 1 or self.val < 1 or self.test < 1:
             raise ParameterError("split counts must be >= 1")
         if self.dtype not in ("f32", "f64"):
@@ -221,6 +223,12 @@ def load_manifest(path: str | Path) -> dict:
         raise DatasetError(f"manifest {path} does not hold a JSON object")
     if manifest.get("version") != MANIFEST_VERSION:
         raise DatasetError(f"manifest version {manifest.get('version')} != {MANIFEST_VERSION}")
+    for key in ("splits", "operator"):
+        if not isinstance(manifest.get(key), dict):
+            raise DatasetError(f"manifest {path} has no {key!r} object")
+    size = manifest.get("image_size")
+    if isinstance(size, bool) or not isinstance(size, int) or size < 1:
+        raise DatasetError(f"manifest {path} has no positive integer 'image_size'")
     manifest["_dir"] = str(path.parent)
     return manifest
 

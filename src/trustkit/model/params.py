@@ -224,6 +224,12 @@ def checkpoint_load(path: str | Path) -> tuple[dict[str, nd.Tensor], dict]:
     missing = [key for key in _MANIFEST_KEYS if key not in manifest]
     if missing:
         raise CheckpointError(f"checkpoint manifest {path} lacks {', '.join(missing)}")
+    if not isinstance(manifest["tensors"], list) or \
+            not all(_is_tensor_entry(t) for t in manifest["tensors"]):
+        raise CheckpointError(
+            f"checkpoint manifest {path}: 'tensors' must list {{name, shape}} objects "
+            "with a string name and a shape of non-negative integers"
+        )
     blob_file = path.parent / manifest["blob"]
     try:
         blob = blob_file.read_bytes()
@@ -252,6 +258,15 @@ def checkpoint_load(path: str | Path) -> tuple[dict[str, nd.Tensor], dict]:
         params[entry["name"]] = nd.Tensor(data, requires_grad=True, name=entry["name"])
         offset += size
     return params, manifest
+
+
+def _is_tensor_entry(entry) -> bool:
+    if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
+        return False
+    shape = entry.get("shape")
+    return isinstance(shape, list) and all(
+        isinstance(d, int) and not isinstance(d, bool) and d >= 0 for d in shape
+    )
 
 
 def config_from_manifest(manifest: dict):

@@ -7,10 +7,14 @@ import math
 from dataclasses import dataclass, field
 from itertools import combinations
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DimensionError, EnumerationCapExceeded, ParameterError
+
+if TYPE_CHECKING:
+    from .solvers import SolverPlan
 
 ORTHONORMAL_SQUARE = "orthonormal_square"
 TALL_ORTHONORMAL = "tall_orthonormal"
@@ -44,6 +48,8 @@ class SensingOperator:
 
     Immutable after construction; the masked-Fourier kind keeps its
     frequency index list alongside the real-stacked coefficient rows.
+    ``solver_plan`` caches what the solvers derive from the matrix alone
+    (see ``solvers.solver_plan``).
     """
 
     kind: str
@@ -54,6 +60,8 @@ class SensingOperator:
     column_normalized: bool = False
     mask: np.ndarray | None = None
     _noise_rng: np.random.Generator = field(repr=False, default=None)
+    solver_plan: SolverPlan | None = field(default=None, init=False, repr=False,
+                                           compare=False)
 
     def __post_init__(self):
         if self.matrix.shape != (self.m, self.n):

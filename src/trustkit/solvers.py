@@ -7,6 +7,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -69,16 +70,17 @@ def _ls_on_support(a: np.ndarray, y: np.ndarray, support: list[int]):
     """Least squares restricted to the chosen columns, by Householder QR.
 
     Falls back to the minimum-norm pseudo-solution when the selected
-    submatrix is rank deficient; the caller surfaces that flag.
+    submatrix is rank deficient (always so when it has more columns than
+    rows); the caller surfaces that flag.
     """
     sub = a[:, support]
-    q, r = np.linalg.qr(sub)
-    diag = np.abs(np.diag(r))
-    if diag.min() <= 1e-12 * max(1.0, diag.max()):
-        coef, *_ = np.linalg.lstsq(sub, y, rcond=None)
-        return coef, True
-    coef = solve_triangular(r, q.T @ y, lower=False)
-    return coef, False
+    if sub.shape[1] <= sub.shape[0]:
+        q, r = np.linalg.qr(sub)
+        diag = np.abs(np.diag(r))
+        if diag.min() > 1e-12 * max(1.0, diag.max()):
+            return solve_triangular(r, q.T @ y, lower=False), False
+    coef, *_ = np.linalg.lstsq(sub, y, rcond=None)
+    return coef, True
 
 
 def omp(op: sensing.SensingOperator, y: np.ndarray,
@@ -86,42 +88,53 @@ def omp(op: sensing.SensingOperator, y: np.ndarray,
     """Orthogonal matching pursuit.
 
     Selection correlates the residual against column-normalized atoms
-    (ties broken toward the lowest index); the refit each round uses the
-    original, unnormalized columns. Stops at the sparsity budget or when
-    the residual norm drops to the configured tolerance.
+    (ties broken toward the lowest index). Each chosen atom is
+    orthogonalized against an orthonormal basis of the earlier ones by
+    classical Gram-Schmidt run twice, and the residual loses its component
+    along the new basis vector; an atom already in the span of the basis
+    stays in the support but adds no vector. Stops at the sparsity budget
+    or when the residual norm drops to the configured tolerance, then fits
+    the coefficients on the original, unnormalized columns once.
     """
     config = config or SolverConfig()
     a = op.matrix
     y = np.asarray(y, dtype=np.float64)
-    col_norms = np.linalg.norm(a, axis=0)
-    col_norms = np.where(col_norms > 0, col_norms, 1.0)
+    col_norms = solver_plan(op).column_norms
 
     support: list[int] = []
-    x_hat = np.zeros(op.n)
     residual = y.copy()
     history: list[float] = []
-    rank_deficient = False
     budget = min(config.sparsity_budget, op.n, config.max_iterations)
 
     if float(np.linalg.norm(residual)) <= config.residual_tolerance:
-        return RecoveryResult(x_hat, np.array(support, dtype=np.intp), history, 0, True)
+        return RecoveryResult(np.zeros(op.n), np.array(support, dtype=np.intp), history, 0, True)
 
+    basis = np.empty((budget, op.m))  # rows [:rank] are orthonormal
+    rank = 0
     converged = False
     for _ in range(budget):
         corr = np.abs(a.T @ residual) / col_norms
         corr[support] = -np.inf  # never reselect an atom
         pick = int(np.argmax(corr))
         support.append(pick)
-        coef, deficient = _ls_on_support(a, y, support)
-        rank_deficient = rank_deficient or deficient
-        residual = y - a[:, support] @ coef
+        atom, done = a[:, pick], basis[:rank]
+        q = atom - done.T @ (done @ atom)
+        q -= done.T @ (done @ q)  # the second pass restores orthogonality lost to rounding
+        q_norm = float(np.linalg.norm(q))
+        if q_norm > 1e-12 * col_norms[pick]:
+            q /= q_norm
+            basis[rank] = q
+            rank += 1
+            residual -= q * float(q @ residual)
         history.append(float(np.linalg.norm(residual)))
         if history[-1] <= config.residual_tolerance:
             converged = True
             break
 
     x_hat = np.zeros(op.n)
+    rank_deficient = False
     if support:
+        coef, rank_deficient = _ls_on_support(a, y, support)
         x_hat[support] = coef
     order = np.argsort(support)
     return RecoveryResult(
@@ -140,36 +153,68 @@ def shrink(v: np.ndarray, t: float) -> np.ndarray:
 
 
 def lipschitz_constant(a: np.ndarray, tol: float = 1e-10, max_iter: int = 1000,
-                       seed: int = 0) -> float:
+                       seed: int = 0, gram: np.ndarray | None = None) -> float:
     """sigma_max(A)^2 by power iteration on A^T A, with perturbation restart
-    if an unlucky start collapses."""
-    gram = a.T @ a
+    if an unlucky start collapses. Pass ``gram`` when A^T A is already formed."""
+    if gram is None:
+        gram = a.T @ a
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(a.shape[1])
     v /= np.linalg.norm(v)
+    w = gram @ v
     lam = 0.0
     for _ in range(max_iter):
-        w = gram @ v
         nw = np.linalg.norm(w)
         if nw <= 1e-300:
             v = rng.standard_normal(a.shape[1])
             v /= np.linalg.norm(v)
+            w = gram @ v
             continue
         v = w / nw
-        new_lam = float(v @ (gram @ v))
+        w = gram @ v
+        new_lam = float(v @ w)
         if abs(new_lam - lam) <= tol * max(1.0, abs(new_lam)):
             return max(new_lam, 1e-300)
         lam = new_lam
     return max(lam, 1e-300)
 
 
-def _default_lam(a: np.ndarray, y: np.ndarray) -> float:
-    return 0.05 * float(np.max(np.abs(a.T @ y)))
+class SolverPlan:
+    """What every solve on one operator matrix shares, each part built on
+    first use: OMP reads only the column norms, proximal gradient the Gram
+    matrix and the Lipschitz constant."""
+
+    def __init__(self, matrix: np.ndarray):
+        self.matrix = matrix
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        return self.matrix.T @ self.matrix
+
+    @cached_property
+    def lipschitz(self) -> float:
+        return lipschitz_constant(self.matrix, gram=self.gram)
+
+    @cached_property
+    def column_norms(self) -> np.ndarray:
+        """Euclidean column norms, with 1 standing in for a zero column."""
+        norms = np.linalg.norm(self.matrix, axis=0)
+        return np.where(norms > 0, norms, 1.0)
 
 
-def _objective(a, y, x, lam) -> float:
-    r = a @ x - y
-    return 0.5 * float(r @ r) + lam * float(np.sum(np.abs(x)))
+def solver_plan(op: sensing.SensingOperator) -> SolverPlan:
+    """The plan kept on ``op``, rebuilt when ``op.matrix`` is another array.
+
+    Operators are immutable, so writing into ``op.matrix`` in place after a
+    solve is not detected.
+    """
+    if op.solver_plan is None or op.solver_plan.matrix is not op.matrix:
+        op.solver_plan = SolverPlan(op.matrix)
+    return op.solver_plan
+
+
+def _objective(residual, x, lam) -> float:
+    return 0.5 * float(residual @ residual) + lam * float(np.sum(np.abs(x)))
 
 
 def _proximal_gradient(op: sensing.SensingOperator, y: np.ndarray,
@@ -184,15 +229,16 @@ def _proximal_gradient(op: sensing.SensingOperator, y: np.ndarray,
     config = config or SolverConfig()
     a = op.matrix
     y = np.asarray(y, dtype=np.float64)
-    lam = config.lam if config.lam is not None else _default_lam(a, y)
-    step = 1.0 / lipschitz_constant(a)
+    aty = a.T @ y
+    lam = config.lam if config.lam is not None else 0.05 * float(np.max(np.abs(aty)))
+    plan = solver_plan(op)
+    step = 1.0 / plan.lipschitz
+    gram = plan.gram
     x = np.zeros(op.n)
     z = x
     t = 1.0
-    gram = a.T @ a
-    aty = a.T @ y
     history, objectives = [], []
-    prev_obj = _objective(a, y, x, lam)
+    prev_obj = _objective(a @ x - y, x, lam)
     converged = False
     for _ in range(config.max_iterations):
         x_next = shrink(z - step * (gram @ z - aty), lam * step)
@@ -203,8 +249,9 @@ def _proximal_gradient(op: sensing.SensingOperator, y: np.ndarray,
         else:
             z = x_next
         x = x_next
-        obj = _objective(a, y, x, lam)
-        history.append(float(np.linalg.norm(a @ x - y)))
+        residual = a @ x - y
+        obj = _objective(residual, x, lam)
+        history.append(float(np.linalg.norm(residual)))
         objectives.append(obj)
         if config.residual_tolerance > 0 and \
                 abs(prev_obj - obj) <= config.residual_tolerance * max(1.0, abs(obj)):

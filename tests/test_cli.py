@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from trustkit import model
+from trustkit import model, solvers
 from trustkit.cli import main
 
 
@@ -132,6 +132,24 @@ def test_solve_identity_omp_psnr_capped(runner, tmp_path):
     agg = json.loads((out / "metrics_aggregate.json").read_text())["aggregate"]
     assert agg["psnr"]["mean"] == pytest.approx(240.0)
     assert agg["psnr"]["std"] == pytest.approx(0.0)
+
+
+def test_solve_fista_computes_lipschitz_once(runner, small_dataset, tmp_path, monkeypatch):
+    calls = []
+    real = solvers.lipschitz_constant
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "lipschitz_constant", counted)
+    res = runner.invoke(main, [
+        "solve", "--dataset", str(small_dataset), "--out", str(tmp_path / "r"),
+        "--method", "fista", "--split", "train", "--limit", "5", "--max-iter", "50",
+    ], catch_exceptions=False)
+    assert res.exit_code == 0, res.output
+    assert res.output.startswith("5 samples")
+    assert len(calls) == 1
 
 
 def test_solve_missing_dataset_exit_2(runner, tmp_path):
@@ -318,6 +336,24 @@ def _checkpoint_without_blob(tmp, data):
             "--out", str(tmp / "ev")]
 
 
+def _manifest_without_splits(tmp, data):
+    manifest = json.loads((data / "manifest.json").read_text())
+    del manifest["splits"]
+    (tmp / "ds").mkdir()
+    (tmp / "ds" / "manifest.json").write_text(json.dumps(manifest))
+    return ["solve", "--dataset", str(tmp / "ds"), "--out", str(tmp / "r")]
+
+
+def _checkpoint_bad_tensor_entries(tmp, data):
+    cfg = model.UnetConfig(image_size=8)
+    model.checkpoint_save(model.init_params(model.UNET, cfg), model.UNET, cfg, tmp / "c.json")
+    manifest = json.loads((tmp / "c.json").read_text())
+    manifest["tensors"] = [1, 2]
+    (tmp / "c.json").write_text(json.dumps(manifest))
+    return ["eval", "--checkpoint", str(tmp / "c.json"), "--dataset", str(data),
+            "--out", str(tmp / "ev")]
+
+
 def _bogus_kind(tmp, data):
     return ["verify-bound", "--out", str(tmp / "vb"), "--kinds", "bogus"]
 
@@ -331,17 +367,19 @@ def _indivisible_heads(tmp, data):
     return _train_args(data, tmp / "tr", ["--embed-dim", "64", "--heads", "3"])
 
 
-def _oversized_image(tmp, data):
-    return ["gen-data", "--out", str(tmp / "ds"), "--image-size", "256"]
+def _image_size(size):
+    def args(tmp, data):
+        return ["gen-data", "--out", str(tmp / "ds"), "--image-size", str(size)]
+    return args
 
 
 @pytest.mark.parametrize("make_args", [
     _missing_dataset, _corrupt_manifest("{not json"), _corrupt_manifest("[1, 2]"),
-    _checkpoint_without_blob, _bogus_kind, _oversized_sweep, _indivisible_heads,
-    _oversized_image,
+    _manifest_without_splits, _checkpoint_without_blob, _checkpoint_bad_tensor_entries,
+    _bogus_kind, _oversized_sweep, _indivisible_heads, _image_size(256), _image_size(0),
 ], ids=["missing-dataset", "manifest-not-json", "manifest-not-object",
-        "checkpoint-blob-deleted", "bogus-kind", "oversized-sweep", "heads-3",
-        "image-size-256"])
+        "manifest-without-splits", "checkpoint-blob-deleted", "checkpoint-tensors-not-entries",
+        "bogus-kind", "oversized-sweep", "heads-3", "image-size-256", "image-size-0"])
 def test_bad_input_exits_2_without_traceback(runner, small_dataset, tmp_path, make_args):
     res = runner.invoke(main, make_args(tmp_path, small_dataset))
     assert res.exit_code == 2, res.output

@@ -1,8 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from trustkit import dataset, sensing
-from trustkit.errors import DatasetError
+from trustkit.errors import DatasetError, ParameterError
 
 
 def small_spec(**overrides):
@@ -129,6 +131,28 @@ def test_loader_detects_corruption(tmp_path):
     manifest = dataset.load_manifest(tmp_path)
     with pytest.raises(DatasetError, match="val.pairs.f32"):
         dataset.load_split(manifest, "val")
+
+
+@pytest.mark.parametrize("key, value", [
+    ("splits", None), ("splits", [1]), ("operator", None), ("operator", "dense"),
+    ("image_size", None), ("image_size", "8"), ("image_size", 0), ("image_size", True),
+])
+def test_load_manifest_rejects_missing_or_malformed_keys(tmp_path, key, value):
+    dataset.gen_dataset(small_spec(), tmp_path)
+    path = tmp_path / "manifest.json"
+    manifest = json.loads(path.read_text())
+    if value is None:
+        del manifest[key]
+    else:
+        manifest[key] = value
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(DatasetError, match=key):
+        dataset.load_manifest(tmp_path)
+
+
+def test_image_size_below_one_rejected():
+    with pytest.raises(ParameterError, match="image_size"):
+        dataset.DatasetSpec(image_size=0)
 
 
 def test_f64_dataset_roundtrip_exact(tmp_path):

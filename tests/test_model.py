@@ -381,6 +381,20 @@ def test_checkpoint_missing_manifest_key(tmp_path, key):
         model.checkpoint_load(path)
 
 
+@pytest.mark.parametrize("tensors", [
+    [1, 2], {"name": "w"}, [{"name": 3, "shape": [2]}], [{"name": "w"}],
+    [{"name": "w", "shape": [2, -1]}], [{"name": "w", "shape": [2.0]}],
+    [{"name": "w", "shape": "2"}],
+])
+def test_checkpoint_malformed_tensor_entries(tmp_path, tensors):
+    path = _saved_checkpoint(tmp_path)
+    manifest = json.loads(path.read_text())
+    manifest["tensors"] = tensors
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(CheckpointError, match="tensors"):
+        model.checkpoint_load(path)
+
+
 def test_checkpoint_unknown_model_kind(tmp_path):
     path = _saved_checkpoint(tmp_path)
     manifest = json.loads(path.read_text())

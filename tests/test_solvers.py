@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,13 @@ def test_omp_zero_measurement():
     assert np.array_equal(res.x_hat, np.zeros(6))
 
 
+def test_omp_zero_iterations_returns_zero_estimate():
+    op = _gaussian(8, 16, seed=1)
+    res = solvers.omp(op, np.ones(8), solvers.SolverConfig(max_iterations=0))
+    assert res.iterations_used == 0 and not res.converged
+    assert np.array_equal(res.x_hat, np.zeros(16)) and res.support.size == 0
+
+
 def test_omp_residuals_strictly_decrease():
     op = _gaussian(20, 40, seed=4)
     rng = np.random.default_rng(0)
@@ -73,6 +82,94 @@ def test_omp_recovery_rate_and_values():
             oracle, *_ = np.linalg.lstsq(op.matrix[:, support], y, rcond=None)
             assert np.max(np.abs(res.x_hat[support] - oracle)) < 1e-8
     assert exact >= 0.95 * trials
+
+
+def _omp_qr_refit(a, y, budget):
+    # reference: OMP that refits by a fresh QR of the whole support after every atom
+    col_norms = np.linalg.norm(a, axis=0)
+    support, history, residual = [], [], y.copy()
+    for _ in range(budget):
+        corr = np.abs(a.T @ residual) / col_norms
+        corr[support] = -np.inf
+        support.append(int(np.argmax(corr)))
+        coef, _ = solvers._ls_on_support(a, y, support)
+        residual = y - a[:, support] @ coef
+        history.append(float(np.linalg.norm(residual)))
+    x_hat = np.zeros(a.shape[1])
+    x_hat[support] = coef
+    return np.sort(support), x_hat, np.array(history)
+
+
+@pytest.mark.parametrize("m, n, k, seed", [(20, 40, 6, 1), (48, 96, 12, 2), (64, 64, 30, 3)])
+def test_omp_matches_per_atom_qr_refit(m, n, k, seed):
+    op = _gaussian(m, n, seed=seed) if m < n else \
+        sensing.sample_operator(sensing.DENSE, m, n, seed=seed)
+    y = np.random.default_rng(seed).standard_normal(m)
+    res = solvers.omp(op, y, solvers.SolverConfig(sparsity_budget=k, residual_tolerance=0.0))
+    support, x_hat, history = _omp_qr_refit(op.matrix, y, k)
+    assert np.array_equal(res.support, support)
+    assert res.x_hat.tobytes() == x_hat.tobytes()
+    assert np.allclose(res.residual_norm_history, history, rtol=1e-9, atol=0.0)
+    assert not res.rank_deficient
+
+
+def test_omp_rank_deficient_support_gives_minimum_norm_fit():
+    op = _gaussian(4, 8, seed=6)
+    y = np.random.default_rng(6).standard_normal(4)
+    res = solvers.omp(op, y, solvers.SolverConfig(sparsity_budget=6, residual_tolerance=0.0))
+    assert res.iterations_used == 6 and len(res.support) == 6
+    assert res.rank_deficient
+    oracle, *_ = np.linalg.lstsq(op.matrix[:, res.support], y, rcond=None)
+    assert np.allclose(res.x_hat[res.support], oracle, rtol=0.0, atol=1e-12)
+    assert np.count_nonzero(res.x_hat[np.setdiff1d(np.arange(8), res.support)]) == 0
+
+
+# ---- solver plan --------------------------------------------------------------
+
+
+def test_omp_builds_only_column_norms():
+    op = _gaussian(16, 32, seed=1)
+    solvers.omp(op, np.ones(16))
+    assert set(vars(op.solver_plan)) == {"matrix", "column_norms"}
+    solvers.fista(op, np.ones(16))
+    assert {"gram", "lipschitz"} <= set(vars(op.solver_plan))
+
+
+def test_solver_plan_shared_across_samples():
+    op = _gaussian(16, 32, seed=3)
+    rng = np.random.default_rng(0)
+    solvers.fista(op, rng.standard_normal(16))
+    plan = op.solver_plan
+    solvers.fista(op, rng.standard_normal(16))
+    solvers.omp(op, rng.standard_normal(16))
+    assert op.solver_plan is plan
+    assert plan.lipschitz == solvers.lipschitz_constant(op.matrix)
+
+
+def test_solver_plan_never_crosses_operators():
+    cfg = solvers.SolverConfig(max_iterations=50, residual_tolerance=0.0)
+    y = np.random.default_rng(1).standard_normal(16)
+    first, second = _gaussian(16, 32, seed=1), _gaussian(16, 32, seed=2)
+    solvers.fista(first, y, cfg)
+    solvers.omp(first, y)
+    got = solvers.fista(second, y, cfg).x_hat
+    assert second.solver_plan is not first.solver_plan
+    assert got.tobytes() == solvers.fista(_gaussian(16, 32, seed=2), y, cfg).x_hat.tobytes()
+
+    # an operator whose matrix is reassigned gets a plan of the new matrix
+    first.matrix = second.matrix.copy()
+    for method in (solvers.ista, solvers.fista, solvers.omp):
+        fresh = _gaussian(16, 32, seed=2)
+        assert method(first, y, cfg).x_hat.tobytes() == method(fresh, y, cfg).x_hat.tobytes()
+    assert first.solver_plan.matrix is first.matrix
+
+
+def test_solver_plan_left_out_of_repr_and_init():
+    op = _gaussian(8, 16, seed=0)
+    text = repr(op)
+    solvers.omp(op, np.ones(8))
+    assert op.solver_plan is not None and repr(op) == text
+    assert "solver_plan" not in {f.name for f in dataclasses.fields(op) if f.init}
 
 
 # ---- shrink -----------------------------------------------------------------
@@ -181,6 +278,24 @@ def test_proximal_gradient_matches_textbook_loops():
     cfg = solvers.SolverConfig(max_iterations=iterations, residual_tolerance=0.0, lam=lam)
     assert solvers.ista(op, y, cfg).x_hat.tobytes() == x_ista.tobytes()
     assert solvers.fista(op, y, cfg).x_hat.tobytes() == x_fista.tobytes()
+
+
+def test_lipschitz_matches_two_product_power_iteration():
+    # reference: power iteration that forms gram @ v twice per step
+    a = np.random.default_rng(5).standard_normal((30, 50))
+    gram = a.T @ a
+    v = np.random.default_rng(0).standard_normal(50)
+    v /= np.linalg.norm(v)
+    lam = 0.0
+    for _ in range(1000):
+        w = gram @ v
+        v = w / np.linalg.norm(w)
+        new_lam = float(v @ (gram @ v))
+        if abs(new_lam - lam) <= 1e-10 * max(1.0, abs(new_lam)):
+            break
+        lam = new_lam
+    assert solvers.lipschitz_constant(a) == new_lam
+    assert solvers.lipschitz_constant(a, gram=gram) == new_lam
 
 
 def test_power_iteration_matches_svd():
