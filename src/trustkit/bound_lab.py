@@ -194,10 +194,13 @@ def attention_similarity_sweep(kinds, ms, ns, ks, trials: int, seed: int,
     has no member of, and k with 2k > min(m, n), are skipped. Pair supports
     are drawn independently, so joint supports of size <= 2k arise by
     construction (overlaps are kept, which the bound permits). An unknown
-    kind or an oversized operator raises ParameterError before any cell runs.
+    kind, an oversized operator or a k < 1 raises ParameterError before any
+    cell runs.
     """
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
+    if any(k < 1 for k in ks):
+        raise ParameterError(f"every k must be >= 1, got {list(ks)}")
     specs = []
     for kind in kinds:
         for n in ns:

@@ -150,6 +150,19 @@ def test_sweep_unknown_kind_raises():
         )
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_sweep_rejects_k_below_one_before_any_cell(monkeypatch, k):
+    def run_cell(*args):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(bound_lab, "_run_cell", run_cell)
+    with pytest.raises(ParameterError, match="k must be >= 1"):
+        bound_lab.attention_similarity_sweep(
+            kinds=[sensing.GAUSSIAN_FAT], ms=[8], ns=[12], ks=[2, k],
+            trials=5, seed=0,
+        )
+
+
 def test_sweep_matrix_output():
     res = bound_lab.attention_similarity_sweep(
         kinds=[sensing.GAUSSIAN_FAT], ms=[8, 10], ns=[16], ks=[2, 3],

@@ -363,6 +363,12 @@ def _oversized_sweep(tmp, data):
             "--n", "100000000"]
 
 
+def _sweep_k(k):
+    def args(tmp, data):
+        return ["verify-bound", "--out", str(tmp / "vb"), "--k", str(k)]
+    return args
+
+
 def _indivisible_heads(tmp, data):
     return _train_args(data, tmp / "tr", ["--embed-dim", "64", "--heads", "3"])
 
@@ -376,10 +382,12 @@ def _image_size(size):
 @pytest.mark.parametrize("make_args", [
     _missing_dataset, _corrupt_manifest("{not json"), _corrupt_manifest("[1, 2]"),
     _manifest_without_splits, _checkpoint_without_blob, _checkpoint_bad_tensor_entries,
-    _bogus_kind, _oversized_sweep, _indivisible_heads, _image_size(256), _image_size(0),
+    _bogus_kind, _oversized_sweep, _sweep_k(0), _sweep_k(-1), _indivisible_heads,
+    _image_size(256), _image_size(0),
 ], ids=["missing-dataset", "manifest-not-json", "manifest-not-object",
         "manifest-without-splits", "checkpoint-blob-deleted", "checkpoint-tensors-not-entries",
-        "bogus-kind", "oversized-sweep", "heads-3", "image-size-256", "image-size-0"])
+        "bogus-kind", "oversized-sweep", "k-0", "k-negative", "heads-3", "image-size-256",
+        "image-size-0"])
 def test_bad_input_exits_2_without_traceback(runner, small_dataset, tmp_path, make_args):
     res = runner.invoke(main, make_args(tmp_path, small_dataset))
     assert res.exit_code == 2, res.output

@@ -1,7 +1,12 @@
 import math
+import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from trustkit import sensing
 from trustkit.errors import DimensionError, EnumerationCapExceeded, ParameterError
@@ -188,6 +193,86 @@ def test_rip_sandwich_attained():
         ext = v[:, np.argmax(np.abs(w - 1.0))]
         attained = max(attained, abs(np.linalg.norm(sub @ ext) ** 2 - 1.0))
     assert attained > est.delta - 1e-9
+
+
+def _rip_per_support_loop(op, k):
+    """Reference exact scan: one eigvalsh(sub.T @ sub) per support."""
+    order = 2 * k
+    delta, count = 0.0, 0
+    for s in combinations(range(op.n), order):
+        sub = op.matrix[:, s]
+        delta = max(delta, float(np.max(np.abs(np.linalg.eigvalsh(sub.T @ sub) - 1.0))))
+        count += 1
+    return delta, count
+
+
+@pytest.mark.parametrize("kind,m", [
+    (sensing.ORTHONORMAL_SQUARE, 16), (sensing.TALL_ORTHONORMAL, 24),
+    (sensing.GAUSSIAN_FAT, 10), (sensing.FOURIER_MASKED, 12),
+])
+def test_rip_stacked_matches_per_support_loop(kind, m):
+    op = sensing.sample_operator(kind, m, 16, seed=7)
+    chunking = []
+    for k in (1, 2, 3):
+        est = sensing.estimate_rip(op, k, method=sensing.EXACT_ENUMERATION)
+        delta, count = _rip_per_support_loop(op, k)
+        assert est.count == count == math.comb(16, 2 * k)
+        assert abs(est.delta - delta) < 1e-12
+        chunking.append((count, sensing._RIP_CHUNK_BYTES // (2 * k * m * 8)))
+    assert any(count < per_chunk for count, per_chunk in chunking)
+    assert any(count > per_chunk and count % per_chunk for count, per_chunk in chunking)
+
+
+@pytest.mark.parametrize("per_chunk", [1, 5, 7])
+def test_rip_stacked_matches_per_support_loop_small_chunks(monkeypatch, per_chunk):
+    # C(8, 2) = 28 supports of 2 columns of length 4: one per chunk, five
+    # full chunks and a partial one, and four full chunks
+    op = sensing.sample_operator(sensing.GAUSSIAN_FAT, 4, 8, seed=3)
+    monkeypatch.setattr(sensing, "_RIP_CHUNK_BYTES", per_chunk * 2 * 4 * 8)
+    est = sensing.estimate_rip(op, 1, method=sensing.EXACT_ENUMERATION)
+    delta, count = _rip_per_support_loop(op, 1)
+    assert est.count == count == 28
+    assert abs(est.delta - delta) < 1e-12
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 10).flatmap(lambda m: st.integers(2, 10).flatmap(
+    lambda n: arrays(np.float64, (m, n), elements=st.floats(-2.0, 2.0, width=64)))))
+def test_rip_exact_matches_svd_and_grows_with_k(matrix):
+    m, n = matrix.shape
+    op = sensing.SensingOperator(sensing.DENSE, m, n, seed=0, matrix=matrix)
+    deltas = []
+    for k in range(1, min(m, n) // 2 + 1):
+        est = sensing.estimate_rip(op, k, method=sensing.EXACT_ENUMERATION)
+        worst = max(
+            float(np.max(np.abs(np.linalg.svd(matrix[:, s], compute_uv=False) ** 2 - 1.0)))
+            for s in combinations(range(n), 2 * k)
+        )
+        assert abs(est.delta - worst) <= 1e-10
+        deltas.append(est.delta)
+    assert all(b >= a - 1e-10 for a, b in zip(deltas, deltas[1:]))
+
+
+def test_rip_exact_memory_is_bounded():
+    # C(20, 6) = 38,760 supports; all of their 6 x 10 column stacks at once
+    # would take about 19 MB
+    op = sensing.sample_operator(sensing.GAUSSIAN_FAT, 10, 20, seed=0)
+    tracemalloc.start()
+    try:
+        est = sensing.estimate_rip(op, 3, method=sensing.EXACT_ENUMERATION)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert est.count == 38_760
+    assert peak < 4 * 2**20
+
+
+@pytest.mark.parametrize("method", [sensing.EXACT_ENUMERATION, sensing.MONTE_CARLO])
+@pytest.mark.parametrize("k", [0, -1])
+def test_rip_rejects_k_below_one(method, k):
+    op = sensing.sample_operator(sensing.GAUSSIAN_FAT, 8, 12, seed=0)
+    with pytest.raises(ParameterError, match="k >= 1"):
+        sensing.estimate_rip(op, k, method=method)
 
 
 def test_ksparse_zero_k():
