@@ -18,7 +18,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from . import bound_lab, dataset, metrics, model, ndtensor as nd, sensing, solvers
+from . import bound_lab, dataset, metrics, model, sensing, solvers
 from .errors import (
     CheckpointError,
     ContractError,
@@ -47,14 +47,27 @@ def _load_config_file(path: str | None) -> dict:
 
 
 def _resolve(ctx: click.Context, file_cfg: dict, **values) -> dict:
-    """Flags override config-file entries, which override defaults."""
+    """Flags override config-file entries, which override defaults.
+
+    A config-file entry passes the same type and range check as its flag.
+    """
     from click.core import ParameterSource
 
+    options = {}
+    for param in ctx.command.params:
+        options[param.name] = param
+        for opt in param.opts:
+            options.setdefault(opt.lstrip("-").replace("-", "_"), param)
     resolved = {}
     for key, flag_value in values.items():
         src = ctx.get_parameter_source(key)
         if src == ParameterSource.COMMANDLINE or key not in file_cfg:
             resolved[key] = flag_value
+        elif key in options:
+            try:
+                resolved[key] = options[key].type_cast_value(ctx, file_cfg[key])
+            except click.BadParameter as exc:
+                raise click.UsageError(f"config file entry {key!r}: {exc.message}")
         else:
             resolved[key] = file_cfg[key]
     return resolved
@@ -98,6 +111,13 @@ def _digest_file(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+# integer flags shared by several commands; an out-of-range value is a usage error (exit 2)
+_NON_NEGATIVE = click.IntRange(min=0)
+_seed_option = click.option("--seed", default=0, show_default=True, type=_NON_NEGATIVE)
+_limit_option = click.option("--limit", default=0, show_default=True, type=_NON_NEGATIVE,
+                             help="Use at most the first N samples of the split (0: all).")
+
+
 @click.group()
 def main() -> None:
     """Sparse-recovery toolkit: data generation, bound verification, classical
@@ -119,7 +139,7 @@ def main() -> None:
 @click.option("--keep", default=0.25, show_default=True,
               help="Kept-frequency fraction for the fourier operator.")
 @click.option("--noise-sigma", default=0.0, show_default=True)
-@click.option("--seed", default=0, show_default=True)
+@_seed_option
 @click.option("--dtype", default="f32", type=click.Choice(["f32", "f64"]), show_default=True)
 @click.pass_context
 def gen_data(ctx, out_dir, config_path, image_size, train, val, test, operator,
@@ -175,7 +195,7 @@ def _int_list(text: str, flag: str) -> list[int]:
 @click.option("--n", "n_list", default="12", show_default=True)
 @click.option("--k", "k_list", default="2", show_default=True)
 @click.option("--trials", default=100, show_default=True)
-@click.option("--seed", default=0, show_default=True)
+@_seed_option
 @click.option("--matrix", "emit_matrix", is_flag=True,
               help="Also emit a gnuplot-ready mean-deviation matrix per kind.")
 @click.pass_context
@@ -240,10 +260,10 @@ def verify_bound(ctx, out_dir, config_path, kinds, m_list, n_list, k_list,
 @click.option("--lam", default=None, type=float,
               help="l1 weight for ista/fista; default 0.05 * |A^T y|_inf per problem.")
 @click.option("--tol", default=1e-6, show_default=True)
-@click.option("--max-iter", default=500, show_default=True)
+@click.option("--max-iter", default=500, show_default=True, type=_NON_NEGATIVE)
 @click.option("--ridge", default=None, type=float,
               help="Ridge for operator estimation; default trace-scaled.")
-@click.option("--limit", default=0, show_default=True, help="Solve at most N samples (0: all).")
+@_limit_option
 @click.pass_context
 def solve(ctx, dataset_dir, out_dir, config_path, method, operator_mode, split,
           sparsity, lam, tol, max_iter, ridge, limit):
@@ -330,13 +350,12 @@ def _parse_skips(mask: str, n_connections: int) -> tuple[bool, ...]:
 @click.option("--epochs", default=20, show_default=True)
 @click.option("--lr", default=1e-4, show_default=True)
 @click.option("--batch", default=16, show_default=True)
-@click.option("--seed", default=0, show_default=True)
+@_seed_option
 @click.option("--embed-dim", default=64, show_default=True)
 @click.option("--depth", default=4, show_default=True)
 @click.option("--heads", default=4, show_default=True)
 @click.option("--base-channels", default=8, show_default=True, help="unet width")
-@click.option("--limit", default=0, show_default=True,
-              help="Train on at most N samples (0: all).")
+@_limit_option
 @click.pass_context
 def train_cmd(ctx, dataset_dir, out_dir, config_path, model_kind, loss_token, skips,
               epochs, lr, batch, seed, embed_dim, depth, heads, base_channels, limit):
@@ -408,7 +427,7 @@ def train_cmd(ctx, dataset_dir, out_dir, config_path, model_kind, loss_token, sk
 @click.option("--split", default="test", show_default=True)
 @click.option("--emit-images", "image_dir", default=None,
               help="Write (y, x, x_hat) PGM triplets into this directory.")
-@click.option("--limit", default=0, show_default=True)
+@_limit_option
 @click.pass_context
 def eval_cmd(ctx, ckpt_path, dataset_dir, out_dir, config_path, split, image_dir, limit):
     """Score a checkpoint on a dataset split; optionally dump PGM images."""
@@ -427,12 +446,13 @@ def eval_cmd(ctx, ckpt_path, dataset_dir, out_dir, config_path, split, image_dir
     except _USAGE_ERRORS as exc:
         raise click.UsageError(str(exc))
 
-    forward = model.model_spec(model_kind).forward
-    frozen = {k: nd.Tensor(p.data) for k, p in params.items()}
+    targets = np.array([pair.x for pair in pairs], dtype=np.float64)
+    observations = np.array([pair.y for pair in pairs], dtype=np.float64)
     report = metrics.MetricReport()
-    preds = [forward(frozen, model_cfg, pair.y).data for pair in pairs]
-    for pair, pred in zip(pairs, preds):
-        report.add(pred, pair.x)
+    preds = []
+    for lo, pred in model.predict(model_kind, params, model_cfg, observations):
+        preds.extend(pred.data)
+        report.extend(pred.data, targets[lo : lo + len(pred.data)])
 
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)

@@ -44,7 +44,11 @@ def psnr(pred, target, max_value: float = 1.0) -> float:
     """20 * log10(MAX / RMSE), with RMSE floored at 1e-12."""
     if max_value <= 0:
         raise ParameterError(f"max_value must be > 0, got {max_value}")
-    return 20.0 * math.log10(max_value / max(rmse(pred, target), PSNR_RMSE_FLOOR))
+    return _psnr_db(rmse(pred, target), max_value)
+
+
+def _psnr_db(rmse_value: float, max_value: float = 1.0) -> float:
+    return 20.0 * math.log10(max_value / max(rmse_value, PSNR_RMSE_FLOOR))
 
 
 @dataclass
@@ -82,22 +86,17 @@ def ssim_tensor(pred: nd.Tensor, target: nd.Tensor, window: int = SSIM_WINDOW,
     """Mean SSIM over sliding uniform windows, built from autodiff primitives
     so the gradient flows when either input tracks gradients.
 
-    Inputs are (H, W) or (1, H, W); dynamic range is assumed 1.
+    Inputs are one (H, W) image, giving a scalar, or a (B, H, W) stack,
+    giving the (B,) per-image SSIM; the stack is filtered in one pass.
+    Dynamic range is assumed 1.
     """
-    if pred.data.ndim == 2:
-        pred = nd.reshape(pred, (1,) + pred.data.shape)
-    if target.data.ndim == 2:
-        target = nd.reshape(target, (1,) + target.data.shape)
     if pred.data.shape != target.data.shape:
         raise DimensionError(f"shape mismatch: {pred.data.shape} vs {target.data.shape}")
-    _, h, w = pred.data.shape
-    if window > h or window > w:
-        raise ParameterError(f"window {window} exceeds image {h}x{w}")
-
-    kernel = nd.Tensor(np.full((1, 1, window, window), 1.0 / window**2))
+    if pred.data.ndim not in (2, 3):
+        raise DimensionError(f"ssim expects (H, W) or (B, H, W), got {pred.data.shape}")
 
     def box(t):
-        return nd.conv2d(t, kernel)
+        return nd.box_filter(t, window)
 
     mu_p = box(pred)
     mu_t = box(target)
@@ -112,12 +111,15 @@ def ssim_tensor(pred: nd.Tensor, target: nd.Tensor, window: int = SSIM_WINDOW,
                  nd.scalar_add(nd.scalar_mul(cov, 2.0), c2))
     den = nd.mul(nd.scalar_add(nd.add(mu_pp, mu_tt), c1),
                  nd.scalar_add(nd.add(var_p, var_t), c2))
-    return nd.reduce_mean(nd.div(num, den))
+    ratio = nd.div(num, den)
+    if pred.data.ndim == 2:
+        return nd.reduce_mean(ratio)
+    return nd.reduce_mean(nd.reshape(ratio, (pred.data.shape[0], -1)), axis=1)
 
 
 def ssim(pred, target, window: int = SSIM_WINDOW, c1: float = SSIM_C1,
          c2: float = SSIM_C2) -> float:
-    """Scalar SSIM of two arrays (no gradient tracking)."""
+    """Scalar SSIM of two (H, W) arrays (no gradient tracking)."""
     return ssim_tensor(
         nd.Tensor(np.asarray(pred, dtype=np.float64)),
         nd.Tensor(np.asarray(target, dtype=np.float64)),
@@ -137,14 +139,36 @@ class ImageMetrics:
 
 def score_image(pred, target, thresholds: FprThresholds | None = None,
                 window: int = SSIM_WINDOW) -> ImageMetrics:
-    return ImageMetrics(
-        mse=mse(pred, target),
-        mae=mae(pred, target),
-        rmse=rmse(pred, target),
-        psnr=psnr(pred, target),
-        ssim=ssim(pred, target, window=window),
-        fpr=fpr(pred, target, thresholds),
-    )
+    pred = np.asarray(pred, dtype=np.float64)
+    target = np.asarray(target, dtype=np.float64)
+    return score_batch(pred[None], target[None], thresholds, window)[0]
+
+
+def score_batch(preds, targets, thresholds: FprThresholds | None = None,
+                window: int = SSIM_WINDOW) -> list[ImageMetrics]:
+    """Score every image of a (B, H, W) stack against its target in one pass.
+
+    Each row equals what ``mse``, ``mae``, ``rmse``, ``psnr``, ``ssim`` and
+    ``fpr`` give for that image alone.
+    """
+    thresholds = thresholds or FprThresholds()
+    preds = np.asarray(preds, dtype=np.float64)
+    targets = np.asarray(targets, dtype=np.float64)
+    _check_shapes(preds, targets)
+    if preds.ndim != 3:
+        raise DimensionError(f"score_batch expects (B, H, W) stacks, got {preds.shape}")
+    b = preds.shape[0]
+    diff = (preds - targets).reshape(b, -1)
+    mses = np.mean(diff**2, axis=1)
+    maes = np.mean(np.abs(diff), axis=1)
+    ssims = ssim_tensor(nd.Tensor(preds), nd.Tensor(targets), window=window).data
+    hallucinated = (preds > thresholds.t_high) & (targets <= thresholds.t_low)
+    fprs = np.count_nonzero(hallucinated.reshape(b, -1), axis=1) / diff.shape[1]
+    return [
+        ImageMetrics(mse=float(m), mae=float(a), rmse=math.sqrt(m),
+                     psnr=_psnr_db(math.sqrt(m)), ssim=float(s), fpr=float(f))
+        for m, a, s, f in zip(mses, maes, ssims, fprs)
+    ]
 
 
 _FIELDS = ("mse", "mae", "rmse", "psnr", "ssim", "fpr")
@@ -169,6 +193,10 @@ class MetricReport:
         row = score_image(pred, target, self.thresholds, self.ssim_window)
         self.rows.append(row)
         return row
+
+    def extend(self, preds, targets) -> None:
+        """Score and append every image of a (B, H, W) stack."""
+        self.rows.extend(score_batch(preds, targets, self.thresholds, self.ssim_window))
 
     def aggregate(self) -> dict:
         out = {}

@@ -3,7 +3,7 @@ convolutional baseline, training, and checkpointing."""
 
 from .config import LOSS_KINDS, TrainConfig, TrustConfig, UnetConfig
 from .forward import forward_trust, forward_unet, patchify, token_gram
-from .losses import loss
+from .losses import loss, sample_losses
 from .params import (
     TRUST,
     UNET,
@@ -16,18 +16,20 @@ from .params import (
     param_count,
     param_shapes,
 )
-from .train import Adam, EpochRow, TrainResult, evaluate, train
+from .train import PREDICT_CHUNK, Adam, EpochRow, TrainResult, batch_loss, evaluate, predict, train
 
 __all__ = [
     "Adam",
     "EpochRow",
     "LOSS_KINDS",
+    "PREDICT_CHUNK",
     "TRUST",
     "TrainConfig",
     "TrainResult",
     "TrustConfig",
     "UNET",
     "UnetConfig",
+    "batch_loss",
     "checkpoint_load",
     "checkpoint_save",
     "config_from_manifest",
@@ -41,6 +43,8 @@ __all__ = [
     "param_count",
     "param_shapes",
     "patchify",
+    "predict",
+    "sample_losses",
     "token_gram",
     "train",
 ]

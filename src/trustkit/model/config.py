@@ -43,6 +43,9 @@ class TrustConfig:
         object.__setattr__(self, "decoder_channels", tuple(self.decoder_channels))
         object.__setattr__(self, "skip_sources", tuple(self.skip_sources))
         object.__setattr__(self, "skip_enabled", tuple(bool(b) for b in self.skip_enabled))
+        for name in ("image_size", "patch_size", "embed_dim", "num_heads", "encoder_depth"):
+            if getattr(self, name) < 1:
+                raise ParameterError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.image_size % self.patch_size != 0:
             raise ParameterError(
                 f"image_size {self.image_size} not divisible by patch_size {self.patch_size}"

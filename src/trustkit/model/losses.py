@@ -9,18 +9,33 @@ from ..errors import ParameterError
 from ..metrics import ssim_tensor
 
 
-def loss(kind: str, pred: nd.Tensor, target, lambda_l1: float = 0.1,
-         lambda_ssim: float = 0.5) -> nd.Tensor:
-    """Scalar training loss; differentiable through ``pred``."""
+def sample_losses(kind: str, pred: nd.Tensor, target, lambda_l1: float = 0.1,
+                  lambda_ssim: float = 0.5) -> nd.Tensor:
+    """Per-image loss of a (B, S, S) prediction stack, shape (B,); an (S, S)
+    image counts as a stack of one. Differentiable through ``pred``."""
     if not isinstance(target, nd.Tensor):
         target = nd.Tensor(np.asarray(target, dtype=np.float64))
+    if pred.data.ndim == 2:
+        pred = nd.reshape(pred, (1,) + pred.data.shape)
+        target = nd.reshape(target, (1,) + target.data.shape)
+    b = pred.data.shape[0]
+
+    def image_mean(t):
+        return nd.reduce_mean(nd.reshape(t, (b, -1)), axis=1)
+
     diff = nd.sub(pred, target)
-    l2 = nd.reduce_mean(nd.mul(diff, diff))
+    l2 = image_mean(nd.mul(diff, diff))
     if kind == "l2":
         return l2
     if kind == "l2_l1":
-        return nd.add(l2, nd.scalar_mul(nd.reduce_mean(nd.absolute(diff)), lambda_l1))
+        return nd.add(l2, nd.scalar_mul(image_mean(nd.absolute(diff)), lambda_l1))
     if kind == "l2_ssim":
         dissim = nd.scalar_add(nd.scalar_mul(ssim_tensor(pred, target), -1.0), 1.0)
         return nd.add(l2, nd.scalar_mul(dissim, lambda_ssim))
     raise ParameterError(f"unknown loss kind {kind!r}")
+
+
+def loss(kind: str, pred: nd.Tensor, target, lambda_l1: float = 0.1,
+         lambda_ssim: float = 0.5) -> nd.Tensor:
+    """Scalar training loss: the mean of ``sample_losses`` over the batch."""
+    return nd.reduce_mean(sample_losses(kind, pred, target, lambda_l1, lambda_ssim))

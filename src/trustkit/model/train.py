@@ -11,8 +11,11 @@ import numpy as np
 from .. import metrics, ndtensor as nd
 from ..errors import ContractError
 from .config import TrainConfig
-from .losses import loss as make_loss
+from .losses import loss as make_loss, sample_losses
 from .params import checkpoint_save, init_params, model_spec
+
+
+PREDICT_CHUNK = 4  # samples per forward when evaluating; bounds the transient memory
 
 
 class Adam:
@@ -87,28 +90,53 @@ def _detached(params: dict[str, nd.Tensor]) -> dict[str, nd.Tensor]:
     return {k: nd.Tensor(p.data) for k, p in params.items()}
 
 
+def _stack_pairs(pairs) -> tuple[np.ndarray, np.ndarray]:
+    """(N, S, S) float64 stacks of the targets and the observations."""
+    targets = np.array([x for x, _ in pairs], dtype=np.float64)
+    observations = np.array([y for _, y in pairs], dtype=np.float64)
+    return targets, observations
+
+
+def predict(model_kind: str, params: dict[str, nd.Tensor], model_cfg,
+            observations: np.ndarray):
+    """Forward an (N, S, S) observation stack, PREDICT_CHUNK samples per call.
+
+    Yields ``(start, prediction)`` per chunk, the prediction a (b, S, S)
+    tensor with no graph behind it. A bounded chunk keeps the forward's
+    transient memory near that of a few samples whatever N is.
+    """
+    forward = model_spec(model_kind).forward
+    frozen = _detached(params)
+    for lo in range(0, len(observations), PREDICT_CHUNK):
+        yield lo, forward(frozen, model_cfg, observations[lo : lo + PREDICT_CHUNK])
+
+
 def evaluate(model_kind: str, params: dict[str, nd.Tensor], model_cfg,
              pairs, train_cfg: TrainConfig) -> tuple[float, float, float, float]:
     """Mean validation loss, SSIM, PSNR, FPR over (target, observation) pairs."""
-    forward = model_spec(model_kind).forward
-    frozen = _detached(params)
-    losses, ssims, psnrs, fprs = [], [], [], []
-    for x_img, y_img in pairs:
-        pred = forward(frozen, model_cfg, y_img)
-        losses.append(
-            make_loss(train_cfg.loss_kind, pred, x_img,
-                      train_cfg.lambda_l1, train_cfg.lambda_ssim).item()
-        )
-        ssims.append(metrics.ssim(pred.data, x_img))
-        psnrs.append(metrics.psnr(pred.data, x_img))
-        fprs.append(metrics.fpr(np.clip(pred.data, 0.0, 1.0), np.clip(x_img, 0.0, 1.0)))
+    targets, observations = _stack_pairs(pairs)
+    losses, rows = [], []
+    for lo, pred in predict(model_kind, params, model_cfg, observations):
+        x = targets[lo : lo + len(pred.data)]
+        losses.extend(sample_losses(train_cfg.loss_kind, pred, x, train_cfg.lambda_l1,
+                                    train_cfg.lambda_ssim).data.tolist())
+        rows.extend(metrics.score_batch(pred.data, x))
     n = max(len(losses), 1)
     return (
         math.fsum(losses) / n,
-        math.fsum(ssims) / n,
-        math.fsum(psnrs) / n,
-        math.fsum(fprs) / n,
+        math.fsum(r.ssim for r in rows) / n,
+        math.fsum(r.psnr for r in rows) / n,
+        math.fsum(r.fpr for r in rows) / n,
     )
+
+
+def batch_loss(model_kind: str, params: dict[str, nd.Tensor], model_cfg,
+               train_cfg: TrainConfig, targets: np.ndarray,
+               observations: np.ndarray) -> nd.Tensor:
+    """Mean training loss of a (B, S, S) batch as one graph: one forward, one loss."""
+    pred = model_spec(model_kind).forward(params, model_cfg, observations)
+    return make_loss(train_cfg.loss_kind, pred, targets, train_cfg.lambda_l1,
+                     train_cfg.lambda_ssim)
 
 
 def train(model_kind: str, model_cfg, train_cfg: TrainConfig, train_pairs,
@@ -120,7 +148,6 @@ def train(model_kind: str, model_cfg, train_cfg: TrainConfig, train_pairs,
     ``out_dir`` when given. Initial parameters come from the model config's
     seed unless an explicit set is passed.
     """
-    forward = model_spec(model_kind).forward
     if params is None:
         params = init_params(model_kind, model_cfg)
     adam = Adam(params, train_cfg.learning_rate, train_cfg.adam_beta1,
@@ -134,6 +161,7 @@ def train(model_kind: str, model_cfg, train_cfg: TrainConfig, train_pairs,
 
     result = TrainResult(params=params)
     best_val = math.inf
+    targets, observations = _stack_pairs(train_pairs)
     n_train = len(train_pairs)
     for epoch in range(1, train_cfg.epochs + 1):
         order = shuffle_rng.permutation(n_train)
@@ -141,22 +169,12 @@ def train(model_kind: str, model_cfg, train_cfg: TrainConfig, train_pairs,
         for lo in range(0, n_train, train_cfg.batch_size):
             batch = order[lo : lo + train_cfg.batch_size]
             adam.zero_grad()
-            sample_losses = []
-            for idx in batch:
-                x_img, y_img = train_pairs[idx]
-                pred = forward(params, model_cfg, y_img)
-                sample_losses.append(
-                    make_loss(train_cfg.loss_kind, pred, x_img,
-                              train_cfg.lambda_l1, train_cfg.lambda_ssim)
-                )
-            total = sample_losses[0]
-            for extra in sample_losses[1:]:
-                total = nd.add(total, extra)
-            batch_loss = nd.scalar_mul(total, 1.0 / len(sample_losses))
-            _abort_on_nonfinite(batch_loss, params)
-            batch_loss.backward()
+            step_loss = batch_loss(model_kind, params, model_cfg, train_cfg,
+                                   targets[batch], observations[batch])
+            _abort_on_nonfinite(step_loss, params)
+            step_loss.backward()
             adam.step()
-            epoch_losses.append(batch_loss.item() * len(sample_losses))
+            epoch_losses.append(step_loss.item() * len(batch))
         train_loss = math.fsum(epoch_losses) / n_train
         val_loss, val_ssim, val_psnr, val_fpr = evaluate(
             model_kind, params, model_cfg, val_pairs, train_cfg

@@ -163,10 +163,12 @@ def _make(data: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tensor:
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
+    # gradients are never updated in place, so an intermediate may keep the
+    # array (or a view of it) that its consumer passed; leaves get a copy
     if t.grad is None:
-        t.grad = np.array(g, dtype=np.float64)
+        t.grad = np.array(g, dtype=np.float64) if t._vjp is None else g
     else:
-        t.grad += g
+        t.grad = t.grad + g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -277,6 +279,27 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(data, (a, b), vjp)
 
 
+def batch_matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Matrix product over the last two axes, broadcasting the leading ones."""
+    if a.data.ndim < 2 or b.data.ndim < 2 or a.data.shape[-1] != b.data.shape[-2]:
+        raise DimensionError(f"batch_matmul shapes incompatible: {a.data.shape} x {b.data.shape}")
+    try:
+        np.broadcast_shapes(a.data.shape[:-2], b.data.shape[:-2])
+    except ValueError:
+        raise DimensionError(
+            f"batch_matmul batch axes incompatible: {a.data.shape} x {b.data.shape}"
+        ) from None
+    data = np.matmul(a.data, b.data)
+
+    def vjp(g):
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.data.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape))
+
+    return _make(data, (a, b), vjp)
+
+
 def reshape(a: Tensor, shape) -> Tensor:
     shape = tuple(shape)
     data = a.data.reshape(shape)
@@ -297,6 +320,20 @@ def transpose(a: Tensor) -> Tensor:
             _accumulate(a, g.T)
 
     return _make(a.data.T.copy(), (a,), vjp)
+
+
+def permute(a: Tensor, axes: Sequence[int]) -> Tensor:
+    """Reorder the axes of ``a``; the result is contiguous."""
+    axes = tuple(axes)
+    if sorted(axes) != list(range(a.data.ndim)):
+        raise DimensionError(f"permute axes {axes} do not reorder shape {a.data.shape}")
+    inverse = tuple(np.argsort(axes))
+
+    def vjp(g):
+        if a.requires_grad:
+            _accumulate(a, g.transpose(inverse))
+
+    return _make(np.ascontiguousarray(a.data.transpose(axes)), (a,), vjp)
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:

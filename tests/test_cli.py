@@ -379,15 +379,44 @@ def _image_size(size):
     return args
 
 
+def _flags(command, *extra):
+    def args(tmp, data):
+        base = {
+            "gen-data": ["gen-data", "--out", str(tmp / "ds"), "--image-size", "8"],
+            "verify-bound": ["verify-bound", "--out", str(tmp / "vb")],
+            "solve": ["solve", "--dataset", str(data), "--out", str(tmp / "r"), "--limit", "1"],
+            "train": _train_args(data, tmp / "tr"),
+            "eval": ["eval", "--checkpoint", str(tmp / "c.json"), "--dataset", str(data),
+                     "--out", str(tmp / "ev")],
+        }[command]
+        return base + list(extra)
+    return args
+
+
+def _config_seed(tmp, data):
+    (tmp / "cfg.json").write_text(json.dumps({"seed": -1}))
+    return ["gen-data", "--out", str(tmp / "ds"), "--image-size", "8",
+            "--config", str(tmp / "cfg.json")]
+
+
 @pytest.mark.parametrize("make_args", [
     _missing_dataset, _corrupt_manifest("{not json"), _corrupt_manifest("[1, 2]"),
     _manifest_without_splits, _checkpoint_without_blob, _checkpoint_bad_tensor_entries,
     _bogus_kind, _oversized_sweep, _sweep_k(0), _sweep_k(-1), _indivisible_heads,
     _image_size(256), _image_size(0),
+    _flags("gen-data", "--seed", "-1"), _flags("verify-bound", "--seed", "-1"),
+    _flags("train", "--seed", "-1"), _config_seed,
+    _flags("solve", "--max-iter", "-5"), _flags("solve", "--method", "fista", "--max-iter", "-5"),
+    _flags("solve", "--limit", "-2"), _flags("train", "--limit", "-2"),
+    _flags("eval", "--limit", "-2"), _flags("train", "--heads", "0"),
+    _flags("train", "--embed-dim", "0"),
 ], ids=["missing-dataset", "manifest-not-json", "manifest-not-object",
         "manifest-without-splits", "checkpoint-blob-deleted", "checkpoint-tensors-not-entries",
         "bogus-kind", "oversized-sweep", "k-0", "k-negative", "heads-3", "image-size-256",
-        "image-size-0"])
+        "image-size-0", "gen-data-seed-negative", "verify-bound-seed-negative",
+        "train-seed-negative", "config-file-seed-negative", "omp-max-iter-negative",
+        "fista-max-iter-negative", "solve-limit-negative", "train-limit-negative",
+        "eval-limit-negative", "heads-0", "embed-dim-0"])
 def test_bad_input_exits_2_without_traceback(runner, small_dataset, tmp_path, make_args):
     res = runner.invoke(main, make_args(tmp_path, small_dataset))
     assert res.exit_code == 2, res.output

@@ -113,6 +113,36 @@ def test_ssim_gradient_vs_finite_differences():
     assert rel_err(pred.grad, numeric) < 1e-4
 
 
+@pytest.mark.parametrize("batch", [1, 3])
+def test_ssim_batched_gradient_vs_finite_differences(batch):
+    a0 = rng.random((batch, 9, 10))
+    b0 = rng.random((batch, 9, 10))
+    weights = rng.standard_normal(batch)
+
+    def loss_np(a):
+        return float(weights @ metrics.ssim_tensor(nd.Tensor(a), nd.Tensor(b0)).data)
+
+    pred = nd.Tensor(a0.copy(), requires_grad=True)
+    per_image = metrics.ssim_tensor(pred, nd.Tensor(b0))
+    assert per_image.data.shape == (batch,)
+    nd.reduce_sum(nd.mul(per_image, nd.Tensor(weights))).backward()
+    numeric = finite_difference(loss_np, [a0.copy()])[0]
+    assert rel_err(pred.grad, numeric) < 1e-4
+
+
+def test_ssim_batch_equals_per_image():
+    a = rng.random((4, 11, 12))
+    b = rng.random((4, 11, 12))
+    batched = metrics.ssim_tensor(nd.Tensor(a), nd.Tensor(b)).data
+    for i in range(4):
+        assert abs(batched[i] - metrics.ssim(a[i], b[i])) <= 1e-15
+
+
+def test_ssim_rejects_other_ranks():
+    with pytest.raises(DimensionError):
+        metrics.ssim_tensor(nd.Tensor(np.zeros((1, 1, 8, 8))), nd.Tensor(np.zeros((1, 1, 8, 8))))
+
+
 # ---- FPR ----------------------------------------------------------------
 
 
@@ -171,6 +201,25 @@ def test_report_aggregate_matches_naive():
         assert abs(agg[name]["mean"] - naive_mean) < 1e-12
         assert abs(agg[name]["std"] - naive_std) < 1e-12
     assert agg["fdr"] == agg["fpr"]
+
+
+def test_score_batch_rows_equal_single_image_metrics():
+    preds = rng.random((5, 12, 13))
+    targets = rng.random((5, 12, 13)) * 0.3
+    thresholds = metrics.FprThresholds(0.5, 0.2)
+    rows = metrics.score_batch(preds, targets, thresholds)
+    for row, p, t in zip(rows, preds, targets):
+        assert row.mse == metrics.mse(p, t)
+        assert row.mae == metrics.mae(p, t)
+        assert row.rmse == metrics.rmse(p, t)
+        assert row.psnr == metrics.psnr(p, t)
+        assert row.fpr == metrics.fpr(p, t, thresholds)
+        assert abs(row.ssim - metrics.ssim(p, t)) <= 1e-15
+    report = metrics.MetricReport(thresholds=thresholds)
+    report.extend(preds, targets)
+    assert report.rows == rows
+    with pytest.raises(DimensionError):
+        metrics.score_batch(preds[0], targets[0])
 
 
 def test_report_rmse_is_sqrt_mse():

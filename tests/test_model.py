@@ -1,10 +1,11 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from trustkit import model, ndtensor as nd
-from trustkit.errors import CheckpointError, ContractError, ParameterError
+from trustkit.errors import CheckpointError, ContractError, DimensionError, ParameterError
 
 from gradcheck import finite_difference, rel_err
 
@@ -128,6 +129,69 @@ def test_attention_rows_sum_to_one_every_head_and_block():
         assert np.all(np.abs(capture[k].sum(axis=-1) - 1.0) <= 1e-12)
 
 
+@pytest.mark.parametrize("kind", [model.TRUST, model.UNET])
+def test_batched_forward_equals_per_sample_forwards(kind):
+    cfg = model.model_spec(kind).config_class()
+    params = model.init_params(kind, cfg)
+    forward = model.model_spec(kind).forward
+    stack = rng.random((3, 32, 32))
+    batched = forward(params, cfg, stack)
+    assert batched.data.shape == (3, 32, 32)
+    for b in range(3):
+        single = forward(params, cfg, stack[b])
+        assert single.data.shape == (32, 32)
+        assert np.abs(batched.data[b] - single.data).max() <= 1e-12
+
+
+def test_batched_capture_keeps_batch_axis():
+    cfg = reduced_trust(encoder_depth=2, skip_sources=(2,))
+    params = model.init_params(model.TRUST, cfg)
+    stack = rng.random((3, 16, 16))
+    batched = {}
+    model.forward_trust(params, cfg, stack, capture=batched)
+    assert sorted(batched) == sorted(
+        [f"enc{i}.head{h}.attn" for i in range(2) for h in range(2)]
+        + ["enc0.tokens", "enc1.tokens"])
+    for b in range(3):
+        single = {}
+        model.forward_trust(params, cfg, stack[b], capture=single)
+        assert single.keys() == batched.keys()
+        for key, value in single.items():
+            assert batched[key].shape == (3,) + value.shape
+            assert np.abs(batched[key][b] - value).max() <= 1e-12
+    att = batched["enc1.head1.attn"]
+    assert att.shape == (3, cfg.tokens, cfg.tokens)
+    assert np.all(np.abs(att.sum(axis=-1) - 1.0) <= 1e-12)
+
+
+def test_first_block_attention_matches_per_head_softmax():
+    # independent oracle: each head attends with its own d_k columns of Q and K
+    cfg = reduced_trust(num_heads=4, embed_dim=16)
+    params = model.init_params(model.TRUST, cfg)
+    stack = rng.random((2, 16, 16))
+    capture = {}
+    model.forward_trust(params, cfg, stack, capture=capture)
+    tokens = model.patchify(stack, cfg.patch_size) @ params["patch_embed.weight"].data
+    tokens = tokens + params["patch_embed.bias"].data + params["pos_embed"].data
+    q = tokens @ params["enc0.attn.q.weight"].data + params["enc0.attn.q.bias"].data
+    k = tokens @ params["enc0.attn.k.weight"].data
+    dk = cfg.head_dim
+    for h in range(cfg.num_heads):
+        cols = slice(h * dk, (h + 1) * dk)
+        scores = q[..., cols] @ np.swapaxes(k[..., cols], -1, -2) / np.sqrt(dk)
+        expected = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        expected /= expected.sum(axis=-1, keepdims=True)
+        assert np.abs(capture[f"enc0.head{h}.attn"] - expected).max() <= 1e-12
+
+
+def test_forward_rejects_wrong_stack_shape():
+    cfg = reduced_trust()
+    params = model.init_params(model.TRUST, cfg)
+    for bad in (rng.random((16, 8)), rng.random((2, 1, 16, 16)), rng.random(16)):
+        with pytest.raises(DimensionError):
+            model.forward_trust(params, cfg, bad)
+
+
 def test_unet_shape_and_determinism():
     cfg = model.UnetConfig()
     params = model.init_params(model.UNET, cfg)
@@ -237,6 +301,18 @@ def test_token_gram_symmetry_only_when_tied():
     assert np.max(np.abs(gram_tied - gram_tied.T)) < 1e-12
     raw = model.token_gram(params, cfg, img, mode="raw")
     assert np.max(np.abs(raw - raw.T)) < 1e-12
+
+
+def test_token_gram_of_a_stack_equals_per_image_grams():
+    cfg = reduced_trust()
+    params = model.init_params(model.TRUST, cfg)
+    stack = rng.random((3, 16, 16))
+    for mode in ("embedded", "raw"):
+        grams = model.token_gram(params, cfg, stack, mode=mode)
+        assert grams.shape == (3, cfg.tokens, cfg.tokens)
+        for b in range(3):
+            single = model.token_gram(params, cfg, stack[b], mode=mode)
+            assert np.abs(grams[b] - single).max() <= 1e-12
 
 
 def test_token_gram_deviation_tracks_isometry_constant():
@@ -442,6 +518,91 @@ def _toy_pairs(n, size, seed):
         y = np.clip(x + 0.05 * g.random((size, size)), 0.0, 1.0)
         pairs.append((x, y))
     return pairs
+
+
+def _reference_step_grads(kind, cfg, tcfg, params, pairs):
+    """Gradients of the mean per-sample loss, one graph per sample (the
+    pre-batching train step)."""
+    forward = model.model_spec(kind).forward
+    nd.zero_grads(params.values())
+    losses = [model.loss(tcfg.loss_kind, forward(params, cfg, y), x, tcfg.lambda_l1,
+                         tcfg.lambda_ssim) for x, y in pairs]
+    total = losses[0]
+    for extra in losses[1:]:
+        total = nd.add(total, extra)
+    nd.scalar_mul(total, 1.0 / len(losses)).backward()
+    return total.data / len(losses), {k: p.grad.copy() for k, p in params.items()}
+
+
+@pytest.mark.parametrize("kind,cfg,loss_kind", [
+    (model.TRUST, reduced_trust(), "l2_ssim"),
+    (model.TRUST, reduced_trust(encoder_depth=2, skip_sources=(2,)), "l2_l1"),
+    (model.UNET, model.UnetConfig(image_size=16, base_channels=4, seed=1), "l2_ssim"),
+])
+def test_batched_step_gradients_match_per_sample_loop(kind, cfg, loss_kind):
+    tcfg = model.TrainConfig(loss_kind=loss_kind)
+    pairs = _toy_pairs(5, 16, seed=6)
+    params = model.init_params(kind, cfg)
+    ref_loss, ref = _reference_step_grads(kind, cfg, tcfg, params, pairs)
+    nd.zero_grads(params.values())
+    targets = np.stack([x for x, _ in pairs])
+    observations = np.stack([y for _, y in pairs])
+    loss = model.batch_loss(kind, params, cfg, tcfg, targets, observations)
+    loss.backward()
+    assert abs(loss.item() - ref_loss) <= 1e-12 * abs(ref_loss)
+    for name, p in params.items():
+        scale = np.abs(ref[name]).max()
+        assert np.abs(p.grad - ref[name]).max() <= 1e-12 * scale, name
+
+
+def test_trust_train_step_memory_is_bounded():
+    # one 16-sample step of the default 32 px model; the per-sample graphs
+    # with per-sample im2col columns peaked at 548 MiB on the same step
+    cfg = model.TrustConfig()
+    tcfg = model.TrainConfig(epochs=1, batch_size=16)
+    g = np.random.default_rng(0)
+    pairs = [(g.random((32, 32)), g.random((32, 32))) for _ in range(16)]
+    params = model.init_params(model.TRUST, cfg)
+    tracemalloc.start()
+    try:
+        model.train(model.TRUST, cfg, tcfg, pairs, [], params=params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 400 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def _predict_peak(params, cfg, observations):
+    tracemalloc.start()
+    try:
+        for _ in model.predict(model.TRUST, params, cfg, observations):
+            pass
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_predict_memory_does_not_grow_with_sample_count():
+    cfg = model.TrustConfig()
+    params = model.init_params(model.TRUST, cfg)
+    observations = np.random.default_rng(1).random((32, 32, 32))
+    one_chunk = _predict_peak(params, cfg, observations[: model.PREDICT_CHUNK])
+    all_chunks = _predict_peak(params, cfg, observations)
+    # a chunk of 4 at 32 px peaks near 11.5 MiB (one sample: 3.0 MiB)
+    assert one_chunk < 16 * 2**20, f"chunk peak {one_chunk / 2**20:.1f} MiB"
+    assert all_chunks < 1.1 * one_chunk
+
+
+def test_predict_chunks_cover_the_stack_in_order():
+    cfg = reduced_trust()
+    params = model.init_params(model.TRUST, cfg)
+    observations = rng.random((model.PREDICT_CHUNK * 2 + 1, 16, 16))
+    chunks = list(model.predict(model.TRUST, params, cfg, observations))
+    assert [lo for lo, _ in chunks] == [0, model.PREDICT_CHUNK, 2 * model.PREDICT_CHUNK]
+    stacked = np.concatenate([pred.data for _, pred in chunks])
+    assert np.abs(stacked - model.forward_trust(params, cfg, observations).data).max() <= 1e-12
+    assert all(pred._vjp is None for _, pred in chunks)
+    assert list(model.predict(model.TRUST, params, cfg, observations[:0])) == []
 
 
 def test_zero_learning_rate_freezes_parameters():

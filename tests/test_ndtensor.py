@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trustkit import ndtensor as nd
 from trustkit.errors import ContractError, DimensionError, ParameterError
@@ -125,6 +127,136 @@ def test_conv2d_gradient_strided():
         return nd.conv2d(x, k, stride=2, padding=0)
 
     _check(op, rng.standard_normal((1, 6, 6)), rng.standard_normal((2, 1, 2, 2)), tol=1e-5)
+
+
+def _check_weighted(op, *arrays, tol=1e-5):
+    """Finite-difference check of sum(op(...) * r) for a fixed random r."""
+    shape = op(*[nd.Tensor(a) for a in arrays]).data.shape
+    r = np.random.default_rng(7).standard_normal(shape)
+    _check(lambda *ts: nd.reduce_sum(nd.mul(op(*ts), nd.Tensor(r))), *arrays, tol=tol)
+
+
+@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("padding", [0, 1])
+@pytest.mark.parametrize("ksize", [1, 3, 7])
+def test_batch_conv2d_gradient(batch, stride, padding, ksize):
+    x = rng.standard_normal((batch, 2, 8, 9))
+    k = rng.standard_normal((3, 2, ksize, ksize))
+
+    def op(xt, kt):
+        return nd.batch_conv2d(xt, kt, stride=stride, padding=padding)
+
+    _check_weighted(op, x, k)
+
+
+@pytest.mark.parametrize("stride,padding,ksize", [(1, 1, 3), (2, 1, 3), (2, 0, 7), (1, 3, 7)])
+@pytest.mark.parametrize("height,width", [(9, 8), (8, 9)])
+def test_batch_conv2d_matches_per_sample_conv2d(stride, padding, ksize, height, width):
+    x = rng.standard_normal((3, 2, height, width))
+    k = nd.Tensor(rng.standard_normal((4, 2, ksize, ksize)))
+    out = nd.batch_conv2d(nd.Tensor(x), k, stride=stride, padding=padding)
+    for b in range(3):
+        single = nd.conv2d(nd.Tensor(x[b]), k, stride=stride, padding=padding)
+        assert np.abs(out.data[b] - single.data).max() <= 1e-12
+    # the reference: an explicit window sum per output pixel
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    oh, ow = out.data.shape[2:]
+    ref = np.empty_like(out.data)
+    for i in range(oh):
+        for j in range(ow):
+            win = xp[:, :, i * stride : i * stride + ksize, j * stride : j * stride + ksize]
+            ref[:, :, i, j] = np.einsum("bcij,ocij->bo", win, k.data)
+    assert np.abs(out.data - ref).max() <= 1e-12
+
+
+def test_batch_conv2d_rejects_unbatched_input():
+    with pytest.raises(DimensionError):
+        nd.batch_conv2d(nd.Tensor(np.zeros((1, 4, 4))), nd.Tensor(np.zeros((1, 1, 3, 3))))
+    with pytest.raises(DimensionError):
+        nd.conv2d(nd.Tensor(np.zeros((1, 1, 4, 4))), nd.Tensor(np.zeros((1, 1, 3, 3))))
+
+
+@pytest.mark.parametrize("batch", [1, 3])
+def test_batch_matmul_and_permute_gradients(batch):
+    _check_weighted(nd.batch_matmul, rng.standard_normal((batch, 3, 4)),
+                    rng.standard_normal((batch, 4, 2)))
+    # leading axes broadcast: (B, 1, 3, 4) x (2, 4, 5) -> (B, 2, 3, 5)
+    _check_weighted(nd.batch_matmul, rng.standard_normal((batch, 1, 3, 4)),
+                    rng.standard_normal((2, 4, 5)))
+    _check_weighted(lambda t: nd.permute(t, (0, 2, 3, 1)), rng.standard_normal((batch, 2, 3, 4)))
+
+
+def test_batch_matmul_shape_errors():
+    with pytest.raises(DimensionError, match="incompatible"):
+        nd.batch_matmul(nd.Tensor(np.zeros((2, 3, 4))), nd.Tensor(np.zeros((2, 3, 4))))
+    with pytest.raises(DimensionError, match="batch axes"):
+        nd.batch_matmul(nd.Tensor(np.zeros((2, 3, 4))), nd.Tensor(np.zeros((3, 4, 4))))
+    with pytest.raises(DimensionError, match="permute"):
+        nd.permute(nd.Tensor(np.zeros((2, 3))), (0, 0))
+
+
+@pytest.mark.parametrize("batch", [1, 3])
+def test_batched_resampling_gradients(batch):
+    _check_weighted(lambda t: nd.adaptive_avg_pool(t, 3, 2), rng.standard_normal((batch, 2, 7, 5)))
+    _check_weighted(lambda t: nd.adaptive_avg_pool(t, 2, 2), rng.standard_normal((batch, 1, 4, 4)))
+    _check_weighted(lambda t: nd.upsample_nearest(t, 3), rng.standard_normal((batch, 2, 2, 3)))
+    _check_weighted(lambda t: nd.resize_bilinear(t, 5, 7), rng.standard_normal((batch, 2, 3, 4)))
+    _check_weighted(lambda t: nd.box_filter(t, 3), rng.standard_normal((batch, 6, 7)))
+
+
+@pytest.mark.parametrize("op", [
+    lambda t: nd.adaptive_avg_pool(t, 3, 2),
+    lambda t: nd.upsample_nearest(t, 2),
+    lambda t: nd.resize_bilinear(t, 5, 3),
+    lambda t: nd.box_filter(t, 3),
+])
+def test_batched_resampling_matches_per_map(op):
+    x = rng.standard_normal((3, 2, 7, 5))
+    out = op(nd.Tensor(x)).data
+    for b in range(3):
+        assert np.abs(out[b] - op(nd.Tensor(x[b])).data).max() <= 1e-14
+
+
+def test_box_filter_matches_window_means():
+    x = rng.standard_normal((2, 6, 7))
+    out = nd.box_filter(nd.Tensor(x), 3).data
+    assert out.shape == (2, 4, 5)
+    for i in range(4):
+        for j in range(5):
+            assert np.allclose(out[:, i, j], x[:, i : i + 3, j : j + 3].mean(axis=(1, 2)),
+                               atol=1e-14)
+    with pytest.raises(ParameterError):
+        nd.box_filter(nd.Tensor(x), 7)
+
+
+_FLAGS = st.lists(st.booleans(), min_size=2, max_size=2)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(batch=st.lists(st.integers(1, 3), min_size=0, max_size=2),
+       squash_a=_FLAGS, squash_b=_FLAGS, drop=_FLAGS,
+       dims=st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)),
+       op=st.sampled_from(["add", "sub", "mul", "div", "batch_matmul"]))
+def test_broadcast_gradients_property(batch, squash_a, squash_b, drop, dims, op):
+    """Gradients match finite differences when operands broadcast: each
+    operand has its leading axes set to 1 (squash) or left out (drop), for
+    the elementwise ops (where b may also be one row) and batch_matmul."""
+    m, k, n = dims
+
+    def shape(squash, dropped, tail):
+        lead = tuple(1 if sq else d for d, sq in zip(batch, squash))
+        return (() if dropped else lead) + tail
+
+    g = np.random.default_rng(len(batch) * 100 + m * 10 + k)
+    a = g.standard_normal(shape(squash_a, drop[0], (m, k)))
+    if op == "batch_matmul":
+        b = g.standard_normal(shape(squash_b, drop[1], (k, n)))
+    else:
+        b = g.standard_normal(shape(squash_b, drop[1], (1 if squash_b[0] else m, k)))
+        if op == "div":
+            b = np.abs(b) + 1.0
+    _check_weighted(getattr(nd, op), a, b, tol=1e-6)
 
 
 # ---- upsample ---------------------------------------------------------------
@@ -282,6 +414,20 @@ def test_reshape_transpose_concat_narrow_gradients():
     _check(lambda a, b: nd.concat([a, b], axis=1),
            rng.standard_normal((2, 3)), rng.standard_normal((2, 2)), tol=1e-6)
     _check(lambda t: nd.narrow(t, 1, 1, 2), rng.standard_normal((3, 5)), tol=1e-6)
+
+
+def test_gradient_shared_between_operands_is_not_corrupted():
+    # add() hands one gradient array to both operands; a later contribution
+    # to one of them must not change what the other one still has to use
+    r = rng.standard_normal(5)
+
+    def op(t):
+        b = nd.scalar_mul(t, 2.0)
+        a = nd.sigmoid(t)
+        c = nd.relu(a)
+        return nd.add(nd.reduce_sum(nd.mul(nd.add(a, b), nd.Tensor(r))), nd.reduce_sum(c))
+
+    _check(op, rng.standard_normal(5), tol=1e-6)
 
 
 def test_reduce_mean_axis_gradient():
