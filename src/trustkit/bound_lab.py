@@ -2,8 +2,8 @@
 
 For unit-norm k-sparse x, x' and an operator A with isometry constant
 delta_2k, the similarity error |x^T A^T A x' - x^T x'| never exceeds
-delta_2k. This module checks that bound trial-by-trial, validates the
-polarization identity it rests on, and runs the operator-ensemble sweep
+delta_2k. This module checks that bound over stacked trial pairs, validates
+the polarization identity it rests on, and runs the operator-ensemble sweep
 that maps mean/max deviation against the estimated constant.
 """
 
@@ -16,59 +16,90 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import sensing
-from .errors import ContractError, ParameterError
+from .errors import ContractError, DimensionError, ParameterError
 
 _NORM_TOL = 1e-9
 BOUND_SLACK = 1e-9  # numerical slack allowed on deviation <= delta
 
 
-@dataclass
-class BoundTrial:
-    """A single (operator, pair) evaluation of the deviation bound."""
-
-    operator: sensing.SensingOperator
-    x: np.ndarray
-    x_prime: np.ndarray
-    deviation: float
-    delta_bound: float | None
-
-    @property
-    def within_bound(self) -> bool:
-        if self.delta_bound is None:
-            return True
-        return self.deviation <= self.delta_bound + BOUND_SLACK
+def _row_dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """u_t^T v_t for every row t, each by the same dot routine as ``u[t] @ v[t]``."""
+    return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
 
 
-def _require_unit(v: np.ndarray, label: str) -> None:
-    norm = np.linalg.norm(v)
-    if abs(norm - 1.0) > _NORM_TOL:
-        raise ContractError(f"{label} must be unit-norm, got |{label}| = {norm!r}")
+def _require_unit_rows(sq_norms: np.ndarray, label: str) -> None:
+    norms = np.sqrt(sq_norms)
+    off = np.flatnonzero(np.abs(norms - 1.0) > _NORM_TOL)
+    if off.size:
+        norm = float(norms[off[0]])
+        raise ContractError(
+            f"{label} must be unit-norm, got |{label}| = {norm!r} in row {int(off[0])}"
+        )
+
+
+def _gram2(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The 2x2 similarity matrix [[u.u, u.v], [v.u, v.v]] of every row pair."""
+    uv = _row_dots(u, v)
+    return np.stack([np.stack([_row_dots(u, u), uv], axis=1),
+                     np.stack([uv, _row_dots(v, v)], axis=1)], axis=1)
+
+
+def _postsoftmax_row_gaps(g_x: np.ndarray, g_y: np.ndarray) -> np.ndarray:
+    """Mean |softmax-row| gap between the 2x2 similarity matrices of each
+    pair in signal (g_x) and measurement (g_y) domains. Descriptive companion
+    output: the theorem bounds pre-softmax entries only."""
+
+    def rows(g):
+        e = np.exp(g - g.max(axis=2, keepdims=True))
+        return e / e.sum(axis=2, keepdims=True)
+
+    return np.abs(rows(g_y) - rows(g_x)).mean(axis=(1, 2))
+
+
+def pair_deviations(op: sensing.SensingOperator, xs: np.ndarray,
+                    xps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Deviation |(Ax_t)^T(Ax'_t) - x_t^T x'_t| and post-softmax gap of every
+    row pair of the (trials, n) stacks ``xs`` and ``xps``, whose rows must be
+    unit-norm.
+
+    One product maps all of x, x', x + x' and x - x' through A. The deviation
+    is also evaluated through the polarization expansion
+    ((|A(x+x')|^2 - |A(x-x')|^2) / 4); the two routes must agree to 1e-12 on
+    every row.
+    """
+    xs = np.asarray(xs, dtype=np.float64)
+    xps = np.asarray(xps, dtype=np.float64)
+    if xs.ndim != 2 or xs.shape[1] != op.n or xps.shape != xs.shape:
+        raise DimensionError(
+            f"expected two (trials, {op.n}) stacks, got shapes {xs.shape} and {xps.shape}"
+        )
+    g_x = _gram2(xs, xps)
+    _require_unit_rows(g_x[:, 0, 0], "x")
+    _require_unit_rows(g_x[:, 1, 1], "x'")
+    stacked = np.concatenate([xs, xps, xs + xps, xs - xps])
+    # A broadcast matrix-vector product per row keeps each row's bits equal
+    # to a single ``A @ x``.
+    ax, axp, a_sum, a_diff = np.split((op.matrix @ stacked[:, :, None])[:, :, 0], 4)
+    g_y = _gram2(ax, axp)
+    cross = g_x[:, 0, 1]
+    direct = np.abs(g_y[:, 0, 1] - cross)
+    polarized = np.abs((_row_dots(a_sum, a_sum) - _row_dots(a_diff, a_diff)) / 4.0 - cross)
+    split = np.flatnonzero(np.abs(direct - polarized) > 1e-12)
+    if split.size:
+        t = int(split[0])
+        raise ContractError(
+            f"deviation routes disagree in row {t}: direct {float(direct[t])!r} "
+            f"vs polarized {float(polarized[t])!r}"
+        )
+    return direct, _postsoftmax_row_gaps(g_x, g_y)
 
 
 def inner_product_deviation(op: sensing.SensingOperator, x: np.ndarray,
                             x_prime: np.ndarray) -> float:
-    """|(Ax)^T(Ax') - x^T x'| for unit-norm inputs.
-
-    Evaluated both directly and through the polarization expansion
-    ((|A(x+x')|^2 - |A(x-x')|^2) / 4); the two routes must agree to 1e-12.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    x_prime = np.asarray(x_prime, dtype=np.float64)
-    _require_unit(x, "x")
-    _require_unit(x_prime, "x'")
-    ax = sensing.apply(op, x)
-    axp = sensing.apply(op, x_prime)
-    direct = abs(float(ax @ axp) - float(x @ x_prime))
-    a_sum = sensing.apply(op, x + x_prime)
-    a_diff = sensing.apply(op, x - x_prime)
-    polarized = abs(
-        (float(a_sum @ a_sum) - float(a_diff @ a_diff)) / 4.0 - float(x @ x_prime)
-    )
-    if abs(direct - polarized) > 1e-12:
-        raise ContractError(
-            f"deviation routes disagree: direct {direct!r} vs polarized {polarized!r}"
-        )
-    return direct
+    """|(Ax)^T(Ax') - x^T x'| for one unit-norm pair (see ``pair_deviations``)."""
+    devs, _ = pair_deviations(op, np.asarray(x, dtype=np.float64)[None],
+                              np.asarray(x_prime, dtype=np.float64)[None])
+    return float(devs[0])
 
 
 def verify_polarization(op: sensing.SensingOperator, x: np.ndarray,
@@ -147,32 +178,13 @@ def _cell_rng_seed(seed: int, index: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=seed, spawn_key=(0xCE, index))
 
 
-def _postsoftmax_row_gap(x, x_prime, ax, axp) -> float:
-    """Mean |softmax-row| gap between the 2x2 similarity matrices of the
-    pair in signal and measurement domains. Descriptive companion output:
-    the theorem bounds pre-softmax entries only."""
-    g_x = np.array([[x @ x, x @ x_prime], [x_prime @ x, x_prime @ x_prime]])
-    g_y = np.array([[ax @ ax, ax @ axp], [axp @ ax, axp @ axp]])
-
-    def rows(g):
-        e = np.exp(g - g.max(axis=1, keepdims=True))
-        return e / e.sum(axis=1, keepdims=True)
-
-    return float(np.mean(np.abs(rows(g_y) - rows(g_x))))
-
-
 def _run_cell(kind: str, m: int, n: int, k: int, index: int, trials: int, seed: int,
               enumeration_cap: int, mc_budget: int) -> SweepCell:
     rng = np.random.default_rng(_cell_rng_seed(seed, index))
     op_seed = int(rng.integers(0, 2**31 - 1))
     op = sensing.sample_operator(kind, m, n, op_seed)
-    devs = np.empty(trials)
-    post = np.empty(trials)
-    for t in range(trials):
-        x = _unit_ksparse(rng, n, k)
-        xp = _unit_ksparse(rng, n, k)
-        devs[t] = inner_product_deviation(op, x, xp)
-        post[t] = _postsoftmax_row_gap(x, xp, sensing.apply(op, x), sensing.apply(op, xp))
+    pairs = _unit_ksparse(rng, 2 * trials, n, k)  # x_t, x'_t interleaved, as drawn
+    devs, post = pair_deviations(op, pairs[0::2], pairs[1::2])
     if math.comb(n, 2 * k) <= enumeration_cap:
         est = sensing.estimate_rip(op, k, sensing.EXACT_ENUMERATION, cap=enumeration_cap)
     else:
@@ -214,9 +226,18 @@ def attention_similarity_sweep(kinds, ms, ns, ks, trials: int, seed: int,
     ])
 
 
-def _unit_ksparse(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
-    x = np.zeros(n)
-    support = rng.choice(n, size=k, replace=False)
-    vals = rng.standard_normal(k)
-    x[support] = vals / np.linalg.norm(vals)
-    return x
+def _unit_ksparse(rng: np.random.Generator, count: int, n: int, k: int) -> np.ndarray:
+    """``count`` unit-norm k-sparse rows of length n.
+
+    Rows are drawn in order, each taking its support from ``rng.choice`` and
+    then its values from ``rng.standard_normal``, so the stream is consumed
+    exactly as ``count`` single-vector draws would consume it.
+    """
+    supports = np.empty((count, k), dtype=np.intp)
+    vals = np.empty((count, k))
+    for i in range(count):
+        supports[i] = rng.choice(n, size=k, replace=False)
+        vals[i] = rng.standard_normal(k)
+    rows = np.zeros((count, n))
+    rows[np.arange(count)[:, None], supports] = vals / np.sqrt(_row_dots(vals, vals))[:, None]
+    return rows

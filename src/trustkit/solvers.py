@@ -11,10 +11,14 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from . import sensing
 from .errors import ParameterError, SingularMatrixError
+
+# Relative size below which a Gram-Schmidt remainder, an R diagonal or a
+# singular value counts as zero: sqrt(float64 eps), so a column that only
+# rounding error separates from the span of the others adds no rank.
+_RANK_TOL = math.sqrt(np.finfo(np.float64).eps)
 
 
 @dataclass
@@ -73,13 +77,15 @@ def _ls_on_support(a: np.ndarray, y: np.ndarray, support: list[int]):
     submatrix is rank deficient (always so when it has more columns than
     rows); the caller surfaces that flag.
     """
+    from scipy.linalg import solve_triangular  # scipy loads only when a solve needs it
+
     sub = a[:, support]
     if sub.shape[1] <= sub.shape[0]:
         q, r = np.linalg.qr(sub)
         diag = np.abs(np.diag(r))
-        if diag.min() > 1e-12 * max(1.0, diag.max()):
+        if diag.min() > _RANK_TOL * max(1.0, diag.max()):
             return solve_triangular(r, q.T @ y, lower=False), False
-    coef, *_ = np.linalg.lstsq(sub, y, rcond=None)
+    coef, *_ = np.linalg.lstsq(sub, y, rcond=_RANK_TOL)
     return coef, True
 
 
@@ -121,7 +127,7 @@ def omp(op: sensing.SensingOperator, y: np.ndarray,
         q = atom - done.T @ (done @ atom)
         q -= done.T @ (done @ q)  # the second pass restores orthogonality lost to rounding
         q_norm = float(np.linalg.norm(q))
-        if q_norm > 1e-12 * col_norms[pick]:
+        if q_norm > _RANK_TOL * col_norms[pick]:
             q /= q_norm
             basis[rank] = q
             rank += 1
@@ -287,6 +293,8 @@ def estimate_operator(pairs, ridge: float | None = None) -> sensing.SensingOpera
     1e-6 * trace(X X^T) / n to stabilize small sample counts. Pass ridge=0
     to demand an exactly determined system (singular X X^T then raises).
     """
+    from scipy.linalg import solve_triangular  # scipy loads only when a solve needs it
+
     pairs = list(pairs)
     if not pairs:
         raise ParameterError("estimate_operator needs at least one pair")

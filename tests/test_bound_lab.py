@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from trustkit import bound_lab, sensing
-from trustkit.errors import ContractError, ParameterError
+from trustkit.errors import ContractError, DimensionError, ParameterError
 
 
 def _pair(rng, n, k):
@@ -173,3 +173,101 @@ def test_sweep_matrix_output():
     assert lines[0].startswith("#")
     assert len(lines) == 3  # header + two m rows
     assert all(len(row.split()) == 2 for row in lines[1:])
+
+
+# ---- stacked trials -------------------------------------------------------------
+
+
+def _unit_ksparse_one(rng, n, k):
+    """One draw the way the per-trial sweep drew it: support, then values."""
+    x = np.zeros(n)
+    support = rng.choice(n, size=k, replace=False)
+    vals = rng.standard_normal(k)
+    x[support] = vals / np.linalg.norm(vals)
+    return x
+
+
+def _pair_reference(op, x, xp):
+    """Direct deviation and 2x2 post-softmax gap of one pair, one matvec at a time."""
+    ax, axp = op.matrix @ x, op.matrix @ xp
+    dev = abs(float(ax @ axp) - float(x @ xp))
+    g_x = np.array([[x @ x, x @ xp], [xp @ x, xp @ xp]])
+    g_y = np.array([[ax @ ax, ax @ axp], [axp @ ax, axp @ axp]])
+
+    def rows(g):
+        e = np.exp(g - g.max(axis=1, keepdims=True))
+        return e / e.sum(axis=1, keepdims=True)
+
+    return dev, float(np.mean(np.abs(rows(g_y) - rows(g_x))))
+
+
+@pytest.mark.parametrize("n, k", [(16, 1), (16, 3), (12, 6)])
+def test_stacked_draw_matches_single_draws_bit_for_bit(n, k):
+    stacked = bound_lab._unit_ksparse(np.random.default_rng(4), 37, n, k)
+    rng = np.random.default_rng(4)
+    loop = np.stack([_unit_ksparse_one(rng, n, k) for _ in range(37)])
+    assert stacked.tobytes() == loop.tobytes()
+
+
+@pytest.mark.parametrize("kind, m", [
+    (sensing.GAUSSIAN_FAT, 8), (sensing.GAUSSIAN_FAT, 14), (sensing.FOURIER_MASKED, 10),
+    (sensing.ORTHONORMAL_SQUARE, 16), (sensing.TALL_ORTHONORMAL, 24),
+    (sensing.FOURIER_MASKED, 32),
+])
+def test_stacked_deviations_match_per_pair_reference(kind, m):
+    n, k = 16, 2
+    op = sensing.sample_operator(kind, m, n, seed=5)
+    delta = sensing.estimate_rip(op, k, sensing.EXACT_ENUMERATION).delta
+    pairs = bound_lab._unit_ksparse(np.random.default_rng(6), 2 * 60, n, k)
+    xs, xps = pairs[0::2], pairs[1::2]
+    devs, gaps = bound_lab.pair_deviations(op, xs, xps)
+    ref = np.array([_pair_reference(op, x, xp) for x, xp in zip(xs, xps)])
+    if delta > 1e-8:
+        tol = dict(rtol=1e-15, atol=0.0)
+    else:  # an isometry: deviations are rounding noise
+        tol = dict(rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(devs, ref[:, 0], **tol)
+    np.testing.assert_allclose(gaps, ref[:, 1], **tol)
+    assert [bound_lab.inner_product_deviation(op, x, xp) for x, xp in zip(xs, xps)] \
+        == list(devs)
+
+
+@pytest.mark.parametrize("side, label", [(0, "x"), (1, "x'")])
+def test_stacked_deviations_reject_a_non_unit_row(side, label):
+    op = sensing.sample_operator(sensing.GAUSSIAN_FAT, 8, 12, seed=9)
+    stacks = [bound_lab._unit_ksparse(np.random.default_rng(s), 5, 12, 2) for s in (1, 2)]
+    stacks[side][3] *= 1.5
+    with pytest.raises(ContractError, match=rf"^{label} must be unit-norm.*row 3"):
+        bound_lab.pair_deviations(op, *stacks)
+
+
+def test_stacked_deviations_reject_routes_that_disagree():
+    # entries of 1e8 put the polarized route's rounding near 1e-4, far past 1e-12
+    good = sensing.sample_operator(sensing.GAUSSIAN_FAT, 8, 12, seed=9)
+    op = sensing.SensingOperator(good.kind, good.m, good.n, good.seed, good.matrix * 1e8)
+    xs = bound_lab._unit_ksparse(np.random.default_rng(1), 5, 12, 2)
+    xps = bound_lab._unit_ksparse(np.random.default_rng(2), 5, 12, 2)
+    with pytest.raises(ContractError, match="deviation routes disagree"):
+        bound_lab.pair_deviations(op, xs, xps)
+    bound_lab.pair_deviations(good, xs, xps)
+
+
+def test_cell_matches_per_trial_loop():
+    kind, m, n, k, index, trials, seed = sensing.GAUSSIAN_FAT, 10, 16, 3, 2, 40, 5
+    cell = bound_lab._run_cell(kind, m, n, k, index, trials, seed,
+                               enumeration_cap=sensing.ENUMERATION_CAP, mc_budget=10)
+    rng = np.random.default_rng(bound_lab._cell_rng_seed(seed, index))
+    op = sensing.sample_operator(kind, m, n, int(rng.integers(0, 2**31 - 1)))
+    ref = np.array([_pair_reference(op, _unit_ksparse_one(rng, n, k),
+                                    _unit_ksparse_one(rng, n, k)) for _ in range(trials)])
+    assert cell.trials == trials and cell.delta_is_exact
+    np.testing.assert_allclose([cell.mean_dev, cell.max_dev, cell.postsoftmax_mean_dev],
+                               [ref[:, 0].mean(), ref[:, 0].max(), ref[:, 1].mean()],
+                               rtol=1e-15, atol=0.0)
+
+
+def test_deviation_rejects_a_vector_of_the_wrong_length():
+    op = sensing.sample_operator(sensing.GAUSSIAN_FAT, 8, 12, seed=9)
+    x = np.eye(11)[0]
+    with pytest.raises(DimensionError):
+        bound_lab.inner_product_deviation(op, x, x)

@@ -422,3 +422,17 @@ def test_bad_input_exits_2_without_traceback(runner, small_dataset, tmp_path, ma
     assert res.exit_code == 2, res.output
     assert "Traceback" not in res.output
     assert res.exception is None or isinstance(res.exception, SystemExit)
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    import os
+    import subprocess
+    import sys
+
+    import trustkit
+
+    src = str(Path(trustkit.__file__).resolve().parents[1])
+    code = "import sys, trustkit.cli; print('scipy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert done.stdout.strip() == "False"

@@ -124,6 +124,27 @@ def test_omp_rank_deficient_support_gives_minimum_norm_fit():
     assert np.count_nonzero(res.x_hat[np.setdiff1d(np.arange(8), res.support)]) == 0
 
 
+def test_omp_past_estimated_operator_rank_stays_bounded(tmp_path):
+    # 20 train pairs at 8 px: the estimated 64 x 64 operator has 20 singular
+    # values near 0.5 and the rest near 2e-9, so 40 atoms go past its rank
+    from click.testing import CliRunner
+
+    from trustkit import dataset
+    from trustkit.cli import main
+
+    res = CliRunner().invoke(main, ["gen-data", "--out", str(tmp_path), "--image-size", "8",
+                                    "--train", "20", "--val", "2", "--test", "4",
+                                    "--seed", "0"], catch_exceptions=False)
+    assert res.exit_code == 0, res.output
+    manifest = dataset.load_manifest(tmp_path)
+    op = solvers.estimate_operator(dataset.split_vectors(manifest, "train"))
+    config = solvers.SolverConfig(sparsity_budget=40, residual_tolerance=0.0)
+    for pair in dataset.load_split(manifest, "test"):
+        res = solvers.omp(op, pair.de_normalize(), config)
+        assert res.rank_deficient
+        assert np.abs(res.x_hat).max() < 10.0  # 1e9 when rounding-level atoms were kept
+
+
 # ---- solver plan --------------------------------------------------------------
 
 
