@@ -102,24 +102,6 @@ def inner_product_deviation(op: sensing.SensingOperator, x: np.ndarray,
     return float(devs[0])
 
 
-def verify_polarization(op: sensing.SensingOperator, x: np.ndarray,
-                        x_prime: np.ndarray, tol: float = 1e-10) -> bool:
-    """Check |A(x+x')|^2 - |A(x-x')|^2 = 4 (Ax)^T(Ax'), and the same with A = I."""
-    x = np.asarray(x, dtype=np.float64)
-    x_prime = np.asarray(x_prime, dtype=np.float64)
-    ax = sensing.apply(op, x)
-    axp = sensing.apply(op, x_prime)
-    a_sum = sensing.apply(op, x + x_prime)
-    a_diff = sensing.apply(op, x - x_prime)
-    lhs_a = float(a_sum @ a_sum) - float(a_diff @ a_diff)
-    ok_a = abs(lhs_a - 4.0 * float(ax @ axp)) <= tol
-    s = x + x_prime
-    d = x - x_prime
-    lhs_i = float(s @ s) - float(d @ d)
-    ok_i = abs(lhs_i - 4.0 * float(x @ x_prime)) <= tol
-    return ok_a and ok_i
-
-
 @dataclass
 class SweepCell:
     kind: str

@@ -275,23 +275,20 @@ def solve(ctx, dataset_dir, out_dir, config_path, method, operator_mode, split,
                    lam=lam, tol=tol, max_iter=max_iter, ridge=ridge, limit=limit)
     try:
         manifest = dataset.load_manifest(cfg["dataset"])
-        pairs = dataset.load_split(manifest, cfg["split"])
-        if cfg["limit"]:
-            pairs = pairs[: cfg["limit"]]
+        data = dataset.load_split(manifest, cfg["split"]).head(cfg["limit"])
         if cfg["operator"] == "known":
             op = dataset.operator_from_manifest(manifest)
         else:
-            train_vecs = dataset.split_vectors(manifest, "train")
-            op = solvers.estimate_operator(train_vecs, ridge=cfg["ridge"])
-        report, recon = _solve_split(op, manifest, pairs, cfg)
+            train = dataset.load_split(manifest, "train")
+            op = solvers.estimate_operator(train.x.reshape(len(train), -1), train.raw(),
+                                           ridge=cfg["ridge"])
+        report, recon = _solve_split(op, data, cfg)
     except (SingularMatrixError, *_USAGE_ERRORS) as exc:
         raise click.UsageError(str(exc))
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     report.save(out, stem="metrics")
-    (out / "reconstructions.f64").write_bytes(
-        np.ascontiguousarray(np.stack(recon), dtype="<f8").tobytes()
-    )
+    (out / "reconstructions.f64").write_bytes(recon.astype("<f8").tobytes())
     digests = {"dataset_manifest": _digest_file(Path(manifest["_dir"]) / "manifest.json")}
     write_run_record(out, "solve", cfg, digests,
                      ["metrics_per_image.csv", "metrics_aggregate.json", "reconstructions.f64"],
@@ -303,21 +300,17 @@ def solve(ctx, dataset_dir, out_dir, config_path, method, operator_mode, split,
     )
 
 
-def _solve_split(op, manifest, pairs, cfg):
-    size = manifest["image_size"]
+def _solve_split(op, data, cfg):
+    """Solve every sample of ``data`` and score the (N, S, S) reconstructions."""
     budget = cfg["sparsity"] if cfg["sparsity"] else max(1, op.n // 4)
     solver_cfg = solvers.SolverConfig(
         max_iterations=cfg["max_iter"], residual_tolerance=cfg["tol"],
         sparsity_budget=budget, lam=cfg["lam"],
     )
     method = {"omp": solvers.omp, "ista": solvers.ista, "fista": solvers.fista}[cfg["method"]]
+    recon = np.stack([method(op, y, solver_cfg).x_hat for y in data.raw()]).reshape(data.x.shape)
     report = metrics.MetricReport()
-    recon = []
-    for pair in pairs:
-        res = method(op, pair.de_normalize(), solver_cfg)
-        x_hat = res.x_hat.reshape(size, size)
-        recon.append(x_hat)
-        report.add(np.clip(x_hat, 0.0, 1.0), pair.x)
+    report.extend(np.clip(recon, 0.0, 1.0), data.x)
     return report, recon
 
 
@@ -390,16 +383,14 @@ def train_cmd(ctx, dataset_dir, out_dir, config_path, model_kind, loss_token, sk
             loss_kind=_LOSS_TOKENS[cfg["loss"]], learning_rate=cfg["lr"],
             batch_size=cfg["batch"], epochs=cfg["epochs"], seed=cfg["seed"],
         )
-        train_pairs = [(p.x, p.y) for p in dataset.load_split(manifest, "train")]
-        val_pairs = [(p.x, p.y) for p in dataset.load_split(manifest, "val")]
-        if cfg["limit"]:
-            train_pairs = train_pairs[: cfg["limit"]]
+        train = dataset.load_split(manifest, "train").head(cfg["limit"])
+        val = dataset.load_split(manifest, "val")
     except _USAGE_ERRORS as exc:
         raise click.UsageError(str(exc))
     out = Path(cfg["out"])
     try:
-        result = model.train(cfg["model"], model_cfg, train_cfg, train_pairs, val_pairs,
-                             out_dir=out)
+        result = model.train(cfg["model"], model_cfg, train_cfg, (train.x, train.y),
+                             (val.x, val.y), out_dir=out)
     except ContractError as exc:  # non-finite loss: a failed run, not a usage error
         click.echo(f"Error: {exc}", err=True)
         sys.exit(1)
@@ -440,19 +431,21 @@ def eval_cmd(ctx, ckpt_path, dataset_dir, out_dir, config_path, split, image_dir
         model_cfg = model.config_from_manifest(manifest_ckpt)
         model_kind = manifest_ckpt["model_kind"]
         data_manifest = dataset.load_manifest(cfg["dataset"])
-        pairs = dataset.load_split(data_manifest, cfg["split"])
-        if cfg["limit"]:
-            pairs = pairs[: cfg["limit"]]
+        size, side = data_manifest["image_size"], data_manifest["observation_side"]
+        if (size, side) != (model_cfg.image_size, model_cfg.image_size):
+            raise ParameterError(
+                f"dataset images are {size} px with {side} px observations; "
+                f"the checkpoint's model takes {model_cfg.image_size} px"
+            )
+        data = dataset.load_split(data_manifest, cfg["split"]).head(cfg["limit"])
     except _USAGE_ERRORS as exc:
         raise click.UsageError(str(exc))
 
-    targets = np.array([pair.x for pair in pairs], dtype=np.float64)
-    observations = np.array([pair.y for pair in pairs], dtype=np.float64)
     report = metrics.MetricReport()
     preds = []
-    for lo, pred in model.predict(model_kind, params, model_cfg, observations):
+    for lo, pred in model.predict(model_kind, params, model_cfg, data.y):
         preds.extend(pred.data)
-        report.extend(pred.data, targets[lo : lo + len(pred.data)])
+        report.extend(pred.data, data.x[lo : lo + len(pred.data)])
 
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
@@ -461,9 +454,9 @@ def eval_cmd(ctx, ckpt_path, dataset_dir, out_dir, config_path, split, image_dir
     if cfg["emit_images"]:
         img_dir = Path(cfg["emit_images"])
         img_dir.mkdir(parents=True, exist_ok=True)
-        for i, (pair, pred) in enumerate(zip(pairs, preds)):
-            dataset.write_pgm(img_dir / f"{i:04d}_y.pgm", pair.y)
-            dataset.write_pgm(img_dir / f"{i:04d}_x.pgm", pair.x)
+        for i, pred in enumerate(preds):
+            dataset.write_pgm(img_dir / f"{i:04d}_y.pgm", data.y[i])
+            dataset.write_pgm(img_dir / f"{i:04d}_x.pgm", data.x[i])
             dataset.write_pgm(img_dir / f"{i:04d}_xhat.pgm", pred)
     digests = {
         "checkpoint": _digest_file(Path(cfg["checkpoint"])),

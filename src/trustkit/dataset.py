@@ -75,21 +75,33 @@ class DatasetSpec:
         raise ParameterError(f"unsupported dataset operator kind {self.operator_kind!r}")
 
 
-@dataclass
-class SamplePair:
-    """Target image x, normalized observation image y, and the affine
-    constants (scale, offset) with y_raw = y * scale + offset on the first
-    raw_len entries of the flattened y."""
+@dataclass(frozen=True)
+class Split:
+    """One split as stacks: targets x (N, S, S), normalized observations
+    y (N, side, side), and the per-sample affine constants scale and offset
+    (N,), with y_raw = y * scale + offset on the first raw_len entries of
+    each flattened y."""
 
     x: np.ndarray
     y: np.ndarray
-    scale: float
-    offset: float
+    scale: np.ndarray
+    offset: np.ndarray
     raw_len: int
 
-    def de_normalize(self) -> np.ndarray:
-        flat = self.y.reshape(-1) * self.scale + self.offset
-        return flat[: self.raw_len]
+    def __len__(self) -> int:
+        return len(self.x)
+
+    def raw(self) -> np.ndarray:
+        """The (N, raw_len) de-normalized measurements."""
+        flat = self.y.reshape(len(self), -1)[:, : self.raw_len]
+        return flat * self.scale[:, None] + self.offset[:, None]
+
+    def head(self, limit: int) -> Split:
+        """The first ``limit`` samples; 0 keeps them all."""
+        if not limit:
+            return self
+        return Split(self.x[:limit], self.y[:limit], self.scale[:limit],
+                     self.offset[:limit], self.raw_len)
 
 
 SPARSITY_FLOOR = 5e-3  # blob tails below this snap to exactly zero
@@ -121,26 +133,24 @@ def _normalize(y_raw: np.ndarray) -> tuple[np.ndarray, float, float]:
     return (y_raw - offset) / scale, scale, offset
 
 
+def observation_side(m: int) -> int:
+    """Side of the square image an m-vector observation is zero-padded to."""
+    return math.isqrt(m - 1) + 1
+
+
 def gen_pair(op: sensing.SensingOperator, target: np.ndarray, noise_sigma: float,
-             rng: np.random.Generator | None = None) -> SamplePair:
-    """Observation for one target: y = reshape(A vec(x) + w), normalized."""
+             rng: np.random.Generator | None = None) -> tuple[np.ndarray, float, float]:
+    """Observation of one target: y = reshape(A vec(x) + w), zero-padded to a
+    square and normalized. Returns y with its (scale, offset)."""
     n = target.size
     if op.n != n:
         raise DimensionError(f"operator expects n={op.n}, target has {n} pixels")
     y_raw = sensing.apply(op, target.reshape(-1), noise_sigma=noise_sigma, rng=rng)
-    side = math.isqrt(op.m)
-    if side * side != op.m:
-        side = math.isqrt(op.m) + 1  # zero-pad to the nearest square
+    side = observation_side(op.m)
     padded = np.zeros(side * side)
     padded[: op.m] = y_raw
     normalized, scale, offset = _normalize(padded)
-    return SamplePair(
-        x=target.copy(),
-        y=normalized.reshape(side, side),
-        scale=scale,
-        offset=offset,
-        raw_len=op.m,
-    )
+    return normalized.reshape(side, side), scale, offset
 
 
 def _derived_seed(global_seed: int, split: str, index: int, noise: bool = False):
@@ -149,21 +159,27 @@ def _derived_seed(global_seed: int, split: str, index: int, noise: bool = False)
 
 
 def generate_split(spec: DatasetSpec, op: sensing.SensingOperator, split: str,
-                   count: int) -> list[SamplePair]:
-    pairs = []
+                   count: int) -> Split:
+    s, side = spec.image_size, observation_side(op.m)
+    data = Split(x=np.empty((count, s, s)), y=np.empty((count, side, side)),
+                 scale=np.empty(count), offset=np.empty(count), raw_len=op.m)
     for index in range(count):
-        target = gen_target(spec.target, spec.image_size, _derived_seed(spec.seed, split, index))
+        data.x[index] = gen_target(spec.target, s, _derived_seed(spec.seed, split, index))
         noise_rng = np.random.default_rng(_derived_seed(spec.seed, split, index, noise=True))
-        pairs.append(gen_pair(op, target, spec.noise_sigma, rng=noise_rng))
-    return pairs
+        data.y[index], data.scale[index], data.offset[index] = gen_pair(
+            op, data.x[index], spec.noise_sigma, rng=noise_rng)
+    return data
 
 
 def _pair_dtype(dtype: str):
     return "<f4" if dtype == "f32" else "<f8"
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _write_blob(path: Path, array: np.ndarray) -> str:
+    """Write the array's bytes to path and return their sha256."""
+    blob = array.tobytes()
+    path.write_bytes(blob)
+    return hashlib.sha256(blob).hexdigest()
 
 
 def gen_dataset(spec: DatasetSpec, out_dir: str | Path) -> dict:
@@ -182,36 +198,62 @@ def gen_dataset(spec: DatasetSpec, out_dir: str | Path) -> dict:
         "noise_sigma": spec.noise_sigma,
         "operator": {"kind": op.kind, "m": op.m, "n": op.n, "seed": op.seed,
                      **({"keep": spec.operator_keep} if op.kind == sensing.FOURIER_MASKED else {})},
-        "observation_side": 0,
+        "observation_side": observation_side(op.m),
         "target": asdict(spec.target),
         "splits": {},
     }
     dt = _pair_dtype(spec.dtype)
     for split, count in (("train", spec.train), ("val", spec.val), ("test", spec.test)):
-        pairs = generate_split(spec, op, split, count)
-        manifest["observation_side"] = pairs[0].y.shape[0]
+        data = generate_split(spec, op, split, count)
+        records = np.concatenate([data.x.reshape(count, -1), data.y.reshape(count, -1)], axis=1)
         pair_file = out_dir / f"{split}.pairs.{spec.dtype}"
         norm_file = out_dir / f"{split}.norm.f64"
-        with pair_file.open("wb") as fh:
-            for p in pairs:
-                fh.write(np.ascontiguousarray(p.x, dtype=dt).tobytes())
-                fh.write(np.ascontiguousarray(p.y, dtype=dt).tobytes())
-        with norm_file.open("wb") as fh:
-            for p in pairs:
-                fh.write(np.array([p.scale, p.offset], dtype="<f8").tobytes())
         manifest["splits"][split] = {
             "count": count,
             "pairs": pair_file.name,
-            "pairs_sha256": _sha256(pair_file),
+            "pairs_sha256": _write_blob(pair_file, records.astype(dt)),
             "norm": norm_file.name,
-            "norm_sha256": _sha256(norm_file),
+            "norm_sha256": _write_blob(norm_file, np.stack([data.scale, data.offset], axis=1)
+                                       .astype("<f8")),
             "raw_len": op.m,
         }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     return manifest
 
 
+def _is_int(value, least: int) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= least
+
+
+# Every manifest entry that load_split and operator_from_manifest read:
+# key -> (test of its value, what the value must be).
+_POSITIVE = (lambda v: _is_int(v, 1), "a positive integer")
+_STRING = (lambda v: isinstance(v, str), "a string")
+_TOP_KEYS = {
+    "image_size": _POSITIVE,
+    "observation_side": _POSITIVE,
+    "dtype": (lambda v: v in ("f32", "f64"), "'f32' or 'f64'"),
+}
+_OPERATOR_KEYS = {
+    "kind": (lambda v: v in sensing.KINDS, f"one of {sensing.KINDS}"),
+    "m": _POSITIVE,
+    "n": _POSITIVE,
+    "seed": (lambda v: _is_int(v, 0), "a non-negative integer"),
+}
+_SPLIT_KEYS = {"count": _POSITIVE, "pairs": _STRING, "pairs_sha256": _STRING,
+               "norm": _STRING, "norm_sha256": _STRING, "raw_len": _POSITIVE}
+
+
+def _check_keys(entries: dict, schema: dict, where: str) -> None:
+    for key, (valid, requirement) in schema.items():
+        if key not in entries:
+            raise DatasetError(f"{where} has no {key!r}")
+        if not valid(entries[key]):
+            raise DatasetError(f"{where} {key!r} must be {requirement}, got {entries[key]!r}")
+
+
 def load_manifest(path: str | Path) -> dict:
+    """Read a manifest and check the type of every entry the loaders use."""
     path = Path(path)
     if path.is_dir():
         path = path / "manifest.json"
@@ -226,58 +268,61 @@ def load_manifest(path: str | Path) -> dict:
     for key in ("splits", "operator"):
         if not isinstance(manifest.get(key), dict):
             raise DatasetError(f"manifest {path} has no {key!r} object")
-    size = manifest.get("image_size")
-    if isinstance(size, bool) or not isinstance(size, int) or size < 1:
-        raise DatasetError(f"manifest {path} has no positive integer 'image_size'")
+    _check_keys(manifest, _TOP_KEYS, f"manifest {path}")
+    op = manifest["operator"]
+    _check_keys(op, _OPERATOR_KEYS, f"manifest {path} operator")
+    side = manifest["observation_side"]
+    if op["n"] != manifest["image_size"] ** 2 or op["m"] > side * side:
+        raise DatasetError(
+            f"manifest {path}: a {op['m']}x{op['n']} operator does not map "
+            f"{manifest['image_size']} px images to {side} px observations"
+        )
+    for split, info in manifest["splits"].items():
+        where = f"manifest {path} split {split!r}"
+        if not isinstance(info, dict):
+            raise DatasetError(f"{where} is not an object")
+        _check_keys(info, _SPLIT_KEYS, where)
+        if info["raw_len"] != op["m"]:
+            raise DatasetError(f"{where} 'raw_len' {info['raw_len']} != operator m {op['m']}")
     manifest["_dir"] = str(path.parent)
     return manifest
 
 
-def load_split(manifest: dict, split: str) -> list[SamplePair]:
-    """Checksum-verified pairs of one split."""
+def load_split(manifest: dict, split: str) -> Split:
+    """The checksum-verified samples of one split, as float64 stacks."""
     if split not in manifest["splits"]:
         raise DatasetError(f"manifest has no split {split!r}")
     info = manifest["splits"][split]
-    base = Path(manifest["_dir"])
-    pair_file = base / info["pairs"]
-    norm_file = base / info["norm"]
-    for f, digest in ((pair_file, info["pairs_sha256"]), (norm_file, info["norm_sha256"])):
-        if not f.exists():
-            raise DatasetError(f"missing dataset file {f}")
-        if _sha256(f) != digest:
+    blobs = []
+    for name, digest in ((info["pairs"], info["pairs_sha256"]),
+                         (info["norm"], info["norm_sha256"])):
+        f = Path(manifest["_dir"]) / name
+        try:
+            blob = f.read_bytes()
+        except OSError as exc:
+            raise DatasetError(f"cannot read dataset file {f}: {exc.strerror}") from exc
+        if hashlib.sha256(blob).hexdigest() != digest:
             raise DatasetError(f"checksum mismatch for {f}")
-    s = manifest["image_size"]
-    side = manifest["observation_side"]
-    dt = _pair_dtype(manifest["dtype"])
-    rec = s * s + side * side
-    flat = np.frombuffer(pair_file.read_bytes(), dtype=dt).astype(np.float64)
-    norms = np.frombuffer(norm_file.read_bytes(), dtype="<f8")
-    count = info["count"]
-    if flat.size != count * rec or norms.size != 2 * count:
+        blobs.append(blob)
+    s, side, count = manifest["image_size"], manifest["observation_side"], info["count"]
+    records = np.frombuffer(blobs[0], dtype=_pair_dtype(manifest["dtype"]))
+    norms = np.frombuffer(blobs[1], dtype="<f8")
+    if records.size != count * (s * s + side * side) or norms.size != 2 * count:
         raise DatasetError(f"dataset file sizes inconsistent for split {split!r}")
-    pairs = []
-    for i in range(count):
-        chunk = flat[i * rec : (i + 1) * rec]
-        pairs.append(
-            SamplePair(
-                x=chunk[: s * s].reshape(s, s).copy(),
-                y=chunk[s * s :].reshape(side, side).copy(),
-                scale=float(norms[2 * i]),
-                offset=float(norms[2 * i + 1]),
-                raw_len=info["raw_len"],
-            )
-        )
-    return pairs
+    records = records.reshape(count, -1)
+    norms = norms.reshape(count, 2)
+    return Split(
+        x=records[:, : s * s].astype(np.float64).reshape(count, s, s),
+        y=records[:, s * s :].astype(np.float64).reshape(count, side, side),
+        scale=norms[:, 0].copy(),
+        offset=norms[:, 1].copy(),
+        raw_len=info["raw_len"],
+    )
 
 
 def operator_from_manifest(manifest: dict) -> sensing.SensingOperator:
     info = manifest["operator"]
     return sensing.sample_operator(info["kind"], info["m"], info["n"], info["seed"])
-
-
-def split_vectors(manifest: dict, split: str):
-    """(target vector, de-normalized measurement) pairs for solver use."""
-    return [(p.x.reshape(-1), p.de_normalize()) for p in load_split(manifest, split)]
 
 
 def write_pgm(path: str | Path, image: np.ndarray) -> None:

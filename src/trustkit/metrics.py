@@ -189,11 +189,6 @@ class MetricReport:
     ssim_c1: float = SSIM_C1
     ssim_c2: float = SSIM_C2
 
-    def add(self, pred, target) -> ImageMetrics:
-        row = score_image(pred, target, self.thresholds, self.ssim_window)
-        self.rows.append(row)
-        return row
-
     def extend(self, preds, targets) -> None:
         """Score and append every image of a (B, H, W) stack."""
         self.rows.extend(score_batch(preds, targets, self.thresholds, self.ssim_window))

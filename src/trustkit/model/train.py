@@ -90,13 +90,6 @@ def _detached(params: dict[str, nd.Tensor]) -> dict[str, nd.Tensor]:
     return {k: nd.Tensor(p.data) for k, p in params.items()}
 
 
-def _stack_pairs(pairs) -> tuple[np.ndarray, np.ndarray]:
-    """(N, S, S) float64 stacks of the targets and the observations."""
-    targets = np.array([x for x, _ in pairs], dtype=np.float64)
-    observations = np.array([y for _, y in pairs], dtype=np.float64)
-    return targets, observations
-
-
 def predict(model_kind: str, params: dict[str, nd.Tensor], model_cfg,
             observations: np.ndarray):
     """Forward an (N, S, S) observation stack, PREDICT_CHUNK samples per call.
@@ -112,9 +105,10 @@ def predict(model_kind: str, params: dict[str, nd.Tensor], model_cfg,
 
 
 def evaluate(model_kind: str, params: dict[str, nd.Tensor], model_cfg,
-             pairs, train_cfg: TrainConfig) -> tuple[float, float, float, float]:
-    """Mean validation loss, SSIM, PSNR, FPR over (target, observation) pairs."""
-    targets, observations = _stack_pairs(pairs)
+             data, train_cfg: TrainConfig) -> tuple[float, float, float, float]:
+    """Mean validation loss, SSIM, PSNR, FPR over ``data``, a pair of
+    (N, S, S) float64 stacks: (targets, observations)."""
+    targets, observations = data
     losses, rows = [], []
     for lo, pred in predict(model_kind, params, model_cfg, observations):
         x = targets[lo : lo + len(pred.data)]
@@ -139,10 +133,12 @@ def batch_loss(model_kind: str, params: dict[str, nd.Tensor], model_cfg,
                      train_cfg.lambda_ssim)
 
 
-def train(model_kind: str, model_cfg, train_cfg: TrainConfig, train_pairs,
-          val_pairs, out_dir: str | Path | None = None,
+def train(model_kind: str, model_cfg, train_cfg: TrainConfig, train_data,
+          val_data, out_dir: str | Path | None = None,
           params: dict[str, nd.Tensor] | None = None) -> TrainResult:
-    """Train on (target, observation) pairs; deterministic for fixed seeds.
+    """Train on ``train_data``, a pair of (N, S, S) float64 stacks (targets,
+    observations), and score each epoch on ``val_data``, another such pair;
+    deterministic for fixed seeds.
 
     Writes ``ckpt_best``/``ckpt_last`` checkpoints and ``epochs.csv`` under
     ``out_dir`` when given. Initial parameters come from the model config's
@@ -161,8 +157,8 @@ def train(model_kind: str, model_cfg, train_cfg: TrainConfig, train_pairs,
 
     result = TrainResult(params=params)
     best_val = math.inf
-    targets, observations = _stack_pairs(train_pairs)
-    n_train = len(train_pairs)
+    targets, observations = train_data
+    n_train = len(targets)
     for epoch in range(1, train_cfg.epochs + 1):
         order = shuffle_rng.permutation(n_train)
         epoch_losses = []
@@ -177,7 +173,7 @@ def train(model_kind: str, model_cfg, train_cfg: TrainConfig, train_pairs,
             epoch_losses.append(step_loss.item() * len(batch))
         train_loss = math.fsum(epoch_losses) / n_train
         val_loss, val_ssim, val_psnr, val_fpr = evaluate(
-            model_kind, params, model_cfg, val_pairs, train_cfg
+            model_kind, params, model_cfg, val_data, train_cfg
         )
         result.rows.append(EpochRow(epoch, train_loss, val_loss, val_ssim, val_psnr, val_fpr))
         if val_loss < best_val:

@@ -1,4 +1,4 @@
-"""Sensing operators, k-sparse signal generation, and isometry-constant estimation."""
+"""Sensing operators and isometry-constant estimation."""
 
 from __future__ import annotations
 
@@ -62,7 +62,6 @@ class SensingOperator:
     matrix: np.ndarray
     column_normalized: bool = False
     mask: np.ndarray | None = None
-    _noise_rng: np.random.Generator = field(repr=False, default=None)
     solver_plan: SolverPlan | None = field(default=None, init=False, repr=False,
                                            compare=False)
 
@@ -70,10 +69,6 @@ class SensingOperator:
         if self.matrix.shape != (self.m, self.n):
             raise DimensionError(
                 f"operator matrix shape {self.matrix.shape} != ({self.m}, {self.n})"
-            )
-        if self._noise_rng is None:
-            self._noise_rng = np.random.default_rng(
-                np.random.SeedSequence(entropy=self.seed, spawn_key=(0xA0,))
             )
 
 
@@ -163,20 +158,18 @@ def _fourier_rows(n: int, mask: np.ndarray) -> np.ndarray:
 
 def apply(op: SensingOperator, x: np.ndarray, noise_sigma: float = 0.0,
           rng: np.random.Generator | None = None) -> np.ndarray:
-    """y = A x + w with w ~ N(0, sigma^2) from the operator's seeded stream.
-
-    Pass an explicit rng to draw noise from a caller-owned stream instead
-    (used for per-sample seed derivation in parallel generation).
-    """
+    """y = A x + w with w ~ N(0, sigma^2) drawn from the caller's ``rng``,
+    which noise_sigma > 0 requires."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (op.n,):
         raise DimensionError(f"apply expects length-{op.n} vector, got shape {x.shape}")
     if noise_sigma < 0:
         raise ParameterError(f"noise_sigma must be >= 0, got {noise_sigma}")
+    if noise_sigma > 0 and rng is None:
+        raise ParameterError("noise_sigma > 0 needs an rng to draw the noise from")
     y = op.matrix @ x
     if noise_sigma > 0:
-        stream = rng if rng is not None else op._noise_rng
-        y = y + noise_sigma * stream.standard_normal(op.m)
+        y = y + noise_sigma * rng.standard_normal(op.m)
     return y
 
 
@@ -186,57 +179,6 @@ def adjoint(op: SensingOperator, r: np.ndarray) -> np.ndarray:
     if r.shape != (op.m,):
         raise DimensionError(f"adjoint expects length-{op.m} vector, got shape {r.shape}")
     return op.matrix.T @ r
-
-
-@dataclass
-class SparseSignal:
-    """A k-sparse vector: sorted support indices plus the values they carry."""
-
-    n: int
-    support: np.ndarray
-    values: np.ndarray
-    noise_sigma: float = 0.0
-
-    def __post_init__(self):
-        self.support = np.asarray(self.support, dtype=np.intp)
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.support.size != self.values.size:
-            raise DimensionError("support and values must have equal length")
-        if self.support.size and (
-            np.any(np.diff(self.support) <= 0)
-            or self.support[0] < 0
-            or self.support[-1] >= self.n
-        ):
-            raise ParameterError("support indices must be strictly increasing and < n")
-
-    @property
-    def k(self) -> int:
-        return int(self.support.size)
-
-    def to_dense(self) -> np.ndarray:
-        x = np.zeros(self.n)
-        x[self.support] = self.values
-        return x
-
-
-def generate_ksparse(n: int, k: int, seed: int, value_dist: str = "gaussian",
-                     normalize: bool = True) -> SparseSignal:
-    """Uniformly random support of size k with values from value_dist."""
-    if k > n or k < 0:
-        raise ParameterError(f"need 0 <= k <= n, got k={k}, n={n}")
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
-    support = np.sort(rng.choice(n, size=k, replace=False)) if k else np.empty(0, dtype=np.intp)
-    if value_dist == "gaussian":
-        values = rng.standard_normal(k)
-    elif value_dist == "uniform":
-        values = rng.uniform(-1.0, 1.0, size=k)
-    elif value_dist == "pm_one":
-        values = rng.choice([-1.0, 1.0], size=k)
-    else:
-        raise ParameterError(f"unknown value_dist {value_dist!r}")
-    if normalize and k:
-        values = values / np.linalg.norm(values)
-    return SparseSignal(n=n, support=support, values=values)
 
 
 EXACT_ENUMERATION = "exact_enumeration"

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from . import sensing
-from .errors import ParameterError, SingularMatrixError
+from .errors import DimensionError, ParameterError, SingularMatrixError
 
 # Relative size below which a Gram-Schmidt remainder, an R diagonal or a
 # singular value counts as zero: sqrt(float64 eps), so a column that only
@@ -286,8 +286,10 @@ def fista(op: sensing.SensingOperator, y: np.ndarray,
     return _proximal_gradient(op, y, config, momentum=True)
 
 
-def estimate_operator(pairs, ridge: float | None = None) -> sensing.SensingOperator:
-    """Ridge least-squares fit of the map x -> y over the given pairs.
+def estimate_operator(xs: np.ndarray, ys: np.ndarray,
+                      ridge: float | None = None) -> sensing.SensingOperator:
+    """Ridge least-squares fit of the map x -> y over the rows of the (N, n)
+    target stack ``xs`` and the (N, m) measurement stack ``ys``.
 
     Solves A = Y X^T (X X^T + ridge I)^{-1} via Cholesky; ridge defaults to
     1e-6 * trace(X X^T) / n to stabilize small sample counts. Pass ridge=0
@@ -295,11 +297,16 @@ def estimate_operator(pairs, ridge: float | None = None) -> sensing.SensingOpera
     """
     from scipy.linalg import solve_triangular  # scipy loads only when a solve needs it
 
-    pairs = list(pairs)
-    if not pairs:
+    xs = np.asarray(xs, dtype=np.float64)
+    ys = np.asarray(ys, dtype=np.float64)
+    if xs.ndim != 2 or ys.ndim != 2 or len(xs) != len(ys):
+        raise DimensionError(
+            f"estimate_operator needs (N, n) and (N, m) stacks, got {xs.shape} and {ys.shape}"
+        )
+    if not len(xs):
         raise ParameterError("estimate_operator needs at least one pair")
-    xs = np.stack([np.asarray(x, dtype=np.float64) for x, _ in pairs], axis=1)
-    ys = np.stack([np.asarray(y, dtype=np.float64) for _, y in pairs], axis=1)
+    # one column per pair
+    xs, ys = np.ascontiguousarray(xs.T), np.ascontiguousarray(ys.T)
     n = xs.shape[0]
     if ridge is None:
         ridge = 1e-6 * float(np.trace(xs @ xs.T)) / n

@@ -54,29 +54,6 @@ def test_deviation_rejects_unnormalized():
         bound_lab.inner_product_deviation(op, x, x)
 
 
-def test_polarization_random_pairs():
-    op = sensing.sample_operator(sensing.GAUSSIAN_FAT, 10, 24, seed=3)
-    rng = np.random.default_rng(7)
-    for _ in range(200):
-        x, xp = _pair(rng, 24, 4)
-        assert bound_lab.verify_polarization(op, x, xp)
-
-
-def test_polarization_substitutions():
-    op = sensing.sample_operator(sensing.GAUSSIAN_FAT, 10, 24, seed=3)
-    rng = np.random.default_rng(8)
-    x, _ = _pair(rng, 24, 4)
-    ax = op.matrix @ x
-    # x' = x: left side collapses to 4|Ax|^2
-    a_sum = op.matrix @ (2 * x)
-    assert abs(float(a_sum @ a_sum) - 4.0 * float(ax @ ax)) < 1e-10
-    assert bound_lab.verify_polarization(op, x, x)
-    # x' = -x: left side collapses to -4|Ax|^2
-    a_diff = op.matrix @ (2 * x)
-    assert abs(-float(a_diff @ a_diff) + 4.0 * float(ax @ ax)) < 1e-10
-    assert bound_lab.verify_polarization(op, x, -x)
-
-
 def test_sweep_orthonormal_rows_are_tiny():
     res = bound_lab.attention_similarity_sweep(
         kinds=[sensing.ORTHONORMAL_SQUARE], ms=[12], ns=[12], ks=[2, 3],
@@ -212,14 +189,18 @@ def test_stacked_draw_matches_single_draws_bit_for_bit(n, k):
 @pytest.mark.parametrize("kind, m", [
     (sensing.GAUSSIAN_FAT, 8), (sensing.GAUSSIAN_FAT, 14), (sensing.FOURIER_MASKED, 10),
     (sensing.ORTHONORMAL_SQUARE, 16), (sensing.TALL_ORTHONORMAL, 24),
-    (sensing.FOURIER_MASKED, 32),
+    (sensing.FOURIER_MASKED, 32), (sensing.IDENTITY, 16),
 ])
 def test_stacked_deviations_match_per_pair_reference(kind, m):
+    # pair_deviations raises unless the polarized route agrees on every row
     n, k = 16, 2
     op = sensing.sample_operator(kind, m, n, seed=5)
     delta = sensing.estimate_rip(op, k, sensing.EXACT_ENUMERATION).delta
     pairs = bound_lab._unit_ksparse(np.random.default_rng(6), 2 * 60, n, k)
-    xs, xps = pairs[0::2], pairs[1::2]
+    # the last rows pair x with x' = x and with x' = -x, where the polarized
+    # route collapses to 4|Ax|^2 and to -4|Ax|^2
+    xs = np.concatenate([pairs[0::2], pairs[:5], pairs[:5]])
+    xps = np.concatenate([pairs[1::2], pairs[:5], -pairs[:5]])
     devs, gaps = bound_lab.pair_deviations(op, xs, xps)
     ref = np.array([_pair_reference(op, x, xp) for x, xp in zip(xs, xps)])
     if delta > 1e-8:

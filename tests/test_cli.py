@@ -354,6 +354,15 @@ def _checkpoint_bad_tensor_entries(tmp, data):
             "--out", str(tmp / "ev")]
 
 
+def _checkpoint_for_other_size(tmp, data):
+    cfg = model.UnetConfig(image_size=8)
+    model.checkpoint_save(model.init_params(model.UNET, cfg), model.UNET, cfg, tmp / "c.json")
+    _gen(CliRunner(), tmp / "ds16", ["--image-size", "16", "--train", "2", "--val", "1",
+                                     "--test", "1"])
+    return ["eval", "--checkpoint", str(tmp / "c.json"), "--dataset", str(tmp / "ds16"),
+            "--out", str(tmp / "ev")]
+
+
 def _bogus_kind(tmp, data):
     return ["verify-bound", "--out", str(tmp / "vb"), "--kinds", "bogus"]
 
@@ -402,6 +411,7 @@ def _config_seed(tmp, data):
 @pytest.mark.parametrize("make_args", [
     _missing_dataset, _corrupt_manifest("{not json"), _corrupt_manifest("[1, 2]"),
     _manifest_without_splits, _checkpoint_without_blob, _checkpoint_bad_tensor_entries,
+    _checkpoint_for_other_size,
     _bogus_kind, _oversized_sweep, _sweep_k(0), _sweep_k(-1), _indivisible_heads,
     _image_size(256), _image_size(0),
     _flags("gen-data", "--seed", "-1"), _flags("verify-bound", "--seed", "-1"),
@@ -412,6 +422,7 @@ def _config_seed(tmp, data):
     _flags("train", "--embed-dim", "0"),
 ], ids=["missing-dataset", "manifest-not-json", "manifest-not-object",
         "manifest-without-splits", "checkpoint-blob-deleted", "checkpoint-tensors-not-entries",
+        "checkpoint-for-other-image-size",
         "bogus-kind", "oversized-sweep", "k-0", "k-negative", "heads-3", "image-size-256",
         "image-size-0", "gen-data-seed-negative", "verify-bound-seed-negative",
         "train-seed-negative", "config-file-seed-negative", "omp-max-iter-negative",

@@ -191,8 +191,7 @@ def test_fpr_monotone_in_thresholds():
 
 def test_report_aggregate_matches_naive():
     report = metrics.MetricReport()
-    for _ in range(9):
-        report.add(rng.random((12, 12)), rng.random((12, 12)))
+    report.extend(rng.random((9, 12, 12)), rng.random((9, 12, 12)))
     agg = report.aggregate()
     for name in ("mse", "mae", "rmse", "psnr", "ssim", "fpr"):
         vals = [getattr(r, name) for r in report.rows]
@@ -224,13 +223,14 @@ def test_score_batch_rows_equal_single_image_metrics():
 
 def test_report_rmse_is_sqrt_mse():
     report = metrics.MetricReport()
-    row = report.add(rng.random((8, 8)), rng.random((8, 8)))
+    report.extend(rng.random((1, 8, 8)), rng.random((1, 8, 8)))
+    [row] = report.rows
     assert abs(row.rmse - math.sqrt(row.mse)) < 1e-12
 
 
 def test_report_serialization(tmp_path):
     report = metrics.MetricReport()
-    report.add(rng.random((9, 9)), rng.random((9, 9)))
+    report.extend(rng.random((1, 9, 9)), rng.random((1, 9, 9)))
     report.save(tmp_path, stem="m")
     csv_text = (tmp_path / "m_per_image.csv").read_text()
     assert csv_text.splitlines()[0] == "index,mse,mae,rmse,psnr,ssim,fpr"

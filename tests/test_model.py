@@ -490,7 +490,7 @@ def test_model_spec_dispatch():
     with pytest.raises(ParameterError, match="unknown model kind"):
         model.model_spec("mlp")
     with pytest.raises(ParameterError, match="unknown model kind"):
-        model.train("mlp", reduced_trust(), model.TrainConfig(), [], [])
+        model.train("mlp", reduced_trust(), model.TrainConfig(), _NO_DATA, _NO_DATA)
 
 
 def test_model_spec_forward_follows_module_attribute(monkeypatch):
@@ -507,26 +507,33 @@ def test_model_spec_forward_follows_module_attribute(monkeypatch):
 # ---- training --------------------------------------------------------------------
 
 
-def _toy_pairs(n, size, seed):
+def _toy_data(n, size, seed):
+    """(targets, observations) stacks of n samples."""
     # smooth blob targets: representable through the pooled bottleneck
     g = np.random.default_rng(seed)
     i, j = np.mgrid[0:size, 0:size]
-    pairs = []
-    for _ in range(n):
+    xs, ys = np.empty((n, size, size)), np.empty((n, size, size))
+    for t in range(n):
         r, c = g.uniform(4, size - 4, 2)
-        x = 0.9 * np.exp(-((i - r) ** 2 + (j - c) ** 2) / (2 * 2.0**2))
-        y = np.clip(x + 0.05 * g.random((size, size)), 0.0, 1.0)
-        pairs.append((x, y))
-    return pairs
+        xs[t] = 0.9 * np.exp(-((i - r) ** 2 + (j - c) ** 2) / (2 * 2.0**2))
+        ys[t] = np.clip(xs[t] + 0.05 * g.random((size, size)), 0.0, 1.0)
+    return xs, ys
 
 
-def _reference_step_grads(kind, cfg, tcfg, params, pairs):
+def _head(data, n):
+    return data[0][:n], data[1][:n]
+
+
+_NO_DATA = (np.empty((0, 16, 16)), np.empty((0, 16, 16)))
+
+
+def _reference_step_grads(kind, cfg, tcfg, params, data):
     """Gradients of the mean per-sample loss, one graph per sample (the
     pre-batching train step)."""
     forward = model.model_spec(kind).forward
     nd.zero_grads(params.values())
     losses = [model.loss(tcfg.loss_kind, forward(params, cfg, y), x, tcfg.lambda_l1,
-                         tcfg.lambda_ssim) for x, y in pairs]
+                         tcfg.lambda_ssim) for x, y in zip(*data)]
     total = losses[0]
     for extra in losses[1:]:
         total = nd.add(total, extra)
@@ -541,12 +548,10 @@ def _reference_step_grads(kind, cfg, tcfg, params, pairs):
 ])
 def test_batched_step_gradients_match_per_sample_loop(kind, cfg, loss_kind):
     tcfg = model.TrainConfig(loss_kind=loss_kind)
-    pairs = _toy_pairs(5, 16, seed=6)
+    targets, observations = _toy_data(5, 16, seed=6)
     params = model.init_params(kind, cfg)
-    ref_loss, ref = _reference_step_grads(kind, cfg, tcfg, params, pairs)
+    ref_loss, ref = _reference_step_grads(kind, cfg, tcfg, params, (targets, observations))
     nd.zero_grads(params.values())
-    targets = np.stack([x for x, _ in pairs])
-    observations = np.stack([y for _, y in pairs])
     loss = model.batch_loss(kind, params, cfg, tcfg, targets, observations)
     loss.backward()
     assert abs(loss.item() - ref_loss) <= 1e-12 * abs(ref_loss)
@@ -561,11 +566,13 @@ def test_trust_train_step_memory_is_bounded():
     cfg = model.TrustConfig()
     tcfg = model.TrainConfig(epochs=1, batch_size=16)
     g = np.random.default_rng(0)
-    pairs = [(g.random((32, 32)), g.random((32, 32))) for _ in range(16)]
+    samples = [(g.random((32, 32)), g.random((32, 32))) for _ in range(16)]
+    data = tuple(np.stack(stack) for stack in zip(*samples))
+    no_data = (np.empty((0, 32, 32)), np.empty((0, 32, 32)))
     params = model.init_params(model.TRUST, cfg)
     tracemalloc.start()
     try:
-        model.train(model.TRUST, cfg, tcfg, pairs, [], params=params)
+        model.train(model.TRUST, cfg, tcfg, data, no_data, params=params)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -608,10 +615,10 @@ def test_predict_chunks_cover_the_stack_in_order():
 def test_zero_learning_rate_freezes_parameters():
     cfg = reduced_trust()
     tcfg = model.TrainConfig(learning_rate=0.0, epochs=3, batch_size=4, loss_kind="l2")
-    pairs = _toy_pairs(8, 16, seed=0)
+    data = _toy_data(8, 16, seed=0)
     params = model.init_params(model.TRUST, cfg)
     before = {k: v.data.copy() for k, v in params.items()}
-    result = model.train(model.TRUST, cfg, tcfg, pairs, pairs[:2], params=params)
+    result = model.train(model.TRUST, cfg, tcfg, data, _head(data, 2), params=params)
     for k, v in result.params.items():
         assert np.array_equal(v.data, before[k])
     losses = [r.train_loss for r in result.rows]
@@ -622,10 +629,10 @@ def test_training_deterministic_same_seed():
     cfg = reduced_trust()
     tcfg = model.TrainConfig(learning_rate=1e-3, epochs=2, batch_size=4, loss_kind="l2",
                              seed=11)
-    pairs = _toy_pairs(8, 16, seed=1)
+    data = _toy_data(8, 16, seed=1)
     runs = []
     for _ in range(2):
-        result = model.train(model.TRUST, cfg, tcfg, pairs, pairs[:2])
+        result = model.train(model.TRUST, cfg, tcfg, data, _head(data, 2))
         runs.append((result.log_csv(),
                      {k: v.data.tobytes() for k, v in result.params.items()}))
     assert runs[0][0] == runs[1][0]
@@ -634,13 +641,13 @@ def test_training_deterministic_same_seed():
 
 def test_single_sample_overfit():
     # empirical convergence oracle over 3 seeds
-    pairs = _toy_pairs(1, 16, seed=2)
+    data = _toy_data(1, 16, seed=2)
     steps = 500
     for seed in (0, 1, 2):
         cfg = reduced_trust(seed=seed, embed_dim=16, decoder_channels=(8, 8))
         tcfg = model.TrainConfig(learning_rate=3e-3, epochs=steps, batch_size=1,
                                  loss_kind="l2", seed=seed)
-        result = model.train(model.TRUST, cfg, tcfg, pairs, pairs)
+        result = model.train(model.TRUST, cfg, tcfg, data, data)
         assert result.rows[-1].train_loss < 1e-3, f"seed {seed}: {result.rows[-1].train_loss}"
 
 
@@ -650,14 +657,14 @@ def test_nan_abort_names_tensor():
     params["patch_embed.bias"].data[0] = np.nan
     tcfg = model.TrainConfig(learning_rate=1e-3, epochs=1, batch_size=1, loss_kind="l2")
     with pytest.raises(ContractError, match="non-finite"):
-        model.train(model.TRUST, cfg, tcfg, _toy_pairs(2, 16, seed=3), [], params=params)
+        model.train(model.TRUST, cfg, tcfg, _toy_data(2, 16, seed=3), _NO_DATA, params=params)
 
 
 def test_train_writes_checkpoints_and_log(tmp_path):
     cfg = reduced_trust()
     tcfg = model.TrainConfig(learning_rate=1e-3, epochs=2, batch_size=4, loss_kind="l2")
-    pairs = _toy_pairs(6, 16, seed=4)
-    model.train(model.TRUST, cfg, tcfg, pairs, pairs[:2], out_dir=tmp_path)
+    data = _toy_data(6, 16, seed=4)
+    model.train(model.TRUST, cfg, tcfg, data, _head(data, 2), out_dir=tmp_path)
     assert (tmp_path / "ckpt_best.json").exists()
     assert (tmp_path / "ckpt_last.json").exists()
     log = (tmp_path / "epochs.csv").read_text()

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from trustkit import sensing
+from trustkit import bound_lab, sensing
 from trustkit.errors import DimensionError, EnumerationCapExceeded, ParameterError
 
 
@@ -88,16 +88,21 @@ def test_apply_dimension_error():
 
 
 def test_apply_noise_deterministic_per_seed():
-    x = np.ones(8)
-    ys = []
-    for _ in range(2):
-        op = sensing.sample_operator(sensing.GAUSSIAN_FAT, 4, 8, seed=11)
-        ys.append(sensing.apply(op, x, noise_sigma=0.5))
-    assert np.array_equal(ys[0], ys[1])
+    # the same seeded rng gives the same noise, whatever ran before on the operator
     op = sensing.sample_operator(sensing.GAUSSIAN_FAT, 4, 8, seed=11)
-    first = sensing.apply(op, x, noise_sigma=0.5)
-    second = sensing.apply(op, x, noise_sigma=0.5)
-    assert not np.array_equal(first, second)  # stream advances
+    x = np.ones(8)
+    first = sensing.apply(op, x, noise_sigma=0.5, rng=np.random.default_rng(3))
+    sensing.apply(op, x, noise_sigma=0.5, rng=np.random.default_rng(4))
+    again = sensing.apply(op, x, noise_sigma=0.5, rng=np.random.default_rng(3))
+    assert np.array_equal(first, again)
+    assert not np.array_equal(first, sensing.apply(op, x))
+
+
+def test_apply_noise_without_rng_raises():
+    op = sensing.sample_operator(sensing.GAUSSIAN_FAT, 4, 8, seed=11)
+    with pytest.raises(ParameterError, match="rng"):
+        sensing.apply(op, np.ones(8), noise_sigma=0.5)
+    assert np.array_equal(sensing.apply(op, np.ones(8), noise_sigma=0.0), op.matrix @ np.ones(8))
 
 
 def test_adjoint_identity_operator():
@@ -275,31 +280,30 @@ def test_rip_rejects_k_below_one(method, k):
         sensing.estimate_rip(op, k, method=method)
 
 
+# k-sparse draws: bound_lab._unit_ksparse is the one drawer of unit k-sparse rows
+
+
 def test_ksparse_zero_k():
-    sig = sensing.generate_ksparse(10, 0, seed=0)
-    assert sig.k == 0
-    assert np.array_equal(sig.to_dense(), np.zeros(10))
+    rows = bound_lab._unit_ksparse(np.random.default_rng(0), 3, 10, 0)
+    assert np.array_equal(rows, np.zeros((3, 10)))
 
 
 def test_ksparse_normalized():
-    sig = sensing.generate_ksparse(50, 7, seed=4)
-    assert abs(np.linalg.norm(sig.to_dense()) - 1.0) < 1e-12
-    dense = sig.to_dense()
-    off = np.setdiff1d(np.arange(50), sig.support)
-    assert np.all(dense[off] == 0.0)
+    rows = bound_lab._unit_ksparse(np.random.default_rng(4), 20, 50, 7)
+    assert np.all(np.abs(np.linalg.norm(rows, axis=1) - 1.0) < 1e-12)
+    assert np.all(np.count_nonzero(rows, axis=1) == 7)  # zero off the support
 
 
 def test_ksparse_k_exceeds_n():
-    with pytest.raises(ParameterError):
-        sensing.generate_ksparse(4, 5, seed=0)
+    with pytest.raises(ValueError):
+        bound_lab._unit_ksparse(np.random.default_rng(0), 1, 4, 5)
 
 
 def test_ksparse_support_uniform():
     # statistical oracle: each index appears ~ draws*k/n times, within 3-sigma
     n, k, draws = 12, 3, 20_000
-    counts = np.zeros(n)
-    for seed in range(draws):
-        counts[sensing.generate_ksparse(n, k, seed=seed).support] += 1
+    counts = np.count_nonzero(bound_lab._unit_ksparse(np.random.default_rng(0), draws, n, k),
+                              axis=0)
     p = k / n
     sigma = math.sqrt(draws * p * (1 - p))
     assert np.all(np.abs(counts - draws * p) < 3 * sigma)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from trustkit import sensing, solvers
-from trustkit.errors import ParameterError, SingularMatrixError
+from trustkit.errors import DimensionError, ParameterError, SingularMatrixError
 
 
 def _identity_op(n):
@@ -137,10 +137,11 @@ def test_omp_past_estimated_operator_rank_stays_bounded(tmp_path):
                                     "--seed", "0"], catch_exceptions=False)
     assert res.exit_code == 0, res.output
     manifest = dataset.load_manifest(tmp_path)
-    op = solvers.estimate_operator(dataset.split_vectors(manifest, "train"))
+    train = dataset.load_split(manifest, "train")
+    op = solvers.estimate_operator(train.x.reshape(len(train), -1), train.raw())
     config = solvers.SolverConfig(sparsity_budget=40, residual_tolerance=0.0)
-    for pair in dataset.load_split(manifest, "test"):
-        res = solvers.omp(op, pair.de_normalize(), config)
+    for y in dataset.load_split(manifest, "test").raw():
+        res = solvers.omp(op, y, config)
         assert res.rank_deficient
         assert np.abs(res.x_hat).max() < 10.0  # 1e9 when rounding-level atoms were kept
 
@@ -334,11 +335,8 @@ def test_estimate_operator_exactly_determined():
     rng = np.random.default_rng(11)
     n, m = 12, 8
     true = rng.standard_normal((m, n))
-    pairs = []
-    for _ in range(3 * n):
-        x = rng.standard_normal(n)
-        pairs.append((x, true @ x))
-    est = solvers.estimate_operator(pairs, ridge=0.0)
+    xs = rng.standard_normal((3 * n, n))
+    est = solvers.estimate_operator(xs, xs @ true.T, ridge=0.0)
     assert est.kind == sensing.DENSE
     rel = np.linalg.norm(est.matrix - true) / np.linalg.norm(true)
     assert rel < 1e-8
@@ -350,10 +348,10 @@ def test_estimate_operator_single_pair_minimum_norm():
     y = rng.standard_normal(4)
     # closed-form rank-1 oracle: y x^T / (|x|^2 + ridge)
     for ridge in (1e-2, 1e-4, 1e-6):
-        est = solvers.estimate_operator([(x, y)], ridge=ridge)
+        est = solvers.estimate_operator(x[None], y[None], ridge=ridge)
         oracle = np.outer(y, x) / (x @ x + ridge)
         assert np.max(np.abs(est.matrix - oracle)) < 1e-10
-    est = solvers.estimate_operator([(x, y)], ridge=1e-12)
+    est = solvers.estimate_operator(x[None], y[None], ridge=1e-12)
     assert np.max(np.abs(est.matrix @ x - y)) < 1e-9  # consistent as ridge -> 0
 
 
@@ -361,14 +359,12 @@ def test_estimate_operator_noisy_beats_truth_on_training_residual():
     rng = np.random.default_rng(9)
     n, m = 10, 6
     true = rng.standard_normal((m, n))
-    pairs = []
-    for _ in range(40):
-        x = rng.standard_normal(n)
-        pairs.append((x, true @ x + 0.1 * rng.standard_normal(m)))
-    est = solvers.estimate_operator(pairs, ridge=0.0)
+    xs = rng.standard_normal((40, n))
+    ys = xs @ true.T + 0.1 * rng.standard_normal((40, m))
+    est = solvers.estimate_operator(xs, ys, ridge=0.0)
 
     def residual(a):
-        return sum(float(np.sum((a @ x - y) ** 2)) for x, y in pairs)
+        return float(np.sum((xs @ a.T - ys) ** 2))
 
     assert residual(est.matrix) <= residual(true) + 1e-12
 
@@ -377,7 +373,16 @@ def test_estimate_operator_singular_without_ridge():
     x = np.ones(5)
     y = np.ones(3)
     with pytest.raises(SingularMatrixError):
-        solvers.estimate_operator([(x, y)], ridge=0.0)
+        solvers.estimate_operator(x[None], y[None], ridge=0.0)
+
+
+def test_estimate_operator_rejects_mismatched_or_empty_stacks():
+    with pytest.raises(DimensionError):
+        solvers.estimate_operator(np.ones((3, 5)), np.ones((2, 4)))
+    with pytest.raises(DimensionError):
+        solvers.estimate_operator(np.ones(5), np.ones(4))
+    with pytest.raises(ParameterError, match="at least one pair"):
+        solvers.estimate_operator(np.ones((0, 5)), np.ones((0, 4)))
 
 
 def test_result_export(tmp_path):
