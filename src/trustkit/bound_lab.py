@@ -20,6 +20,7 @@ from .errors import ContractError, DimensionError, ParameterError
 
 _NORM_TOL = 1e-9
 BOUND_SLACK = 1e-9  # numerical slack allowed on deviation <= delta
+MC_BUDGET = 2000  # random supports per cell when exact enumeration is over the cap
 
 
 def _row_dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -141,8 +142,9 @@ class SweepResult:
             )
         return buf.getvalue()
 
-    def to_matrix(self, kind: str, value: str = "mean_dev") -> str:
-        """Gnuplot-ready matrix (rows = m, cols = k) for one kind and fixed n."""
+    def to_matrix(self, kind: str) -> str:
+        """Gnuplot-ready mean-deviation matrix (rows = m, cols = k) for one kind
+        and fixed n."""
         cells = [c for c in self.cells if c.kind == kind]
         ms = sorted({c.m for c in cells})
         ks = sorted({c.k for c in cells})
@@ -151,7 +153,7 @@ class SweepResult:
             row = []
             for k in ks:
                 match = [c for c in cells if c.m == m and c.k == k]
-                row.append(repr(getattr(match[0], value)) if match else "nan")
+                row.append(repr(match[0].mean_dev) if match else "nan")
             lines.append(" ".join(row))
         return "\n".join(lines) + "\n"
 
@@ -160,17 +162,17 @@ def _cell_rng_seed(seed: int, index: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=seed, spawn_key=(0xCE, index))
 
 
-def _run_cell(kind: str, m: int, n: int, k: int, index: int, trials: int, seed: int,
-              enumeration_cap: int, mc_budget: int) -> SweepCell:
+def _run_cell(kind: str, m: int, n: int, k: int, index: int, trials: int,
+              seed: int) -> SweepCell:
     rng = np.random.default_rng(_cell_rng_seed(seed, index))
     op_seed = int(rng.integers(0, 2**31 - 1))
     op = sensing.sample_operator(kind, m, n, op_seed)
     pairs = _unit_ksparse(rng, 2 * trials, n, k)  # x_t, x'_t interleaved, as drawn
     devs, post = pair_deviations(op, pairs[0::2], pairs[1::2])
-    if math.comb(n, 2 * k) <= enumeration_cap:
-        est = sensing.estimate_rip(op, k, sensing.EXACT_ENUMERATION, cap=enumeration_cap)
+    if math.comb(n, 2 * k) <= sensing.ENUMERATION_CAP:
+        est = sensing.estimate_rip(op, k, sensing.EXACT_ENUMERATION)
     else:
-        est = sensing.estimate_rip(op, k, sensing.MONTE_CARLO, budget=mc_budget, seed=op_seed)
+        est = sensing.estimate_rip(op, k, sensing.MONTE_CARLO, budget=MC_BUDGET, seed=op_seed)
     return SweepCell(
         kind=kind, m=m, n=n, k=k,
         mean_dev=float(devs.mean()), max_dev=float(devs.max()),
@@ -179,9 +181,7 @@ def _run_cell(kind: str, m: int, n: int, k: int, index: int, trials: int, seed: 
     )
 
 
-def attention_similarity_sweep(kinds, ms, ns, ks, trials: int, seed: int,
-                               enumeration_cap: int = sensing.ENUMERATION_CAP,
-                               mc_budget: int = 2000) -> SweepResult:
+def attention_similarity_sweep(kinds, ms, ns, ks, trials: int, seed: int) -> SweepResult:
     """Mean/max deviation and delta estimate per (kind, m, n, k) cell.
 
     Cells run in deterministic grid order; (m, n) pairs the kind's ensemble
@@ -203,7 +203,7 @@ def attention_similarity_sweep(kinds, ms, ns, ks, trials: int, seed: int,
                     continue
                 specs.extend((kind, m, n, k) for k in ks if 2 * k <= min(m, n))
     return SweepResult(cells=[
-        _run_cell(kind, m, n, k, index, trials, seed, enumeration_cap, mc_budget)
+        _run_cell(kind, m, n, k, index, trials, seed)
         for index, (kind, m, n, k) in enumerate(specs)
     ])
 

@@ -210,6 +210,8 @@ def verify_bound(ctx, out_dir, config_path, kinds, m_list, n_list, k_list,
                    out=out_dir, kinds=kinds, m_list=m_list, n_list=n_list,
                    k_list=k_list, trials=trials, seed=seed, emit_matrix=emit_matrix)
     kind_names = [k.strip() for k in cfg["kinds"].split(",") if k.strip()]
+    if not kind_names:
+        raise click.UsageError("--kinds must name at least one value")
     try:
         result = bound_lab.attention_similarity_sweep(
             kinds=kind_names,
@@ -220,6 +222,10 @@ def verify_bound(ctx, out_dir, config_path, kinds, m_list, n_list, k_list,
         )
     except (EnumerationCapExceeded, *_USAGE_ERRORS) as exc:
         raise click.UsageError(str(exc))
+    if not result.cells:
+        raise click.UsageError(
+            "the grid has no cell: no kind has a member of any (m, n) with 2k <= min(m, n)"
+        )
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     (out / "sweep.csv").write_text(result.to_csv())
@@ -479,6 +485,24 @@ def eval_cmd(ctx, ckpt_path, dataset_dir, out_dir, config_path, split, image_dir
 _REPORT_FIELDS = ("mse", "mae", "psnr", "ssim", "fpr")
 
 
+def _run_file(path: Path) -> dict:
+    """The JSON object a finished run wrote to ``path``; UsageError naming the
+    file when it is not one."""
+    try:
+        value = json.loads(path.read_text())
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise click.UsageError(f"cannot read {path}: {exc}")
+    if not isinstance(value, dict):
+        raise click.UsageError(f"{path} does not hold a JSON object")
+    return value
+
+
+def _is_stat(cell) -> bool:
+    """A {mean, std} pair of numbers, as ``MetricReport.aggregate`` writes it."""
+    return isinstance(cell, dict) and all(type(cell.get(k)) in (int, float)
+                                          for k in ("mean", "std"))
+
+
 @main.command("report")
 @click.option("--runs", "runs_dir", required=True,
               help="Directory whose subdirectories are solve/eval runs.")
@@ -495,8 +519,15 @@ def report_cmd(runs_dir, out_dir):
         record_file = sub / "run_record.json"
         if not agg_file.exists() or not record_file.exists():
             continue
-        agg = json.loads(agg_file.read_text())["aggregate"]
-        record = json.loads(record_file.read_text())
+        agg = _run_file(agg_file).get("aggregate")
+        if not isinstance(agg, dict) or not all(_is_stat(agg.get(f)) for f in _REPORT_FIELDS):
+            raise click.UsageError(
+                f"{agg_file} lacks a numeric mean and std under 'aggregate' for each of "
+                + ", ".join(_REPORT_FIELDS)
+            )
+        record = _run_file(record_file)
+        if "command" not in record or not isinstance(record.get("config"), dict):
+            raise click.UsageError(f"{record_file} lacks its command or config object")
         label = record["config"].get("model") or record["config"].get("method") or "?"
         rows.append({
             "run": sub.name,

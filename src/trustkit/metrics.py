@@ -40,15 +40,13 @@ def rmse(pred, target) -> float:
     return math.sqrt(mse(pred, target))
 
 
-def psnr(pred, target, max_value: float = 1.0) -> float:
-    """20 * log10(MAX / RMSE), with RMSE floored at 1e-12."""
-    if max_value <= 0:
-        raise ParameterError(f"max_value must be > 0, got {max_value}")
-    return _psnr_db(rmse(pred, target), max_value)
+def psnr(pred, target) -> float:
+    """20 * log10(1 / RMSE) for a dynamic range of 1, with RMSE floored at 1e-12."""
+    return _psnr_db(rmse(pred, target))
 
 
-def _psnr_db(rmse_value: float, max_value: float = 1.0) -> float:
-    return 20.0 * math.log10(max_value / max(rmse_value, PSNR_RMSE_FLOOR))
+def _psnr_db(rmse_value: float) -> float:
+    return 20.0 * math.log10(1.0 / max(rmse_value, PSNR_RMSE_FLOOR))
 
 
 @dataclass
@@ -78,13 +76,10 @@ def fpr(pred, target, thresholds: FprThresholds | None = None) -> float:
     return float(np.count_nonzero(hallucinated)) / pred.size
 
 
-fdr = fpr
-
-
-def ssim_tensor(pred: nd.Tensor, target: nd.Tensor, window: int = SSIM_WINDOW,
-                c1: float = SSIM_C1, c2: float = SSIM_C2) -> nd.Tensor:
-    """Mean SSIM over sliding uniform windows, built from autodiff primitives
-    so the gradient flows when either input tracks gradients.
+def ssim_tensor(pred: nd.Tensor, target: nd.Tensor) -> nd.Tensor:
+    """Mean SSIM over sliding SSIM_WINDOW-wide uniform windows, built from
+    autodiff primitives so the gradient flows when either input tracks
+    gradients.
 
     Inputs are one (H, W) image, giving a scalar, or a (B, H, W) stack,
     giving the (B,) per-image SSIM; the stack is filtered in one pass.
@@ -96,7 +91,7 @@ def ssim_tensor(pred: nd.Tensor, target: nd.Tensor, window: int = SSIM_WINDOW,
         raise DimensionError(f"ssim expects (H, W) or (B, H, W), got {pred.data.shape}")
 
     def box(t):
-        return nd.box_filter(t, window)
+        return nd.box_filter(t, SSIM_WINDOW)
 
     mu_p = box(pred)
     mu_t = box(target)
@@ -107,23 +102,21 @@ def ssim_tensor(pred: nd.Tensor, target: nd.Tensor, window: int = SSIM_WINDOW,
     var_t = nd.sub(box(nd.mul(target, target)), mu_tt)
     cov = nd.sub(box(nd.mul(pred, target)), mu_pt)
 
-    num = nd.mul(nd.scalar_add(nd.scalar_mul(mu_pt, 2.0), c1),
-                 nd.scalar_add(nd.scalar_mul(cov, 2.0), c2))
-    den = nd.mul(nd.scalar_add(nd.add(mu_pp, mu_tt), c1),
-                 nd.scalar_add(nd.add(var_p, var_t), c2))
+    num = nd.mul(nd.scalar_add(nd.scalar_mul(mu_pt, 2.0), SSIM_C1),
+                 nd.scalar_add(nd.scalar_mul(cov, 2.0), SSIM_C2))
+    den = nd.mul(nd.scalar_add(nd.add(mu_pp, mu_tt), SSIM_C1),
+                 nd.scalar_add(nd.add(var_p, var_t), SSIM_C2))
     ratio = nd.div(num, den)
     if pred.data.ndim == 2:
         return nd.reduce_mean(ratio)
     return nd.reduce_mean(nd.reshape(ratio, (pred.data.shape[0], -1)), axis=1)
 
 
-def ssim(pred, target, window: int = SSIM_WINDOW, c1: float = SSIM_C1,
-         c2: float = SSIM_C2) -> float:
+def ssim(pred, target) -> float:
     """Scalar SSIM of two (H, W) arrays (no gradient tracking)."""
     return ssim_tensor(
         nd.Tensor(np.asarray(pred, dtype=np.float64)),
         nd.Tensor(np.asarray(target, dtype=np.float64)),
-        window=window, c1=c1, c2=c2,
     ).item()
 
 
@@ -137,15 +130,13 @@ class ImageMetrics:
     fpr: float
 
 
-def score_image(pred, target, thresholds: FprThresholds | None = None,
-                window: int = SSIM_WINDOW) -> ImageMetrics:
+def score_image(pred, target, thresholds: FprThresholds | None = None) -> ImageMetrics:
     pred = np.asarray(pred, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
-    return score_batch(pred[None], target[None], thresholds, window)[0]
+    return score_batch(pred[None], target[None], thresholds)[0]
 
 
-def score_batch(preds, targets, thresholds: FprThresholds | None = None,
-                window: int = SSIM_WINDOW) -> list[ImageMetrics]:
+def score_batch(preds, targets, thresholds: FprThresholds | None = None) -> list[ImageMetrics]:
     """Score every image of a (B, H, W) stack against its target in one pass.
 
     Each row equals what ``mse``, ``mae``, ``rmse``, ``psnr``, ``ssim`` and
@@ -161,7 +152,7 @@ def score_batch(preds, targets, thresholds: FprThresholds | None = None,
     diff = (preds - targets).reshape(b, -1)
     mses = np.mean(diff**2, axis=1)
     maes = np.mean(np.abs(diff), axis=1)
-    ssims = ssim_tensor(nd.Tensor(preds), nd.Tensor(targets), window=window).data
+    ssims = ssim_tensor(nd.Tensor(preds), nd.Tensor(targets)).data
     hallucinated = (preds > thresholds.t_high) & (targets <= thresholds.t_low)
     fprs = np.count_nonzero(hallucinated.reshape(b, -1), axis=1) / diff.shape[1]
     return [
@@ -185,13 +176,10 @@ class MetricReport:
 
     rows: list[ImageMetrics] = field(default_factory=list)
     thresholds: FprThresholds = field(default_factory=FprThresholds)
-    ssim_window: int = SSIM_WINDOW
-    ssim_c1: float = SSIM_C1
-    ssim_c2: float = SSIM_C2
 
     def extend(self, preds, targets) -> None:
         """Score and append every image of a (B, H, W) stack."""
-        self.rows.extend(score_batch(preds, targets, self.thresholds, self.ssim_window))
+        self.rows.extend(score_batch(preds, targets, self.thresholds))
 
     def aggregate(self) -> dict:
         out = {}
@@ -218,9 +206,9 @@ class MetricReport:
                 "parameters": {
                     "t_high": self.thresholds.t_high,
                     "t_low": self.thresholds.t_low,
-                    "ssim_window": self.ssim_window,
-                    "ssim_c1": self.ssim_c1,
-                    "ssim_c2": self.ssim_c2,
+                    "ssim_window": SSIM_WINDOW,
+                    "ssim_c1": SSIM_C1,
+                    "ssim_c2": SSIM_C2,
                     "psnr_max": 1.0,
                     "psnr_rmse_floor": PSNR_RMSE_FLOOR,
                 },

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 from ..errors import ParameterError
 
@@ -168,15 +168,10 @@ LOSS_KINDS = ("l2", "l2_l1", "l2_ssim")
 @dataclass(frozen=True)
 class TrainConfig:
     loss_kind: str = "l2_ssim"
-    lambda_l1: float = 0.1
-    lambda_ssim: float = 0.5
     learning_rate: float = 1e-4
     batch_size: int = 16
     epochs: int = 20
     seed: int = 0
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
 
     def __post_init__(self):
         if self.loss_kind not in LOSS_KINDS:
@@ -185,6 +180,3 @@ class TrainConfig:
             raise ParameterError("learning_rate must be >= 0")
         if self.batch_size < 1 or self.epochs < 1:
             raise ParameterError("batch_size and epochs must be >= 1")
-
-    def to_dict(self) -> dict:
-        return asdict(self)

@@ -8,9 +8,11 @@ from .. import ndtensor as nd
 from ..errors import ParameterError
 from ..metrics import ssim_tensor
 
+LAMBDA_L1 = 0.1  # weight of the mean absolute error in "l2_l1"
+LAMBDA_SSIM = 0.5  # weight of 1 - SSIM in "l2_ssim"
 
-def sample_losses(kind: str, pred: nd.Tensor, target, lambda_l1: float = 0.1,
-                  lambda_ssim: float = 0.5) -> nd.Tensor:
+
+def sample_losses(kind: str, pred: nd.Tensor, target) -> nd.Tensor:
     """Per-image loss of a (B, S, S) prediction stack, shape (B,); an (S, S)
     image counts as a stack of one. Differentiable through ``pred``."""
     if not isinstance(target, nd.Tensor):
@@ -28,14 +30,13 @@ def sample_losses(kind: str, pred: nd.Tensor, target, lambda_l1: float = 0.1,
     if kind == "l2":
         return l2
     if kind == "l2_l1":
-        return nd.add(l2, nd.scalar_mul(image_mean(nd.absolute(diff)), lambda_l1))
+        return nd.add(l2, nd.scalar_mul(image_mean(nd.absolute(diff)), LAMBDA_L1))
     if kind == "l2_ssim":
         dissim = nd.scalar_add(nd.scalar_mul(ssim_tensor(pred, target), -1.0), 1.0)
-        return nd.add(l2, nd.scalar_mul(dissim, lambda_ssim))
+        return nd.add(l2, nd.scalar_mul(dissim, LAMBDA_SSIM))
     raise ParameterError(f"unknown loss kind {kind!r}")
 
 
-def loss(kind: str, pred: nd.Tensor, target, lambda_l1: float = 0.1,
-         lambda_ssim: float = 0.5) -> nd.Tensor:
+def loss(kind: str, pred: nd.Tensor, target) -> nd.Tensor:
     """Scalar training loss: the mean of ``sample_losses`` over the batch."""
-    return nd.reduce_mean(sample_losses(kind, pred, target, lambda_l1, lambda_ssim))
+    return nd.reduce_mean(sample_losses(kind, pred, target))

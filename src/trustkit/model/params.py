@@ -213,17 +213,21 @@ def checkpoint_load(path: str | Path) -> tuple[dict[str, nd.Tensor], dict]:
     path = Path(path)
     try:
         manifest = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"unreadable checkpoint manifest {path}: {exc}") from exc
     if not isinstance(manifest, dict):
         raise CheckpointError(f"checkpoint manifest {path} does not hold a JSON object")
-    if manifest.get("format_version") != CHECKPOINT_VERSION:
+    version = manifest.get("format_version")
+    if type(version) is not int or version != CHECKPOINT_VERSION:  # 1.0 and true are not 1
         raise CheckpointError(
-            f"checkpoint format version {manifest.get('format_version')} != {CHECKPOINT_VERSION}"
+            f"checkpoint format version {version} != {CHECKPOINT_VERSION}"
         )
     missing = [key for key in _MANIFEST_KEYS if key not in manifest]
     if missing:
         raise CheckpointError(f"checkpoint manifest {path} lacks {', '.join(missing)}")
+    for key in ("blob", "blob_sha256"):
+        if not isinstance(manifest[key], str):
+            raise CheckpointError(f"checkpoint manifest {path}: {key!r} must be a string")
     if not isinstance(manifest["tensors"], list) or \
             not all(_is_tensor_entry(t) for t in manifest["tensors"]):
         raise CheckpointError(
@@ -233,7 +237,7 @@ def checkpoint_load(path: str | Path) -> tuple[dict[str, nd.Tensor], dict]:
     blob_file = path.parent / manifest["blob"]
     try:
         blob = blob_file.read_bytes()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the name
         raise CheckpointError(f"unreadable checkpoint blob {blob_file}: {exc}") from exc
     if hashlib.sha256(blob).hexdigest() != manifest["blob_sha256"]:
         raise CheckpointError(f"checkpoint blob digest mismatch for {blob_file}")
@@ -276,7 +280,7 @@ def config_from_manifest(manifest: dict):
         raise CheckpointError(f"checkpoint names {exc}") from None
     try:
         return config_class(**manifest["config"])
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:  # ValueError covers ParameterError
         raise CheckpointError(
             f"checkpoint config does not fit {config_class.__name__}: {exc}"
         ) from None

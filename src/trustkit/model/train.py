@@ -16,29 +16,31 @@ from .params import checkpoint_save, init_params, model_spec
 
 
 PREDICT_CHUNK = 4  # samples per forward when evaluating; bounds the transient memory
+# Adam's decay rates of the first and second moment, and its denominator guard
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class Adam:
     """Adaptive moment estimation with bias correction."""
 
-    def __init__(self, params: dict[str, nd.Tensor], lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: dict[str, nd.Tensor], lr: float):
         self.params = params
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
 
     def step(self) -> None:
         self.t += 1
-        b1c = 1.0 - self.beta1**self.t
-        b2c = 1.0 - self.beta2**self.t
+        b1c = 1.0 - ADAM_BETA1**self.t
+        b2c = 1.0 - ADAM_BETA2**self.t
         for name, p in self.params.items():
             g = p.grad if p.grad is not None else 0.0
-            self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * g * g
-            p.data -= self.lr * (self.m[name] / b1c) / (np.sqrt(self.v[name] / b2c) + self.eps)
+            self.m[name] = ADAM_BETA1 * self.m[name] + (1.0 - ADAM_BETA1) * g
+            self.v[name] = ADAM_BETA2 * self.v[name] + (1.0 - ADAM_BETA2) * g * g
+            p.data -= self.lr * (self.m[name] / b1c) / (np.sqrt(self.v[name] / b2c) + ADAM_EPS)
 
     def zero_grad(self) -> None:
         nd.zero_grads(self.params.values())
@@ -112,8 +114,7 @@ def evaluate(model_kind: str, params: dict[str, nd.Tensor], model_cfg,
     losses, rows = [], []
     for lo, pred in predict(model_kind, params, model_cfg, observations):
         x = targets[lo : lo + len(pred.data)]
-        losses.extend(sample_losses(train_cfg.loss_kind, pred, x, train_cfg.lambda_l1,
-                                    train_cfg.lambda_ssim).data.tolist())
+        losses.extend(sample_losses(train_cfg.loss_kind, pred, x).data.tolist())
         rows.extend(metrics.score_batch(pred.data, x))
     n = max(len(losses), 1)
     return (
@@ -129,8 +130,7 @@ def batch_loss(model_kind: str, params: dict[str, nd.Tensor], model_cfg,
                observations: np.ndarray) -> nd.Tensor:
     """Mean training loss of a (B, S, S) batch as one graph: one forward, one loss."""
     pred = model_spec(model_kind).forward(params, model_cfg, observations)
-    return make_loss(train_cfg.loss_kind, pred, targets, train_cfg.lambda_l1,
-                     train_cfg.lambda_ssim)
+    return make_loss(train_cfg.loss_kind, pred, targets)
 
 
 def train(model_kind: str, model_cfg, train_cfg: TrainConfig, train_data,
@@ -146,8 +146,7 @@ def train(model_kind: str, model_cfg, train_cfg: TrainConfig, train_data,
     """
     if params is None:
         params = init_params(model_kind, model_cfg)
-    adam = Adam(params, train_cfg.learning_rate, train_cfg.adam_beta1,
-                train_cfg.adam_beta2, train_cfg.adam_eps)
+    adam = Adam(params, train_cfg.learning_rate)
     shuffle_rng = np.random.default_rng(
         np.random.SeedSequence(entropy=train_cfg.seed, spawn_key=(0x5,))
     )

@@ -32,56 +32,14 @@ class Tensor:
         self._vjp: Callable[[np.ndarray], None] | None = None
         self._serial = next(_serial)
 
-    # ---- introspection ---------------------------------------------------
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ContractError(f"item() on tensor of shape {self.data.shape}")
         return float(self.data.reshape(()))
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.data.shape}{tag}, requires_grad={self.requires_grad})"
-
-    # ---- operator sugar ---------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other) if isinstance(other, Tensor) else scalar_add(self, other)
-
-    def __radd__(self, other):
-        return scalar_add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other) if isinstance(other, Tensor) else scalar_add(self, -other)
-
-    def __rsub__(self, other):
-        return scalar_add(scalar_mul(self, -1.0), other)
-
-    def __mul__(self, other):
-        return mul(self, other) if isinstance(other, Tensor) else scalar_mul(self, other)
-
-    def __rmul__(self, other):
-        return scalar_mul(self, other)
-
-    def __truediv__(self, other):
-        return div(self, other) if isinstance(other, Tensor) else scalar_mul(self, 1.0 / other)
-
-    def __neg__(self):
-        return scalar_mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def backward(self) -> None:
         backward(self)
@@ -131,7 +89,7 @@ class Tape:
 def backward(loss: Tensor) -> None:
     """Populate ``grad`` on every tensor the scalar ``loss`` depends on.
 
-    Repeated calls accumulate; use ``zero_grad`` between steps.
+    Repeated calls accumulate; use ``zero_grads`` between steps.
     """
     Tape.trace(loss).backward(loss)
 
@@ -139,15 +97,6 @@ def backward(loss: Tensor) -> None:
 def zero_grads(tensors: Iterable[Tensor]) -> None:
     for t in tensors:
         t.grad = None
-
-
-def check_finite(root: Tensor) -> None:
-    """Scan the graph under ``root`` and raise on any NaN/Inf value."""
-    for t in Tape.trace(root).nodes:
-        if not np.isfinite(t.data).all():
-            raise ContractError(
-                f"non-finite values in tensor {t.name or '<unnamed>'} of shape {t.data.shape}"
-            )
 
 
 # ---- op plumbing -----------------------------------------------------------

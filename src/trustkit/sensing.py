@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from itertools import combinations, islice
-from pathlib import Path
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -60,7 +58,6 @@ class SensingOperator:
     n: int
     seed: int
     matrix: np.ndarray
-    column_normalized: bool = False
     mask: np.ndarray | None = None
     solver_plan: SolverPlan | None = field(default=None, init=False, repr=False,
                                            compare=False)
@@ -89,8 +86,7 @@ def shape_violation(kind: str, m: int, n: int) -> str | None:
     return None if holds(m, n) else f"{kind} requires {requirement}, got {m}x{n}"
 
 
-def sample_operator(kind: str, m: int, n: int, seed: int,
-                    column_normalized: bool = False) -> SensingOperator:
+def sample_operator(kind: str, m: int, n: int, seed: int) -> SensingOperator:
     """Draw a deterministic operator of the given ensemble.
 
     Gaussian entries are i.i.d. N(0, 1/m); orthonormal kinds come from the
@@ -113,10 +109,7 @@ def sample_operator(kind: str, m: int, n: int, seed: int,
         a = np.eye(n)
     else:  # GAUSSIAN_FAT, DENSE: i.i.d. Gaussian (DENSE is the square forward model)
         a = rng.standard_normal((m, n)) / math.sqrt(m)
-        if column_normalized:
-            a = a / np.linalg.norm(a, axis=0, keepdims=True)
-    return SensingOperator(kind, m, n, seed, np.ascontiguousarray(a),
-                           column_normalized=column_normalized, mask=mask)
+    return SensingOperator(kind, m, n, seed, np.ascontiguousarray(a), mask=mask)
 
 
 def fourier_from_keep(n: int, keep: float, seed: int) -> SensingOperator:
@@ -173,14 +166,6 @@ def apply(op: SensingOperator, x: np.ndarray, noise_sigma: float = 0.0,
     return y
 
 
-def adjoint(op: SensingOperator, r: np.ndarray) -> np.ndarray:
-    """A^T r (the conjugate-transpose map for the real-stacked Fourier kind)."""
-    r = np.asarray(r, dtype=np.float64)
-    if r.shape != (op.m,):
-        raise DimensionError(f"adjoint expects length-{op.m} vector, got shape {r.shape}")
-    return op.matrix.T @ r
-
-
 EXACT_ENUMERATION = "exact_enumeration"
 MONTE_CARLO = "monte_carlo"
 
@@ -200,17 +185,16 @@ class RipEstimate:
 
 
 def estimate_rip(op: SensingOperator, k: int, method: str = EXACT_ENUMERATION,
-                 budget: int = 10_000, seed: int = 0,
-                 cap: int = ENUMERATION_CAP) -> RipEstimate:
+                 budget: int = 10_000, seed: int = 0) -> RipEstimate:
     """Estimate delta_2k, the smallest c with (1-c)|z|^2 <= |Az|^2 <= (1+c)|z|^2
     over 2k-sparse z.
 
     Exact enumeration scans every size-2k support and the eigenvalues of its
     Gram matrix; it refuses (never silently falls back) when C(n, 2k) exceeds
-    the cap. Supports stream from ``itertools.combinations`` in chunks: each
-    chunk gathers its columns into one (chunk, 2k, m) stack, forms all its
-    Grams in one batched matmul and takes their eigenvalues in one
-    ``eigvalsh`` call. A chunk holds about 1 MiB of gathered columns (at
+    ENUMERATION_CAP. Supports stream from ``itertools.combinations`` in
+    chunks: each chunk gathers its columns into one (chunk, 2k, m) stack,
+    forms all its Grams in one batched matmul and takes their eigenvalues in
+    one ``eigvalsh`` call. A chunk holds about 1 MiB of gathered columns (at
     least one support), so peak memory stays a few MiB however many
     supports there are. Monte Carlo maxes |(|Az|^2 - 1)| over random unit 2k-sparse draws and is
     therefore a lower bound.
@@ -224,9 +208,9 @@ def estimate_rip(op: SensingOperator, k: int, method: str = EXACT_ENUMERATION,
         )
     if method == EXACT_ENUMERATION:
         n_supports = math.comb(op.n, order)
-        if n_supports > cap:
+        if n_supports > ENUMERATION_CAP:
             raise EnumerationCapExceeded(
-                f"C({op.n}, {order}) = {n_supports} supports exceeds cap {cap}; "
+                f"C({op.n}, {order}) = {n_supports} supports exceeds cap {ENUMERATION_CAP}; "
                 "request monte_carlo explicitly instead"
             )
         columns = np.ascontiguousarray(op.matrix.T)
@@ -262,47 +246,3 @@ def _gram_stack(columns: np.ndarray, supports: np.ndarray) -> np.ndarray:
     """
     sub_t = columns[supports]
     return sub_t @ sub_t.transpose(0, 2, 1)
-
-
-# ---- serialization ----------------------------------------------------------
-
-
-def save_operator(op: SensingOperator, path: str | Path) -> None:
-    """JSON header next to a little-endian f64 blob (dense kinds) or an
-    embedded index list (masked Fourier)."""
-    path = Path(path)
-    header = {
-        "kind": op.kind,
-        "m": op.m,
-        "n": op.n,
-        "seed": op.seed,
-        "flags": {"column_normalized": op.column_normalized},
-    }
-    if op.kind == FOURIER_MASKED:
-        header["mask"] = [int(i) for i in op.mask]
-    else:
-        header["coefficients"] = path.with_suffix(".bin").name
-        path.with_suffix(".bin").write_bytes(
-            np.ascontiguousarray(op.matrix, dtype="<f8").tobytes()
-        )
-    path.write_text(json.dumps(header, sort_keys=True, indent=2) + "\n")
-
-
-def load_operator(path: str | Path) -> SensingOperator:
-    path = Path(path)
-    header = json.loads(path.read_text())
-    kind, m, n = header["kind"], header["m"], header["n"]
-    if kind == FOURIER_MASKED:
-        mask = np.asarray(header["mask"], dtype=np.intp)
-        matrix = _fourier_rows(n, mask)
-        return SensingOperator(kind, m, n, header["seed"], matrix,
-                               column_normalized=header["flags"]["column_normalized"],
-                               mask=mask)
-    blob = (path.parent / header["coefficients"]).read_bytes()
-    matrix = np.frombuffer(blob, dtype="<f8")
-    if matrix.size != m * n:
-        raise DimensionError(
-            f"coefficient blob holds {matrix.size} values, expected {m * n}"
-        )
-    return SensingOperator(kind, m, n, header["seed"], matrix.reshape(m, n).copy(),
-                           column_normalized=header["flags"]["column_normalized"])

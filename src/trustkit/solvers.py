@@ -4,11 +4,9 @@ from observation-target pairs."""
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
@@ -19,6 +17,12 @@ from .errors import DimensionError, ParameterError, SingularMatrixError
 # singular value counts as zero: sqrt(float64 eps), so a column that only
 # rounding error separates from the span of the others adds no rank.
 _RANK_TOL = math.sqrt(np.finfo(np.float64).eps)
+
+# Power iteration for the Lipschitz constant: relative change that stops it,
+# the iteration cap, and the seed of its start vector.
+_POWER_TOL = 1e-10
+_POWER_MAX_ITER = 1000
+_POWER_SEED = 0
 
 
 @dataclass
@@ -46,28 +50,6 @@ class RecoveryResult:
     converged: bool
     rank_deficient: bool = False
     objective_history: list[float] = field(default_factory=list)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "support": [int(i) for i in self.support],
-                "iterations": self.iterations_used,
-                "converged": self.converged,
-                "final_residual": self.residual_norm_history[-1]
-                if self.residual_norm_history
-                else 0.0,
-                "rank_deficient": self.rank_deficient,
-            },
-            sort_keys=True,
-        )
-
-    def save(self, path: str | Path) -> None:
-        """JSON summary next to a raw little-endian f64 blob of the estimate."""
-        path = Path(path)
-        path.write_text(self.to_json() + "\n")
-        path.with_suffix(".x.bin").write_bytes(
-            np.ascontiguousarray(self.x_hat, dtype="<f8").tobytes()
-        )
 
 
 def _ls_on_support(a: np.ndarray, y: np.ndarray, support: list[int]):
@@ -158,18 +140,17 @@ def shrink(v: np.ndarray, t: float) -> np.ndarray:
     return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
 
 
-def lipschitz_constant(a: np.ndarray, tol: float = 1e-10, max_iter: int = 1000,
-                       seed: int = 0, gram: np.ndarray | None = None) -> float:
+def lipschitz_constant(a: np.ndarray, gram: np.ndarray | None = None) -> float:
     """sigma_max(A)^2 by power iteration on A^T A, with perturbation restart
     if an unlucky start collapses. Pass ``gram`` when A^T A is already formed."""
     if gram is None:
         gram = a.T @ a
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_POWER_SEED)
     v = rng.standard_normal(a.shape[1])
     v /= np.linalg.norm(v)
     w = gram @ v
     lam = 0.0
-    for _ in range(max_iter):
+    for _ in range(_POWER_MAX_ITER):
         nw = np.linalg.norm(w)
         if nw <= 1e-300:
             v = rng.standard_normal(a.shape[1])
@@ -179,7 +160,7 @@ def lipschitz_constant(a: np.ndarray, tol: float = 1e-10, max_iter: int = 1000,
         v = w / nw
         w = gram @ v
         new_lam = float(v @ w)
-        if abs(new_lam - lam) <= tol * max(1.0, abs(new_lam)):
+        if abs(new_lam - lam) <= _POWER_TOL * max(1.0, abs(new_lam)):
             return max(new_lam, 1e-300)
         lam = new_lam
     return max(lam, 1e-300)

@@ -235,8 +235,7 @@ def test_stacked_deviations_reject_routes_that_disagree():
 
 def test_cell_matches_per_trial_loop():
     kind, m, n, k, index, trials, seed = sensing.GAUSSIAN_FAT, 10, 16, 3, 2, 40, 5
-    cell = bound_lab._run_cell(kind, m, n, k, index, trials, seed,
-                               enumeration_cap=sensing.ENUMERATION_CAP, mc_budget=10)
+    cell = bound_lab._run_cell(kind, m, n, k, index, trials, seed)
     rng = np.random.default_rng(bound_lab._cell_rng_seed(seed, index))
     op = sensing.sample_operator(kind, m, n, int(rng.integers(0, 2**31 - 1)))
     ref = np.array([_pair_reference(op, _unit_ksparse_one(rng, n, k),

@@ -372,6 +372,30 @@ def _oversized_sweep(tmp, data):
             "--n", "100000000"]
 
 
+def _sweep_without_cells(*flags):
+    def args(tmp, data):
+        return ["verify-bound", "--out", str(tmp / "vb"), *flags]
+    return args
+
+
+def _corrupt_run(corrupt):
+    def args(tmp, data):
+        run = tmp / "runs" / "solve_omp"
+        res = CliRunner().invoke(main, ["solve", "--dataset", str(data), "--out", str(run),
+                                        "--limit", "1"], catch_exceptions=False)
+        assert res.exit_code == 0, res.output
+        agg_file = run / "metrics_aggregate.json"
+        agg_file.write_bytes(corrupt(agg_file.read_bytes()))
+        return ["report", "--runs", str(tmp / "runs")]
+    return args
+
+
+def _without_ssim(blob):
+    meta = json.loads(blob)
+    del meta["aggregate"]["ssim"]
+    return json.dumps(meta).encode()
+
+
 def _sweep_k(k):
     def args(tmp, data):
         return ["verify-bound", "--out", str(tmp / "vb"), "--k", str(k)]
@@ -412,7 +436,11 @@ def _config_seed(tmp, data):
     _missing_dataset, _corrupt_manifest("{not json"), _corrupt_manifest("[1, 2]"),
     _manifest_without_splits, _checkpoint_without_blob, _checkpoint_bad_tensor_entries,
     _checkpoint_for_other_size,
-    _bogus_kind, _oversized_sweep, _sweep_k(0), _sweep_k(-1), _indivisible_heads,
+    _bogus_kind, _oversized_sweep, _sweep_k(0), _sweep_k(-1),
+    _sweep_without_cells("--kinds", ","), _sweep_without_cells("--m", "40", "--n", "12"),
+    _corrupt_run(lambda blob: blob[: len(blob) // 2]), _corrupt_run(lambda blob: b"\xff" + blob),
+    _corrupt_run(_without_ssim),
+    _indivisible_heads,
     _image_size(256), _image_size(0),
     _flags("gen-data", "--seed", "-1"), _flags("verify-bound", "--seed", "-1"),
     _flags("train", "--seed", "-1"), _config_seed,
@@ -423,7 +451,9 @@ def _config_seed(tmp, data):
 ], ids=["missing-dataset", "manifest-not-json", "manifest-not-object",
         "manifest-without-splits", "checkpoint-blob-deleted", "checkpoint-tensors-not-entries",
         "checkpoint-for-other-image-size",
-        "bogus-kind", "oversized-sweep", "k-0", "k-negative", "heads-3", "image-size-256",
+        "bogus-kind", "oversized-sweep", "k-0", "k-negative", "sweep-kinds-empty",
+        "sweep-grid-without-cells", "report-aggregate-not-json",
+        "report-aggregate-not-utf8", "report-aggregate-without-ssim", "heads-3", "image-size-256",
         "image-size-0", "gen-data-seed-negative", "verify-bound-seed-negative",
         "train-seed-negative", "config-file-seed-negative", "omp-max-iter-negative",
         "fista-max-iter-negative", "solve-limit-negative", "train-limit-negative",

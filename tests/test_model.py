@@ -1,10 +1,14 @@
 import json
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from trustkit import model, ndtensor as nd
+from trustkit import dataset, model, ndtensor as nd
 from trustkit.errors import CheckpointError, ContractError, DimensionError, ParameterError
 
 from gradcheck import finite_difference, rel_err
@@ -471,6 +475,13 @@ def test_checkpoint_malformed_tensor_entries(tmp_path, tensors):
         model.checkpoint_load(path)
 
 
+def test_checkpoint_manifest_not_utf8(tmp_path):
+    path = _saved_checkpoint(tmp_path)
+    path.write_bytes(b"\xff" + path.read_bytes())
+    with pytest.raises(CheckpointError, match="unreadable checkpoint manifest"):
+        model.checkpoint_load(path)
+
+
 def test_checkpoint_unknown_model_kind(tmp_path):
     path = _saved_checkpoint(tmp_path)
     manifest = json.loads(path.read_text())
@@ -478,6 +489,97 @@ def test_checkpoint_unknown_model_kind(tmp_path):
     path.write_text(json.dumps(manifest))
     with pytest.raises(CheckpointError, match="unknown model kind 'mlp'"):
         model.checkpoint_load(path)
+
+
+# ---- corrupt checkpoints: typed errors, and eval exits 2 ---------------------------
+
+_CHECKPOINT_ENTRIES = ("format_version", "blob", "blob_sha256", "tensors", "model_kind",
+                       "config")
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@pytest.fixture(scope="module")
+def clean_checkpoint(tmp_path_factory):
+    """An 8 px U-Net checkpoint next to an 8 px dataset that ``eval`` scores it on.
+
+    Its width differs from the default config's, so an empty config dict
+    gives other parameter shapes.
+    """
+    root = tmp_path_factory.mktemp("ckpt")
+    data = root / "ds"
+    dataset.gen_dataset(dataset.DatasetSpec(image_size=8, train=2, val=1, test=2, seed=7), data)
+    cfg = model.UnetConfig(image_size=8, base_channels=2, seed=3)
+    model.checkpoint_save(model.init_params(model.UNET, cfg), model.UNET, cfg, root / "c.json")
+    assert _eval(root / "c.json", data).exit_code == 0
+    return root / "c.json", data
+
+
+def _eval(ckpt, data):
+    from click.testing import CliRunner
+
+    from trustkit.cli import main
+
+    return CliRunner().invoke(main, ["eval", "--checkpoint", str(ckpt), "--dataset", str(data),
+                                     "--out", str(ckpt.parent / "ev")])
+
+
+def _eval_exits_2(ckpt, data):
+    res = _eval(ckpt, data)
+    assert res.exit_code == 2, res.output
+    assert "checkpoint" in res.output and "Traceback" not in res.output
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+
+
+def _copy_checkpoint(src, dst):
+    for name in (src.name, src.name + ".bin"):
+        (dst / name).write_bytes((src.parent / name).read_bytes())
+    return dst / src.name
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(key=st.sampled_from(_CHECKPOINT_ENTRIES), value=_JSON_VALUES)
+@example(key="blob", value=5)
+@example(key="blob", value=None)
+@example(key="blob", value="\x00")
+@example(key="format_version", value=True)
+def test_any_substituted_manifest_entry_is_a_checkpoint_error(clean_checkpoint, key, value):
+    src, data = clean_checkpoint
+    manifest = json.loads(src.read_text())
+    assume(json.dumps(value, sort_keys=True) != json.dumps(manifest[key], sort_keys=True))
+    with tempfile.TemporaryDirectory() as tmp:
+        ckpt = _copy_checkpoint(src, Path(tmp))
+        manifest[key] = value
+        ckpt.write_text(json.dumps(manifest))
+        with pytest.raises(CheckpointError):
+            model.checkpoint_load(ckpt)
+        _eval_exits_2(ckpt, data)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(where=st.floats(0.0, 1.0, exclude_max=True), flip=st.integers(0, 255),
+       truncate=st.booleans())
+def test_flipped_or_truncated_blob_is_a_checkpoint_error(clean_checkpoint, where, flip,
+                                                         truncate):
+    src, data = clean_checkpoint
+    with tempfile.TemporaryDirectory() as tmp:
+        ckpt = _copy_checkpoint(src, Path(tmp))
+        blob_file = Path(tmp) / (ckpt.name + ".bin")
+        blob = bytearray(blob_file.read_bytes())
+        at = int(where * len(blob))
+        if truncate:
+            del blob[at:]
+        else:
+            assume(flip)
+            blob[at] ^= flip
+        blob_file.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match="digest mismatch"):
+            model.checkpoint_load(ckpt)
+        _eval_exits_2(ckpt, data)
 
 
 # ---- model kinds -----------------------------------------------------------------
@@ -532,8 +634,7 @@ def _reference_step_grads(kind, cfg, tcfg, params, data):
     pre-batching train step)."""
     forward = model.model_spec(kind).forward
     nd.zero_grads(params.values())
-    losses = [model.loss(tcfg.loss_kind, forward(params, cfg, y), x, tcfg.lambda_l1,
-                         tcfg.lambda_ssim) for x, y in zip(*data)]
+    losses = [model.loss(tcfg.loss_kind, forward(params, cfg, y), x) for x, y in zip(*data)]
     total = losses[0]
     for extra in losses[1:]:
         total = nd.add(total, extra)

@@ -383,16 +383,3 @@ def test_estimate_operator_rejects_mismatched_or_empty_stacks():
         solvers.estimate_operator(np.ones(5), np.ones(4))
     with pytest.raises(ParameterError, match="at least one pair"):
         solvers.estimate_operator(np.ones((0, 5)), np.ones((0, 4)))
-
-
-def test_result_export(tmp_path):
-    op = _identity_op(4)
-    y = np.array([0.0, 1.0, 0.0, 0.0])
-    res = solvers.omp(op, y, solvers.SolverConfig(sparsity_budget=1))
-    res.save(tmp_path / "result.json")
-    import json
-
-    meta = json.loads((tmp_path / "result.json").read_text())
-    assert meta["support"] == [1]
-    blob = np.frombuffer((tmp_path / "result.x.bin").read_bytes(), dtype="<f8")
-    assert np.array_equal(blob, res.x_hat)
