@@ -5,18 +5,26 @@ Every command accepts both flags and a JSON config file (flags win), echoes
 the fully resolved configuration into a run record next to its outputs, and
 follows a fixed exit-code contract: 0 success, 1 verification failure,
 2 usage or configuration error.
+
+A config file is a JSON object whose keys are those of the run record's
+``config`` object (``out``, ``max_iter``, ``m_list``, ``emit_images``...), one
+per setting; keys a command does not take are ignored. Each entry passes the
+same type and range check as its flag, and ``null`` is accepted only for a
+setting whose default is none (``lam``, ``ridge``, ``emit_images``).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import sys
 import time
 from pathlib import Path
 
 import click
 import numpy as np
+from click.core import ParameterSource
 
 from . import bound_lab, dataset, metrics, model, sensing, solvers
 from .errors import (
@@ -32,6 +40,12 @@ from .errors import (
 _USAGE_ERRORS = (ParameterError, DatasetError, CheckpointError, DimensionError)
 
 _LOSS_TOKENS = {"l2": "l2", "l2l1": "l2_l1", "l2ssim": "l2_ssim"}
+_OPERATOR_TOKENS = {
+    "gaussian": sensing.DENSE,
+    "orthonormal": sensing.ORTHONORMAL_SQUARE,
+    "fourier": sensing.FOURIER_MASKED,
+    "identity": sensing.IDENTITY,
+}
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -46,45 +60,34 @@ def _load_config_file(path: str | None) -> dict:
     return cfg
 
 
-def _resolve(ctx: click.Context, file_cfg: dict, **values) -> dict:
-    """Flags override config-file entries, which override defaults.
+def _resolve(ctx: click.Context) -> dict:
+    """Every setting of the command, keyed by its parameter name: the flag
+    when given on the command line, else the config-file entry, else the
+    default.
 
-    A config-file entry passes the same type and range check as its flag.
+    A config-file entry passes the same type and range check as its flag;
+    ``null`` is a usage error unless the setting's default is none.
     """
-    from click.core import ParameterSource
-
-    options = {}
-    for param in ctx.command.params:
-        options[param.name] = param
-        for opt in param.opts:
-            options.setdefault(opt.lstrip("-").replace("-", "_"), param)
+    file_cfg = _load_config_file(ctx.params["config"])
     resolved = {}
-    for key, flag_value in values.items():
-        src = ctx.get_parameter_source(key)
-        if src == ParameterSource.COMMANDLINE or key not in file_cfg:
-            resolved[key] = flag_value
-        elif key in options:
+    for param in ctx.command.params:
+        key = param.name
+        if key == "config":
+            continue
+        if ctx.get_parameter_source(key) == ParameterSource.COMMANDLINE or key not in file_cfg:
+            resolved[key] = ctx.params[key]
+        elif file_cfg[key] is None and param.default is not None:
+            raise click.UsageError(f"config file entry {key!r} must not be null")
+        else:
             try:
-                resolved[key] = options[key].type_cast_value(ctx, file_cfg[key])
+                resolved[key] = param.type_cast_value(ctx, file_cfg[key])
             except click.BadParameter as exc:
                 raise click.UsageError(f"config file entry {key!r}: {exc.message}")
-        else:
-            resolved[key] = file_cfg[key]
     return resolved
 
 
-def _json_default(value):
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, tuple):
-        return list(value)
-    raise TypeError(f"not JSON serializable: {type(value)}")
-
-
 def _canonical(obj) -> str:
-    return json.dumps(obj, sort_keys=True, default=_json_default)
+    return json.dumps(obj, sort_keys=True)
 
 
 def write_run_record(out_dir: Path, command: str, config: dict,
@@ -103,7 +106,7 @@ def write_run_record(out_dir: Path, command: str, config: dict,
     }
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "run_record.json").write_text(
-        json.dumps(record, sort_keys=True, indent=2, default=_json_default) + "\n"
+        json.dumps(record, sort_keys=True, indent=2) + "\n"
     )
 
 
@@ -111,8 +114,20 @@ def _digest_file(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-# integer flags shared by several commands; an out-of-range value is a usage error (exit 2)
+class _FiniteNonNegative(click.FloatRange):
+    """A float >= 0 that is neither nan nor inf."""
+
+    def convert(self, value, param, ctx):
+        value = super().convert(value, param, ctx)
+        if not math.isfinite(value):
+            self.fail(f"{value} is not a finite number.", param, ctx)
+        return value
+
+
+# types and flags shared by several commands; an out-of-range value is a usage error (exit 2)
 _NON_NEGATIVE = click.IntRange(min=0)
+_FINITE = _FiniteNonNegative(min=0)
+_config_option = click.option("--config", default=None, help="JSON config file; flags override.")
 _seed_option = click.option("--seed", default=0, show_default=True, type=_NON_NEGATIVE)
 _limit_option = click.option("--limit", default=0, show_default=True, type=_NON_NEGATIVE,
                              help="Use at most the first N samples of the split (0: all).")
@@ -128,38 +143,28 @@ def main() -> None:
 
 
 @main.command("gen-data")
-@click.option("--out", "out_dir", default="data", show_default=True)
-@click.option("--config", "config_path", default=None, help="JSON config file; flags override.")
+@click.option("--out", default="data", show_default=True)
+@_config_option
 @click.option("--image-size", default=32, show_default=True)
 @click.option("--train", default=2000, show_default=True)
 @click.option("--val", default=400, show_default=True)
 @click.option("--test", default=400, show_default=True)
 @click.option("--operator", default="gaussian", show_default=True,
-              type=click.Choice(["gaussian", "orthonormal", "fourier", "identity"]))
-@click.option("--keep", default=0.25, show_default=True,
+              type=click.Choice(list(_OPERATOR_TOKENS)))
+@click.option("--keep", default=0.25, show_default=True, type=_FINITE,
               help="Kept-frequency fraction for the fourier operator.")
-@click.option("--noise-sigma", default=0.0, show_default=True)
+@click.option("--noise-sigma", default=0.0, show_default=True, type=_FINITE)
 @_seed_option
-@click.option("--dtype", default="f32", type=click.Choice(["f32", "f64"]), show_default=True)
+@click.option("--dtype", default="f32", type=click.Choice(dataset.DTYPES), show_default=True)
 @click.pass_context
-def gen_data(ctx, out_dir, config_path, image_size, train, val, test, operator,
-             keep, noise_sigma, seed, dtype):
+def gen_data(ctx, **_):
     """Generate a synthetic observation-target dataset with a manifest."""
     started = time.monotonic()
-    cfg = _resolve(ctx, _load_config_file(config_path),
-                   out=out_dir, image_size=image_size, train=train, val=val,
-                   test=test, operator=operator, keep=keep,
-                   noise_sigma=noise_sigma, seed=seed, dtype=dtype)
-    kind_map = {
-        "gaussian": sensing.DENSE,
-        "orthonormal": sensing.ORTHONORMAL_SQUARE,
-        "fourier": sensing.FOURIER_MASKED,
-        "identity": sensing.IDENTITY,
-    }
+    cfg = _resolve(ctx)
     try:
         spec = dataset.DatasetSpec(
             image_size=cfg["image_size"], train=cfg["train"], val=cfg["val"],
-            test=cfg["test"], operator_kind=kind_map[cfg["operator"]],
+            test=cfg["test"], operator_kind=_OPERATOR_TOKENS[cfg["operator"]],
             operator_keep=cfg["keep"], noise_sigma=cfg["noise_sigma"],
             seed=cfg["seed"], dtype=cfg["dtype"],
         )
@@ -188,8 +193,8 @@ def _int_list(text: str, flag: str) -> list[int]:
 
 
 @main.command("verify-bound")
-@click.option("--out", "out_dir", default="bound_run", show_default=True)
-@click.option("--config", "config_path", default=None)
+@click.option("--out", default="bound_run", show_default=True)
+@_config_option
 @click.option("--kinds", default="gaussian_fat,orthonormal_square", show_default=True)
 @click.option("--m", "m_list", default="8,12", show_default=True)
 @click.option("--n", "n_list", default="12", show_default=True)
@@ -199,16 +204,13 @@ def _int_list(text: str, flag: str) -> list[int]:
 @click.option("--matrix", "emit_matrix", is_flag=True,
               help="Also emit a gnuplot-ready mean-deviation matrix per kind.")
 @click.pass_context
-def verify_bound(ctx, out_dir, config_path, kinds, m_list, n_list, k_list,
-                 trials, seed, emit_matrix):
+def verify_bound(ctx, **_):
     """Sweep operator ensembles and check deviation <= delta on exact cells.
 
     Exits 1 if any exactly-enumerated cell violates the bound.
     """
     started = time.monotonic()
-    cfg = _resolve(ctx, _load_config_file(config_path),
-                   out=out_dir, kinds=kinds, m_list=m_list, n_list=n_list,
-                   k_list=k_list, trials=trials, seed=seed, emit_matrix=emit_matrix)
+    cfg = _resolve(ctx)
     kind_names = [k.strip() for k in cfg["kinds"].split(",") if k.strip()]
     if not kind_names:
         raise click.UsageError("--kinds must name at least one value")
@@ -253,32 +255,28 @@ def verify_bound(ctx, out_dir, config_path, kinds, m_list, n_list, k_list,
 
 
 @main.command("solve")
-@click.option("--dataset", "dataset_dir", required=True)
-@click.option("--out", "out_dir", default="solve_run", show_default=True)
-@click.option("--config", "config_path", default=None)
+@click.option("--dataset", required=True)
+@click.option("--out", default="solve_run", show_default=True)
+@_config_option
 @click.option("--method", default="omp", type=click.Choice(["omp", "ista", "fista"]),
               show_default=True)
-@click.option("--operator", "operator_mode", default="known",
+@click.option("--operator", default="known",
               type=click.Choice(["known", "estimated"]), show_default=True)
 @click.option("--split", default="test", show_default=True)
 @click.option("--sparsity", default=0, show_default=True,
               help="Greedy atom budget for omp; 0 means n // 4.")
-@click.option("--lam", default=None, type=float,
+@click.option("--lam", default=None, type=_FINITE,
               help="l1 weight for ista/fista; default 0.05 * |A^T y|_inf per problem.")
-@click.option("--tol", default=1e-6, show_default=True)
+@click.option("--tol", default=1e-6, show_default=True, type=_FINITE)
 @click.option("--max-iter", default=500, show_default=True, type=_NON_NEGATIVE)
-@click.option("--ridge", default=None, type=float,
+@click.option("--ridge", default=None, type=_FINITE,
               help="Ridge for operator estimation; default trace-scaled.")
 @_limit_option
 @click.pass_context
-def solve(ctx, dataset_dir, out_dir, config_path, method, operator_mode, split,
-          sparsity, lam, tol, max_iter, ridge, limit):
+def solve(ctx, **_):
     """Sparse-recover a dataset split with a classical solver and score it."""
     started = time.monotonic()
-    cfg = _resolve(ctx, _load_config_file(config_path),
-                   dataset=dataset_dir, out=out_dir, method=method,
-                   operator=operator_mode, split=split, sparsity=sparsity,
-                   lam=lam, tol=tol, max_iter=max_iter, ridge=ridge, limit=limit)
+    cfg = _resolve(ctx)
     try:
         manifest = dataset.load_manifest(cfg["dataset"])
         data = dataset.load_split(manifest, cfg["split"]).head(cfg["limit"])
@@ -313,7 +311,7 @@ def _solve_split(op, data, cfg):
         max_iterations=cfg["max_iter"], residual_tolerance=cfg["tol"],
         sparsity_budget=budget, lam=cfg["lam"],
     )
-    method = {"omp": solvers.omp, "ista": solvers.ista, "fista": solvers.fista}[cfg["method"]]
+    method = getattr(solvers, cfg["method"])  # looked up per call, so a wrapped solver is seen
     recon = np.stack([method(op, y, solver_cfg).x_hat for y in data.raw()]).reshape(data.x.shape)
     report = metrics.MetricReport()
     report.extend(np.clip(recon, 0.0, 1.0), data.x)
@@ -337,17 +335,17 @@ def _parse_skips(mask: str, n_connections: int) -> tuple[bool, ...]:
 
 
 @main.command("train")
-@click.option("--dataset", "dataset_dir", required=True)
-@click.option("--out", "out_dir", default="train_run", show_default=True)
-@click.option("--config", "config_path", default=None)
-@click.option("--model", "model_kind", default="trust",
-              type=click.Choice(["trust", "unet"]), show_default=True)
-@click.option("--loss", "loss_token", default="l2ssim",
+@click.option("--dataset", required=True)
+@click.option("--out", default="train_run", show_default=True)
+@_config_option
+@click.option("--model", default=model.TRUST,
+              type=click.Choice([model.TRUST, model.UNET]), show_default=True)
+@click.option("--loss", default="l2ssim",
               type=click.Choice(sorted(_LOSS_TOKENS)), show_default=True)
 @click.option("--skips", default="all", show_default=True,
               help="Skip-connection mask: all, none, or per-connection 0/1 list.")
 @click.option("--epochs", default=20, show_default=True)
-@click.option("--lr", default=1e-4, show_default=True)
+@click.option("--lr", default=1e-4, show_default=True, type=_FINITE)
 @click.option("--batch", default=16, show_default=True)
 @_seed_option
 @click.option("--embed-dim", default=64, show_default=True)
@@ -356,15 +354,10 @@ def _parse_skips(mask: str, n_connections: int) -> tuple[bool, ...]:
 @click.option("--base-channels", default=8, show_default=True, help="unet width")
 @_limit_option
 @click.pass_context
-def train_cmd(ctx, dataset_dir, out_dir, config_path, model_kind, loss_token, skips,
-              epochs, lr, batch, seed, embed_dim, depth, heads, base_channels, limit):
+def train_cmd(ctx, **_):
     """Train a reconstruction model; writes checkpoints and an epoch log."""
     started = time.monotonic()
-    cfg = _resolve(ctx, _load_config_file(config_path),
-                   dataset=dataset_dir, out=out_dir, model=model_kind,
-                   loss=loss_token, skips=skips, epochs=epochs, lr=lr, batch=batch,
-                   seed=seed, embed_dim=embed_dim, depth=depth, heads=heads,
-                   base_channels=base_channels, limit=limit)
+    cfg = _resolve(ctx)
     try:
         manifest = dataset.load_manifest(cfg["dataset"])
         size = manifest["image_size"]
@@ -373,7 +366,7 @@ def train_cmd(ctx, dataset_dir, out_dir, config_path, model_kind, loss_token, sk
                 f"observation side {manifest['observation_side']} != image size {size}; "
                 "training needs a square operator dataset"
             )
-        if cfg["model"] == "trust":
+        if cfg["model"] == model.TRUST:
             model_cfg = model.TrustConfig(
                 image_size=size, embed_dim=cfg["embed_dim"], num_heads=cfg["heads"],
                 encoder_depth=cfg["depth"],
@@ -417,21 +410,19 @@ def train_cmd(ctx, dataset_dir, out_dir, config_path, model_kind, loss_token, sk
 
 
 @main.command("eval")
-@click.option("--checkpoint", "ckpt_path", required=True)
-@click.option("--dataset", "dataset_dir", required=True)
-@click.option("--out", "out_dir", default="eval_run", show_default=True)
-@click.option("--config", "config_path", default=None)
+@click.option("--checkpoint", required=True)
+@click.option("--dataset", required=True)
+@click.option("--out", default="eval_run", show_default=True)
+@_config_option
 @click.option("--split", default="test", show_default=True)
-@click.option("--emit-images", "image_dir", default=None,
+@click.option("--emit-images", default=None,
               help="Write (y, x, x_hat) PGM triplets into this directory.")
 @_limit_option
 @click.pass_context
-def eval_cmd(ctx, ckpt_path, dataset_dir, out_dir, config_path, split, image_dir, limit):
+def eval_cmd(ctx, **_):
     """Score a checkpoint on a dataset split; optionally dump PGM images."""
     started = time.monotonic()
-    cfg = _resolve(ctx, _load_config_file(config_path),
-                   checkpoint=ckpt_path, dataset=dataset_dir, out=out_dir,
-                   split=split, emit_images=image_dir, limit=limit)
+    cfg = _resolve(ctx)
     try:
         params, manifest_ckpt = model.checkpoint_load(cfg["checkpoint"])
         model_cfg = model.config_from_manifest(manifest_ckpt)

@@ -21,6 +21,7 @@ from .errors import DatasetError, DimensionError, ParameterError
 
 MANIFEST_VERSION = 1
 SPLITS = ("train", "val", "test")
+DTYPES = ("f32", "f64")  # on-disk precisions
 _SPLIT_KEY = {"train": 0x10, "val": 0x11, "test": 0x12}
 
 
@@ -56,7 +57,7 @@ class DatasetSpec:
             raise ParameterError(f"image_size must be >= 1, got {self.image_size}")
         if self.train < 1 or self.val < 1 or self.test < 1:
             raise ParameterError("split counts must be >= 1")
-        if self.dtype not in ("f32", "f64"):
+        if self.dtype not in DTYPES:
             raise ParameterError(f"dtype must be f32 or f64, got {self.dtype!r}")
 
     def build_operator(self) -> sensing.SensingOperator:
@@ -232,7 +233,7 @@ _STRING = (lambda v: isinstance(v, str), "a string")
 _TOP_KEYS = {
     "image_size": _POSITIVE,
     "observation_side": _POSITIVE,
-    "dtype": (lambda v: v in ("f32", "f64"), "'f32' or 'f64'"),
+    "dtype": (lambda v: v in DTYPES, "'f32' or 'f64'"),
 }
 _OPERATOR_KEYS = {
     "kind": (lambda v: v in sensing.KINDS, f"one of {sensing.KINDS}"),

@@ -11,12 +11,15 @@ from pathlib import Path
 import numpy as np
 
 from . import ndtensor as nd
-from .errors import DimensionError, ParameterError
+from .errors import DimensionError
 
 PSNR_RMSE_FLOOR = 1e-12  # caps a perfect match at 240 dB
 SSIM_C1 = 0.01**2
 SSIM_C2 = 0.03**2
 SSIM_WINDOW = 7
+# a pixel is hallucinated when its prediction > FPR_T_HIGH while its truth <= FPR_T_LOW
+FPR_T_HIGH = 0.5
+FPR_T_LOW = 0.1
 
 
 def _check_shapes(a: np.ndarray, b: np.ndarray) -> None:
@@ -49,30 +52,15 @@ def _psnr_db(rmse_value: float) -> float:
     return 20.0 * math.log10(1.0 / max(rmse_value, PSNR_RMSE_FLOOR))
 
 
-@dataclass
-class FprThresholds:
-    """A pixel is hallucinated when prediction > t_high while truth <= t_low."""
-
-    t_high: float = 0.5
-    t_low: float = 0.1
-
-    def __post_init__(self):
-        if not (0.0 <= self.t_low <= self.t_high <= 1.0):
-            raise ParameterError(
-                f"need 0 <= t_low <= t_high <= 1, got t_low={self.t_low}, t_high={self.t_high}"
-            )
-
-
-def fpr(pred, target, thresholds: FprThresholds | None = None) -> float:
+def fpr(pred, target) -> float:
     """Fraction of hallucinated pixels over the entire image.
 
     The paper's tables label this quantity FDR; both names refer to this
     whole-image-normalized count.
     """
-    thresholds = thresholds or FprThresholds()
     pred, target = np.asarray(pred, dtype=np.float64), np.asarray(target, dtype=np.float64)
     _check_shapes(pred, target)
-    hallucinated = (pred > thresholds.t_high) & (target <= thresholds.t_low)
+    hallucinated = (pred > FPR_T_HIGH) & (target <= FPR_T_LOW)
     return float(np.count_nonzero(hallucinated)) / pred.size
 
 
@@ -130,19 +118,18 @@ class ImageMetrics:
     fpr: float
 
 
-def score_image(pred, target, thresholds: FprThresholds | None = None) -> ImageMetrics:
+def score_image(pred, target) -> ImageMetrics:
     pred = np.asarray(pred, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
-    return score_batch(pred[None], target[None], thresholds)[0]
+    return score_batch(pred[None], target[None])[0]
 
 
-def score_batch(preds, targets, thresholds: FprThresholds | None = None) -> list[ImageMetrics]:
+def score_batch(preds, targets) -> list[ImageMetrics]:
     """Score every image of a (B, H, W) stack against its target in one pass.
 
     Each row equals what ``mse``, ``mae``, ``rmse``, ``psnr``, ``ssim`` and
     ``fpr`` give for that image alone.
     """
-    thresholds = thresholds or FprThresholds()
     preds = np.asarray(preds, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     _check_shapes(preds, targets)
@@ -153,7 +140,7 @@ def score_batch(preds, targets, thresholds: FprThresholds | None = None) -> list
     mses = np.mean(diff**2, axis=1)
     maes = np.mean(np.abs(diff), axis=1)
     ssims = ssim_tensor(nd.Tensor(preds), nd.Tensor(targets)).data
-    hallucinated = (preds > thresholds.t_high) & (targets <= thresholds.t_low)
+    hallucinated = (preds > FPR_T_HIGH) & (targets <= FPR_T_LOW)
     fprs = np.count_nonzero(hallucinated.reshape(b, -1), axis=1) / diff.shape[1]
     return [
         ImageMetrics(mse=float(m), mae=float(a), rmse=math.sqrt(m),
@@ -175,11 +162,10 @@ class MetricReport:
     """
 
     rows: list[ImageMetrics] = field(default_factory=list)
-    thresholds: FprThresholds = field(default_factory=FprThresholds)
 
     def extend(self, preds, targets) -> None:
         """Score and append every image of a (B, H, W) stack."""
-        self.rows.extend(score_batch(preds, targets, self.thresholds))
+        self.rows.extend(score_batch(preds, targets))
 
     def aggregate(self) -> dict:
         out = {}
@@ -204,8 +190,8 @@ class MetricReport:
                 "count": len(self.rows),
                 "aggregate": self.aggregate(),
                 "parameters": {
-                    "t_high": self.thresholds.t_high,
-                    "t_low": self.thresholds.t_low,
+                    "t_high": FPR_T_HIGH,
+                    "t_low": FPR_T_LOW,
                     "ssim_window": SSIM_WINDOW,
                     "ssim_c1": SSIM_C1,
                     "ssim_c2": SSIM_C2,

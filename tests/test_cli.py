@@ -432,6 +432,20 @@ def _config_seed(tmp, data):
             "--config", str(tmp / "cfg.json")]
 
 
+def _config(command, entries):
+    """The ``_flags(command)`` run with each of ``entries`` in a config file
+    instead of on the command line."""
+    def args(tmp, data):
+        (tmp / "cfg.json").write_text(json.dumps(entries))
+        base = _flags(command)(tmp, data)
+        for key in entries:
+            flag = "--" + key.replace("_", "-")
+            if flag in base:
+                del base[base.index(flag):base.index(flag) + 2]
+        return base + ["--config", str(tmp / "cfg.json")]
+    return args
+
+
 @pytest.mark.parametrize("make_args", [
     _missing_dataset, _corrupt_manifest("{not json"), _corrupt_manifest("[1, 2]"),
     _manifest_without_splits, _checkpoint_without_blob, _checkpoint_bad_tensor_entries,
@@ -448,6 +462,15 @@ def _config_seed(tmp, data):
     _flags("solve", "--limit", "-2"), _flags("train", "--limit", "-2"),
     _flags("eval", "--limit", "-2"), _flags("train", "--heads", "0"),
     _flags("train", "--embed-dim", "0"),
+    _config("gen-data", {"seed": None}), _config("verify-bound", {"seed": None}),
+    _config("train", {"seed": None}), _config("solve", {"out": None}),
+    _config("solve", {"max_iter": None}), _config("train", {"epochs": None}),
+    _config("verify-bound", {"emit_matrix": None}),
+    _flags("train", "--lr", "nan"), _flags("solve", "--method", "fista", "--lam", "nan"),
+    _flags("solve", "--tol", "nan"), _flags("solve", "--operator", "estimated", "--ridge", "nan"),
+    _flags("gen-data", "--noise-sigma", "inf"), _flags("gen-data", "--noise-sigma", "nan"),
+    _flags("gen-data", "--operator", "fourier", "--keep", "inf"),
+    _config("gen-data", {"noise_sigma": float("nan")}), _config("train", {"lr": float("inf")}),
 ], ids=["missing-dataset", "manifest-not-json", "manifest-not-object",
         "manifest-without-splits", "checkpoint-blob-deleted", "checkpoint-tensors-not-entries",
         "checkpoint-for-other-image-size",
@@ -457,12 +480,105 @@ def _config_seed(tmp, data):
         "image-size-0", "gen-data-seed-negative", "verify-bound-seed-negative",
         "train-seed-negative", "config-file-seed-negative", "omp-max-iter-negative",
         "fista-max-iter-negative", "solve-limit-negative", "train-limit-negative",
-        "eval-limit-negative", "heads-0", "embed-dim-0"])
+        "eval-limit-negative", "heads-0", "embed-dim-0",
+        "config-gen-data-seed-null", "config-verify-bound-seed-null", "config-train-seed-null",
+        "config-solve-out-null", "config-solve-max-iter-null", "config-train-epochs-null",
+        "config-verify-bound-emit-matrix-null",
+        "train-lr-nan", "fista-lam-nan", "solve-tol-nan", "solve-ridge-nan",
+        "gen-data-noise-sigma-inf", "gen-data-noise-sigma-nan", "gen-data-keep-inf",
+        "config-gen-data-noise-sigma-nan", "config-train-lr-inf"])
 def test_bad_input_exits_2_without_traceback(runner, small_dataset, tmp_path, make_args):
     res = runner.invoke(main, make_args(tmp_path, small_dataset))
     assert res.exit_code == 2, res.output
     assert "Traceback" not in res.output
     assert res.exception is None or isinstance(res.exception, SystemExit)
+
+
+def test_config_null_lam_means_default(runner, small_dataset, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"lam": None}))
+    out = tmp_path / "r"
+    res = runner.invoke(main, ["solve", "--dataset", str(small_dataset), "--out", str(out),
+                               "--method", "fista", "--limit", "1", "--config", str(cfg)],
+                        catch_exceptions=False)
+    assert res.exit_code == 0, res.output
+    assert json.loads((out / "run_record.json").read_text())["config"]["lam"] is None
+
+
+def _small_run(command, tmp, data):
+    """Flags, keyed by flag, of a quick run of ``command``."""
+    if command == "eval":
+        cfg = model.UnetConfig(image_size=8)
+        model.checkpoint_save(model.init_params(model.UNET, cfg), model.UNET, cfg,
+                              tmp / "c.json")
+    out = str(tmp / "out")
+    return {
+        "gen-data": {"--out": out, "--image-size": "8", "--train": "2", "--val": "1",
+                     "--test": "1"},
+        "verify-bound": {"--out": out, "--kinds": "identity", "--m": "8", "--n": "8",
+                         "--k": "2", "--trials": "2"},
+        "solve": {"--dataset": str(data), "--out": out, "--limit": "1"},
+        "train": {"--dataset": str(data), "--out": out, "--model": "trust", "--loss": "l2",
+                  "--epochs": "1", "--batch": "4", "--embed-dim": "8", "--depth": "1",
+                  "--heads": "2", "--limit": "4"},
+        "eval": {"--checkpoint": str(tmp / "c.json"), "--dataset": str(data), "--out": out,
+                 "--limit": "1"},
+    }[command]
+
+
+_FLAG_BEATS_CONFIG = [
+    ("gen-data", "out", "{tmp}/flag", "{tmp}/config"),
+    ("verify-bound", "out", "{tmp}/flag", "{tmp}/config"),
+    ("solve", "dataset", "{data}", "{tmp}/nope"),
+    ("solve", "out", "{tmp}/flag", "{tmp}/config"),
+    ("solve", "operator", "known", "estimated"),
+    ("train", "dataset", "{data}", "{tmp}/nope"),
+    ("train", "out", "{tmp}/flag", "{tmp}/config"),
+    ("train", "model", "trust", "unet"),
+    ("train", "loss", "l2", "l2ssim"),
+    ("eval", "checkpoint", "{tmp}/c.json", "{tmp}/nope.json"),
+    ("eval", "dataset", "{data}", "{tmp}/nope"),
+    ("eval", "out", "{tmp}/flag", "{tmp}/config"),
+    ("eval", "emit_images", "{tmp}/flag_imgs", "{tmp}/config_imgs"),
+]
+
+
+@pytest.mark.parametrize("command,key,flag_value,config_value", _FLAG_BEATS_CONFIG,
+                         ids=[f"{row[0]}-{row[1]}" for row in _FLAG_BEATS_CONFIG])
+def test_flag_beats_config_entry(runner, small_dataset, tmp_path, command, key, flag_value,
+                                 config_value):
+    flag_value = flag_value.format(tmp=tmp_path, data=small_dataset)
+    config_value = config_value.format(tmp=tmp_path, data=small_dataset)
+    flags = _small_run(command, tmp_path, small_dataset)
+    flags["--" + key.replace("_", "-")] = flag_value
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: config_value}))
+    args = [command, *(part for item in flags.items() for part in item), "--config", str(cfg)]
+    res = runner.invoke(main, args, catch_exceptions=False)
+    assert res.exit_code == 0, res.output
+    record = json.loads((Path(flags["--out"]) / "run_record.json").read_text())
+    assert record["config"][key] == flag_value
+    assert not Path(config_value).exists()
+    if key == "emit_images":
+        assert (Path(flag_value) / "0000_xhat.pgm").exists()
+
+
+@pytest.mark.parametrize("method", ["omp", "ista", "fista"])
+def test_solve_calls_the_module_solver_once_per_sample(runner, small_dataset, tmp_path,
+                                                       monkeypatch, method):
+    calls = []
+    real = getattr(solvers, method)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, method, counted)
+    res = runner.invoke(main, ["solve", "--dataset", str(small_dataset),
+                               "--out", str(tmp_path / "r"), "--method", method,
+                               "--limit", "3", "--max-iter", "20"], catch_exceptions=False)
+    assert res.exit_code == 0, res.output
+    assert len(calls) == 3
 
 
 def test_cli_import_leaves_scipy_unloaded():

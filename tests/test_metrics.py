@@ -156,29 +156,13 @@ def test_fpr_counting():
 def test_fpr_matches_naive_count():
     pred = rng.random((20, 20))
     target = rng.random((20, 20))
-    th = metrics.FprThresholds(t_high=0.6, t_low=0.2)
     count = 0
     for i in range(20):
         for j in range(20):
-            if pred[i, j] > 0.6 and target[i, j] <= 0.2:
+            if pred[i, j] > 0.5 and target[i, j] <= 0.1:
                 count += 1
-    assert metrics.fpr(pred, target, th) == count / 400
-
-
-def test_fpr_threshold_ordering():
-    with pytest.raises(ParameterError):
-        metrics.FprThresholds(t_high=0.2, t_low=0.5)
-
-
-def test_fpr_monotone_in_thresholds():
-    pred = rng.random((15, 15))
-    target = rng.random((15, 15))
-    highs = [0.3, 0.5, 0.7]
-    vals = [metrics.fpr(pred, target, metrics.FprThresholds(h, 0.1)) for h in highs]
-    assert all(vals[i] >= vals[i + 1] for i in range(len(vals) - 1))
-    lows = [0.05, 0.15, 0.25]
-    vals = [metrics.fpr(pred, target, metrics.FprThresholds(0.5, lo)) for lo in lows]
-    assert all(vals[i] <= vals[i + 1] for i in range(len(vals) - 1))
+    assert count > 0
+    assert metrics.fpr(pred, target) == count / 400
 
 
 # ---- MetricReport ---------------------------------------------------------
@@ -200,16 +184,15 @@ def test_report_aggregate_matches_naive():
 def test_score_batch_rows_equal_single_image_metrics():
     preds = rng.random((5, 12, 13))
     targets = rng.random((5, 12, 13)) * 0.3
-    thresholds = metrics.FprThresholds(0.5, 0.2)
-    rows = metrics.score_batch(preds, targets, thresholds)
+    rows = metrics.score_batch(preds, targets)
     for row, p, t in zip(rows, preds, targets):
         assert row.mse == metrics.mse(p, t)
         assert row.mae == metrics.mae(p, t)
         assert row.rmse == metrics.rmse(p, t)
         assert row.psnr == metrics.psnr(p, t)
-        assert row.fpr == metrics.fpr(p, t, thresholds)
+        assert row.fpr == metrics.fpr(p, t)
         assert abs(row.ssim - metrics.ssim(p, t)) <= 1e-15
-    report = metrics.MetricReport(thresholds=thresholds)
+    report = metrics.MetricReport()
     report.extend(preds, targets)
     assert report.rows == rows
     with pytest.raises(DimensionError):
