@@ -66,9 +66,15 @@ def _resolve(ctx: click.Context) -> dict:
     default.
 
     A config-file entry passes the same type and range check as its flag;
-    ``null`` is a usage error unless the setting's default is none.
+    ``null`` is a usage error unless the setting's default is none, and so
+    is an entry that names no setting of the command.
     """
     file_cfg = _load_config_file(ctx.params["config"])
+    unknown = sorted(set(file_cfg) - {param.name for param in ctx.command.params})
+    if unknown:
+        raise click.UsageError(
+            "config file entries name no setting of this command: "
+            + ", ".join(repr(key) for key in unknown))
     resolved = {}
     for param in ctx.command.params:
         key = param.name

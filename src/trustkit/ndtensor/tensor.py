@@ -355,16 +355,36 @@ _GELU_C = np.sqrt(2.0 / np.pi)
 
 
 def gelu(a: Tensor) -> Tensor:
-    # tanh approximation
+    # tanh approximation 0.5 x (1 + t), t = tanh(c (x + 0.044715 x^3)), with
+    # the same operations in the same order as that expression, but in place;
+    # the backward keeps t and 1 + t and forms x^2 again
     x = a.data
-    x2 = x * x
-    t = np.tanh(_GELU_C * (x + 0.044715 * (x2 * x)))
-    data = 0.5 * x * (1.0 + t)
+    t = x * x
+    t *= x
+    t *= 0.044715
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    one_plus_t = t + 1.0
+    data = x * 0.5
+    data *= one_plus_t
 
     def vjp(g):
         if a.requires_grad:
-            dinner = _GELU_C * (1.0 + 3 * 0.044715 * x2)
-            _accumulate(a, g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner))
+            # g (0.5 (1 + t) + 0.5 x (1 - t^2) c (1 + 3 * 0.044715 x^2))
+            dinner = x * x
+            dinner *= 3 * 0.044715
+            dinner += 1.0
+            dinner *= _GELU_C
+            scratch = t * t
+            np.subtract(1.0, scratch, out=scratch)
+            grad = x * 0.5
+            grad *= scratch
+            grad *= dinner
+            np.multiply(one_plus_t, 0.5, out=scratch)
+            grad += scratch
+            grad *= g
+            _accumulate(a, grad)
 
     return _make(data, (a,), vjp)
 

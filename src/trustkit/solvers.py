@@ -18,11 +18,10 @@ from .errors import DimensionError, ParameterError, SingularMatrixError
 # rounding error separates from the span of the others adds no rank.
 _RANK_TOL = math.sqrt(np.finfo(np.float64).eps)
 
-# Power iteration for the Lipschitz constant: relative change that stops it,
-# the iteration cap, and the seed of its start vector.
-_POWER_TOL = 1e-10
-_POWER_MAX_ITER = 1000
-_POWER_SEED = 0
+# Lanczos for the Lipschitz constant: the Ritz residual bound, relative to
+# the top Ritz value, that stops it, and the seed of its start vector.
+_LANCZOS_TOL = 1e-12
+_LANCZOS_SEED = 0
 
 
 @dataclass
@@ -83,11 +82,19 @@ def omp(op: sensing.SensingOperator, y: np.ndarray,
     stays in the support but adds no vector. Stops at the sparsity budget
     or when the residual norm drops to the configured tolerance, then fits
     the coefficients on the original, unnormalized columns once.
+
+    The correlations A^T r start from A^T y, the only product with the
+    whole of A^T, and follow the residual by rank-one updates (Batch-OMP,
+    Rubinstein, Zibulevsky & Elad 2008): the new basis vector's row A^T q
+    is the plan's Gram row of the atom minus the stored rows of the earlier
+    basis vectors, weighted by the same two Gram-Schmidt coefficients, so a
+    step costs O((m + n) k) instead of O(m n).
     """
     config = config or SolverConfig()
     a = op.matrix
     y = np.asarray(y, dtype=np.float64)
-    col_norms = solver_plan(op).column_norms
+    plan = solver_plan(op)
+    col_norms = plan.column_norms
 
     support: list[int] = []
     residual = y.copy()
@@ -97,23 +104,33 @@ def omp(op: sensing.SensingOperator, y: np.ndarray,
     if float(np.linalg.norm(residual)) <= config.residual_tolerance:
         return RecoveryResult(np.zeros(op.n), np.array(support, dtype=np.intp), history, 0, True)
 
-    basis = np.empty((budget, op.m))  # rows [:rank] are orthonormal
+    gram = plan.gram
+    corr = a.T @ y                        # A^T residual
+    basis = np.empty((budget, op.m))      # rows [:rank] are orthonormal
+    basis_corr = np.empty((budget, op.n))  # row i is A^T basis[i]
     rank = 0
     converged = False
     for _ in range(budget):
-        corr = np.abs(a.T @ residual) / col_norms
-        corr[support] = -np.inf  # never reselect an atom
-        pick = int(np.argmax(corr))
+        score = np.abs(corr) / col_norms
+        score[support] = -np.inf  # never reselect an atom
+        pick = int(np.argmax(score))
         support.append(pick)
         atom, done = a[:, pick], basis[:rank]
-        q = atom - done.T @ (done @ atom)
-        q -= done.T @ (done @ q)  # the second pass restores orthogonality lost to rounding
+        first = done @ atom
+        q = atom - done.T @ first
+        second = done @ q
+        q -= done.T @ second  # the second pass restores orthogonality lost to rounding
         q_norm = float(np.linalg.norm(q))
         if q_norm > _RANK_TOL * col_norms[pick]:
             q /= q_norm
             basis[rank] = q
+            q_corr = basis_corr[rank]
+            np.subtract(gram[pick], (first + second) @ basis_corr[:rank], out=q_corr)
+            q_corr /= q_norm
             rank += 1
-            residual -= q * float(q @ residual)
+            along = float(q @ residual)
+            residual -= q * along
+            corr -= q_corr * along
         history.append(float(np.linalg.norm(residual)))
         if history[-1] <= config.residual_tolerance:
             converged = True
@@ -141,35 +158,56 @@ def shrink(v: np.ndarray, t: float) -> np.ndarray:
 
 
 def lipschitz_constant(a: np.ndarray, gram: np.ndarray | None = None) -> float:
-    """sigma_max(A)^2 by power iteration on A^T A, with perturbation restart
-    if an unlucky start collapses. Pass ``gram`` when A^T A is already formed."""
+    """sigma_max(A)^2, the largest eigenvalue of A^T A, by Lanczos
+    (Kuczynski & Wozniakowski 1992). Pass ``gram`` when A^T A is already
+    formed.
+
+    Each step applies the Gram matrix once and orthogonalizes the new
+    vector against every earlier Lanczos vector, twice. It stops when the
+    top Ritz value's residual bound beta |s_last| is at most
+    ``_LANCZOS_TOL`` times that value, which also covers breakdown
+    (beta = 0, an invariant subspace), or after n steps, when the Krylov
+    space is all of R^n. A zero matrix gives 1e-300, so that 1 / L stays
+    finite.
+    """
+    from scipy.linalg.lapack import dstemr  # scipy loads only when a solve needs it
+
     if gram is None:
         gram = a.T @ a
-    rng = np.random.default_rng(_POWER_SEED)
-    v = rng.standard_normal(a.shape[1])
+    n = a.shape[1]
+    v = np.random.default_rng(_LANCZOS_SEED).standard_normal(n)
     v /= np.linalg.norm(v)
-    w = gram @ v
-    lam = 0.0
-    for _ in range(_POWER_MAX_ITER):
-        nw = np.linalg.norm(w)
-        if nw <= 1e-300:
-            v = rng.standard_normal(a.shape[1])
-            v /= np.linalg.norm(v)
-            w = gram @ v
-            continue
-        v = w / nw
+    vectors = np.empty((n, n))  # rows [:k] are the Lanczos vectors
+    diag, off = np.empty(n), np.zeros(n)  # the tridiagonal T = V^T (A^T A) V
+    top = 0.0
+    for k in range(1, n + 1):
+        vectors[k - 1] = v
         w = gram @ v
-        new_lam = float(v @ w)
-        if abs(new_lam - lam) <= _POWER_TOL * max(1.0, abs(new_lam)):
-            return max(new_lam, 1e-300)
-        lam = new_lam
-    return max(lam, 1e-300)
+        diag[k - 1] = v @ w
+        done = vectors[:k]
+        w -= done.T @ (done @ w)
+        w -= done.T @ (done @ w)
+        beta = float(np.linalg.norm(w))
+        # the top eigenpair of the leading k x k block of T: range 2 selects
+        # eigenvalues k..k by index; the off-diagonal argument has length k,
+        # its last entry is workspace, and dstemr overwrites it
+        _, ritz, ritz_vecs, info = dstemr(diag[:k], off[:k].copy(), 2, 0.0, 0.0, k, k)
+        if info:
+            raise np.linalg.LinAlgError(f"dstemr failed on the Lanczos matrix (info={info})")
+        top = float(ritz[0])
+        if beta * abs(ritz_vecs[k - 1, 0]) <= _LANCZOS_TOL * top:
+            break
+        off[k - 1] = beta
+        v = w / beta
+    return max(top, 1e-300)
 
 
 class SolverPlan:
     """What every solve on one operator matrix shares, each part built on
-    first use: OMP reads only the column norms, proximal gradient the Gram
-    matrix and the Lipschitz constant."""
+    first use. Both solvers read the Gram matrix: OMP takes its rows to
+    keep the correlations current and also reads the column norms, proximal
+    gradient takes its gradient from it and runs Lanczos on it for the
+    Lipschitz constant."""
 
     def __init__(self, matrix: np.ndarray):
         self.matrix = matrix

@@ -465,7 +465,7 @@ def _config(command, entries):
     _config("gen-data", {"seed": None}), _config("verify-bound", {"seed": None}),
     _config("train", {"seed": None}), _config("solve", {"out": None}),
     _config("solve", {"max_iter": None}), _config("train", {"epochs": None}),
-    _config("verify-bound", {"emit_matrix": None}),
+    _config("verify-bound", {"emit_matrix": None}), _config("solve", {"max_iters": 3}),
     _flags("train", "--lr", "nan"), _flags("solve", "--method", "fista", "--lam", "nan"),
     _flags("solve", "--tol", "nan"), _flags("solve", "--operator", "estimated", "--ridge", "nan"),
     _flags("gen-data", "--noise-sigma", "inf"), _flags("gen-data", "--noise-sigma", "nan"),
@@ -483,7 +483,7 @@ def _config(command, entries):
         "eval-limit-negative", "heads-0", "embed-dim-0",
         "config-gen-data-seed-null", "config-verify-bound-seed-null", "config-train-seed-null",
         "config-solve-out-null", "config-solve-max-iter-null", "config-train-epochs-null",
-        "config-verify-bound-emit-matrix-null",
+        "config-verify-bound-emit-matrix-null", "config-solve-max-iters-unknown",
         "train-lr-nan", "fista-lam-nan", "solve-tol-nan", "solve-ridge-nan",
         "gen-data-noise-sigma-inf", "gen-data-noise-sigma-nan", "gen-data-keep-inf",
         "config-gen-data-noise-sigma-nan", "config-train-lr-inf"])

@@ -385,6 +385,24 @@ def test_pointwise_gradients():
         _check(weighted(op), x + 0.05, tol=1e-5)  # offset avoids relu/abs kinks
 
 
+def test_gelu_matches_the_one_expression_form_bit_for_bit():
+    # reference: the tanh-approximation forward and vjp, each as one expression
+    draw = np.random.default_rng(11)
+    x = draw.standard_normal((16, 64, 256)) * 3.0
+    g = draw.standard_normal(x.shape)
+    c = np.sqrt(2.0 / np.pi)
+    x2 = x * x
+    t = np.tanh(c * (x + 0.044715 * (x2 * x)))
+    forward = 0.5 * x * (1.0 + t)
+    vjp = g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * (c * (1.0 + 3 * 0.044715 * x2)))
+
+    xt = nd.Tensor(x, requires_grad=True)
+    out = nd.gelu(xt)
+    nd.reduce_sum(nd.mul(out, nd.Tensor(g))).backward()
+    assert out.data.tobytes() == forward.tobytes()
+    assert xt.grad.tobytes() == vjp.tobytes()
+
+
 def test_layernorm_gradient():
     x = rng.standard_normal((3, 5))
     scale = rng.standard_normal(5) + 1.0
