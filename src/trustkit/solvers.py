@@ -51,25 +51,6 @@ class RecoveryResult:
     objective_history: list[float] = field(default_factory=list)
 
 
-def _ls_on_support(a: np.ndarray, y: np.ndarray, support: list[int]):
-    """Least squares restricted to the chosen columns, by Householder QR.
-
-    Falls back to the minimum-norm pseudo-solution when the selected
-    submatrix is rank deficient (always so when it has more columns than
-    rows); the caller surfaces that flag.
-    """
-    from scipy.linalg import solve_triangular  # scipy loads only when a solve needs it
-
-    sub = a[:, support]
-    if sub.shape[1] <= sub.shape[0]:
-        q, r = np.linalg.qr(sub)
-        diag = np.abs(np.diag(r))
-        if diag.min() > _RANK_TOL * max(1.0, diag.max()):
-            return solve_triangular(r, q.T @ y, lower=False), False
-    coef, *_ = np.linalg.lstsq(sub, y, rcond=_RANK_TOL)
-    return coef, True
-
-
 def omp(op: sensing.SensingOperator, y: np.ndarray,
         config: SolverConfig | None = None) -> RecoveryResult:
     """Orthogonal matching pursuit.
@@ -82,6 +63,15 @@ def omp(op: sensing.SensingOperator, y: np.ndarray,
     stays in the support but adds no vector. Stops at the sparsity budget
     or when the residual norm drops to the configured tolerance, then fits
     the coefficients on the original, unnormalized columns once.
+
+    The loop has already factored the support as A_S = Q R: column j of the
+    upper-triangular R holds the atom's two Gram-Schmidt coefficients
+    summed and, on the diagonal, the norm of its remainder, and Q^T y holds
+    the residual's component along each basis vector. The fit is then one
+    back substitution R x_S = Q^T y. When an atom added no vector, or an R
+    diagonal is at most ``_RANK_TOL`` times the largest (or 1), the support
+    is rank deficient: the fit is the minimum-norm least-squares solution
+    and the result says so.
 
     The correlations A^T r start from A^T y, the only product with the
     whole of A^T, and follow the residual by rank-one updates (Batch-OMP,
@@ -108,6 +98,8 @@ def omp(op: sensing.SensingOperator, y: np.ndarray,
     corr = a.T @ y                        # A^T residual
     basis = np.empty((budget, op.m))      # rows [:rank] are orthonormal
     basis_corr = np.empty((budget, op.n))  # row i is A^T basis[i]
+    r_factor = np.zeros((budget, budget))  # upper triangular, A_S = basis[:rank].T @ R
+    qty = np.empty(budget)                 # entry i is basis[i] @ y
     rank = 0
     converged = False
     for _ in range(budget):
@@ -124,11 +116,15 @@ def omp(op: sensing.SensingOperator, y: np.ndarray,
         if q_norm > _RANK_TOL * col_norms[pick]:
             q /= q_norm
             basis[rank] = q
+            coeffs = first + second
             q_corr = basis_corr[rank]
-            np.subtract(gram[pick], (first + second) @ basis_corr[:rank], out=q_corr)
+            np.subtract(gram[pick], coeffs @ basis_corr[:rank], out=q_corr)
             q_corr /= q_norm
-            rank += 1
+            r_factor[:rank, rank] = coeffs
+            r_factor[rank, rank] = q_norm
             along = float(q @ residual)
+            qty[rank] = along
+            rank += 1
             residual -= q * along
             corr -= q_corr * along
         history.append(float(np.linalg.norm(residual)))
@@ -139,7 +135,14 @@ def omp(op: sensing.SensingOperator, y: np.ndarray,
     x_hat = np.zeros(op.n)
     rank_deficient = False
     if support:
-        coef, rank_deficient = _ls_on_support(a, y, support)
+        diag = np.diag(r_factor)[:rank]  # remainder norms, all >= 0
+        rank_deficient = rank < len(support) or \
+            diag.min() <= _RANK_TOL * max(1.0, diag.max())
+        if rank_deficient:
+            coef, *_ = np.linalg.lstsq(a[:, support], y, rcond=_RANK_TOL)
+        else:
+            from scipy.linalg import solve_triangular  # scipy loads only when a solve needs it
+            coef = solve_triangular(r_factor[:rank, :rank], qty[:rank], lower=False)
         x_hat[support] = coef
     order = np.argsort(support)
     return RecoveryResult(
@@ -206,8 +209,9 @@ class SolverPlan:
     """What every solve on one operator matrix shares, each part built on
     first use. Both solvers read the Gram matrix: OMP takes its rows to
     keep the correlations current and also reads the column norms, proximal
-    gradient takes its gradient from it and runs Lanczos on it for the
-    Lipschitz constant."""
+    gradient applies it once per step, for the gradient and the residual
+    norm alike, and runs Lanczos on it for the Lipschitz constant. Neither
+    multiplies by the whole of A after A^T y."""
 
     def __init__(self, matrix: np.ndarray):
         self.matrix = matrix
@@ -238,10 +242,6 @@ def solver_plan(op: sensing.SensingOperator) -> SolverPlan:
     return op.solver_plan
 
 
-def _objective(residual, x, lam) -> float:
-    return 0.5 * float(residual @ residual) + lam * float(np.sum(np.abs(x)))
-
-
 def _proximal_gradient(op: sensing.SensingOperator, y: np.ndarray,
                        config: SolverConfig | None, momentum: bool) -> RecoveryResult:
     """Proximal gradient on 0.5|Ax - y|^2 + lambda |x|_1 at step 1/L.
@@ -250,33 +250,44 @@ def _proximal_gradient(op: sensing.SensingOperator, y: np.ndarray,
     the last iterate; with it z extrapolates along the last move by
     (t_j - 1) / t_{j+1}, where t_1 = 1 and t_{j+1} = (1 + sqrt(1 + 4 t_j^2)) / 2
     (Beck & Teboulle 2009).
+
+    A^T y is the only product with A. The loop carries G x for the plan's
+    Gram G = A^T A, so a step applies G once, to the new iterate: G z is the
+    same momentum combination of G x_{j+1} and G x_j, and the residual norm
+    comes from |Ax - y|^2 = x.Gx - 2 x.A^T y + y.y, clamped at 0. Its
+    rounding error is about eps |y|^2, so a residual norm near zero is
+    accurate to about sqrt(eps) |y|.
     """
     config = config or SolverConfig()
     a = op.matrix
     y = np.asarray(y, dtype=np.float64)
     aty = a.T @ y
+    yty = float(y @ y)
     lam = config.lam if config.lam is not None else 0.05 * float(np.max(np.abs(aty)))
     plan = solver_plan(op)
     step = 1.0 / plan.lipschitz
     gram = plan.gram
-    x = np.zeros(op.n)
-    z = x
+    x, gx = np.zeros(op.n), np.zeros(op.n)
+    z, gz = x, gx
     t = 1.0
     history, objectives = [], []
-    prev_obj = _objective(a @ x - y, x, lam)
+    prev_obj = 0.5 * yty
     converged = False
     for _ in range(config.max_iterations):
-        x_next = shrink(z - step * (gram @ z - aty), lam * step)
+        x_next = shrink(z - step * (gz - aty), lam * step)
+        gx_next = gram @ x_next
         if momentum:
             t_next = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
-            z = x_next + ((t - 1.0) / t_next) * (x_next - x)
+            weight = (t - 1.0) / t_next
+            z = x_next + weight * (x_next - x)
+            gz = gx_next + weight * (gx_next - gx)
             t = t_next
         else:
-            z = x_next
-        x = x_next
-        residual = a @ x - y
-        obj = _objective(residual, x, lam)
-        history.append(float(np.linalg.norm(residual)))
+            z, gz = x_next, gx_next
+        x, gx = x_next, gx_next
+        residual_sq = max(float(x @ gx) - 2.0 * float(x @ aty) + yty, 0.0)
+        obj = 0.5 * residual_sq + lam * float(np.sum(np.abs(x)))
+        history.append(math.sqrt(residual_sq))
         objectives.append(obj)
         if config.residual_tolerance > 0 and \
                 abs(prev_obj - obj) <= config.residual_tolerance * max(1.0, abs(obj)):

@@ -1,3 +1,5 @@
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,14 @@ from trustkit.errors import ContractError, DimensionError, ParameterError
 
 from gradcheck import finite_difference, rel_err
 
-rng = np.random.default_rng(20240511)
+_SEED = 20240511
+
+
+@pytest.fixture
+def rng(request):
+    """This test's own generator, seeded from a constant and the test's node
+    id, so its draws do not depend on which tests ran before it."""
+    return np.random.default_rng([_SEED, zlib.crc32(request.node.nodeid.encode())])
 
 
 def _grad_of_sum(op, *arrays, make_loss=None):
@@ -48,7 +57,7 @@ def test_matmul_shape_error_names_both_shapes():
         nd.matmul(nd.Tensor(np.zeros((3, 4))), nd.Tensor(np.zeros((3, 2))))
 
 
-def test_matmul_gradient():
+def test_matmul_gradient(rng):
     _check(nd.matmul, rng.standard_normal((3, 4)), rng.standard_normal((4, 2)), tol=1e-6)
 
 
@@ -66,14 +75,14 @@ def test_softmax_saturation():
     assert out.data[1] < 1e-12
 
 
-def test_softmax_rows_sum_to_one():
+def test_softmax_rows_sum_to_one(rng):
     x = rng.standard_normal((6, 9))
     out = nd.softmax(nd.Tensor(x), axis=-1)
     assert np.all(np.abs(out.data.sum(axis=-1) - 1.0) <= 1e-12)
     assert np.all(out.data > 0)
 
 
-def test_softmax_gradient():
+def test_softmax_gradient(rng):
     # weighted sum so the gradient is not identically zero
     r = rng.standard_normal(5)
 
@@ -86,7 +95,7 @@ def test_softmax_gradient():
 # ---- conv2d -----------------------------------------------------------------
 
 
-def test_conv2d_identity_kernel():
+def test_conv2d_identity_kernel(rng):
     x = rng.standard_normal((1, 3, 3))
     k = np.ones((1, 1, 1, 1))
     out = nd.conv2d(nd.Tensor(x), nd.Tensor(k))
@@ -103,7 +112,7 @@ def test_conv2d_overlap_counts():
     assert out.data[0, 0, 3] == 4.0
 
 
-def test_conv2d_output_extents():
+def test_conv2d_output_extents(rng):
     x = nd.Tensor(rng.standard_normal((2, 7, 6)))
     k = nd.Tensor(rng.standard_normal((3, 2, 3, 3)))
     out = nd.conv2d(x, k, stride=2, padding=1)
@@ -115,14 +124,14 @@ def test_conv2d_kernel_too_large():
         nd.conv2d(nd.Tensor(np.zeros((1, 3, 3))), nd.Tensor(np.zeros((1, 1, 5, 5))))
 
 
-def test_conv2d_gradient():
+def test_conv2d_gradient(rng):
     def op(x, k):
         return nd.conv2d(x, k, stride=1, padding=1)
 
     _check(op, rng.standard_normal((2, 5, 5)), rng.standard_normal((3, 2, 3, 3)), tol=1e-5)
 
 
-def test_conv2d_gradient_strided():
+def test_conv2d_gradient_strided(rng):
     def op(x, k):
         return nd.conv2d(x, k, stride=2, padding=0)
 
@@ -140,7 +149,7 @@ def _check_weighted(op, *arrays, tol=1e-5):
 @pytest.mark.parametrize("stride", [1, 2])
 @pytest.mark.parametrize("padding", [0, 1])
 @pytest.mark.parametrize("ksize", [1, 3, 7])
-def test_batch_conv2d_gradient(batch, stride, padding, ksize):
+def test_batch_conv2d_gradient(batch, stride, padding, ksize, rng):
     x = rng.standard_normal((batch, 2, 8, 9))
     k = rng.standard_normal((3, 2, ksize, ksize))
 
@@ -152,7 +161,7 @@ def test_batch_conv2d_gradient(batch, stride, padding, ksize):
 
 @pytest.mark.parametrize("stride,padding,ksize", [(1, 1, 3), (2, 1, 3), (2, 0, 7), (1, 3, 7)])
 @pytest.mark.parametrize("height,width", [(9, 8), (8, 9)])
-def test_batch_conv2d_matches_per_sample_conv2d(stride, padding, ksize, height, width):
+def test_batch_conv2d_matches_per_sample_conv2d(stride, padding, ksize, height, width, rng):
     x = rng.standard_normal((3, 2, height, width))
     k = nd.Tensor(rng.standard_normal((4, 2, ksize, ksize)))
     out = nd.batch_conv2d(nd.Tensor(x), k, stride=stride, padding=padding)
@@ -178,7 +187,7 @@ def test_batch_conv2d_rejects_unbatched_input():
 
 
 @pytest.mark.parametrize("batch", [1, 3])
-def test_batch_matmul_and_permute_gradients(batch):
+def test_batch_matmul_and_permute_gradients(batch, rng):
     _check_weighted(nd.batch_matmul, rng.standard_normal((batch, 3, 4)),
                     rng.standard_normal((batch, 4, 2)))
     # leading axes broadcast: (B, 1, 3, 4) x (2, 4, 5) -> (B, 2, 3, 5)
@@ -197,7 +206,7 @@ def test_batch_matmul_shape_errors():
 
 
 @pytest.mark.parametrize("batch", [1, 3])
-def test_batched_resampling_gradients(batch):
+def test_batched_resampling_gradients(batch, rng):
     _check_weighted(lambda t: nd.adaptive_avg_pool(t, 3, 2), rng.standard_normal((batch, 2, 7, 5)))
     _check_weighted(lambda t: nd.adaptive_avg_pool(t, 2, 2), rng.standard_normal((batch, 1, 4, 4)))
     _check_weighted(lambda t: nd.upsample_nearest(t, 3), rng.standard_normal((batch, 2, 2, 3)))
@@ -211,14 +220,14 @@ def test_batched_resampling_gradients(batch):
     lambda t: nd.resize_bilinear(t, 5, 3),
     lambda t: nd.box_filter(t, 3),
 ])
-def test_batched_resampling_matches_per_map(op):
+def test_batched_resampling_matches_per_map(op, rng):
     x = rng.standard_normal((3, 2, 7, 5))
     out = op(nd.Tensor(x)).data
     for b in range(3):
         assert np.abs(out[b] - op(nd.Tensor(x[b])).data).max() <= 1e-14
 
 
-def test_box_filter_matches_window_means():
+def test_box_filter_matches_window_means(rng):
     x = rng.standard_normal((2, 6, 7))
     out = nd.box_filter(nd.Tensor(x), 3).data
     assert out.shape == (2, 4, 5)
@@ -269,7 +278,7 @@ def test_upsample_replicates():
     assert np.array_equal(out.data[0], expected)
 
 
-def test_upsample_factor_one():
+def test_upsample_factor_one(rng):
     x = rng.standard_normal((2, 3, 3))
     out = nd.upsample_nearest(nd.Tensor(x), 1)
     assert np.array_equal(out.data, x)
@@ -280,7 +289,7 @@ def test_upsample_factor_zero_rejected():
         nd.upsample_nearest(nd.Tensor(np.zeros((1, 2, 2))), 0)
 
 
-def test_upsample_gradient():
+def test_upsample_gradient(rng):
     _check(lambda x: nd.upsample_nearest(x, 3), rng.standard_normal((2, 2, 3)), tol=1e-6)
 
 
@@ -310,7 +319,7 @@ def test_pool_matches_window_enumeration():
     assert np.allclose(out.data, expected, atol=1e-14)
 
 
-def test_pool_uneven_windows_match_enumeration():
+def test_pool_uneven_windows_match_enumeration(rng):
     x = rng.standard_normal((2, 7, 5))
     out = nd.adaptive_avg_pool(nd.Tensor(x), 3, 2)
     for i in range(3):
@@ -320,7 +329,7 @@ def test_pool_uneven_windows_match_enumeration():
             assert np.allclose(out.data[:, i, j], x[:, r0:r1, c0:c1].mean(axis=(1, 2)), atol=1e-14)
 
 
-def test_pool_preserves_mean_when_divisible():
+def test_pool_preserves_mean_when_divisible(rng):
     x = rng.standard_normal((3, 8, 8))
     out = nd.adaptive_avg_pool(nd.Tensor(x), 4, 2)
     assert abs(out.data.mean() - x.mean()) < 1e-14
@@ -331,7 +340,7 @@ def test_pool_zero_extent_rejected():
         nd.adaptive_avg_pool(nd.Tensor(np.zeros((1, 4, 4))), 0, 2)
 
 
-def test_pool_gradient():
+def test_pool_gradient(rng):
     _check(lambda x: nd.adaptive_avg_pool(x, 2, 2), rng.standard_normal((1, 4, 4)), tol=1e-6)
     _check(lambda x: nd.adaptive_avg_pool(x, 3, 2), rng.standard_normal((2, 7, 5)), tol=1e-6)
 
@@ -344,13 +353,13 @@ def test_resize_constant_preserved():
     assert np.allclose(out.data, 3.25, atol=1e-14)
 
 
-def test_resize_identity():
+def test_resize_identity(rng):
     x = rng.standard_normal((2, 5, 5))
     out = nd.resize_bilinear(nd.Tensor(x), 5, 5)
     assert np.allclose(out.data, x, atol=1e-14)
 
 
-def test_resize_gradient():
+def test_resize_gradient(rng):
     _check(lambda x: nd.resize_bilinear(x, 5, 7), rng.standard_normal((2, 3, 4)), tol=1e-6)
     _check(lambda x: nd.resize_bilinear(x, 2, 2), rng.standard_normal((1, 5, 5)), tol=1e-6)
 
@@ -371,7 +380,7 @@ def test_layernorm_constant_vector_is_zero():
     assert np.allclose(out.data, 0.0, atol=1e-12)
 
 
-def test_pointwise_gradients():
+def test_pointwise_gradients(rng):
     x = rng.standard_normal((4, 6))
     r = rng.standard_normal((4, 6))
 
@@ -403,7 +412,7 @@ def test_gelu_matches_the_one_expression_form_bit_for_bit():
     assert xt.grad.tobytes() == vjp.tobytes()
 
 
-def test_layernorm_gradient():
+def test_layernorm_gradient(rng):
     x = rng.standard_normal((3, 5))
     scale = rng.standard_normal(5) + 1.0
     shift = rng.standard_normal(5)
@@ -415,18 +424,18 @@ def test_layernorm_gradient():
     _check(op, x, scale, shift, tol=1e-5)
 
 
-def test_binary_op_gradients():
+def test_binary_op_gradients(rng):
     a = rng.standard_normal((3, 4))
     b = rng.standard_normal((3, 4)) + 2.0
     for op in (nd.add, nd.sub, nd.mul, nd.div):
         _check(op, a, b, tol=1e-5)
 
 
-def test_broadcast_add_gradient():
+def test_broadcast_add_gradient(rng):
     _check(nd.add, rng.standard_normal((4, 3)), rng.standard_normal(3), tol=1e-6)
 
 
-def test_reshape_transpose_concat_narrow_gradients():
+def test_reshape_transpose_concat_narrow_gradients(rng):
     _check(lambda t: nd.reshape(t, (6, 2)), rng.standard_normal((3, 4)), tol=1e-6)
     _check(nd.transpose, rng.standard_normal((3, 4)), tol=1e-6)
     _check(lambda a, b: nd.concat([a, b], axis=1),
@@ -434,7 +443,7 @@ def test_reshape_transpose_concat_narrow_gradients():
     _check(lambda t: nd.narrow(t, 1, 1, 2), rng.standard_normal((3, 5)), tol=1e-6)
 
 
-def test_gradient_shared_between_operands_is_not_corrupted():
+def test_gradient_shared_between_operands_is_not_corrupted(rng):
     # add() hands one gradient array to both operands; a later contribution
     # to one of them must not change what the other one still has to use
     r = rng.standard_normal(5)
@@ -448,7 +457,7 @@ def test_gradient_shared_between_operands_is_not_corrupted():
     _check(op, rng.standard_normal(5), tol=1e-6)
 
 
-def test_reduce_mean_axis_gradient():
+def test_reduce_mean_axis_gradient(rng):
     _check(lambda t: nd.reduce_mean(t, axis=0), rng.standard_normal((4, 3)), tol=1e-6)
 
 
@@ -485,7 +494,7 @@ def test_backward_accumulates_without_reset():
     assert np.allclose(x.grad, 2 * first, atol=1e-14)
 
 
-def test_backward_is_linear():
+def test_backward_is_linear(rng):
     x = rng.standard_normal(4)
     a, b = 2.5, -1.25
 
@@ -511,7 +520,7 @@ def test_tape_orders_inputs_before_outputs():
             assert pos[id(p)] < pos[id(t)]
 
 
-def test_forward_stays_finite_on_finite_inputs():
+def test_forward_stays_finite_on_finite_inputs(rng):
     x = nd.Tensor(rng.standard_normal((4, 4)) * 50, requires_grad=True)
     out = nd.softmax(nd.gelu(x), axis=-1)
     assert all(np.isfinite(t.data).all() for t in nd.Tape.trace(nd.reduce_sum(out)).nodes)

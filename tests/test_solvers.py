@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.linalg import solve_triangular
 
 from trustkit import sensing, solvers
 from trustkit.errors import DimensionError, ParameterError, SingularMatrixError
@@ -87,6 +88,12 @@ def test_omp_recovery_rate_and_values():
     assert exact >= 0.95 * trials
 
 
+def _householder_fit(sub, y):
+    # least squares by a fresh Householder QR of the support's columns
+    q, r = np.linalg.qr(sub)
+    return solve_triangular(r, q.T @ y, lower=False)
+
+
 def _omp_qr_refit(a, y, budget):
     # reference: OMP that refits by a fresh QR of the whole support after every atom
     col_norms = np.linalg.norm(a, axis=0)
@@ -95,7 +102,7 @@ def _omp_qr_refit(a, y, budget):
         corr = np.abs(a.T @ residual) / col_norms
         corr[support] = -np.inf
         support.append(int(np.argmax(corr)))
-        coef, _ = solvers._ls_on_support(a, y, support)
+        coef = _householder_fit(a[:, support], y)
         residual = y - a[:, support] @ coef
         history.append(float(np.linalg.norm(residual)))
     x_hat = np.zeros(a.shape[1])
@@ -112,7 +119,9 @@ def test_omp_matches_per_atom_qr_refit(m, n, k, seed):
     res = solvers.omp(op, y, solvers.SolverConfig(sparsity_budget=k, residual_tolerance=0.0))
     support, x_hat, history = _omp_qr_refit(op.matrix, y, k)
     assert np.array_equal(res.support, support)
-    assert res.x_hat.tobytes() == x_hat.tobytes()
+    # the fit comes from the loop's Gram-Schmidt factors, not a fresh QR:
+    # equal up to rounding
+    assert np.max(np.abs(res.x_hat - x_hat)) <= 1e-12 * np.max(np.abs(x_hat))
     # at k = m the last residual is rounding noise of |y|, with no relative accuracy
     assert np.allclose(res.residual_norm_history, history, rtol=1e-9,
                        atol=1e-12 * np.linalg.norm(y))
@@ -128,6 +137,35 @@ def test_omp_rank_deficient_support_gives_minimum_norm_fit():
     oracle, *_ = np.linalg.lstsq(op.matrix[:, res.support], y, rcond=None)
     assert np.allclose(res.x_hat[res.support], oracle, rtol=0.0, atol=1e-12)
     assert np.count_nonzero(res.x_hat[np.setdiff1d(np.arange(8), res.support)]) == 0
+
+
+def test_omp_tiny_column_on_support_reports_rank_deficient():
+    # the loop extends its basis with a column of norm ~1e-10, but that R
+    # diagonal is below _RANK_TOL; back substitution would give about 2e9 for it
+    op = _gaussian(20, 40, seed=11)
+    tiny = 1e-10 * np.random.default_rng(11).standard_normal(20)
+    op.matrix[:, 7] = tiny
+    y = tiny / np.linalg.norm(tiny) + 0.1 * (op.matrix[:, 3] + op.matrix[:, 12])
+    res = solvers.omp(op, y, solvers.SolverConfig(sparsity_budget=5, residual_tolerance=0.0))
+    assert 7 in res.support
+    assert res.rank_deficient
+    assert np.abs(res.x_hat).max() < 10.0
+
+
+def test_omp_ill_conditioned_full_rank_support_matches_householder_fit():
+    # singular values from 1 down to 1e-6: every R diagonal is at least 1e-6,
+    # far above _RANK_TOL, so the fit is the back substitution
+    rng = np.random.default_rng(12)
+    u, _ = np.linalg.qr(rng.standard_normal((30, 12)))
+    v, _ = np.linalg.qr(rng.standard_normal((12, 12)))
+    matrix = u @ np.diag(np.logspace(0, -6, 12)) @ v.T
+    assert 0.9e6 < np.linalg.cond(matrix) < 1.1e6
+    op = sensing.SensingOperator(kind=sensing.DENSE, m=30, n=12, seed=0, matrix=matrix)
+    y = matrix @ rng.standard_normal(12)
+    res = solvers.omp(op, y, solvers.SolverConfig(sparsity_budget=12, residual_tolerance=0.0))
+    assert not res.rank_deficient
+    expected = _householder_fit(matrix[:, res.support], y)
+    assert np.max(np.abs(res.x_hat[res.support] - expected)) <= 1e-9 * np.max(np.abs(expected))
 
 
 def test_omp_past_estimated_operator_rank_stays_bounded(tmp_path):
@@ -210,6 +248,17 @@ def test_pinned_operator_product_counts():
         assert res.iterations_used == 24
         assert counted.counts["products"] == call  # A^T y, once per call
     assert set(vars(op.solver_plan)) == {"matrix", "gram", "column_norms"}
+
+    plan = op.solver_plan
+    plan.lipschitz  # Lanczos runs on the plain Gram, before it is counted
+    plan.gram = gram = _CountedGram(plan.gram)
+    config = solvers.SolverConfig(max_iterations=30, residual_tolerance=0.0)
+    for method in (solvers.ista, solvers.fista):
+        products, gram.products = counted.counts["products"], 0
+        res = method(op, a @ x, config)
+        assert res.iterations_used == 30
+        assert counted.counts["products"] == products + 1  # A^T y only
+        assert gram.products == 30  # one Gram product per step
 
 
 def test_solver_plan_shared_across_samples():
@@ -353,8 +402,30 @@ def test_proximal_gradient_matches_textbook_loops():
         z = x_next + ((t - 1.0) / t_next) * (x_next - x_fista)
         x_fista, t = x_next, t_next
     cfg = solvers.SolverConfig(max_iterations=iterations, residual_tolerance=0.0, lam=lam)
-    assert solvers.ista(op, y, cfg).x_hat.tobytes() == x_ista.tobytes()
-    assert solvers.fista(op, y, cfg).x_hat.tobytes() == x_fista.tobytes()
+    # the solver carries G x instead of forming G z: equal up to rounding
+    for method, expected in ((solvers.ista, x_ista), (solvers.fista, x_fista)):
+        got = method(op, y, cfg).x_hat
+        assert np.array_equal(np.flatnonzero(got), np.flatnonzero(expected))
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("lam", [None, 0.0], ids=["default_lam", "lam_zero"])
+@pytest.mark.parametrize("method", [solvers.ista, solvers.fista])
+def test_residual_history_matches_the_iterates(method, lam):
+    # the history comes from x.Gx - 2 x.A^T y + y.y; x_j is the result of a
+    # j-step run, which repeats the first j steps of the longer run exactly
+    op = _gaussian(16, 32, seed=13)
+    y = np.random.default_rng(13).standard_normal(16)
+    iterations = 120
+
+    def run(steps):
+        return method(op, y, solvers.SolverConfig(max_iterations=steps, residual_tolerance=0.0,
+                                                   lam=lam))
+
+    history = run(iterations).residual_norm_history
+    for j in range(1, iterations + 1):
+        exact = float(np.sum((op.matrix @ run(j).x_hat - y) ** 2))
+        assert abs(history[j - 1] ** 2 - exact) <= 1e-12 * float(y @ y)
 
 
 def _rank_deficient_fit():
