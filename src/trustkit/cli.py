@@ -92,6 +92,16 @@ def _resolve(ctx: click.Context) -> dict:
     return resolved
 
 
+def _make_out_dir(path) -> Path:
+    """Create the output directory ``path``; a usage error naming it if that fails."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise click.UsageError(f"cannot create output directory {out}: {exc.strerror or exc}")
+    return out
+
+
 def _canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True)
 
@@ -110,7 +120,6 @@ def write_run_record(out_dir: Path, command: str, config: dict,
         "duration_seconds": round(time.monotonic() - started, 3),
         "exit_status": exit_status,
     }
-    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "run_record.json").write_text(
         json.dumps(record, sort_keys=True, indent=2) + "\n"
     )
@@ -174,7 +183,7 @@ def gen_data(ctx, **_):
             operator_keep=cfg["keep"], noise_sigma=cfg["noise_sigma"],
             seed=cfg["seed"], dtype=cfg["dtype"],
         )
-        out = Path(cfg["out"])
+        out = _make_out_dir(cfg["out"])
         manifest = dataset.gen_dataset(spec, out)
     except _USAGE_ERRORS as exc:
         raise click.UsageError(str(exc))
@@ -220,12 +229,11 @@ def verify_bound(ctx, **_):
     kind_names = [k.strip() for k in cfg["kinds"].split(",") if k.strip()]
     if not kind_names:
         raise click.UsageError("--kinds must name at least one value")
+    grid = {key: _int_list(cfg[f"{key}_list"], key) for key in ("m", "n", "k")}
+    out = _make_out_dir(cfg["out"])
     try:
         result = bound_lab.attention_similarity_sweep(
-            kinds=kind_names,
-            ms=_int_list(cfg["m_list"], "m"),
-            ns=_int_list(cfg["n_list"], "n"),
-            ks=_int_list(cfg["k_list"], "k"),
+            kinds=kind_names, ms=grid["m"], ns=grid["n"], ks=grid["k"],
             trials=cfg["trials"], seed=cfg["seed"],
         )
     except (EnumerationCapExceeded, *_USAGE_ERRORS) as exc:
@@ -234,8 +242,6 @@ def verify_bound(ctx, **_):
         raise click.UsageError(
             "the grid has no cell: no kind has a member of any (m, n) with 2k <= min(m, n)"
         )
-    out = Path(cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
     (out / "sweep.csv").write_text(result.to_csv())
     outputs = ["sweep.csv"]
     if cfg["emit_matrix"]:
@@ -286,6 +292,7 @@ def solve(ctx, **_):
     try:
         manifest = dataset.load_manifest(cfg["dataset"])
         data = dataset.load_split(manifest, cfg["split"]).head(cfg["limit"])
+        out = _make_out_dir(cfg["out"])
         if cfg["operator"] == "known":
             op = dataset.operator_from_manifest(manifest)
         else:
@@ -295,8 +302,6 @@ def solve(ctx, **_):
         report, recon = _solve_split(op, data, cfg)
     except (SingularMatrixError, *_USAGE_ERRORS) as exc:
         raise click.UsageError(str(exc))
-    out = Path(cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
     report.save(out, stem="metrics")
     (out / "reconstructions.f64").write_bytes(recon.astype("<f8").tobytes())
     digests = {"dataset_manifest": _digest_file(Path(manifest["_dir"]) / "manifest.json")}
@@ -392,7 +397,7 @@ def train_cmd(ctx, **_):
         val = dataset.load_split(manifest, "val")
     except _USAGE_ERRORS as exc:
         raise click.UsageError(str(exc))
-    out = Path(cfg["out"])
+    out = _make_out_dir(cfg["out"])
     try:
         result = model.train(cfg["model"], model_cfg, train_cfg, (train.x, train.y),
                              (val.x, val.y), out_dir=out)
@@ -443,6 +448,8 @@ def eval_cmd(ctx, **_):
         data = dataset.load_split(data_manifest, cfg["split"]).head(cfg["limit"])
     except _USAGE_ERRORS as exc:
         raise click.UsageError(str(exc))
+    out = _make_out_dir(cfg["out"])
+    img_dir = _make_out_dir(cfg["emit_images"]) if cfg["emit_images"] else None
 
     report = metrics.MetricReport()
     preds = []
@@ -450,13 +457,9 @@ def eval_cmd(ctx, **_):
         preds.extend(pred.data)
         report.extend(pred.data, data.x[lo : lo + len(pred.data)])
 
-    out = Path(cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
     report.save(out, stem="metrics")
     outputs = ["metrics_per_image.csv", "metrics_aggregate.json"]
-    if cfg["emit_images"]:
-        img_dir = Path(cfg["emit_images"])
-        img_dir.mkdir(parents=True, exist_ok=True)
+    if img_dir is not None:
         for i, pred in enumerate(preds):
             dataset.write_pgm(img_dir / f"{i:04d}_y.pgm", data.y[i])
             dataset.write_pgm(img_dir / f"{i:04d}_x.pgm", data.x[i])
@@ -536,8 +539,7 @@ def report_cmd(runs_dir, out_dir):
     if not rows:
         click.echo(f"no finished runs found under {runs_dir}", err=True)
         sys.exit(1)
-    out = Path(out_dir) if out_dir else runs
-    out.mkdir(parents=True, exist_ok=True)
+    out = _make_out_dir(out_dir) if out_dir else runs
 
     def fmt(cell):
         return f"{cell['mean']:.4g} ± {cell['std']:.2g}"

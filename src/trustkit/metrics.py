@@ -55,8 +55,9 @@ def _psnr_db(rmse_value: float) -> float:
 def fpr(pred, target) -> float:
     """Fraction of hallucinated pixels over the entire image.
 
-    The paper's tables label this quantity FDR; both names refer to this
-    whole-image-normalized count.
+    The paper's tables label this whole-image-normalized count FDR; it is
+    reported under ``fpr`` only, since a support-level false discovery rate
+    is a different quantity.
     """
     pred, target = np.asarray(pred, dtype=np.float64), np.asarray(target, dtype=np.float64)
     _check_shapes(pred, target)
@@ -65,18 +66,17 @@ def fpr(pred, target) -> float:
 
 
 def ssim_tensor(pred: nd.Tensor, target: nd.Tensor) -> nd.Tensor:
-    """Mean SSIM over sliding SSIM_WINDOW-wide uniform windows, built from
-    autodiff primitives so the gradient flows when either input tracks
-    gradients.
+    """Per-image mean SSIM of two (B, H, W) stacks, shape (B,), over sliding
+    SSIM_WINDOW-wide uniform windows.
 
-    Inputs are one (H, W) image, giving a scalar, or a (B, H, W) stack,
-    giving the (B,) per-image SSIM; the stack is filtered in one pass.
-    Dynamic range is assumed 1.
+    Built from autodiff primitives, so the gradient flows when either input
+    tracks gradients; the stack is filtered in one pass. Any other shape is
+    a DimensionError. Dynamic range is assumed 1.
     """
     if pred.data.shape != target.data.shape:
         raise DimensionError(f"shape mismatch: {pred.data.shape} vs {target.data.shape}")
-    if pred.data.ndim not in (2, 3):
-        raise DimensionError(f"ssim expects (H, W) or (B, H, W), got {pred.data.shape}")
+    if pred.data.ndim != 3:
+        raise DimensionError(f"ssim expects (B, H, W) stacks, got {pred.data.shape}")
 
     def box(t):
         return nd.box_filter(t, SSIM_WINDOW)
@@ -95,17 +95,16 @@ def ssim_tensor(pred: nd.Tensor, target: nd.Tensor) -> nd.Tensor:
     den = nd.mul(nd.scalar_add(nd.add(mu_pp, mu_tt), SSIM_C1),
                  nd.scalar_add(nd.add(var_p, var_t), SSIM_C2))
     ratio = nd.div(num, den)
-    if pred.data.ndim == 2:
-        return nd.reduce_mean(ratio)
     return nd.reduce_mean(nd.reshape(ratio, (pred.data.shape[0], -1)), axis=1)
 
 
 def ssim(pred, target) -> float:
-    """Scalar SSIM of two (H, W) arrays (no gradient tracking)."""
-    return ssim_tensor(
-        nd.Tensor(np.asarray(pred, dtype=np.float64)),
-        nd.Tensor(np.asarray(target, dtype=np.float64)),
-    ).item()
+    """Scalar SSIM of two (H, W) arrays (no gradient tracking): the reference
+    ``score_batch`` is checked against, computed as a stack of one."""
+    return float(ssim_tensor(
+        nd.Tensor(np.asarray(pred, dtype=np.float64)[None]),
+        nd.Tensor(np.asarray(target, dtype=np.float64)[None]),
+    ).data[0])
 
 
 @dataclass
@@ -175,7 +174,6 @@ class MetricReport:
             mean = math.fsum(vals) / n if n else float("nan")
             var = math.fsum((v - mean) ** 2 for v in vals) / n if n else float("nan")
             out[name] = {"mean": mean, "std": math.sqrt(var) if n else float("nan")}
-        out["fdr"] = dict(out["fpr"])  # table alias for the same quantity
         return out
 
     def to_csv(self) -> str:

@@ -3,11 +3,24 @@
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 from ..errors import ParameterError
 
 MLP_RATIO = 4  # transformer feed-forward width, in multiples of embed_dim
 MAX_POOL_GRID = 8  # largest pooled token grid chosen when pool_grid is not given
+
+
+class Stage(NamedTuple):
+    """A decoder stage: its output side, the channels its convolution reads
+    (its skip's included) and writes, whether it upsamples, and the 1-indexed
+    encoder block feeding its skip (None without one)."""
+
+    resolution: int
+    in_channels: int
+    out_channels: int
+    upsampled: bool
+    skip_block: int | None
 
 
 @dataclass(frozen=True)
@@ -103,22 +116,23 @@ class TrustConfig:
     def mlp_dim(self) -> int:
         return MLP_RATIO * self.embed_dim
 
-    def stage_plan(self) -> list[tuple[int, int, bool]]:
-        """(resolution_after_stage, out_channels, upsampled) per decoder stage."""
+    def stage_plan(self) -> list[Stage]:
+        """One ``Stage`` per decoder stage, in order. A stage upsamples by two
+        while below the image size, concatenates its skip, projected to the
+        stage's channels, and convolves; stage 0 reads the pooled tokens."""
         plan = []
-        res = self.pool_grid
-        for ch in self.decoder_channels:
+        res, in_ch = self.pool_grid, self.embed_dim
+        for s, ch in enumerate(self.decoder_channels):
             up = res < self.image_size
             if up:
                 res *= 2
-            plan.append((res, ch, up))
+            skip = None
+            if s < len(self.skip_sources) and self.skip_enabled[s]:
+                skip = self.skip_sources[s]
+                in_ch += ch
+            plan.append(Stage(res, in_ch, ch, up, skip))
+            in_ch = ch
         return plan
-
-    def skip_for_stage(self, stage: int) -> int | None:
-        """1-indexed encoder block feeding this decoder stage, if enabled."""
-        if stage < len(self.skip_sources) and self.skip_enabled[stage]:
-            return self.skip_sources[stage]
-        return None
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .. import ndtensor as nd
-from ..errors import ParameterError
+from ..errors import DimensionError, ParameterError
 from ..metrics import ssim_tensor
 
 LAMBDA_L1 = 0.1  # weight of the mean absolute error in "l2_l1"
@@ -13,13 +13,15 @@ LAMBDA_SSIM = 0.5  # weight of 1 - SSIM in "l2_ssim"
 
 
 def sample_losses(kind: str, pred: nd.Tensor, target) -> nd.Tensor:
-    """Per-image loss of a (B, S, S) prediction stack, shape (B,); an (S, S)
-    image counts as a stack of one. Differentiable through ``pred``."""
+    """Per-image loss of a (B, S, S) prediction stack against a target stack
+    of the same shape, shape (B,); any other shape is a DimensionError.
+    Differentiable through ``pred``."""
     if not isinstance(target, nd.Tensor):
         target = nd.Tensor(np.asarray(target, dtype=np.float64))
-    if pred.data.ndim == 2:
-        pred = nd.reshape(pred, (1,) + pred.data.shape)
-        target = nd.reshape(target, (1,) + target.data.shape)
+    if pred.data.ndim != 3 or target.data.shape != pred.data.shape:
+        raise DimensionError(
+            f"loss expects matching (B, H, W) stacks, got {pred.data.shape} "
+            f"and {target.data.shape}")
     b = pred.data.shape[0]
 
     def image_mean(t):

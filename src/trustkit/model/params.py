@@ -1,4 +1,4 @@
-"""Parameter sets: shape maps, seeded initialization, counting, checkpoints."""
+"""Parameter sets: seeded initialization, counting, checkpoints."""
 
 from __future__ import annotations
 
@@ -14,65 +14,12 @@ from .. import ndtensor as nd
 from ..errors import CheckpointError, ParameterError
 from . import forward as _forward
 from .config import TrustConfig, UnetConfig
+from .forward import trust_param_shapes, unet_param_shapes
 
 CHECKPOINT_VERSION = 1
 
 TRUST = "trust"
 UNET = "unet"
-
-
-def trust_param_shapes(cfg: TrustConfig) -> dict[str, tuple[int, ...]]:
-    shapes: dict[str, tuple[int, ...]] = {
-        "patch_embed.weight": (cfg.patch_dim, cfg.embed_dim),
-        "patch_embed.bias": (cfg.embed_dim,),
-        "pos_embed": (cfg.tokens, cfg.embed_dim),
-    }
-    d = cfg.embed_dim
-    for i in range(cfg.encoder_depth):
-        for proj in ("q", "k", "v", "out"):
-            shapes[f"enc{i}.attn.{proj}.weight"] = (d, d)
-            if proj != "k":
-                # a key bias shifts every score row by a constant, which the
-                # row softmax cancels; the parameter would be dead weight
-                shapes[f"enc{i}.attn.{proj}.bias"] = (d,)
-        shapes[f"enc{i}.ln1.scale"] = (d,)
-        shapes[f"enc{i}.ln1.shift"] = (d,)
-        shapes[f"enc{i}.mlp.fc1.weight"] = (d, cfg.mlp_dim)
-        shapes[f"enc{i}.mlp.fc1.bias"] = (cfg.mlp_dim,)
-        shapes[f"enc{i}.mlp.fc2.weight"] = (cfg.mlp_dim, d)
-        shapes[f"enc{i}.mlp.fc2.bias"] = (d,)
-        shapes[f"enc{i}.ln2.scale"] = (d,)
-        shapes[f"enc{i}.ln2.shift"] = (d,)
-    in_ch = d
-    for s, (_, out_ch, _) in enumerate(cfg.stage_plan()):
-        if cfg.skip_for_stage(s) is not None:
-            shapes[f"skip{s}.proj.weight"] = (out_ch, d, 1, 1)
-            shapes[f"skip{s}.proj.bias"] = (out_ch,)
-            in_ch += out_ch
-        shapes[f"dec{s}.conv.weight"] = (out_ch, in_ch, 3, 3)
-        shapes[f"dec{s}.conv.bias"] = (out_ch,)
-        in_ch = out_ch
-    shapes["head.weight"] = (1, in_ch, 1, 1)
-    shapes["head.bias"] = (1,)
-    return shapes
-
-
-def unet_param_shapes(cfg: UnetConfig) -> dict[str, tuple[int, ...]]:
-    c = cfg.base_channels
-    return {
-        "enc0.conv.weight": (c, 1, 3, 3),
-        "enc0.conv.bias": (c,),
-        "enc1.conv.weight": (2 * c, c, 3, 3),
-        "enc1.conv.bias": (2 * c,),
-        "enc2.conv.weight": (4 * c, 2 * c, 3, 3),
-        "enc2.conv.bias": (4 * c,),
-        "dec1.conv.weight": (2 * c, 4 * c + 2 * c, 3, 3),
-        "dec1.conv.bias": (2 * c,),
-        "dec0.conv.weight": (c, 2 * c + c, 3, 3),
-        "dec0.conv.bias": (c,),
-        "head.weight": (1, c, 1, 1),
-        "head.bias": (1,),
-    }
 
 
 def param_shapes(model_kind: str, cfg) -> dict[str, tuple[int, ...]]:
@@ -113,14 +60,12 @@ def _trust_flops(cfg: TrustConfig) -> int:
     per_block += 2 * t * t * d  # scores and value aggregation across heads
     per_block += 2 * t * d * cfg.mlp_dim
     total += cfg.encoder_depth * per_block
-    in_ch = d
-    for s, (res, out_ch, _) in enumerate(cfg.stage_plan()):
-        if cfg.skip_for_stage(s) is not None:
-            total += cfg.token_grid**2 * out_ch * d  # 1x1 skip projection
-            in_ch += out_ch
-        total += res * res * out_ch * in_ch * 9
-        in_ch = out_ch
-    total += cfg.image_size**2 * in_ch  # 1x1 head
+    plan = cfg.stage_plan()
+    for stage in plan:
+        if stage.skip_block is not None:
+            total += cfg.token_grid**2 * stage.out_channels * d  # 1x1 skip projection
+        total += stage.resolution**2 * stage.out_channels * stage.in_channels * 9
+    total += cfg.image_size**2 * (plan[-1].out_channels if plan else d)  # 1x1 head
     return total
 
 

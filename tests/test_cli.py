@@ -296,6 +296,7 @@ def test_report_empty_dir_exit_1(runner, tmp_path):
     assert res.exit_code == 1
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is what it feeds
 def test_train_nonfinite_abort_exit_1(runner, small_dataset, tmp_path):
     res = runner.invoke(main, _train_args(small_dataset, tmp_path / "tr", ["--lr", "1e300"]))
     assert res.exit_code == 1, res.output
@@ -593,3 +594,33 @@ def test_cli_import_leaves_scipy_unloaded():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, check=True)
     assert done.stdout.strip() == "False"
+
+
+_OUTPUT_FLAGS = [("gen-data", "--out"), ("verify-bound", "--out"), ("solve", "--out"),
+                 ("train", "--out"), ("eval", "--out"), ("eval", "--emit-images"),
+                 ("report", "--out")]
+
+
+@pytest.mark.parametrize("command,flag", _OUTPUT_FLAGS,
+                         ids=[f"{command}{flag}" for command, flag in _OUTPUT_FLAGS])
+@pytest.mark.parametrize("where", ["is-a-file", "under-a-file"])
+def test_output_path_that_cannot_be_a_directory_exits_2(runner, small_dataset, tmp_path,
+                                                        command, flag, where):
+    blocker = tmp_path / "afile"
+    blocker.write_text("not a directory\n")
+    target = blocker if where == "is-a-file" else blocker / "sub"
+    if command == "report":
+        flags = {"--runs": str(tmp_path / "runs")}
+        solve_flags = _small_run("solve", tmp_path, small_dataset)
+        solve_flags["--out"] = str(tmp_path / "runs" / "omp")
+        res = runner.invoke(main, ["solve", *(p for item in solve_flags.items() for p in item)])
+        assert res.exit_code == 0, res.output
+    else:
+        flags = _small_run(command, tmp_path, small_dataset)
+    flags[flag] = str(target)
+    res = runner.invoke(main, [command, *(part for item in flags.items() for part in item)])
+    assert res.exit_code == 2, res.output
+    assert f"cannot create output directory {target}" in res.output
+    assert "Traceback" not in res.output
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert blocker.read_text() == "not a directory\n"

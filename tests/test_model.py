@@ -1,3 +1,4 @@
+import itertools
 import json
 import tempfile
 import tracemalloc
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from trustkit import dataset, model, ndtensor as nd
+from trustkit import dataset, metrics, model, ndtensor as nd
 from trustkit.errors import CheckpointError, ContractError, DimensionError, ParameterError
 
 from gradcheck import finite_difference, rel_err
@@ -41,8 +42,12 @@ def test_config_defaults_valid():
     assert cfg.head_dim == 16
     assert cfg.tokens == 64
     plan = cfg.stage_plan()
-    assert [p[0] for p in plan] == [16, 32, 32, 32]
-    assert [p[1] for p in plan] == [64, 32, 16, 8]
+    assert [p.resolution for p in plan] == [16, 32, 32, 32]
+    assert [p.out_channels for p in plan] == [64, 32, 16, 8]
+    # stages 0 and 1 also read the skips from blocks 4 and 2
+    assert [p.in_channels for p in plan] == [64 + 64, 64 + 32, 32, 16]
+    assert [p.skip_block for p in plan] == [4, 2, None, None]
+    assert [p.upsampled for p in plan] == [True, True, False, False]
 
 
 def test_config_rejects_bad_shapes():
@@ -65,8 +70,8 @@ def test_config_derives_pool_grid_from_image_size(size, grid):
     assert cfg.pool_grid == grid
     assert cfg.to_dict()["pool_grid"] == grid
     out = model.forward_trust(model.init_params(model.TRUST, cfg), cfg,
-                              rng.random((size, size)))
-    assert out.data.shape == (size, size)
+                              rng.random((1, size, size)))
+    assert out.data.shape == (1, size, size)
 
 
 def test_config_pool_grid_default_and_explicit():
@@ -83,20 +88,20 @@ def test_config_pool_grid_default_and_explicit():
 def test_forward_shape_default():
     cfg = model.TrustConfig()
     params = model.init_params(model.TRUST, cfg)
-    out = model.forward_trust(params, cfg, rng.random((32, 32)))
-    assert out.data.shape == (32, 32)
+    out = model.forward_trust(params, cfg, rng.random((1, 32, 32)))
+    assert out.data.shape == (1, 32, 32)
     assert np.all(out.data > 0) and np.all(out.data < 1)
 
 
 def test_forward_shape_no_skips():
     cfg = model.TrustConfig(skip_enabled=(False, False))
     params = model.init_params(model.TRUST, cfg)
-    out = model.forward_trust(params, cfg, rng.random((32, 32)))
-    assert out.data.shape == (32, 32)
+    out = model.forward_trust(params, cfg, rng.random((1, 32, 32)))
+    assert out.data.shape == (1, 32, 32)
 
 
 def test_skip_ablation_changes_output():
-    img = rng.random((32, 32))
+    img = rng.random((1, 32, 32))
     full = model.TrustConfig()
     none = model.TrustConfig(skip_enabled=(False, False))
     out_full = model.forward_trust(model.init_params(model.TRUST, full), full, img)
@@ -108,25 +113,55 @@ def test_skip_ablation_changes_output():
 def test_forward_deterministic():
     cfg = reduced_trust()
     params = model.init_params(model.TRUST, cfg)
-    img = rng.random((16, 16))
+    img = rng.random((1, 16, 16))
     a = model.forward_trust(params, cfg, img)
     b = model.forward_trust(params, cfg, img)
     assert a.data.tobytes() == b.data.tobytes()
 
 
+_REDUCED_CONFIGS = {
+    model.TRUST: reduced_trust(),
+    model.UNET: model.UnetConfig(image_size=16, base_channels=4, seed=1),
+}
+
+
+_CHECKED_TENSORS = [
+    (model.TRUST, "patch_embed.weight"), (model.TRUST, "enc0.attn.k.weight"),
+    (model.TRUST, "dec1.conv.weight"), (model.UNET, "enc0.conv.weight"),
+    (model.UNET, "dec1.conv.weight"), (model.UNET, "head.bias"),
+]
+
+
 def test_forward_wrong_param_shape_names_tensor():
-    cfg = reduced_trust()
-    params = model.init_params(model.TRUST, cfg)
-    params["patch_embed.weight"] = nd.Tensor(np.zeros((3, 3)), requires_grad=True)
-    with pytest.raises(ContractError, match="patch_embed.weight"):
-        model.forward_trust(params, cfg, rng.random((16, 16)))
+    # both models, each tensor missing or of the wrong shape
+    for (kind, name), fault in itertools.product(_CHECKED_TENSORS, ("missing", "wrong-shape")):
+        cfg = _REDUCED_CONFIGS[kind]
+        params = model.init_params(kind, cfg)
+        if fault == "missing":
+            del params[name]
+            message = f"missing parameter tensor '{name}'"
+        else:
+            params[name] = nd.Tensor(np.zeros((3, 3)), requires_grad=True)
+            message = rf"parameter '{name}' has shape \(3, 3\), config expects"
+        with pytest.raises(ContractError, match=message):
+            model.model_spec(kind).forward(params, cfg, rng.random((1, 16, 16)))
+
+
+@pytest.mark.parametrize("kind", [model.TRUST, model.UNET])
+def test_forward_rejects_a_tensor_outside_the_shape_map(kind):
+    # e.g. a key bias, which the attention's softmax would cancel
+    cfg = _REDUCED_CONFIGS[kind]
+    params = model.init_params(kind, cfg)
+    params["enc0.attn.k.bias"] = nd.Tensor(np.zeros(8), requires_grad=True)
+    with pytest.raises(ContractError, match="unexpected parameter tensor 'enc0.attn.k.bias'"):
+        model.model_spec(kind).forward(params, cfg, rng.random((1, 16, 16)))
 
 
 def test_attention_rows_sum_to_one_every_head_and_block():
     cfg = model.TrustConfig()
     params = model.init_params(model.TRUST, cfg)
     capture = {}
-    model.forward_trust(params, cfg, rng.random((32, 32)), capture=capture)
+    model.forward_trust(params, cfg, rng.random((1, 32, 32)), capture=capture)
     keys = [k for k in capture if k.endswith(".attn")]
     assert len(keys) == cfg.encoder_depth * cfg.num_heads
     for k in keys:
@@ -142,9 +177,9 @@ def test_batched_forward_equals_per_sample_forwards(kind):
     batched = forward(params, cfg, stack)
     assert batched.data.shape == (3, 32, 32)
     for b in range(3):
-        single = forward(params, cfg, stack[b])
-        assert single.data.shape == (32, 32)
-        assert np.abs(batched.data[b] - single.data).max() <= 1e-12
+        single = forward(params, cfg, stack[b : b + 1])
+        assert single.data.shape == (1, 32, 32)
+        assert np.abs(batched.data[b] - single.data[0]).max() <= 1e-12
 
 
 def test_batched_capture_keeps_batch_axis():
@@ -158,11 +193,11 @@ def test_batched_capture_keeps_batch_axis():
         + ["enc0.tokens", "enc1.tokens"])
     for b in range(3):
         single = {}
-        model.forward_trust(params, cfg, stack[b], capture=single)
+        model.forward_trust(params, cfg, stack[b : b + 1], capture=single)
         assert single.keys() == batched.keys()
         for key, value in single.items():
-            assert batched[key].shape == (3,) + value.shape
-            assert np.abs(batched[key][b] - value).max() <= 1e-12
+            assert batched[key].shape == (3,) + value.shape[1:]
+            assert np.abs(batched[key][b] - value[0]).max() <= 1e-12
     att = batched["enc1.head1.attn"]
     assert att.shape == (3, cfg.tokens, cfg.tokens)
     assert np.all(np.abs(att.sum(axis=-1) - 1.0) <= 1e-12)
@@ -188,21 +223,44 @@ def test_first_block_attention_matches_per_head_softmax():
         assert np.abs(capture[f"enc0.head{h}.attn"] - expected).max() <= 1e-12
 
 
+_TRUST, _UNET = _REDUCED_CONFIGS[model.TRUST], _REDUCED_CONFIGS[model.UNET]
+_STACK_ONLY = {
+    "forward_trust": lambda x: model.forward_trust(
+        model.init_params(model.TRUST, _TRUST), _TRUST, x).data,
+    "forward_unet": lambda x: model.forward_unet(
+        model.init_params(model.UNET, _UNET), _UNET, x).data,
+    "token_gram": lambda x: model.token_gram(model.init_params(model.TRUST, _TRUST), _TRUST, x),
+    "token_gram_raw": lambda x: model.token_gram({}, _TRUST, x, mode="raw"),
+    "ssim_tensor": lambda x: metrics.ssim_tensor(nd.Tensor(x), nd.Tensor(x)).data,
+    "sample_losses": lambda x: model.sample_losses("l2", nd.Tensor(x), x).data,
+}
+
+
 def test_forward_rejects_wrong_stack_shape():
-    cfg = reduced_trust()
-    params = model.init_params(model.TRUST, cfg)
-    for bad in (rng.random((16, 8)), rng.random((2, 1, 16, 16)), rng.random(16)):
-        with pytest.raises(DimensionError):
-            model.forward_trust(params, cfg, bad)
+    # every stack-only entry point takes (B, S, S) and nothing else, (S, S) included
+    for entry, call in _STACK_ONLY.items():
+        assert call(rng.random((2, 16, 16))).shape[0] == 2, entry
+        for bad in (rng.random((16, 16)), rng.random((16, 8)), rng.random((2, 1, 16, 16)),
+                    rng.random(16)):
+            with pytest.raises(DimensionError):
+                call(bad)
+
+
+def test_loss_rejects_a_target_of_another_shape():
+    # an "l2" target of one image would otherwise broadcast against the stack
+    stack = rng.random((2, 16, 16))
+    for kind, target in itertools.product(model.LOSS_KINDS, (stack[0], stack[:1])):
+        with pytest.raises(DimensionError, match="matching"):
+            model.loss(kind, nd.Tensor(stack), target)
 
 
 def test_unet_shape_and_determinism():
     cfg = model.UnetConfig()
     params = model.init_params(model.UNET, cfg)
-    img = rng.random((32, 32))
+    img = rng.random((1, 32, 32))
     a = model.forward_unet(params, cfg, img)
     b = model.forward_unet(params, cfg, img)
-    assert a.data.shape == (32, 32)
+    assert a.data.shape == (1, 32, 32)
     assert a.data.tobytes() == b.data.tobytes()
     assert np.all(a.data > 0) and np.all(a.data < 1)
 
@@ -212,8 +270,8 @@ def test_unet_shape_and_determinism():
 
 def _model_gradcheck(model_kind, cfg, img_size, tol=1e-4):
     params = model.init_params(model_kind, cfg)
-    img = np.random.default_rng(1).random((img_size, img_size))
-    weights = np.random.default_rng(2).standard_normal((img_size, img_size))
+    img = np.random.default_rng(1).random((1, img_size, img_size))
+    weights = np.random.default_rng(2).standard_normal((1, img_size, img_size))
     forward = model.model_spec(model_kind).forward
 
     loss = nd.reduce_sum(nd.mul(forward(params, cfg, img), nd.Tensor(weights)))
@@ -247,8 +305,8 @@ def test_unet_full_gradient_check_reduced_config():
 
 
 def test_loss_gradients_every_kind():
-    pred0 = np.random.default_rng(4).random((9, 9))
-    target = np.random.default_rng(5).random((9, 9))
+    pred0 = np.random.default_rng(4).random((1, 9, 9))
+    target = np.random.default_rng(5).random((1, 9, 9))
     for kind in model.LOSS_KINDS:
         pred = nd.Tensor(pred0.copy(), requires_grad=True)
         model.loss(kind, pred, target).backward()
@@ -264,7 +322,7 @@ def test_loss_gradients_every_kind():
 
 
 def test_loss_zero_on_identical():
-    x = rng.random((12, 12))
+    x = rng.random((1, 12, 12))
     pred = nd.Tensor(x.copy())
     assert model.loss("l2", pred, x).item() == 0.0
     assert abs(model.loss("l2_ssim", pred, x).item()) < 1e-9
@@ -273,7 +331,7 @@ def test_loss_zero_on_identical():
 
 def test_loss_unknown_kind():
     with pytest.raises(ParameterError):
-        model.loss("huber", nd.Tensor(np.zeros((4, 4))), np.zeros((4, 4)))
+        model.loss("huber", nd.Tensor(np.zeros((1, 4, 4))), np.zeros((1, 4, 4)))
 
 
 # ---- token gram ----------------------------------------------------------------
@@ -288,22 +346,23 @@ def test_token_gram_raw_invariant_under_patchwise_rotation():
     rot = sensing.sample_operator(sensing.ORTHONORMAL_SQUARE, 16, 16, seed=8).matrix
     y = unpatchify(patches @ rot.T, 4, 16)
     params = model.init_params(model.TRUST, cfg)
-    g_x = model.token_gram(params, cfg, x, mode="raw")
-    g_y = model.token_gram(params, cfg, y, mode="raw")
+    g_x = model.token_gram(params, cfg, x[None], mode="raw")
+    g_y = model.token_gram(params, cfg, y[None], mode="raw")
     assert np.max(np.abs(g_x - g_y)) < 1e-8
 
 
 def test_token_gram_symmetry_only_when_tied():
     cfg = reduced_trust()
     params = model.init_params(model.TRUST, cfg)
-    img = rng.random((16, 16))
-    gram = model.token_gram(params, cfg, img)
+    img = rng.random((1, 16, 16))
+    [gram] = model.token_gram(params, cfg, img)
+    assert np.max(np.abs(gram - gram.T)) > 1e-6
     tied = dict(params)
     tied["enc0.attn.k.weight"] = params["enc0.attn.q.weight"]
     tied["enc0.attn.q.bias"] = nd.Tensor(np.zeros(cfg.embed_dim), requires_grad=True)
-    gram_tied = model.token_gram(tied, cfg, img)
+    [gram_tied] = model.token_gram(tied, cfg, img)
     assert np.max(np.abs(gram_tied - gram_tied.T)) < 1e-12
-    raw = model.token_gram(params, cfg, img, mode="raw")
+    [raw] = model.token_gram(params, cfg, img, mode="raw")
     assert np.max(np.abs(raw - raw.T)) < 1e-12
 
 
@@ -315,8 +374,8 @@ def test_token_gram_of_a_stack_equals_per_image_grams():
         grams = model.token_gram(params, cfg, stack, mode=mode)
         assert grams.shape == (3, cfg.tokens, cfg.tokens)
         for b in range(3):
-            single = model.token_gram(params, cfg, stack[b], mode=mode)
-            assert np.abs(grams[b] - single).max() <= 1e-12
+            single = model.token_gram(params, cfg, stack[b : b + 1], mode=mode)
+            assert np.abs(grams[b] - single[0]).max() <= 1e-12
 
 
 def test_token_gram_deviation_tracks_isometry_constant():
@@ -381,6 +440,42 @@ def test_doubling_embed_more_than_doubles_params():
     assert big > 2 * small
 
 
+def _trust_encoder_flops(cfg):
+    d, t = cfg.embed_dim, cfg.tokens
+    per_block = 4 * t * d * d + 2 * t * t * d + 2 * t * d * cfg.mlp_dim
+    return t * cfg.patch_dim * d + cfg.encoder_depth * per_block
+
+
+def test_flop_estimate_default_trust_matches_closed_form():
+    cfg = model.TrustConfig()
+    d, g = cfg.embed_dim, cfg.token_grid
+    # 1x1 skip projections from the 8x8 token grid into stages 0 and 1
+    skips = g * g * 64 * d + g * g * 32 * d
+    # 3x3 decoder convolutions at 16, 32, 32, 32 px; stages 0 and 1 also read their skip
+    dec = (16 * 16 * 64 * (64 + 64) + 32 * 32 * 32 * (64 + 32) + 32 * 32 * 16 * 32
+           + 32 * 32 * 8 * 16) * 9
+    head = 32 * 32 * 8
+    expected = _trust_encoder_flops(cfg) + skips + dec + head
+    assert model.flop_estimate(model.TRUST, cfg) == expected == 68231168
+
+
+def test_flop_estimate_no_skip_trust_matches_closed_form():
+    cfg = model.TrustConfig(skip_enabled=(False, False))
+    dec = (16 * 16 * 64 * 64 + 32 * 32 * 32 * 64 + 32 * 32 * 16 * 32 + 32 * 32 * 8 * 16) * 9
+    expected = _trust_encoder_flops(cfg) + dec + 32 * 32 * 8
+    assert model.flop_estimate(model.TRUST, cfg) == expected == 48963584
+
+
+def test_flop_estimate_default_unet_matches_closed_form():
+    cfg = model.UnetConfig()
+    s, c = cfg.image_size, cfg.base_channels
+    enc = (s * s * c * 1 + (s // 2) ** 2 * 2 * c * c + (s // 4) ** 2 * 4 * c * 2 * c) * 9
+    # decoder convolutions read the upsampled level below plus the encoder skip
+    dec = ((s // 2) ** 2 * 2 * c * (4 * c + 2 * c) + s * s * c * (2 * c + c)) * 9
+    expected = enc + dec + s * s * c
+    assert model.flop_estimate(model.UNET, cfg) == expected == 4210688
+
+
 def test_flop_estimate_positive_and_monotone():
     base = model.flop_estimate(model.TRUST, model.TrustConfig(embed_dim=32))
     wider = model.flop_estimate(model.TRUST, model.TrustConfig(embed_dim=64))
@@ -408,7 +503,7 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
 def test_checkpoint_forward_reproduces_bitwise(tmp_path):
     cfg = reduced_trust()
     params = model.init_params(model.TRUST, cfg)
-    img = rng.random((16, 16))
+    img = rng.random((1, 16, 16))
     before = model.forward_trust(params, cfg, img).data.tobytes()
     model.checkpoint_save(params, model.TRUST, cfg, tmp_path / "c.json")
     loaded, _ = model.checkpoint_load(tmp_path / "c.json")
@@ -634,7 +729,8 @@ def _reference_step_grads(kind, cfg, tcfg, params, data):
     pre-batching train step)."""
     forward = model.model_spec(kind).forward
     nd.zero_grads(params.values())
-    losses = [model.loss(tcfg.loss_kind, forward(params, cfg, y), x) for x, y in zip(*data)]
+    losses = [model.loss(tcfg.loss_kind, forward(params, cfg, y[None]), x[None])
+              for x, y in zip(*data)]
     total = losses[0]
     for extra in losses[1:]:
         total = nd.add(total, extra)
