@@ -197,14 +197,26 @@ def gen_data(ctx, **_):
 # ---- verify-bound --------------------------------------------------------------
 
 
+def _distinct(values: list, flag: str) -> list:
+    """``values``, refused when empty or when one repeats (it would run the
+    same cells twice, from different draws)."""
+    if not values:
+        raise click.UsageError(f"--{flag} must name at least one value")
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise click.UsageError(f"--{flag} names {value} more than once")
+    return values
+
+
 def _int_list(text: str, flag: str) -> list[int]:
     try:
         values = [int(v) for v in text.split(",") if v != ""]
     except ValueError:
         raise click.UsageError(f"--{flag} must be a comma-separated integer list, got {text!r}")
-    if not values:
-        raise click.UsageError(f"--{flag} must name at least one value")
-    return values
+    for value in values:
+        if value < 1:
+            raise click.UsageError(f"--{flag} values must be positive, got {value}")
+    return _distinct(values, flag)
 
 
 @main.command("verify-bound")
@@ -222,13 +234,12 @@ def _int_list(text: str, flag: str) -> list[int]:
 def verify_bound(ctx, **_):
     """Sweep operator ensembles and check deviation <= delta on exact cells.
 
-    Exits 1 if any exactly-enumerated cell violates the bound.
+    An exactly-enumerated cell's delta is exact, the maximum over all
+    C(n, 2k) supports. Exits 1 if any such cell violates the bound.
     """
     started = time.monotonic()
     cfg = _resolve(ctx)
-    kind_names = [k.strip() for k in cfg["kinds"].split(",") if k.strip()]
-    if not kind_names:
-        raise click.UsageError("--kinds must name at least one value")
+    kind_names = _distinct([k.strip() for k in cfg["kinds"].split(",") if k.strip()], "kinds")
     grid = {key: _int_list(cfg[f"{key}_list"], key) for key in ("m", "n", "k")}
     out = _make_out_dir(cfg["out"])
     try:

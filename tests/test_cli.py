@@ -111,6 +111,21 @@ def test_verify_bound_malformed_grid_exit_2(runner, tmp_path):
     assert res.exit_code == 2
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--m", "8,8", "--n", "16", "--k", "1", "--kinds", "gaussian_fat"],
+     "--m names 8 more than once"),
+    (["--kinds", "gaussian_fat,gaussian_fat"], "--kinds names gaussian_fat more than once"),
+    (["--m", "0"], "--m values must be positive, got 0"),
+    (["--n", "-12"], "--n values must be positive, got -12"),
+    (["--k", "0"], "--k values must be positive, got 0"),
+])
+def test_verify_bound_names_the_bad_grid_value(runner, tmp_path, flags, message):
+    # a repeated value would run its cells twice, from different draws
+    res = runner.invoke(main, ["verify-bound", "--out", str(tmp_path / "x"), *flags])
+    assert res.exit_code == 2
+    assert message in res.output
+
+
 def test_verify_bound_matrix_output(runner, tmp_path):
     out = tmp_path / "vb"
     res = runner.invoke(main, [
@@ -453,6 +468,10 @@ def _config(command, entries):
     _checkpoint_for_other_size,
     _bogus_kind, _oversized_sweep, _sweep_k(0), _sweep_k(-1),
     _sweep_without_cells("--kinds", ","), _sweep_without_cells("--m", "40", "--n", "12"),
+    _sweep_without_cells("--m", "8,8", "--n", "16", "--k", "1", "--kinds", "gaussian_fat"),
+    _sweep_without_cells("--n", "12,12"), _sweep_without_cells("--k", "1,2,1"),
+    _sweep_without_cells("--kinds", "gaussian_fat,orthonormal_square,gaussian_fat"),
+    _sweep_without_cells("--m", "0"), _sweep_without_cells("--n", "-12"),
     _corrupt_run(lambda blob: blob[: len(blob) // 2]), _corrupt_run(lambda blob: b"\xff" + blob),
     _corrupt_run(_without_ssim),
     _indivisible_heads,
@@ -476,7 +495,8 @@ def _config(command, entries):
         "manifest-without-splits", "checkpoint-blob-deleted", "checkpoint-tensors-not-entries",
         "checkpoint-for-other-image-size",
         "bogus-kind", "oversized-sweep", "k-0", "k-negative", "sweep-kinds-empty",
-        "sweep-grid-without-cells", "report-aggregate-not-json",
+        "sweep-grid-without-cells", "sweep-m-repeated", "sweep-n-repeated", "sweep-k-repeated",
+        "sweep-kinds-repeated", "sweep-m-0", "sweep-n-negative", "report-aggregate-not-json",
         "report-aggregate-not-utf8", "report-aggregate-without-ssim", "heads-3", "image-size-256",
         "image-size-0", "gen-data-seed-negative", "verify-bound-seed-negative",
         "train-seed-negative", "config-file-seed-negative", "omp-max-iter-negative",

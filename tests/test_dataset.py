@@ -276,7 +276,7 @@ def _solve_exits_2(data_dir, split="test"):
     assert res.exception is None or isinstance(res.exception, SystemExit)
 
 
-@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@settings(max_examples=30)
 @given(path=st.sampled_from(_READ_KEYS))
 def test_manifest_missing_any_read_key_is_a_dataset_error(clean_dataset, path):
     with tempfile.TemporaryDirectory() as tmp:
@@ -293,7 +293,7 @@ def test_manifest_missing_any_read_key_is_a_dataset_error(clean_dataset, path):
         _solve_exits_2(tmp)
 
 
-@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@settings(max_examples=30)
 @given(split=st.sampled_from(dataset.SPLITS), blob=st.sampled_from(["pairs", "norm"]),
        where=st.floats(0.0, 1.0, exclude_max=True), flip=st.integers(1, 255))
 def test_flipped_blob_byte_is_a_dataset_error(clean_dataset, split, blob, where, flip):

@@ -636,7 +636,7 @@ def _copy_checkpoint(src, dst):
     return dst / src.name
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(key=st.sampled_from(_CHECKPOINT_ENTRIES), value=_JSON_VALUES)
 @example(key="blob", value=5)
 @example(key="blob", value=None)
@@ -655,7 +655,7 @@ def test_any_substituted_manifest_entry_is_a_checkpoint_error(clean_checkpoint, 
         _eval_exits_2(ckpt, data)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(where=st.floats(0.0, 1.0, exclude_max=True), flip=st.integers(0, 255),
        truncate=st.booleans())
 def test_flipped_or_truncated_blob_is_a_checkpoint_error(clean_checkpoint, where, flip,

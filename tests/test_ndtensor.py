@@ -242,7 +242,7 @@ def test_box_filter_matches_window_means(rng):
 _FLAGS = st.lists(st.booleans(), min_size=2, max_size=2)
 
 
-@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@settings(max_examples=25)
 @given(batch=st.lists(st.integers(1, 3), min_size=0, max_size=2),
        squash_a=_FLAGS, squash_b=_FLAGS, drop=_FLAGS,
        dims=st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)),
@@ -291,6 +291,17 @@ def test_upsample_factor_zero_rejected():
 
 def test_upsample_gradient(rng):
     _check(lambda x: nd.upsample_nearest(x, 3), rng.standard_normal((2, 2, 3)), tol=1e-6)
+
+
+@pytest.mark.parametrize("factor", [1, 2, 3, 4])
+@pytest.mark.parametrize("shape", [(2, 3, 5), (3, 2, 4, 7)])
+def test_upsample_gradient_is_the_reshape_sum_bitwise(factor, shape, rng):
+    # the vjp sums strided views; it must give the bits of the block sum
+    x = nd.Tensor(rng.standard_normal(shape), requires_grad=True)
+    *lead, h, w = shape
+    g = rng.standard_normal((*lead, h * factor, w * factor))
+    nd.reduce_sum(nd.mul(nd.upsample_nearest(x, factor), nd.Tensor(g))).backward()
+    assert np.array_equal(x.grad, g.reshape(*lead, h, factor, w, factor).sum(axis=(-3, -1)))
 
 
 # ---- adaptive_avg_pool ------------------------------------------------------

@@ -459,7 +459,7 @@ def test_lipschitz_of_zero_matrix_takes_one_product():
     assert gram.products == 1
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(st.integers(1, 12).flatmap(lambda m: st.integers(1, 12).flatmap(
     lambda n: arrays(np.float64, (m, n), elements=st.floats(-2.0, 2.0, width=64).map(
         lambda v: v if abs(v) >= 1e-100 else 0.0)))))
