@@ -187,14 +187,21 @@ def attention_similarity_sweep(kinds, ms, ns, ks, trials: int, seed: int) -> Swe
     Cells run in deterministic grid order; (m, n) pairs the kind's ensemble
     has no member of, and k with 2k > min(m, n), are skipped. Pair supports
     are drawn independently, so joint supports of size <= 2k arise by
-    construction (overlaps are kept, which the bound permits). An unknown
-    kind, an oversized operator or a k < 1 raises ParameterError before any
-    cell runs.
+    construction (overlaps are kept, which the bound permits). An empty
+    axis, a repeated value (its cells would run twice, from different
+    draws), an m, n or k below 1, an unknown kind or an oversized operator
+    raises ParameterError before any cell runs.
     """
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
-    if any(k < 1 for k in ks):
-        raise ParameterError(f"every k must be >= 1, got {list(ks)}")
+    for axis, values in (("kinds", kinds), ("m", ms), ("n", ns), ("k", ks)):
+        if not values:
+            raise ParameterError(f"{axis} must name at least one value")
+        for i, value in enumerate(values):
+            if value in values[:i]:
+                raise ParameterError(f"{axis} names {value} more than once")
+            if axis != "kinds" and value < 1:
+                raise ParameterError(f"every {axis} must be >= 1, got {value}")
     specs = []
     for kind in kinds:
         for n in ns:

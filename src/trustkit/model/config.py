@@ -30,15 +30,17 @@ class TrustConfig:
 
     Decoder stages double the resolution until the image size is reached;
     any remaining stages refine at full resolution. Skip connection j wires
-    encoder block ``skip_sources[j]`` (1-indexed) into decoder stage j.
+    encoder block ``skip_sources[j]`` (1-indexed) into decoder stage j. When
+    ``skip_sources`` is not given it is (min(4, depth), min(2, depth)) for
+    the encoder depth: (4, 2) at the default depth 4, (2, 2) at depth 2.
 
     When ``pool_grid`` is not given it is derived from the image: the largest
     grid that is at most ``MAX_POOL_GRID`` (8), at most the token grid, and
     divides ``image_size`` by a power of two. A 32 px image keeps 8, 8 px
     gets 2, 48 px gets 6. The resolved integer is what the instance holds,
     so ``to_dict`` and checkpoints store it, and a checkpoint that holds
-    ``pool_grid: 8`` loads unchanged. An explicit ``pool_grid`` is validated
-    as given.
+    ``pool_grid: 8`` loads unchanged. The same holds for ``skip_sources``.
+    An explicit ``pool_grid`` or ``skip_sources`` is validated as given.
     """
 
     image_size: int = 32
@@ -48,13 +50,16 @@ class TrustConfig:
     encoder_depth: int = 4
     pool_grid: int | None = None
     decoder_channels: tuple[int, ...] = (64, 32, 16, 8)
-    skip_sources: tuple[int, ...] = (4, 2)
+    skip_sources: tuple[int, ...] | None = None
     skip_enabled: tuple[bool, ...] = (True, True)
     seed: int = 0
 
     def __post_init__(self):
+        skips = self.skip_sources
+        if skips is None:
+            skips = (min(4, self.encoder_depth), min(2, self.encoder_depth))
         object.__setattr__(self, "decoder_channels", tuple(self.decoder_channels))
-        object.__setattr__(self, "skip_sources", tuple(self.skip_sources))
+        object.__setattr__(self, "skip_sources", tuple(skips))
         object.__setattr__(self, "skip_enabled", tuple(bool(b) for b in self.skip_enabled))
         for name in ("image_size", "patch_size", "embed_dim", "num_heads", "encoder_depth"):
             if getattr(self, name) < 1:

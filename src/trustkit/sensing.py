@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -12,8 +13,6 @@ from .errors import DimensionError, EnumerationCapExceeded, ParameterError
 
 if TYPE_CHECKING:
     from collections.abc import Iterator
-
-    from .solvers import SolverPlan
 
 ORTHONORMAL_SQUARE = "orthonormal_square"
 TALL_ORTHONORMAL = "tall_orthonormal"
@@ -47,14 +46,18 @@ _SHAPE_RULES = {
 }
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SensingOperator:
     """Linear map y = A x + w, materialized as a dense m x n matrix.
 
-    Immutable after construction; the masked-Fourier kind keeps its
-    frequency index list alongside the real-stacked coefficient rows.
-    ``solver_plan`` caches what the solvers derive from the matrix alone
-    (see ``solvers.solver_plan``).
+    Immutable: rebinding a field raises FrozenInstanceError, and ``matrix``
+    and ``mask`` (the masked-Fourier kind's kept frequency indices) are made
+    read-only, so writing into them raises ValueError. What the solvers
+    derive from the matrix alone is therefore computed on first use and
+    kept: ``gram``, ``column_norms`` and ``lipschitz``. OMP reads the
+    column norms and the Gram's rows; proximal gradient applies the Gram
+    once per step and takes its step from the Lipschitz constant.
+    Equality is identity.
     """
 
     kind: str
@@ -63,14 +66,33 @@ class SensingOperator:
     seed: int
     matrix: np.ndarray
     mask: np.ndarray | None = None
-    solver_plan: SolverPlan | None = field(default=None, init=False, repr=False,
-                                           compare=False)
 
     def __post_init__(self):
         if self.matrix.shape != (self.m, self.n):
             raise DimensionError(
                 f"operator matrix shape {self.matrix.shape} != ({self.m}, {self.n})"
             )
+        self.matrix.setflags(write=False)
+        if self.mask is not None:
+            self.mask.setflags(write=False)
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """A^T A."""
+        return self.matrix.T @ self.matrix
+
+    @cached_property
+    def column_norms(self) -> np.ndarray:
+        """Euclidean column norms, with 1 standing in for a zero column."""
+        norms = np.linalg.norm(self.matrix, axis=0)
+        return np.where(norms > 0, norms, 1.0)
+
+    @cached_property
+    def lipschitz(self) -> float:
+        """sigma_max(A)^2, by ``solvers.lipschitz_constant`` on the Gram."""
+        from . import solvers  # solvers imports this module
+
+        return solvers.lipschitz_constant(self.matrix, gram=self.gram)
 
 
 def shape_violation(kind: str, m: int, n: int) -> str | None:

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -76,15 +75,14 @@ def omp(op: sensing.SensingOperator, y: np.ndarray,
     The correlations A^T r start from A^T y, the only product with the
     whole of A^T, and follow the residual by rank-one updates (Batch-OMP,
     Rubinstein, Zibulevsky & Elad 2008): the new basis vector's row A^T q
-    is the plan's Gram row of the atom minus the stored rows of the earlier
-    basis vectors, weighted by the same two Gram-Schmidt coefficients, so a
-    step costs O((m + n) k) instead of O(m n).
+    is the operator's Gram row of the atom minus the stored rows of the
+    earlier basis vectors, weighted by the same two Gram-Schmidt
+    coefficients, so a step costs O((m + n) k) instead of O(m n).
     """
     config = config or SolverConfig()
     a = op.matrix
     y = np.asarray(y, dtype=np.float64)
-    plan = solver_plan(op)
-    col_norms = plan.column_norms
+    col_norms = op.column_norms
 
     support: list[int] = []
     residual = y.copy()
@@ -94,7 +92,7 @@ def omp(op: sensing.SensingOperator, y: np.ndarray,
     if float(np.linalg.norm(residual)) <= config.residual_tolerance:
         return RecoveryResult(np.zeros(op.n), np.array(support, dtype=np.intp), history, 0, True)
 
-    gram = plan.gram
+    gram = op.gram
     corr = a.T @ y                        # A^T residual
     basis = np.empty((budget, op.m))      # rows [:rank] are orthonormal
     basis_corr = np.empty((budget, op.n))  # row i is A^T basis[i]
@@ -205,43 +203,6 @@ def lipschitz_constant(a: np.ndarray, gram: np.ndarray | None = None) -> float:
     return max(top, 1e-300)
 
 
-class SolverPlan:
-    """What every solve on one operator matrix shares, each part built on
-    first use. Both solvers read the Gram matrix: OMP takes its rows to
-    keep the correlations current and also reads the column norms, proximal
-    gradient applies it once per step, for the gradient and the residual
-    norm alike, and runs Lanczos on it for the Lipschitz constant. Neither
-    multiplies by the whole of A after A^T y."""
-
-    def __init__(self, matrix: np.ndarray):
-        self.matrix = matrix
-
-    @cached_property
-    def gram(self) -> np.ndarray:
-        return self.matrix.T @ self.matrix
-
-    @cached_property
-    def lipschitz(self) -> float:
-        return lipschitz_constant(self.matrix, gram=self.gram)
-
-    @cached_property
-    def column_norms(self) -> np.ndarray:
-        """Euclidean column norms, with 1 standing in for a zero column."""
-        norms = np.linalg.norm(self.matrix, axis=0)
-        return np.where(norms > 0, norms, 1.0)
-
-
-def solver_plan(op: sensing.SensingOperator) -> SolverPlan:
-    """The plan kept on ``op``, rebuilt when ``op.matrix`` is another array.
-
-    Operators are immutable, so writing into ``op.matrix`` in place after a
-    solve is not detected.
-    """
-    if op.solver_plan is None or op.solver_plan.matrix is not op.matrix:
-        op.solver_plan = SolverPlan(op.matrix)
-    return op.solver_plan
-
-
 def _proximal_gradient(op: sensing.SensingOperator, y: np.ndarray,
                        config: SolverConfig | None, momentum: bool) -> RecoveryResult:
     """Proximal gradient on 0.5|Ax - y|^2 + lambda |x|_1 at step 1/L.
@@ -251,7 +212,7 @@ def _proximal_gradient(op: sensing.SensingOperator, y: np.ndarray,
     (t_j - 1) / t_{j+1}, where t_1 = 1 and t_{j+1} = (1 + sqrt(1 + 4 t_j^2)) / 2
     (Beck & Teboulle 2009).
 
-    A^T y is the only product with A. The loop carries G x for the plan's
+    A^T y is the only product with A. The loop carries G x for the operator's
     Gram G = A^T A, so a step applies G once, to the new iterate: G z is the
     same momentum combination of G x_{j+1} and G x_j, and the residual norm
     comes from |Ax - y|^2 = x.Gx - 2 x.A^T y + y.y, clamped at 0. Its
@@ -264,9 +225,8 @@ def _proximal_gradient(op: sensing.SensingOperator, y: np.ndarray,
     aty = a.T @ y
     yty = float(y @ y)
     lam = config.lam if config.lam is not None else 0.05 * float(np.max(np.abs(aty)))
-    plan = solver_plan(op)
-    step = 1.0 / plan.lipschitz
-    gram = plan.gram
+    step = 1.0 / op.lipschitz
+    gram = op.gram
     x, gx = np.zeros(op.n), np.zeros(op.n)
     z, gz = x, gx
     t = 1.0

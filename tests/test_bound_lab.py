@@ -140,6 +140,29 @@ def test_sweep_rejects_k_below_one_before_any_cell(monkeypatch, k):
         )
 
 
+@pytest.mark.parametrize("axes,message", [
+    ({"ms": [8, 8], "ns": [16], "ks": [1]}, "m names 8 more than once"),
+    ({"kinds": [sensing.GAUSSIAN_FAT] * 2}, "kinds names gaussian_fat more than once"),
+    ({"ns": [12, 16, 12]}, "n names 12 more than once"),
+    ({"ks": [1, 2, 1]}, "k names 1 more than once"),
+    ({"kinds": []}, "kinds must name at least one value"),
+    ({"ms": []}, "m must name at least one value"),
+    ({"ns": []}, "n must name at least one value"),
+    ({"ks": []}, "k must name at least one value"),
+    ({"ms": [8, 0]}, "every m must be >= 1, got 0"),
+    ({"ns": [-12]}, "every n must be >= 1, got -12"),
+])
+def test_sweep_refuses_a_bad_axis_before_any_cell(monkeypatch, axes, message):
+    # a repeated value would run its cells twice, from different draws
+    def run_cell(*args):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(bound_lab, "_run_cell", run_cell)
+    grid = {"kinds": [sensing.GAUSSIAN_FAT], "ms": [8], "ns": [12], "ks": [2], **axes}
+    with pytest.raises(ParameterError, match=message):
+        bound_lab.attention_similarity_sweep(**grid, trials=5, seed=0)
+
+
 def test_sweep_matrix_output():
     res = bound_lab.attention_similarity_sweep(
         kinds=[sensing.GAUSSIAN_FAT], ms=[8, 10], ns=[16], ks=[2, 3],

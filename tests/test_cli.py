@@ -113,17 +113,18 @@ def test_verify_bound_malformed_grid_exit_2(runner, tmp_path):
 
 @pytest.mark.parametrize("flags,message", [
     (["--m", "8,8", "--n", "16", "--k", "1", "--kinds", "gaussian_fat"],
-     "--m names 8 more than once"),
-    (["--kinds", "gaussian_fat,gaussian_fat"], "--kinds names gaussian_fat more than once"),
-    (["--m", "0"], "--m values must be positive, got 0"),
-    (["--n", "-12"], "--n values must be positive, got -12"),
-    (["--k", "0"], "--k values must be positive, got 0"),
+     "m names 8 more than once"),
+    (["--kinds", "gaussian_fat,gaussian_fat"], "kinds names gaussian_fat more than once"),
+    (["--m", "0"], "every m must be >= 1, got 0"),
+    (["--n", "-12"], "every n must be >= 1, got -12"),
+    (["--k", "0"], "every k must be >= 1, got 0"),
 ])
 def test_verify_bound_names_the_bad_grid_value(runner, tmp_path, flags, message):
     # a repeated value would run its cells twice, from different draws
     res = runner.invoke(main, ["verify-bound", "--out", str(tmp_path / "x"), *flags])
     assert res.exit_code == 2
     assert message in res.output
+    assert not (tmp_path / "x").exists()  # refused before the output directory is made
 
 
 def test_verify_bound_matrix_output(runner, tmp_path):

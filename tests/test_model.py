@@ -82,6 +82,24 @@ def test_config_pool_grid_default_and_explicit():
         model.TrustConfig(image_size=36)  # no grid <= 8 divides 36 by a power of two
 
 
+@pytest.mark.parametrize("depth,sources", [(1, (1, 1)), (2, (2, 2)), (4, (4, 2))])
+def test_config_derives_skip_sources_from_depth(tmp_path, depth, sources):
+    shape = dict(image_size=16, embed_dim=8, num_heads=2, encoder_depth=depth)
+    cfg = model.TrustConfig(**shape)
+    assert cfg.skip_sources == sources
+    assert cfg.to_dict()["skip_sources"] == sources
+    # a checkpoint saved with the tuple given explicitly stores and loads the same config
+    explicit = model.TrustConfig(**shape, skip_sources=sources)
+    params = model.init_params(model.TRUST, explicit)
+    for name, saved in (("old", explicit), ("new", cfg)):
+        (tmp_path / name).mkdir()
+        model.checkpoint_save(params, model.TRUST, saved, tmp_path / name / "ckpt.json")
+    old_text = (tmp_path / "old" / "ckpt.json").read_text()
+    assert old_text == (tmp_path / "new" / "ckpt.json").read_text()
+    _, manifest = model.checkpoint_load(tmp_path / "old" / "ckpt.json")
+    assert model.config_from_manifest(manifest) == cfg
+
+
 # ---- forward contracts --------------------------------------------------------
 
 

@@ -12,9 +12,7 @@ from trustkit.errors import DimensionError, ParameterError, SingularMatrixError
 
 
 def _identity_op(n):
-    op = sensing.sample_operator(sensing.ORTHONORMAL_SQUARE, n, n, seed=0)
-    op.matrix[:] = np.eye(n)
-    return op
+    return sensing.sample_operator(sensing.IDENTITY, n, n, seed=0)
 
 
 def _gaussian(m, n, seed):
@@ -142,10 +140,11 @@ def test_omp_rank_deficient_support_gives_minimum_norm_fit():
 def test_omp_tiny_column_on_support_reports_rank_deficient():
     # the loop extends its basis with a column of norm ~1e-10, but that R
     # diagonal is below _RANK_TOL; back substitution would give about 2e9 for it
-    op = _gaussian(20, 40, seed=11)
+    matrix = _gaussian(20, 40, seed=11).matrix.copy()
     tiny = 1e-10 * np.random.default_rng(11).standard_normal(20)
-    op.matrix[:, 7] = tiny
-    y = tiny / np.linalg.norm(tiny) + 0.1 * (op.matrix[:, 3] + op.matrix[:, 12])
+    matrix[:, 7] = tiny
+    op = sensing.SensingOperator(sensing.GAUSSIAN_FAT, 20, 40, 11, matrix)
+    y = tiny / np.linalg.norm(tiny) + 0.1 * (matrix[:, 3] + matrix[:, 12])
     res = solvers.omp(op, y, solvers.SolverConfig(sparsity_budget=5, residual_tolerance=0.0))
     assert 7 in res.support
     assert res.rank_deficient
@@ -190,15 +189,18 @@ def test_omp_past_estimated_operator_rank_stays_bounded(tmp_path):
         assert np.abs(res.x_hat).max() < 10.0  # 1e9 when rounding-level atoms were kept
 
 
-# ---- solver plan --------------------------------------------------------------
+# ---- what the operator keeps for the solvers ----------------------------------
+
+_DERIVED = {"gram", "column_norms", "lipschitz"}
 
 
 def test_omp_builds_gram_and_column_norms():
     op = _gaussian(16, 32, seed=1)
+    assert not _DERIVED & set(vars(op))
     solvers.omp(op, np.ones(16))
-    assert set(vars(op.solver_plan)) == {"matrix", "gram", "column_norms"}
+    assert _DERIVED & set(vars(op)) == {"gram", "column_norms"}
     solvers.fista(op, np.ones(16))
-    assert "lipschitz" in vars(op.solver_plan)
+    assert _DERIVED <= set(vars(op))
 
 
 class _WholeOperandProducts(np.ndarray):
@@ -228,16 +230,15 @@ class _CountedGram:
 
 def test_pinned_operator_product_counts():
     # the benchmark's operator: gen-data's default 32 px dense draw
-    op = sensing.sample_operator(sensing.DENSE, 1024, 1024, 0)
-    a = op.matrix
+    a = sensing.sample_operator(sensing.DENSE, 1024, 1024, 0).matrix
     gram = _CountedGram(a.T @ a)
     solvers.lipschitz_constant(a, gram=gram)
     assert gram.products <= 100  # the power iteration took 510
 
     counted = a.view(_WholeOperandProducts)
     counted.counts, counted.whole = {"products": 0}, a.size
-    op.matrix = counted
-    solvers.solver_plan(op).gram  # built once per operator, not per call
+    op = sensing.SensingOperator(sensing.DENSE, 1024, 1024, 0, counted)
+    op.gram  # built once per operator, not per call
     counted.counts["products"] = 0
     rng = np.random.default_rng(0)
     config = solvers.SolverConfig(sparsity_budget=24, residual_tolerance=0.0)
@@ -247,11 +248,10 @@ def test_pinned_operator_product_counts():
         res = solvers.omp(op, a @ x, config)
         assert res.iterations_used == 24
         assert counted.counts["products"] == call  # A^T y, once per call
-    assert set(vars(op.solver_plan)) == {"matrix", "gram", "column_norms"}
+    assert _DERIVED & set(vars(op)) == {"gram", "column_norms"}
 
-    plan = op.solver_plan
-    plan.lipschitz  # Lanczos runs on the plain Gram, before it is counted
-    plan.gram = gram = _CountedGram(plan.gram)
+    op.lipschitz  # Lanczos runs on the plain Gram, before it is counted
+    op.__dict__["gram"] = gram = _CountedGram(op.gram)
     config = solvers.SolverConfig(max_iterations=30, residual_tolerance=0.0)
     for method in (solvers.ista, solvers.fista):
         products, gram.products = counted.counts["products"], 0
@@ -261,41 +261,49 @@ def test_pinned_operator_product_counts():
         assert gram.products == 30  # one Gram product per step
 
 
-def test_solver_plan_shared_across_samples():
+def test_derived_values_shared_across_samples():
     op = _gaussian(16, 32, seed=3)
     rng = np.random.default_rng(0)
     solvers.fista(op, rng.standard_normal(16))
-    plan = op.solver_plan
+    solvers.omp(op, rng.standard_normal(16))
+    kept = {name: vars(op)[name] for name in _DERIVED}
     solvers.fista(op, rng.standard_normal(16))
     solvers.omp(op, rng.standard_normal(16))
-    assert op.solver_plan is plan
-    assert plan.lipschitz == solvers.lipschitz_constant(op.matrix)
+    assert all(vars(op)[name] is value for name, value in kept.items())
+    assert op.lipschitz == solvers.lipschitz_constant(op.matrix)
 
 
-def test_solver_plan_never_crosses_operators():
+def test_derived_values_never_cross_operators():
     cfg = solvers.SolverConfig(max_iterations=50, residual_tolerance=0.0)
     y = np.random.default_rng(1).standard_normal(16)
     first, second = _gaussian(16, 32, seed=1), _gaussian(16, 32, seed=2)
     solvers.fista(first, y, cfg)
     solvers.omp(first, y)
     got = solvers.fista(second, y, cfg).x_hat
-    assert second.solver_plan is not first.solver_plan
+    assert second.gram is not first.gram
     assert got.tobytes() == solvers.fista(_gaussian(16, 32, seed=2), y, cfg).x_hat.tobytes()
 
-    # an operator whose matrix is reassigned gets a plan of the new matrix
-    first.matrix = second.matrix.copy()
-    for method in (solvers.ista, solvers.fista, solvers.omp):
-        fresh = _gaussian(16, 32, seed=2)
-        assert method(first, y, cfg).x_hat.tobytes() == method(fresh, y, cfg).x_hat.tobytes()
-    assert first.solver_plan.matrix is first.matrix
+
+def test_operator_refuses_rebinding_and_writes():
+    # what the solvers derived can never go stale: nothing they derive it from changes
+    op = _gaussian(16, 32, seed=1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        op.matrix = op.matrix.copy()
+    with pytest.raises(ValueError, match="read-only"):
+        op.matrix[0, 0] = 1
+    fourier = sensing.sample_operator(sensing.FOURIER_MASKED, 8, 16, seed=0)
+    with pytest.raises(ValueError, match="read-only"):
+        fourier.mask[0] = 1
 
 
-def test_solver_plan_left_out_of_repr_and_init():
+def test_derived_values_left_out_of_repr_and_init():
     op = _gaussian(8, 16, seed=0)
     text = repr(op)
+    solvers.fista(op, np.ones(8))
     solvers.omp(op, np.ones(8))
-    assert op.solver_plan is not None and repr(op) == text
-    assert "solver_plan" not in {f.name for f in dataclasses.fields(op) if f.init}
+    assert repr(op) == text
+    assert [f.name for f in dataclasses.fields(op) if f.init] == \
+        ["kind", "m", "n", "seed", "matrix", "mask"]
 
 
 # ---- shrink -----------------------------------------------------------------
