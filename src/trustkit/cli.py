@@ -4,13 +4,17 @@ solving, training, evaluation, and cross-run reporting.
 Every command accepts both flags and a JSON config file (flags win), echoes
 the fully resolved configuration into a run record next to its outputs, and
 follows a fixed exit-code contract: 0 success, 1 verification failure,
-2 usage or configuration error.
+2 usage or configuration error. ``_Command.invoke`` is the one place that
+maps the library's typed errors onto those codes.
 
 A config file is a JSON object whose keys are those of the run record's
 ``config`` object (``out``, ``max_iter``, ``m_list``, ``emit_images``...), one
-per setting; keys a command does not take are ignored. Each entry passes the
-same type and range check as its flag, and ``null`` is accepted only for a
-setting whose default is none (``lam``, ``ridge``, ``emit_images``).
+per setting. It may supply any setting of the command, required ones
+(``dataset``, ``checkpoint``) included, and becomes the command's default
+map, so each entry passes the same type and range check as its flag. An
+entry that names no setting of the command is a usage error, and so is
+``null`` for a setting whose default is not none (only ``lam``, ``ridge``
+and ``emit_images`` take it).
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ from pathlib import Path
 
 import click
 import numpy as np
-from click.core import ParameterSource
 
 from . import bound_lab, dataset, metrics, model, sensing, solvers
 from .errors import (
@@ -37,7 +40,8 @@ from .errors import (
     SingularMatrixError,
 )
 
-_USAGE_ERRORS = (ParameterError, DatasetError, CheckpointError, DimensionError)
+_USAGE_ERRORS = (ParameterError, DatasetError, CheckpointError, DimensionError,
+                 SingularMatrixError, EnumerationCapExceeded)
 
 _LOSS_TOKENS = {"l2": "l2", "l2l1": "l2_l1", "l2ssim": "l2_ssim"}
 _OPERATOR_TOKENS = {
@@ -48,48 +52,48 @@ _OPERATOR_TOKENS = {
 }
 
 
-def _load_config_file(path: str | None) -> dict:
-    if not path:
-        return {}
+class _Command(click.Command):
+    """A command whose typed library errors follow the exit-code contract:
+    bad input is a usage error (exit 2); a broken run contract, such as a
+    non-finite training loss, is a failed run (exit 1)."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except _USAGE_ERRORS as exc:
+            raise click.UsageError(str(exc), ctx) from exc
+        except ContractError as exc:
+            raise click.ClickException(str(exc)) from exc
+
+
+def _run_file(path: Path) -> dict:
+    """The JSON object in the file at ``path``; UsageError naming the file
+    when it is not one."""
     try:
-        cfg = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise click.UsageError(f"cannot read config file {path}: {exc}")
-    if not isinstance(cfg, dict):
-        raise click.UsageError(f"config file {path} must hold a JSON object")
-    return cfg
+        value = json.loads(path.read_text())
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise click.UsageError(f"cannot read {path}: {exc}")
+    if not isinstance(value, dict):
+        raise click.UsageError(f"{path} does not hold a JSON object")
+    return value
 
 
-def _resolve(ctx: click.Context) -> dict:
-    """Every setting of the command, keyed by its parameter name: the flag
-    when given on the command line, else the config-file entry, else the
-    default.
-
-    A config-file entry passes the same type and range check as its flag;
-    ``null`` is a usage error unless the setting's default is none, and so
-    is an entry that names no setting of the command.
-    """
-    file_cfg = _load_config_file(ctx.params["config"])
-    unknown = sorted(set(file_cfg) - {param.name for param in ctx.command.params})
+def _read_config(ctx: click.Context, param: click.Parameter, path: str | None) -> None:
+    """Make the config file at ``path`` the command's default map, once no
+    entry names an unknown setting or nulls one whose default is not none."""
+    if not path:
+        return
+    entries = _run_file(Path(path))
+    settings = {p.name: p for p in ctx.command.params}
+    unknown = sorted(set(entries) - set(settings))
     if unknown:
         raise click.UsageError(
             "config file entries name no setting of this command: "
             + ", ".join(repr(key) for key in unknown))
-    resolved = {}
-    for param in ctx.command.params:
-        key = param.name
-        if key == "config":
-            continue
-        if ctx.get_parameter_source(key) == ParameterSource.COMMANDLINE or key not in file_cfg:
-            resolved[key] = ctx.params[key]
-        elif file_cfg[key] is None and param.default is not None:
+    for key, value in entries.items():
+        if value is None and settings[key].default is not None:
             raise click.UsageError(f"config file entry {key!r} must not be null")
-        else:
-            try:
-                resolved[key] = param.type_cast_value(ctx, file_cfg[key])
-            except click.BadParameter as exc:
-                raise click.UsageError(f"config file entry {key!r}: {exc.message}")
-    return resolved
+    ctx.default_map = entries
 
 
 def _make_out_dir(path) -> Path:
@@ -106,16 +110,19 @@ def _canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True)
 
 
-def write_run_record(out_dir: Path, command: str, config: dict,
-                     input_digests: dict, outputs: list[str], started: float,
-                     exit_status: int = 0) -> None:
+def write_run_record(out_dir: Path, command: str, config: dict, inputs: dict,
+                     outputs: list[str], started: float, exit_status: int = 0) -> None:
+    """Write ``run_record.json``; ``inputs`` maps a name to the path of each
+    input file, recorded by its sha256."""
+    digests = {name: hashlib.sha256(Path(path).read_bytes()).hexdigest()
+               for name, path in inputs.items()}
     record = {
         "command": command,
         "config": config,
         "input_hash": hashlib.sha256(
-            (_canonical(config) + _canonical(input_digests)).encode()
+            (_canonical(config) + _canonical(digests)).encode()
         ).hexdigest(),
-        "inputs": input_digests,
+        "inputs": digests,
         "outputs": sorted(outputs),
         "duration_seconds": round(time.monotonic() - started, 3),
         "exit_status": exit_status,
@@ -125,8 +132,25 @@ def write_run_record(out_dir: Path, command: str, config: dict,
     )
 
 
-def _digest_file(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _dataset_input(manifest: dict) -> dict:
+    """The run-record input of a loaded dataset: its manifest file."""
+    return {"dataset_manifest": Path(manifest["_dir"]) / "manifest.json"}
+
+
+def _score_and_record(out: Path, command: str, cfg: dict, inputs: dict, outputs: list[str],
+                      started: float, preds: np.ndarray, targets: np.ndarray) -> None:
+    """The end of ``solve`` and ``eval``: score the (N, S, S) predictions,
+    save the metric files, write the run record and print the summary line."""
+    report = metrics.MetricReport()
+    report.extend(preds, targets)
+    report.save(out, stem="metrics")
+    write_run_record(out, command, cfg, inputs,
+                     ["metrics_per_image.csv", "metrics_aggregate.json", *outputs], started)
+    agg = report.aggregate()
+    click.echo(
+        f"{len(report.rows)} samples: psnr {agg['psnr']['mean']:.2f} dB, "
+        f"ssim {agg['ssim']['mean']:.4f} -> {out}"
+    )
 
 
 class _FiniteNonNegative(click.FloatRange):
@@ -142,7 +166,8 @@ class _FiniteNonNegative(click.FloatRange):
 # types and flags shared by several commands; an out-of-range value is a usage error (exit 2)
 _NON_NEGATIVE = click.IntRange(min=0)
 _FINITE = _FiniteNonNegative(min=0)
-_config_option = click.option("--config", default=None, help="JSON config file; flags override.")
+_config_option = click.option("--config", default=None, is_eager=True, expose_value=False,
+                              callback=_read_config, help="JSON config file; flags override.")
 _seed_option = click.option("--seed", default=0, show_default=True, type=_NON_NEGATIVE)
 _limit_option = click.option("--limit", default=0, show_default=True, type=_NON_NEGATIVE,
                              help="Use at most the first N samples of the split (0: all).")
@@ -152,6 +177,9 @@ _limit_option = click.option("--limit", default=0, show_default=True, type=_NON_
 def main() -> None:
     """Sparse-recovery toolkit: data generation, bound verification, classical
     solvers, model training/evaluation, and run comparison reports."""
+
+
+main.command_class = _Command
 
 
 # ---- gen-data -----------------------------------------------------------------
@@ -171,22 +199,17 @@ def main() -> None:
 @click.option("--noise-sigma", default=0.0, show_default=True, type=_FINITE)
 @_seed_option
 @click.option("--dtype", default="f32", type=click.Choice(dataset.DTYPES), show_default=True)
-@click.pass_context
-def gen_data(ctx, **_):
+def gen_data(**cfg):
     """Generate a synthetic observation-target dataset with a manifest."""
     started = time.monotonic()
-    cfg = _resolve(ctx)
-    try:
-        spec = dataset.DatasetSpec(
-            image_size=cfg["image_size"], train=cfg["train"], val=cfg["val"],
-            test=cfg["test"], operator_kind=_OPERATOR_TOKENS[cfg["operator"]],
-            operator_keep=cfg["keep"], noise_sigma=cfg["noise_sigma"],
-            seed=cfg["seed"], dtype=cfg["dtype"],
-        )
-        out = _make_out_dir(cfg["out"])
-        manifest = dataset.gen_dataset(spec, out)
-    except _USAGE_ERRORS as exc:
-        raise click.UsageError(str(exc))
+    spec = dataset.DatasetSpec(
+        image_size=cfg["image_size"], train=cfg["train"], val=cfg["val"],
+        test=cfg["test"], operator_kind=_OPERATOR_TOKENS[cfg["operator"]],
+        operator_keep=cfg["keep"], noise_sigma=cfg["noise_sigma"],
+        seed=cfg["seed"], dtype=cfg["dtype"],
+    )
+    out = _make_out_dir(cfg["out"])
+    manifest = dataset.gen_dataset(spec, out)
     outputs = ["manifest.json"] + [
         name for info in manifest["splits"].values() for name in (info["pairs"], info["norm"])
     ]
@@ -215,24 +238,19 @@ def _int_list(text: str, flag: str) -> list[int]:
 @_seed_option
 @click.option("--matrix", "emit_matrix", is_flag=True,
               help="Also emit a gnuplot-ready mean-deviation matrix per kind.")
-@click.pass_context
-def verify_bound(ctx, **_):
+def verify_bound(**cfg):
     """Sweep operator ensembles and check deviation <= delta on exact cells.
 
     An exactly-enumerated cell's delta is exact, the maximum over all
     C(n, 2k) supports. Exits 1 if any such cell violates the bound.
     """
     started = time.monotonic()
-    cfg = _resolve(ctx)
     kind_names = [k.strip() for k in cfg["kinds"].split(",") if k.strip()]
     grid = {key: _int_list(cfg[f"{key}_list"], key) for key in ("m", "n", "k")}
-    try:
-        result = bound_lab.attention_similarity_sweep(
-            kinds=kind_names, ms=grid["m"], ns=grid["n"], ks=grid["k"],
-            trials=cfg["trials"], seed=cfg["seed"],
-        )
-    except (EnumerationCapExceeded, *_USAGE_ERRORS) as exc:
-        raise click.UsageError(str(exc))
+    result = bound_lab.attention_similarity_sweep(
+        kinds=kind_names, ms=grid["m"], ns=grid["n"], ks=grid["k"],
+        trials=cfg["trials"], seed=cfg["seed"],
+    )
     if not result.cells:
         raise click.UsageError(
             "the grid has no cell: no kind has a member of any (m, n) with 2k <= min(m, n)"
@@ -280,49 +298,27 @@ def verify_bound(ctx, **_):
 @click.option("--ridge", default=None, type=_FINITE,
               help="Ridge for operator estimation; default trace-scaled.")
 @_limit_option
-@click.pass_context
-def solve(ctx, **_):
+def solve(**cfg):
     """Sparse-recover a dataset split with a classical solver and score it."""
     started = time.monotonic()
-    cfg = _resolve(ctx)
-    try:
-        manifest = dataset.load_manifest(cfg["dataset"])
-        data = dataset.load_split(manifest, cfg["split"]).head(cfg["limit"])
-        out = _make_out_dir(cfg["out"])
-        if cfg["operator"] == "known":
-            op = dataset.operator_from_manifest(manifest)
-        else:
-            train = dataset.load_split(manifest, "train")
-            op = solvers.estimate_operator(train.x.reshape(len(train), -1), train.raw(),
-                                           ridge=cfg["ridge"])
-        report, recon = _solve_split(op, data, cfg)
-    except (SingularMatrixError, *_USAGE_ERRORS) as exc:
-        raise click.UsageError(str(exc))
-    report.save(out, stem="metrics")
-    (out / "reconstructions.f64").write_bytes(recon.astype("<f8").tobytes())
-    digests = {"dataset_manifest": _digest_file(Path(manifest["_dir"]) / "manifest.json")}
-    write_run_record(out, "solve", cfg, digests,
-                     ["metrics_per_image.csv", "metrics_aggregate.json", "reconstructions.f64"],
-                     started)
-    agg = report.aggregate()
-    click.echo(
-        f"{len(report.rows)} samples: psnr {agg['psnr']['mean']:.2f} dB, "
-        f"ssim {agg['ssim']['mean']:.4f} -> {out}"
-    )
-
-
-def _solve_split(op, data, cfg):
-    """Solve every sample of ``data`` and score the (N, S, S) reconstructions."""
-    budget = cfg["sparsity"] if cfg["sparsity"] else max(1, op.n // 4)
+    manifest = dataset.load_manifest(cfg["dataset"])
+    data = dataset.load_split(manifest, cfg["split"]).head(cfg["limit"])
+    out = _make_out_dir(cfg["out"])
+    if cfg["operator"] == "known":
+        op = dataset.operator_from_manifest(manifest)
+    else:
+        train = dataset.load_split(manifest, "train")
+        op = solvers.estimate_operator(train.x.reshape(len(train), -1), train.raw(),
+                                       ridge=cfg["ridge"])
     solver_cfg = solvers.SolverConfig(
         max_iterations=cfg["max_iter"], residual_tolerance=cfg["tol"],
-        sparsity_budget=budget, lam=cfg["lam"],
+        sparsity_budget=cfg["sparsity"] or max(1, op.n // 4), lam=cfg["lam"],
     )
     method = getattr(solvers, cfg["method"])  # looked up per call, so a wrapped solver is seen
     recon = np.stack([method(op, y, solver_cfg).x_hat for y in data.raw()]).reshape(data.x.shape)
-    report = metrics.MetricReport()
-    report.extend(np.clip(recon, 0.0, 1.0), data.x)
-    return report, recon
+    (out / "reconstructions.f64").write_bytes(recon.astype("<f8").tobytes())
+    _score_and_record(out, "solve", cfg, _dataset_input(manifest), ["reconstructions.f64"],
+                      started, recon, data.x)
 
 
 # ---- train ---------------------------------------------------------------------
@@ -360,49 +356,36 @@ def _parse_skips(mask: str, n_connections: int) -> tuple[bool, ...]:
 @click.option("--heads", default=4, show_default=True)
 @click.option("--base-channels", default=8, show_default=True, help="unet width")
 @_limit_option
-@click.pass_context
-def train_cmd(ctx, **_):
+def train_cmd(**cfg):
     """Train a reconstruction model; writes checkpoints and an epoch log."""
     started = time.monotonic()
-    cfg = _resolve(ctx)
-    try:
-        manifest = dataset.load_manifest(cfg["dataset"])
-        size = manifest["image_size"]
-        if manifest["observation_side"] != size:
-            raise ParameterError(
-                f"observation side {manifest['observation_side']} != image size {size}; "
-                "training needs a square operator dataset"
-            )
-        if cfg["model"] == model.TRUST:
-            model_cfg = model.TrustConfig(
-                image_size=size, embed_dim=cfg["embed_dim"], num_heads=cfg["heads"],
-                encoder_depth=cfg["depth"],
-                skip_enabled=_parse_skips(cfg["skips"], 2),
-                seed=cfg["seed"],
-            )
-        else:
-            model_cfg = model.UnetConfig(image_size=size,
-                                         base_channels=cfg["base_channels"],
-                                         seed=cfg["seed"])
-        train_cfg = model.TrainConfig(
-            loss_kind=_LOSS_TOKENS[cfg["loss"]], learning_rate=cfg["lr"],
-            batch_size=cfg["batch"], epochs=cfg["epochs"], seed=cfg["seed"],
+    manifest = dataset.load_manifest(cfg["dataset"])
+    size = manifest["image_size"]
+    if manifest["observation_side"] != size:
+        raise ParameterError(
+            f"observation side {manifest['observation_side']} != image size {size}; "
+            "training needs a square operator dataset"
         )
-        train = dataset.load_split(manifest, "train").head(cfg["limit"])
-        val = dataset.load_split(manifest, "val")
-    except _USAGE_ERRORS as exc:
-        raise click.UsageError(str(exc))
+    skip_enabled = _parse_skips(cfg["skips"], 2)
+    if cfg["model"] == model.TRUST:
+        model_cfg = model.TrustConfig(
+            image_size=size, embed_dim=cfg["embed_dim"], num_heads=cfg["heads"],
+            encoder_depth=cfg["depth"], skip_enabled=skip_enabled, seed=cfg["seed"],
+        )
+    else:
+        model_cfg = model.UnetConfig(image_size=size, base_channels=cfg["base_channels"],
+                                     seed=cfg["seed"])
+    train_cfg = model.TrainConfig(
+        loss_kind=_LOSS_TOKENS[cfg["loss"]], learning_rate=cfg["lr"],
+        batch_size=cfg["batch"], epochs=cfg["epochs"], seed=cfg["seed"],
+    )
+    train = dataset.load_split(manifest, "train").head(cfg["limit"])
+    val = dataset.load_split(manifest, "val")
     out = _make_out_dir(cfg["out"])
-    try:
-        result = model.train(cfg["model"], model_cfg, train_cfg, (train.x, train.y),
-                             (val.x, val.y), out_dir=out)
-    except ContractError as exc:  # non-finite loss: a failed run, not a usage error
-        click.echo(f"Error: {exc}", err=True)
-        sys.exit(1)
-    digests = {"dataset_manifest": _digest_file(Path(manifest["_dir"]) / "manifest.json")}
-    record_cfg = dict(cfg)
-    record_cfg["param_count"] = model.param_count(cfg["model"], model_cfg)
-    write_run_record(out, "train", record_cfg, digests,
+    result = model.train(cfg["model"], model_cfg, train_cfg, (train.x, train.y),
+                         (val.x, val.y), out_dir=out)
+    cfg["param_count"] = model.param_count(cfg["model"], model_cfg)
+    write_run_record(out, "train", cfg, _dataset_input(manifest),
                      ["ckpt_best.json", "ckpt_best.json.bin", "ckpt_last.json",
                       "ckpt_last.json.bin", "epochs.csv"], started)
     last = result.rows[-1]
@@ -424,72 +407,40 @@ def train_cmd(ctx, **_):
 @click.option("--emit-images", default=None,
               help="Write (y, x, x_hat) PGM triplets into this directory.")
 @_limit_option
-@click.pass_context
-def eval_cmd(ctx, **_):
+def eval_cmd(**cfg):
     """Score a checkpoint on a dataset split; optionally dump PGM images."""
     started = time.monotonic()
-    cfg = _resolve(ctx)
-    try:
-        params, manifest_ckpt = model.checkpoint_load(cfg["checkpoint"])
-        model_cfg = model.config_from_manifest(manifest_ckpt)
-        model_kind = manifest_ckpt["model_kind"]
-        data_manifest = dataset.load_manifest(cfg["dataset"])
-        size, side = data_manifest["image_size"], data_manifest["observation_side"]
-        if (size, side) != (model_cfg.image_size, model_cfg.image_size):
-            raise ParameterError(
-                f"dataset images are {size} px with {side} px observations; "
-                f"the checkpoint's model takes {model_cfg.image_size} px"
-            )
-        data = dataset.load_split(data_manifest, cfg["split"]).head(cfg["limit"])
-    except _USAGE_ERRORS as exc:
-        raise click.UsageError(str(exc))
+    params, manifest_ckpt = model.checkpoint_load(cfg["checkpoint"])
+    model_cfg = model.config_from_manifest(manifest_ckpt)
+    model_kind = manifest_ckpt["model_kind"]
+    data_manifest = dataset.load_manifest(cfg["dataset"])
+    size, side = data_manifest["image_size"], data_manifest["observation_side"]
+    if (size, side) != (model_cfg.image_size, model_cfg.image_size):
+        raise ParameterError(
+            f"dataset images are {size} px with {side} px observations; "
+            f"the checkpoint's model takes {model_cfg.image_size} px"
+        )
+    data = dataset.load_split(data_manifest, cfg["split"]).head(cfg["limit"])
     out = _make_out_dir(cfg["out"])
     img_dir = _make_out_dir(cfg["emit_images"]) if cfg["emit_images"] else None
-
-    report = metrics.MetricReport()
-    preds = []
-    for lo, pred in model.predict(model_kind, params, model_cfg, data.y):
-        preds.extend(pred.data)
-        report.extend(pred.data, data.x[lo : lo + len(pred.data)])
-
-    report.save(out, stem="metrics")
-    outputs = ["metrics_per_image.csv", "metrics_aggregate.json"]
+    preds = np.concatenate([pred.data for _, pred in
+                            model.predict(model_kind, params, model_cfg, data.y)])
     if img_dir is not None:
         for i, pred in enumerate(preds):
             dataset.write_pgm(img_dir / f"{i:04d}_y.pgm", data.y[i])
             dataset.write_pgm(img_dir / f"{i:04d}_x.pgm", data.x[i])
             dataset.write_pgm(img_dir / f"{i:04d}_xhat.pgm", pred)
-    digests = {
-        "checkpoint": _digest_file(Path(cfg["checkpoint"])),
-        "dataset_manifest": _digest_file(Path(data_manifest["_dir"]) / "manifest.json"),
-    }
-    record_cfg = dict(cfg)
-    record_cfg["param_count"] = model.param_count(model_kind, model_cfg)
-    record_cfg["model"] = model_kind
-    write_run_record(out, "eval", record_cfg, digests, outputs, started)
-    agg = report.aggregate()
-    click.echo(
-        f"{len(report.rows)} samples: psnr {agg['psnr']['mean']:.2f} dB, "
-        f"ssim {agg['ssim']['mean']:.4f} -> {out}"
-    )
+    cfg["param_count"] = model.param_count(model_kind, model_cfg)
+    cfg["model"] = model_kind
+    _score_and_record(out, "eval", cfg, {"checkpoint": cfg["checkpoint"],
+                                         **_dataset_input(data_manifest)},
+                      [], started, preds, data.x)
 
 
 # ---- report --------------------------------------------------------------------
 
 
 _REPORT_FIELDS = ("mse", "mae", "psnr", "ssim", "fpr")
-
-
-def _run_file(path: Path) -> dict:
-    """The JSON object a finished run wrote to ``path``; UsageError naming the
-    file when it is not one."""
-    try:
-        value = json.loads(path.read_text())
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise click.UsageError(f"cannot read {path}: {exc}")
-    if not isinstance(value, dict):
-        raise click.UsageError(f"{path} does not hold a JSON object")
-    return value
 
 
 def _is_stat(cell) -> bool:

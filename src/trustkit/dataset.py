@@ -164,11 +164,17 @@ def generate_split(spec: DatasetSpec, op: sensing.SensingOperator, split: str,
     s, side = spec.image_size, observation_side(op.m)
     data = Split(x=np.empty((count, s, s)), y=np.empty((count, side, side)),
                  scale=np.empty(count), offset=np.empty(count), raw_len=op.m)
-    for index in range(count):
-        data.x[index] = gen_target(spec.target, s, _derived_seed(spec.seed, split, index))
-        noise_rng = np.random.default_rng(_derived_seed(spec.seed, split, index, noise=True))
-        data.y[index], data.scale[index], data.offset[index] = gen_pair(
-            op, data.x[index], spec.noise_sigma, rng=noise_rng)
+    # noise that overflows the observations is refused below, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        for index in range(count):
+            data.x[index] = gen_target(spec.target, s, _derived_seed(spec.seed, split, index))
+            noise_rng = np.random.default_rng(_derived_seed(spec.seed, split, index, noise=True))
+            data.y[index], data.scale[index], data.offset[index] = gen_pair(
+                op, data.x[index], spec.noise_sigma, rng=noise_rng)
+    if not all(np.isfinite(a).all() for a in (data.y, data.scale, data.offset)):
+        raise ParameterError(
+            f"noise_sigma {spec.noise_sigma} overflows the {split} observations"
+        )
     return data
 
 
@@ -186,6 +192,8 @@ def _write_blob(path: Path, array: np.ndarray) -> str:
 def gen_dataset(spec: DatasetSpec, out_dir: str | Path) -> dict:
     """Write split blobs, normalization sidecars, and the manifest.
 
+    Every split is generated before any file is written, so a spec whose
+    observations overflow (ParameterError) leaves no split behind.
     Deterministic: identical specs produce byte-identical files.
     """
     out_dir = Path(out_dir)
@@ -204,8 +212,10 @@ def gen_dataset(spec: DatasetSpec, out_dir: str | Path) -> dict:
         "splits": {},
     }
     dt = _pair_dtype(spec.dtype)
-    for split, count in (("train", spec.train), ("val", spec.val), ("test", spec.test)):
-        data = generate_split(spec, op, split, count)
+    splits = {split: generate_split(spec, op, split, count)
+              for split, count in (("train", spec.train), ("val", spec.val), ("test", spec.test))}
+    for split, data in splits.items():
+        count = len(data)
         records = np.concatenate([data.x.reshape(count, -1), data.y.reshape(count, -1)], axis=1)
         pair_file = out_dir / f"{split}.pairs.{spec.dtype}"
         norm_file = out_dir / f"{split}.norm.f64"
@@ -260,7 +270,7 @@ def load_manifest(path: str | Path) -> dict:
         path = path / "manifest.json"
     try:
         manifest = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DatasetError(f"unreadable manifest {path}: {exc}") from exc
     if not isinstance(manifest, dict):
         raise DatasetError(f"manifest {path} does not hold a JSON object")

@@ -163,8 +163,12 @@ class MetricReport:
     rows: list[ImageMetrics] = field(default_factory=list)
 
     def extend(self, preds, targets) -> None:
-        """Score and append every image of a (B, H, W) stack."""
-        self.rows.extend(score_batch(preds, targets))
+        """Score and append every image of a (B, H, W) stack.
+
+        The predictions are clipped to [0, 1] first, the range of the
+        targets: the one clip rule for every scored reconstruction.
+        """
+        self.rows.extend(score_batch(np.clip(preds, 0.0, 1.0), targets))
 
     def aggregate(self) -> dict:
         out = {}

@@ -109,20 +109,18 @@ def predict(model_kind: str, params: dict[str, nd.Tensor], model_cfg,
 def evaluate(model_kind: str, params: dict[str, nd.Tensor], model_cfg,
              data, train_cfg: TrainConfig) -> tuple[float, float, float, float]:
     """Mean validation loss, SSIM, PSNR, FPR over ``data``, a pair of
-    (N, S, S) float64 stacks: (targets, observations)."""
+    (N, S, S) float64 stacks: (targets, observations). The loss is taken on
+    the raw outputs, the metrics on outputs clipped as ``MetricReport`` clips."""
     targets, observations = data
-    losses, rows = [], []
+    losses, report = [], metrics.MetricReport()
     for lo, pred in predict(model_kind, params, model_cfg, observations):
         x = targets[lo : lo + len(pred.data)]
         losses.extend(sample_losses(train_cfg.loss_kind, pred, x).data.tolist())
-        rows.extend(metrics.score_batch(pred.data, x))
+        report.extend(pred.data, x)
     n = max(len(losses), 1)
-    return (
-        math.fsum(losses) / n,
-        math.fsum(r.ssim for r in rows) / n,
-        math.fsum(r.psnr for r in rows) / n,
-        math.fsum(r.fpr for r in rows) / n,
-    )
+    return (math.fsum(losses) / n,
+            *(math.fsum(getattr(r, name) for r in report.rows) / n
+              for name in ("ssim", "psnr", "fpr")))
 
 
 def batch_loss(model_kind: str, params: dict[str, nd.Tensor], model_cfg,

@@ -54,9 +54,10 @@ class SensingOperator:
     and ``mask`` (the masked-Fourier kind's kept frequency indices) are made
     read-only, so writing into them raises ValueError. What the solvers
     derive from the matrix alone is therefore computed on first use and
-    kept: ``gram``, ``column_norms`` and ``lipschitz``. OMP reads the
-    column norms and the Gram's rows; proximal gradient applies the Gram
-    once per step and takes its step from the Lipschitz constant.
+    kept, the arrays read-only too: ``gram``, ``column_norms`` and
+    ``lipschitz``. OMP reads the column norms and the Gram's rows;
+    proximal gradient applies the Gram once per step and takes its step
+    from the Lipschitz constant.
     Equality is identity.
     """
 
@@ -79,13 +80,17 @@ class SensingOperator:
     @cached_property
     def gram(self) -> np.ndarray:
         """A^T A."""
-        return self.matrix.T @ self.matrix
+        gram = self.matrix.T @ self.matrix
+        gram.setflags(write=False)
+        return gram
 
     @cached_property
     def column_norms(self) -> np.ndarray:
         """Euclidean column norms, with 1 standing in for a zero column."""
         norms = np.linalg.norm(self.matrix, axis=0)
-        return np.where(norms > 0, norms, 1.0)
+        norms = np.where(norms > 0, norms, 1.0)
+        norms.setflags(write=False)
+        return norms
 
     @cached_property
     def lipschitz(self) -> float:

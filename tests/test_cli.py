@@ -5,8 +5,17 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from trustkit import model, solvers
+from trustkit import dataset, model, solvers
 from trustkit.cli import main
+from trustkit.errors import (
+    CheckpointError,
+    ContractError,
+    DatasetError,
+    DimensionError,
+    EnumerationCapExceeded,
+    ParameterError,
+    SingularMatrixError,
+)
 
 
 @pytest.fixture(scope="module")
@@ -337,10 +346,10 @@ def _missing_dataset(tmp, data):
     return ["solve", "--dataset", str(tmp / "nope"), "--out", str(tmp / "r")]
 
 
-def _corrupt_manifest(text):
+def _corrupt_manifest(blob):
     def args(tmp, data):
         (tmp / "ds").mkdir()
-        (tmp / "ds" / "manifest.json").write_text(text)
+        (tmp / "ds" / "manifest.json").write_bytes(blob)
         return ["solve", "--dataset", str(tmp / "ds"), "--out", str(tmp / "r")]
     return args
 
@@ -449,6 +458,12 @@ def _config_seed(tmp, data):
             "--config", str(tmp / "cfg.json")]
 
 
+def _config_not_utf8(tmp, data):
+    (tmp / "cfg.json").write_bytes(b"\xff")
+    return ["gen-data", "--out", str(tmp / "ds"), "--image-size", "8",
+            "--config", str(tmp / "cfg.json")]
+
+
 def _config(command, entries):
     """The ``_flags(command)`` run with each of ``entries`` in a config file
     instead of on the command line."""
@@ -464,7 +479,8 @@ def _config(command, entries):
 
 
 @pytest.mark.parametrize("make_args", [
-    _missing_dataset, _corrupt_manifest("{not json"), _corrupt_manifest("[1, 2]"),
+    _missing_dataset, _corrupt_manifest(b"{not json"), _corrupt_manifest(b"[1, 2]"),
+    _corrupt_manifest(b"\xff"),
     _manifest_without_splits, _checkpoint_without_blob, _checkpoint_bad_tensor_entries,
     _checkpoint_for_other_size,
     _bogus_kind, _oversized_sweep, _sweep_k(0), _sweep_k(-1),
@@ -492,7 +508,10 @@ def _config(command, entries):
     _flags("gen-data", "--noise-sigma", "inf"), _flags("gen-data", "--noise-sigma", "nan"),
     _flags("gen-data", "--operator", "fourier", "--keep", "inf"),
     _config("gen-data", {"noise_sigma": float("nan")}), _config("train", {"lr": float("inf")}),
-], ids=["missing-dataset", "manifest-not-json", "manifest-not-object",
+    _flags("gen-data", "--noise-sigma", "1e308"), _flags("train", "--model", "unet",
+                                                        "--skips", "bogus"),
+    _config_not_utf8,
+], ids=["missing-dataset", "manifest-not-json", "manifest-not-object", "manifest-not-utf8",
         "manifest-without-splits", "checkpoint-blob-deleted", "checkpoint-tensors-not-entries",
         "checkpoint-for-other-image-size",
         "bogus-kind", "oversized-sweep", "k-0", "k-negative", "sweep-kinds-empty",
@@ -508,7 +527,8 @@ def _config(command, entries):
         "config-verify-bound-emit-matrix-null", "config-solve-max-iters-unknown",
         "train-lr-nan", "fista-lam-nan", "solve-tol-nan", "solve-ridge-nan",
         "gen-data-noise-sigma-inf", "gen-data-noise-sigma-nan", "gen-data-keep-inf",
-        "config-gen-data-noise-sigma-nan", "config-train-lr-inf"])
+        "config-gen-data-noise-sigma-nan", "config-train-lr-inf",
+        "gen-data-noise-sigma-overflows", "unet-skips-bogus", "config-file-not-utf8"])
 def test_bad_input_exits_2_without_traceback(runner, small_dataset, tmp_path, make_args):
     res = runner.invoke(main, make_args(tmp_path, small_dataset))
     assert res.exit_code == 2, res.output
@@ -525,6 +545,42 @@ def test_config_null_lam_means_default(runner, small_dataset, tmp_path):
                         catch_exceptions=False)
     assert res.exit_code == 0, res.output
     assert json.loads((out / "run_record.json").read_text())["config"]["lam"] is None
+
+
+_TYPED_ERRORS = [(ParameterError, 2), (DatasetError, 2), (CheckpointError, 2),
+                  (DimensionError, 2), (SingularMatrixError, 2), (EnumerationCapExceeded, 2),
+                  (ContractError, 1)]
+
+
+@pytest.mark.parametrize("command", ["solve", "eval"])
+@pytest.mark.parametrize("error,code", _TYPED_ERRORS,
+                         ids=[error.__name__ for error, _ in _TYPED_ERRORS])
+def test_typed_error_exits_with_its_code_without_traceback(runner, small_dataset, tmp_path,
+                                                           monkeypatch, command, error, code):
+    def fail(*args, **kwargs):
+        raise error("planted failure")
+
+    monkeypatch.setattr(dataset, "load_split", fail)
+    flags = _small_run(command, tmp_path, small_dataset)
+    res = runner.invoke(main, [command, *(part for item in flags.items() for part in item)])
+    assert res.exit_code == code, res.output
+    assert "Error: planted failure" in res.output
+    assert ("Usage: " in res.output) == (code == 2)
+    assert "Traceback" not in res.output
+    assert isinstance(res.exception, SystemExit)
+
+
+@pytest.mark.parametrize("command,key", [("solve", "dataset"), ("eval", "checkpoint")])
+def test_config_file_supplies_a_required_setting(runner, small_dataset, tmp_path, command, key):
+    flags = _small_run(command, tmp_path, small_dataset)
+    value = flags.pop("--" + key)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    res = runner.invoke(main, [command, *(part for item in flags.items() for part in item),
+                               "--config", str(cfg)], catch_exceptions=False)
+    assert res.exit_code == 0, res.output
+    record = json.loads((Path(flags["--out"]) / "run_record.json").read_text())
+    assert record["config"][key] == value
 
 
 def _small_run(command, tmp, data):

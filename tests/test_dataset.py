@@ -101,6 +101,12 @@ def test_gen_dataset_deterministic(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+def test_gen_dataset_refuses_overflowing_noise_before_writing_a_split(tmp_path):
+    with pytest.raises(ParameterError, match="overflows"):
+        dataset.gen_dataset(small_spec(noise_sigma=1e308), tmp_path / "ds")
+    assert list((tmp_path / "ds").iterdir()) == []
+
+
 def test_split_targets_disjoint(tmp_path):
     spec = small_spec()
     manifest = dataset.gen_dataset(spec, tmp_path)

@@ -296,6 +296,15 @@ def test_operator_refuses_rebinding_and_writes():
         fourier.mask[0] = 1
 
 
+def test_cached_gram_and_column_norms_are_read_only():
+    # a write into either would change every later solve on the operator, silently
+    op = _gaussian(16, 32, seed=1)
+    with pytest.raises(ValueError, match="read-only"):
+        op.gram[:] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        op.column_norms[0] = 1.0
+
+
 def test_derived_values_left_out_of_repr_and_init():
     op = _gaussian(8, 16, seed=0)
     text = repr(op)
