@@ -274,8 +274,9 @@ def load_manifest(path: str | Path) -> dict:
         raise DatasetError(f"unreadable manifest {path}: {exc}") from exc
     if not isinstance(manifest, dict):
         raise DatasetError(f"manifest {path} does not hold a JSON object")
-    if manifest.get("version") != MANIFEST_VERSION:
-        raise DatasetError(f"manifest version {manifest.get('version')} != {MANIFEST_VERSION}")
+    version = manifest.get("version")
+    if type(version) is not int or version != MANIFEST_VERSION:  # 1.0 and true are not 1
+        raise DatasetError(f"manifest version {version} != {MANIFEST_VERSION}")
     for key in ("splits", "operator"):
         if not isinstance(manifest.get(key), dict):
             raise DatasetError(f"manifest {path} has no {key!r} object")

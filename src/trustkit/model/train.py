@@ -172,6 +172,10 @@ def train(model_kind: str, model_cfg, train_cfg: TrainConfig, train_data,
         val_loss, val_ssim, val_psnr, val_fpr = evaluate(
             model_kind, params, model_cfg, val_data, train_cfg
         )
+        # a step can leave finite parameters whose forward overflows
+        if not math.isfinite(val_loss):
+            raise ContractError(
+                f"training aborted: validation loss is {val_loss} after epoch {epoch}")
         result.rows.append(EpochRow(epoch, train_loss, val_loss, val_ssim, val_psnr, val_fpr))
         if val_loss < best_val:
             best_val = val_loss

@@ -5,6 +5,10 @@ Pooling, resizing, upsampling and box filtering act on the last two axes
 and accept any leading axes. Convolution has one kernel, ``conv2d`` on one
 (C, H, W) map; ``batch_conv2d`` runs a (B, C, H, W) batch through it as
 one tall map.
+
+These ops follow the gradient rule of ``tensor``: each states one gradient
+function per input and leaves it to ``_make`` to run it for a tracking
+input and accumulate the result.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from functools import reduce
 import numpy as np
 
 from ..errors import DimensionError, ParameterError
-from .tensor import Tensor, _accumulate, _make
+from .tensor import Tensor, _make
 
 
 def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
@@ -61,34 +65,38 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
             acc += tmp
     data = np.ascontiguousarray(full.reshape(c_out, hq, wq)[:, :oh, :ow])
 
-    def vjp(g):
+    def padded_grad(g):
         # g_pad[:, lead + q] is the gradient at flat output position q (zero
         # off the output grid); tap (i, j) of the input gradient reads it
         # shifted right by the tap's offset, a view starting at lead - off
         g_pad = np.zeros((c_out, lead + n))
         g_pad[:, lead:].reshape(c_out, hq, wq)[:, :oh, :ow] = g
-        if kernel.requires_grad:
-            gw = np.empty((kh, kw, c_out, c_in))
-            g_span = g_pad[:, lead : lead + span]
-            for i, j, off in taps:
-                np.matmul(g_span, buf[i % s, j % s, :, off : off + span].T, out=gw[i, j])
-            _accumulate(kernel, gw.transpose(2, 3, 0, 1))
-        if x.requires_grad:
-            gbuf = np.zeros((s, s, c_in, n))
-            for a in range(s):
-                for c in range(s):
-                    phase = [(i, j, off) for i, j, off in taps if i % s == a and j % s == c]
-                    if not phase:
-                        continue
-                    shifted = np.empty((len(phase), c_out, n))
-                    for k, (_, _, off) in enumerate(phase):
-                        shifted[k] = g_pad[:, lead - off : lead - off + n]
-                    w_phase = np.concatenate([w_taps[i, j] for i, j, _ in phase], axis=0)
-                    np.matmul(w_phase.T, shifted.reshape(-1, n), out=gbuf[a, c])
-            gx = gbuf.reshape(s, s, c_in, hq, wq).transpose(2, 3, 0, 4, 1)
-            _accumulate(x, gx.reshape(c_in, hq * s, wq * s)[:, p : p + h, p : p + w])
+        return g_pad
 
-    return _make(data, (x, kernel), vjp)
+    def grad_x(g):
+        g_pad = padded_grad(g)
+        gbuf = np.zeros((s, s, c_in, n))
+        for a in range(s):
+            for c in range(s):
+                phase = [(i, j, off) for i, j, off in taps if i % s == a and j % s == c]
+                if not phase:
+                    continue
+                shifted = np.empty((len(phase), c_out, n))
+                for k, (_, _, off) in enumerate(phase):
+                    shifted[k] = g_pad[:, lead - off : lead - off + n]
+                w_phase = np.concatenate([w_taps[i, j] for i, j, _ in phase], axis=0)
+                np.matmul(w_phase.T, shifted.reshape(-1, n), out=gbuf[a, c])
+        gx = gbuf.reshape(s, s, c_in, hq, wq).transpose(2, 3, 0, 4, 1)
+        return gx.reshape(c_in, hq * s, wq * s)[:, p : p + h, p : p + w]
+
+    def grad_kernel(g):
+        g_span = padded_grad(g)[:, lead : lead + span]
+        gw = np.empty((kh, kw, c_out, c_in))
+        for i, j, off in taps:
+            np.matmul(g_span, buf[i % s, j % s, :, off : off + span].T, out=gw[i, j])
+        return gw.transpose(2, 3, 0, 1)
+
+    return _make(data, (x, grad_x), (kernel, grad_kernel))
 
 
 def _conv_extents(x_shape, k_shape, stride: int, padding: int) -> tuple[int, int]:
@@ -126,25 +134,23 @@ def batch_conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -
     tall = np.zeros((c_in, b, block, w + 2 * p))
     tall[:, :, p : p + h, p : p + w] = x.data.transpose(1, 0, 2, 3)
 
-    def fold_vjp(g):
-        if x.requires_grad:
-            gx = g.reshape(c_in, b, block, w + 2 * p)[:, :, p : p + h, p : p + w]
-            _accumulate(x, gx.transpose(1, 0, 2, 3))
+    def fold_grad(g):
+        gx = g.reshape(c_in, b, block, w + 2 * p)[:, :, p : p + h, p : p + w]
+        return gx.transpose(1, 0, 2, 3)
 
-    folded = _make(tall.reshape(c_in, b * block, w + 2 * p), (x,), fold_vjp)
+    folded = _make(tall.reshape(c_in, b * block, w + 2 * p), (x, fold_grad))
     out = conv2d(folded, kernel, stride=stride)
     c_out = out.data.shape[0]
     # output row r of sample k is row k * block / stride + r of the tall output
     picked = (np.arange(b)[:, None] * (block // stride) + np.arange(oh)).ravel()
 
-    def unfold_vjp(g):
-        if out.requires_grad:
-            g_tall = np.zeros(out.data.shape)
-            g_tall[:, picked] = g.transpose(1, 0, 2, 3).reshape(c_out, b * oh, ow)
-            _accumulate(out, g_tall)
+    def unfold_grad(g):
+        g_tall = np.zeros(out.data.shape)
+        g_tall[:, picked] = g.transpose(1, 0, 2, 3).reshape(c_out, b * oh, ow)
+        return g_tall
 
     data = out.data[:, picked].reshape(c_out, b, oh, ow).transpose(1, 0, 2, 3)
-    return _make(np.ascontiguousarray(data), (out,), unfold_vjp)
+    return _make(np.ascontiguousarray(data), (out, unfold_grad))
 
 
 def upsample_nearest(x: Tensor, factor: int) -> Tensor:
@@ -157,29 +163,22 @@ def upsample_nearest(x: Tensor, factor: int) -> Tensor:
     *lead, h, w = x.data.shape
     data = np.repeat(np.repeat(x.data, factor, axis=-2), factor, axis=-1)
 
-    def vjp(g):
-        if x.requires_grad:
-            # each block summed over strided views, along a row of the block
-            # and then down its rows: the order a reshape-sum over the two
-            # block axes adds in, so the same bits at a third of its cost
-            rows = (reduce(np.add, (g[..., i::factor, j::factor] for j in range(factor)))
-                    for i in range(factor))
-            _accumulate(x, reduce(np.add, rows))
+    def grad(g):
+        # each block summed over strided views, along a row of the block
+        # and then down its rows: the order a reshape-sum over the two
+        # block axes adds in, so the same bits at a third of its cost
+        rows = (reduce(np.add, (g[..., i::factor, j::factor] for j in range(factor)))
+                for i in range(factor))
+        return reduce(np.add, rows)
 
-    return _make(data, (x,), vjp)
+    return _make(data, (x, grad))
 
 
 def _separable(x: Tensor, rows: np.ndarray, cols: np.ndarray) -> Tensor:
     """rows @ X @ cols.T for every (H, W) plane X of x: a linear map of the
     last two axes that acts on rows and columns separately."""
-    cols_t = cols.T
-    data = np.matmul(np.matmul(rows, x.data), cols_t)
-
-    def vjp(g):
-        if x.requires_grad:
-            _accumulate(x, np.matmul(np.matmul(rows.T, g), cols))
-
-    return _make(data, (x,), vjp)
+    data = np.matmul(np.matmul(rows, x.data), cols.T)
+    return _make(data, (x, lambda g: np.matmul(np.matmul(rows.T, g), cols)))
 
 
 def _check_plane(x: Tensor, op: str, out_h: int, out_w: int) -> None:

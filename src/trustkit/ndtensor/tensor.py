@@ -4,6 +4,11 @@ Graphs are built define-by-run: every operation whose inputs carry
 ``requires_grad`` stores a vector-Jacobian closure on its output. A
 ``Tape`` is reconstructed from the output tensor at backward time, in
 exact creation order, and replayed in reverse.
+
+An op states only its local derivatives: one gradient function per input,
+mapping the output gradient to that input's gradient. ``_make`` applies
+the one rule for all ops: an input's function runs only when that input
+tracks gradients, and its result is accumulated into it, in input order.
 """
 
 from __future__ import annotations
@@ -102,11 +107,25 @@ def zero_grads(tensors: Iterable[Tensor]) -> None:
 # ---- op plumbing -----------------------------------------------------------
 
 
-def _make(data: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tensor:
+def _make(data: np.ndarray, *edges: tuple[Tensor, Callable[[np.ndarray], np.ndarray]]) -> Tensor:
+    """The result of an op, and the one place the gradient rule is applied.
+
+    Each edge pairs an input with its gradient function, which maps the
+    output gradient to that input's gradient. The output tracks gradients
+    when any input does; its backward runs an edge's function only for an
+    input that tracks gradients, and accumulates the result into it, in
+    input order (so ``mul(x, x)`` adds its two contributions as listed).
+    """
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
+    if any(t.requires_grad for t, _ in edges):
         out.requires_grad = True
-        out._parents = parents
+        out._parents = tuple(t for t, _ in edges)
+
+        def vjp(g):
+            for t, grad in edges:
+                if t.requires_grad:
+                    _accumulate(t, grad(g))
+
         out._vjp = vjp
     return out
 
@@ -136,79 +155,41 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data + b.data
-
-    def vjp(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(g, b.data.shape))
-
-    return _make(data, (a, b), vjp)
+    return _make(a.data + b.data,
+                 (a, lambda g: _unbroadcast(g, a.data.shape)),
+                 (b, lambda g: _unbroadcast(g, b.data.shape)))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data - b.data
-
-    def vjp(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(-g, b.data.shape))
-
-    return _make(data, (a, b), vjp)
+    return _make(a.data - b.data,
+                 (a, lambda g: _unbroadcast(g, a.data.shape)),
+                 (b, lambda g: _unbroadcast(-g, b.data.shape)))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data * b.data
-
-    def vjp(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
-
-    return _make(data, (a, b), vjp)
+    return _make(a.data * b.data,
+                 (a, lambda g: _unbroadcast(g * b.data, a.data.shape)),
+                 (b, lambda g: _unbroadcast(g * a.data, b.data.shape)))
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data / b.data
-
-    def vjp(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g / b.data, a.data.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
-
-    return _make(data, (a, b), vjp)
+    return _make(a.data / b.data,
+                 (a, lambda g: _unbroadcast(g / b.data, a.data.shape)),
+                 (b, lambda g: _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape)))
 
 
 def scalar_mul(a: Tensor, c: float) -> Tensor:
     c = float(c)
-
-    def vjp(g):
-        if a.requires_grad:
-            _accumulate(a, g * c)
-
-    return _make(a.data * c, (a,), vjp)
+    return _make(a.data * c, (a, lambda g: g * c))
 
 
 def scalar_add(a: Tensor, c: float) -> Tensor:
-    def vjp(g):
-        if a.requires_grad:
-            _accumulate(a, g)
-
-    return _make(a.data + float(c), (a,), vjp)
+    return _make(a.data + float(c), (a, lambda g: g))
 
 
 def absolute(a: Tensor) -> Tensor:
     sign = np.sign(a.data)
-
-    def vjp(g):
-        if a.requires_grad:
-            _accumulate(a, g * sign)
-
-    return _make(np.abs(a.data), (a,), vjp)
+    return _make(np.abs(a.data), (a, lambda g: g * sign))
 
 
 # ---- linear algebra ---------------------------------------------------------
@@ -217,15 +198,9 @@ def absolute(a: Tensor) -> Tensor:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
         raise DimensionError(f"matmul shapes incompatible: {a.data.shape} x {b.data.shape}")
-    data = a.data @ b.data
-
-    def vjp(g):
-        if a.requires_grad:
-            _accumulate(a, g @ b.data.T)
-        if b.requires_grad:
-            _accumulate(b, a.data.T @ g)
-
-    return _make(data, (a, b), vjp)
+    return _make(a.data @ b.data,
+                 (a, lambda g: g @ b.data.T),
+                 (b, lambda g: a.data.T @ g))
 
 
 def batch_matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -238,37 +213,21 @@ def batch_matmul(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(
             f"batch_matmul batch axes incompatible: {a.data.shape} x {b.data.shape}"
         ) from None
-    data = np.matmul(a.data, b.data)
-
-    def vjp(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.data.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape))
-
-    return _make(data, (a, b), vjp)
+    return _make(
+        np.matmul(a.data, b.data),
+        (a, lambda g: _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.data.shape)),
+        (b, lambda g: _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape)),
+    )
 
 
 def reshape(a: Tensor, shape) -> Tensor:
-    shape = tuple(shape)
-    data = a.data.reshape(shape)
-
-    def vjp(g):
-        if a.requires_grad:
-            _accumulate(a, g.reshape(a.data.shape))
-
-    return _make(data, (a,), vjp)
+    return _make(a.data.reshape(tuple(shape)), (a, lambda g: g.reshape(a.data.shape)))
 
 
 def transpose(a: Tensor) -> Tensor:
     if a.data.ndim != 2:
         raise DimensionError(f"transpose expects a matrix, got shape {a.data.shape}")
-
-    def vjp(g):
-        if a.requires_grad:
-            _accumulate(a, g.T)
-
-    return _make(a.data.T.copy(), (a,), vjp)
+    return _make(a.data.T.copy(), (a, lambda g: g.T))
 
 
 def permute(a: Tensor, axes: Sequence[int]) -> Tensor:
@@ -277,28 +236,21 @@ def permute(a: Tensor, axes: Sequence[int]) -> Tensor:
     if sorted(axes) != list(range(a.data.ndim)):
         raise DimensionError(f"permute axes {axes} do not reorder shape {a.data.shape}")
     inverse = tuple(np.argsort(axes))
-
-    def vjp(g):
-        if a.requires_grad:
-            _accumulate(a, g.transpose(inverse))
-
-    return _make(np.ascontiguousarray(a.data.transpose(axes)), (a,), vjp)
+    return _make(np.ascontiguousarray(a.data.transpose(axes)), (a, lambda g: g.transpose(inverse)))
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     tensors = list(tensors)
     data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+    offsets = np.cumsum([0] + [t.data.shape[axis] for t in tensors])
 
-    def vjp(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                idx = [slice(None)] * g.ndim
-                idx[axis] = slice(lo, hi)
-                _accumulate(t, g[tuple(idx)])
+    def piece(lo, hi):
+        idx = [slice(None)] * data.ndim
+        idx[axis] = slice(lo, hi)
+        idx = tuple(idx)
+        return lambda g: g[idx]
 
-    return _make(data, tuple(tensors), vjp)
+    return _make(data, *((t, piece(lo, hi)) for t, lo, hi in zip(tensors, offsets, offsets[1:])))
 
 
 def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
@@ -306,30 +258,24 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
     idx[axis] = slice(start, start + length)
     idx = tuple(idx)
 
-    def vjp(g):
-        if a.requires_grad:
-            buf = np.zeros_like(a.data)
-            buf[idx] = g
-            _accumulate(a, buf)
+    def grad(g):
+        buf = np.zeros_like(a.data)
+        buf[idx] = g
+        return buf
 
-    return _make(a.data[idx].copy(), (a,), vjp)
+    return _make(a.data[idx].copy(), (a, grad))
 
 
 # ---- reductions -------------------------------------------------------------
 
 
 def reduce_sum(a: Tensor, axis: int | None = None) -> Tensor:
-    data = a.data.sum(axis=axis)
+    def grad(g):
+        if axis is not None:
+            g = np.expand_dims(g, axis)
+        return np.broadcast_to(g, a.data.shape).copy()
 
-    def vjp(g):
-        if not a.requires_grad:
-            return
-        if axis is None:
-            _accumulate(a, np.broadcast_to(g, a.data.shape).copy())
-        else:
-            _accumulate(a, np.broadcast_to(np.expand_dims(g, axis), a.data.shape).copy())
-
-    return _make(data, (a,), vjp)
+    return _make(a.data.sum(axis=axis), (a, grad))
 
 
 def reduce_mean(a: Tensor, axis: int | None = None) -> Tensor:
@@ -342,13 +288,8 @@ def reduce_mean(a: Tensor, axis: int | None = None) -> Tensor:
 
 def relu(a: Tensor) -> Tensor:
     mask = a.data > 0
-
-    def vjp(g):
-        if a.requires_grad:
-            _accumulate(a, g * mask)
-
     # np.maximum, not np.where: keeps NaNs visible to the training guard
-    return _make(np.maximum(a.data, 0.0), (a,), vjp)
+    return _make(np.maximum(a.data, 0.0), (a, lambda g: g * mask))
 
 
 _GELU_C = np.sqrt(2.0 / np.pi)
@@ -369,47 +310,36 @@ def gelu(a: Tensor) -> Tensor:
     data = x * 0.5
     data *= one_plus_t
 
-    def vjp(g):
-        if a.requires_grad:
-            # g (0.5 (1 + t) + 0.5 x (1 - t^2) c (1 + 3 * 0.044715 x^2))
-            dinner = x * x
-            dinner *= 3 * 0.044715
-            dinner += 1.0
-            dinner *= _GELU_C
-            scratch = t * t
-            np.subtract(1.0, scratch, out=scratch)
-            grad = x * 0.5
-            grad *= scratch
-            grad *= dinner
-            np.multiply(one_plus_t, 0.5, out=scratch)
-            grad += scratch
-            grad *= g
-            _accumulate(a, grad)
+    def grad(g):
+        # g (0.5 (1 + t) + 0.5 x (1 - t^2) c (1 + 3 * 0.044715 x^2))
+        dinner = x * x
+        dinner *= 3 * 0.044715
+        dinner += 1.0
+        dinner *= _GELU_C
+        scratch = t * t
+        np.subtract(1.0, scratch, out=scratch)
+        out = x * 0.5
+        out *= scratch
+        out *= dinner
+        np.multiply(one_plus_t, 0.5, out=scratch)
+        out += scratch
+        out *= g
+        return out
 
-    return _make(data, (a,), vjp)
+    return _make(data, (a, grad))
 
 
 def sigmoid(a: Tensor) -> Tensor:
     x = a.data
     s = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-
-    def vjp(g):
-        if a.requires_grad:
-            _accumulate(a, g * s * (1.0 - s))
-
-    return _make(s.copy(), (a,), vjp)
+    return _make(s.copy(), (a, lambda g: g * s * (1.0 - s)))
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     s = e / e.sum(axis=axis, keepdims=True)
-
-    def vjp(g):
-        if a.requires_grad:
-            _accumulate(a, (g - (g * s).sum(axis=axis, keepdims=True)) * s)
-
-    return _make(s.copy(), (a,), vjp)
+    return _make(s.copy(), (a, lambda g: (g - (g * s).sum(axis=axis, keepdims=True)) * s))
 
 
 def layernorm(a: Tensor, scale: Tensor, shift: Tensor, eps: float = 1e-5) -> Tensor:
@@ -424,20 +354,16 @@ def layernorm(a: Tensor, scale: Tensor, shift: Tensor, eps: float = 1e-5) -> Ten
     var = (centered * centered).mean(axis=-1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv_std
-    data = scale.data * xhat + shift.data
 
-    def vjp(g):
-        if scale.requires_grad:
-            _accumulate(scale, (g * xhat).reshape(-1, n).sum(axis=0))
-        if shift.requires_grad:
-            _accumulate(shift, g.reshape(-1, n).sum(axis=0))
-        if a.requires_grad:
-            gx = g * scale.data
-            ga = inv_std * (
-                gx
-                - gx.mean(axis=-1, keepdims=True)
-                - xhat * (gx * xhat).mean(axis=-1, keepdims=True)
-            )
-            _accumulate(a, ga)
+    def grad_a(g):
+        gx = g * scale.data
+        return inv_std * (
+            gx
+            - gx.mean(axis=-1, keepdims=True)
+            - xhat * (gx * xhat).mean(axis=-1, keepdims=True)
+        )
 
-    return _make(data, (a, scale, shift), vjp)
+    return _make(scale.data * xhat + shift.data,
+                 (a, grad_a),
+                 (scale, lambda g: (g * xhat).reshape(-1, n).sum(axis=0)),
+                 (shift, lambda g: g.reshape(-1, n).sum(axis=0)))

@@ -323,11 +323,19 @@ def test_report_empty_dir_exit_1(runner, tmp_path):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is what it feeds
 def test_train_nonfinite_abort_exit_1(runner, small_dataset, tmp_path):
-    res = runner.invoke(main, _train_args(small_dataset, tmp_path / "tr", ["--lr", "1e300"]))
-    assert res.exit_code == 1, res.output
-    assert "first non-finite tensor is" in res.output
-    assert "Traceback" not in res.output
-    assert isinstance(res.exception, SystemExit)
+    # the second run's one Adam step leaves finite parameters whose forward
+    # overflows: only the validation loss shows it
+    for name, extra, message in [
+        ("tr", ["--lr", "1e300"], "first non-finite tensor is"),
+        ("one_step", ["--lr", "1e300", "--epochs", "1", "--limit", "4"],
+         "validation loss is nan after epoch 1"),
+    ]:
+        res = runner.invoke(main, _train_args(small_dataset, tmp_path / name, extra))
+        assert res.exit_code == 1, res.output
+        assert message in res.output
+        assert "Traceback" not in res.output
+        assert isinstance(res.exception, SystemExit)
+        assert not (tmp_path / name / "run_record.json").exists()
 
 
 def test_verify_bound_runs_dense_and_identity(runner, tmp_path):

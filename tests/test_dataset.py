@@ -234,6 +234,8 @@ def _edit_manifest(tmp_path, edit):
     (("splits", "val"), "count", "4", "count"),
     (("splits", "val"), "pairs", 3, "pairs"),
     (("splits", "test"), "raw_len", 63, "raw_len"),
+    ((), "version", True, "version"),
+    ((), "version", 1.0, "version"),
 ])
 def test_load_manifest_rejects_malformed_entries(tmp_path, where, key, value, message):
     def edit(manifest):

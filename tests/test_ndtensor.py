@@ -472,6 +472,58 @@ def test_reduce_mean_axis_gradient(rng):
     _check(lambda t: nd.reduce_mean(t, axis=0), rng.standard_normal((4, 3)), tol=1e-6)
 
 
+# ---- the gradient rule: only inputs that track gradients get one ---------------
+
+# multi-input ops, each with the shapes of its inputs
+_MULTI_INPUT_OPS = {
+    "add": (nd.add, [(3, 4), (4,)]),
+    "sub": (nd.sub, [(3, 4), (3, 1)]),
+    "mul": (nd.mul, [(3, 4), (4,)]),
+    "div": (nd.div, [(3, 4), (3, 4)]),
+    "matmul": (nd.matmul, [(3, 4), (4, 5)]),
+    "batch_matmul": (nd.batch_matmul, [(2, 3, 4), (1, 4, 5)]),
+    "concat": (lambda a, b, c: nd.concat([a, b, c], axis=1), [(2, 3), (2, 2), (2, 1)]),
+    "layernorm": (nd.layernorm, [(3, 5), (5,), (5,)]),
+    "conv2d": (lambda x, k: nd.conv2d(x, k, stride=1, padding=1), [(2, 6, 6), (3, 2, 3, 3)]),
+    "batch_conv2d": (lambda x, k: nd.batch_conv2d(x, k, stride=2, padding=1),
+                     [(2, 2, 7, 6), (3, 2, 3, 3)]),
+}
+
+
+def _weighted_grads(op, arrays, tracking, weights):
+    """The inputs of ``op`` after one backward through sum(weights * op(...)),
+    where only the inputs whose positions are in ``tracking`` track gradients."""
+    tensors = [nd.Tensor(a, requires_grad=i in tracking) for i, a in enumerate(arrays)]
+    nd.reduce_sum(nd.mul(op(*tensors), nd.Tensor(weights))).backward()
+    return tensors
+
+
+@pytest.mark.parametrize("name", sorted(_MULTI_INPUT_OPS))
+def test_only_tracking_inputs_get_a_gradient(name, rng):
+    op, shapes = _MULTI_INPUT_OPS[name]
+    arrays = [rng.standard_normal(shape) + 2.0 for shape in shapes]
+    weights = rng.standard_normal(op(*[nd.Tensor(a) for a in arrays]).data.shape)
+    every = _weighted_grads(op, arrays, range(len(arrays)), weights)
+    for i in range(len(arrays)):
+        alone = _weighted_grads(op, arrays, {i}, weights)
+        assert [t.grad is None for t in alone] == [j != i for j in range(len(arrays))]
+        assert np.array_equal(alone[i].grad, every[i].grad), (name, i)
+
+
+@pytest.mark.parametrize("op, expected", [
+    (lambda x: nd.mul(x, x), lambda x, r: r * x + r * x),
+    (lambda x: nd.add(x, x), lambda x, r: r + r),
+    (lambda x: nd.concat([x, x]), lambda x, r: r[:3] + r[3:]),
+    # three contributions: their sum depends on the order they are added in
+    (lambda x: nd.concat([x, x, x]), lambda x, r: (r[:3] + r[3:6]) + r[6:]),
+], ids=["mul", "add", "concat2", "concat3"])
+def test_shared_operand_adds_its_contributions_in_input_order(op, expected, rng):
+    x = rng.standard_normal((3, 4))
+    r = rng.standard_normal(op(nd.Tensor(x)).data.shape)
+    (t,) = _weighted_grads(op, [x], {0}, r)
+    assert np.array_equal(t.grad, expected(x, r))
+
+
 # ---- backward contract -------------------------------------------------------
 
 
