@@ -19,6 +19,7 @@ and ``emit_images`` take it).
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
@@ -381,9 +382,18 @@ def train_cmd(**cfg):
     )
     train = dataset.load_split(manifest, "train").head(cfg["limit"])
     val = dataset.load_split(manifest, "val")
+    created = not Path(cfg["out"]).exists()
     out = _make_out_dir(cfg["out"])
-    result = model.train(cfg["model"], model_cfg, train_cfg, (train.x, train.y),
-                         (val.x, val.y), out_dir=out)
+    try:
+        result = model.train(cfg["model"], model_cfg, train_cfg, (train.x, train.y),
+                             (val.x, val.y), out_dir=out)
+    except BaseException:
+        # training writes only after its last epoch; rmdir refuses a directory
+        # that holds anything, so only one made here and left empty goes
+        if created:
+            with contextlib.suppress(OSError):
+                out.rmdir()
+        raise
     cfg["param_count"] = model.param_count(cfg["model"], model_cfg)
     write_run_record(out, "train", cfg, _dataset_input(manifest),
                      ["ckpt_best.json", "ckpt_best.json.bin", "ckpt_last.json",

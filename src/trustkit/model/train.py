@@ -131,6 +131,19 @@ def batch_loss(model_kind: str, params: dict[str, nd.Tensor], model_cfg,
     return make_loss(train_cfg.loss_kind, pred, targets)
 
 
+def _train_step(model_kind: str, params: dict[str, nd.Tensor], model_cfg,
+                train_cfg: TrainConfig, adam: Adam, targets: np.ndarray,
+                observations: np.ndarray) -> float:
+    """One Adam step on a batch; returns its mean loss. The step's graph is
+    released on return, before the next step builds its own."""
+    adam.zero_grad()
+    step_loss = batch_loss(model_kind, params, model_cfg, train_cfg, targets, observations)
+    _abort_on_nonfinite(step_loss, params)
+    step_loss.backward()
+    adam.step()
+    return step_loss.item()
+
+
 def train(model_kind: str, model_cfg, train_cfg: TrainConfig, train_data,
           val_data, out_dir: str | Path | None = None,
           params: dict[str, nd.Tensor] | None = None) -> TrainResult:
@@ -138,9 +151,13 @@ def train(model_kind: str, model_cfg, train_cfg: TrainConfig, train_data,
     observations), and score each epoch on ``val_data``, another such pair;
     deterministic for fixed seeds.
 
-    Writes ``ckpt_best``/``ckpt_last`` checkpoints and ``epochs.csv`` under
-    ``out_dir`` when given. Initial parameters come from the model config's
-    seed unless an explicit set is passed.
+    One step's graph is alive at a time: each step is built, differentiated
+    and released before the next begins. After the last epoch, and only
+    then, ``ckpt_best``/``ckpt_last`` checkpoints and ``epochs.csv`` are
+    written under ``out_dir`` when given, so an aborted run writes nothing;
+    the best epoch's parameters are kept as a copy until then. Initial
+    parameters come from the model config's seed unless an explicit set is
+    passed.
     """
     if params is None:
         params = init_params(model_kind, model_cfg)
@@ -148,41 +165,38 @@ def train(model_kind: str, model_cfg, train_cfg: TrainConfig, train_data,
     shuffle_rng = np.random.default_rng(
         np.random.SeedSequence(entropy=train_cfg.seed, spawn_key=(0x5,))
     )
-    out_dir = Path(out_dir) if out_dir is not None else None
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-
     result = TrainResult(params=params)
-    best_val = math.inf
+    best_val, best_params = math.inf, None
     targets, observations = train_data
     n_train = len(targets)
-    for epoch in range(1, train_cfg.epochs + 1):
-        order = shuffle_rng.permutation(n_train)
-        epoch_losses = []
-        for lo in range(0, n_train, train_cfg.batch_size):
-            batch = order[lo : lo + train_cfg.batch_size]
-            adam.zero_grad()
-            step_loss = batch_loss(model_kind, params, model_cfg, train_cfg,
-                                   targets[batch], observations[batch])
-            _abort_on_nonfinite(step_loss, params)
-            step_loss.backward()
-            adam.step()
-            epoch_losses.append(step_loss.item() * len(batch))
-        train_loss = math.fsum(epoch_losses) / n_train
-        val_loss, val_ssim, val_psnr, val_fpr = evaluate(
-            model_kind, params, model_cfg, val_data, train_cfg
-        )
-        # a step can leave finite parameters whose forward overflows
-        if not math.isfinite(val_loss):
-            raise ContractError(
-                f"training aborted: validation loss is {val_loss} after epoch {epoch}")
-        result.rows.append(EpochRow(epoch, train_loss, val_loss, val_ssim, val_psnr, val_fpr))
-        if val_loss < best_val:
-            best_val = val_loss
-            result.best_epoch = epoch
-            if out_dir is not None:
-                checkpoint_save(params, model_kind, model_cfg, out_dir / "ckpt_best.json")
+    # an overflowing forward is refused by the non-finite guards, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, train_cfg.epochs + 1):
+            order = shuffle_rng.permutation(n_train)
+            epoch_losses = []
+            for lo in range(0, n_train, train_cfg.batch_size):
+                batch = order[lo : lo + train_cfg.batch_size]
+                step_loss = _train_step(model_kind, params, model_cfg, train_cfg, adam,
+                                        targets[batch], observations[batch])
+                epoch_losses.append(step_loss * len(batch))
+            train_loss = math.fsum(epoch_losses) / n_train
+            val_loss, val_ssim, val_psnr, val_fpr = evaluate(
+                model_kind, params, model_cfg, val_data, train_cfg
+            )
+            # a step can leave finite parameters whose forward overflows
+            if not math.isfinite(val_loss):
+                raise ContractError(
+                    f"training aborted: validation loss is {val_loss} after epoch {epoch}")
+            result.rows.append(EpochRow(epoch, train_loss, val_loss, val_ssim, val_psnr, val_fpr))
+            if val_loss < best_val:
+                best_val = val_loss
+                result.best_epoch = epoch
+                if out_dir is not None:
+                    best_params = {k: nd.Tensor(p.data.copy()) for k, p in params.items()}
     if out_dir is not None:
+        out_dir = Path(out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        checkpoint_save(best_params, model_kind, model_cfg, out_dir / "ckpt_best.json")
         checkpoint_save(params, model_kind, model_cfg, out_dir / "ckpt_last.json")
         (out_dir / "epochs.csv").write_text(result.log_csv())
     return result

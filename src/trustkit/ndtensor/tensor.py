@@ -5,6 +5,11 @@ Graphs are built define-by-run: every operation whose inputs carry
 ``Tape`` is reconstructed from the output tensor at backward time, in
 exact creation order, and replayed in reverse.
 
+Backward frees as it goes: an intermediate's gradient lives only until its
+inputs have received theirs. Only graph leaves keep ``grad`` afterwards,
+and the vector-Jacobian closures stay, so a second backward over the same
+graph accumulates into the leaves again.
+
 An op states only its local derivatives: one gradient function per input,
 mapping the output gradient to that input's gradient. ``_make`` applies
 the one rule for all ops: an input's function runs only when that input
@@ -84,11 +89,10 @@ class Tape:
         _accumulate(root, np.ones_like(root.data))
         for t in reversed(self.nodes):
             if t._vjp is not None and t.grad is not None:
-                t._vjp(t.grad)
-        # gradients persist (and accumulate across calls) on graph leaves only
-        for t in self.nodes:
-            if t._vjp is not None:
-                t.grad = None
+                # an intermediate's gradient lives only until its inputs have
+                # theirs; leaves (no _vjp) keep and accumulate theirs
+                g, t.grad = t.grad, None
+                t._vjp(g)
 
 
 def backward(loss: Tensor) -> None:
@@ -298,7 +302,7 @@ _GELU_C = np.sqrt(2.0 / np.pi)
 def gelu(a: Tensor) -> Tensor:
     # tanh approximation 0.5 x (1 + t), t = tanh(c (x + 0.044715 x^3)), with
     # the same operations in the same order as that expression, but in place;
-    # the backward keeps t and 1 + t and forms x^2 again
+    # the backward keeps only t, and forms 1 + t and x^2 again
     x = a.data
     t = x * x
     t *= x
@@ -306,9 +310,8 @@ def gelu(a: Tensor) -> Tensor:
     t += x
     t *= _GELU_C
     np.tanh(t, out=t)
-    one_plus_t = t + 1.0
     data = x * 0.5
-    data *= one_plus_t
+    data *= t + 1.0
 
     def grad(g):
         # g (0.5 (1 + t) + 0.5 x (1 - t^2) c (1 + 3 * 0.044715 x^2))
@@ -321,7 +324,8 @@ def gelu(a: Tensor) -> Tensor:
         out = x * 0.5
         out *= scratch
         out *= dinner
-        np.multiply(one_plus_t, 0.5, out=scratch)
+        np.add(t, 1.0, out=scratch)
+        scratch *= 0.5
         out += scratch
         out *= g
         return out
@@ -332,14 +336,14 @@ def gelu(a: Tensor) -> Tensor:
 def sigmoid(a: Tensor) -> Tensor:
     x = a.data
     s = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-    return _make(s.copy(), (a, lambda g: g * s * (1.0 - s)))
+    return _make(s, (a, lambda g: g * s * (1.0 - s)))
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     s = e / e.sum(axis=axis, keepdims=True)
-    return _make(s.copy(), (a, lambda g: (g - (g * s).sum(axis=axis, keepdims=True)) * s))
+    return _make(s, (a, lambda g: (g - (g * s).sum(axis=axis, keepdims=True)) * s))
 
 
 def layernorm(a: Tensor, scale: Tensor, shift: Tensor, eps: float = 1e-5) -> Tensor:

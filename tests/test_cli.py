@@ -321,7 +321,6 @@ def test_report_empty_dir_exit_1(runner, tmp_path):
     assert res.exit_code == 1
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is what it feeds
 def test_train_nonfinite_abort_exit_1(runner, small_dataset, tmp_path):
     # the second run's one Adam step leaves finite parameters whose forward
     # overflows: only the validation loss shows it
@@ -336,6 +335,8 @@ def test_train_nonfinite_abort_exit_1(runner, small_dataset, tmp_path):
         assert "Traceback" not in res.output
         assert isinstance(res.exception, SystemExit)
         assert not (tmp_path / name / "run_record.json").exists()
+        assert "RuntimeWarning" not in res.output
+        assert not (tmp_path / name).exists()
 
 
 def test_verify_bound_runs_dense_and_identity(runner, tmp_path):

@@ -794,6 +794,27 @@ def test_trust_train_step_memory_is_bounded():
     assert peak < 400 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
+def _train_peak(cfg, tcfg, data):
+    params = model.init_params(model.TRUST, cfg)
+    tracemalloc.start()
+    try:
+        model.train(model.TRUST, cfg, tcfg, data, _NO_DATA, params=params)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_train_memory_does_not_grow_with_step_count():
+    # a step's graph is released before the next step builds its own; when
+    # one step's graph outlived it, three steps peaked 1.17 times one step
+    cfg = model.TrustConfig(image_size=16, embed_dim=32, num_heads=2, encoder_depth=2)
+    tcfg = model.TrainConfig(epochs=1, batch_size=8, loss_kind="l2_ssim")
+    data = _toy_data(24, 16, seed=3)
+    one_step = _train_peak(cfg, tcfg, (data[0][:8], data[1][:8]))
+    three_steps = _train_peak(cfg, tcfg, data)
+    assert three_steps <= 1.05 * one_step, f"{three_steps / one_step:.3f} times one step"
+
+
 def _predict_peak(params, cfg, observations):
     tracemalloc.start()
     try:
@@ -873,6 +894,21 @@ def test_nan_abort_names_tensor():
     tcfg = model.TrainConfig(learning_rate=1e-3, epochs=1, batch_size=1, loss_kind="l2")
     with pytest.raises(ContractError, match="non-finite"):
         model.train(model.TRUST, cfg, tcfg, _toy_data(2, 16, seed=3), _NO_DATA, params=params)
+
+
+def test_best_checkpoint_holds_the_best_epochs_parameters(tmp_path):
+    # a large step: the validation loss is lowest after the first epoch
+    cfg = reduced_trust()
+    tcfg = model.TrainConfig(learning_rate=0.2, epochs=3, batch_size=4, loss_kind="l2")
+    data = _toy_data(8, 16, seed=4)
+    best = model.train(model.TRUST, cfg, tcfg, data, _head(data, 2),
+                       out_dir=tmp_path / "long").best_epoch
+    assert best < tcfg.epochs
+    short = model.TrainConfig(learning_rate=0.2, epochs=best, batch_size=4, loss_kind="l2")
+    model.train(model.TRUST, cfg, short, data, _head(data, 2), out_dir=tmp_path / "short")
+    blob = (tmp_path / "long" / "ckpt_best.json.bin").read_bytes()
+    assert blob == (tmp_path / "short" / "ckpt_last.json.bin").read_bytes()
+    assert blob != (tmp_path / "long" / "ckpt_last.json.bin").read_bytes()
 
 
 def test_train_writes_checkpoints_and_log(tmp_path):
