@@ -64,6 +64,10 @@ class TrustConfig:
         for name in ("image_size", "patch_size", "embed_dim", "num_heads", "encoder_depth"):
             if getattr(self, name) < 1:
                 raise ParameterError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if any(ch < 1 for ch in self.decoder_channels):
+            raise ParameterError(
+                f"every decoder_channels entry must be >= 1, got {self.decoder_channels}"
+            )
         if self.image_size % self.patch_size != 0:
             raise ParameterError(
                 f"image_size {self.image_size} not divisible by patch_size {self.patch_size}"
@@ -71,6 +75,8 @@ class TrustConfig:
         if self.pool_grid is None:
             grid = _derive_pool_grid(self.image_size, self.token_grid)
             object.__setattr__(self, "pool_grid", grid)
+        if self.pool_grid < 1:
+            raise ParameterError(f"pool_grid must be >= 1, got {self.pool_grid}")
         if self.embed_dim % self.num_heads != 0:
             raise ParameterError(
                 f"embed_dim {self.embed_dim} not divisible by num_heads {self.num_heads}"
@@ -172,6 +178,8 @@ class UnetConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.image_size < 4:
+            raise ParameterError(f"image_size must be >= 4, got {self.image_size}")
         if self.image_size % 4 != 0:
             raise ParameterError(f"image_size {self.image_size} must be divisible by 4")
         if self.base_channels < 1:

@@ -100,10 +100,14 @@ def _linear(x: nd.Tensor, params: dict, prefix: str) -> nd.Tensor:
     return nd.reshape(out, lead + (d_out,))
 
 
+def _add_bias(out: nd.Tensor, params: dict, prefix: str) -> nd.Tensor:
+    bias = params[f"{prefix}.bias"]
+    return nd.add(out, nd.reshape(bias, (bias.data.shape[0], 1, 1)))
+
+
 def _conv(x: nd.Tensor, params: dict, prefix: str, stride=1, padding=0) -> nd.Tensor:
-    w = params[f"{prefix}.weight"]
-    out = nd.batch_conv2d(x, w, stride=stride, padding=padding)
-    return nd.add(out, nd.reshape(params[f"{prefix}.bias"], (w.data.shape[0], 1, 1)))
+    out = nd.batch_conv2d(x, params[f"{prefix}.weight"], stride=stride, padding=padding)
+    return _add_bias(out, params, prefix)
 
 
 def patchify(image: np.ndarray, patch: int) -> np.ndarray:
@@ -163,6 +167,14 @@ def forward_trust(params: dict, cfg: TrustConfig, image,
     ``params`` must hold exactly the tensors of ``trust_param_shapes(cfg)``.
     Pass a dict as ``capture`` to collect, per encoder block, each head's
     (B, T, T) attention maps and the block's (B, T, D) output tokens.
+
+    A decoder stage that upsamples or takes a skip convolves, in one
+    ``resized_conv2d``, the previous stage through its nearest-neighbour
+    upsampling (the identity when the stage does not upsample) and the
+    projected skip through its bilinear resize from the token grid. So the
+    convolution runs at the resolution its inputs come from, and the
+    upsampled map, the resized skip and their concatenation are never
+    formed. The other stages run ``batch_conv2d`` at full resolution.
     """
     _check_params(params, trust_param_shapes(cfg))
     imgs = _as_image_batch(image, cfg.image_size)
@@ -179,14 +191,20 @@ def forward_trust(params: dict, cfg: TrustConfig, image,
     grid = _tokens_to_grid(tokens, cfg)
     cur = nd.adaptive_avg_pool(grid, cfg.pool_grid, cfg.pool_grid)
     for s, stage in enumerate(cfg.stage_plan()):
-        if stage.upsampled:
-            cur = nd.upsample_nearest(cur, 2)
-        if stage.skip_block is not None:
-            skip = _tokens_to_grid(block_outputs[stage.skip_block - 1], cfg)
-            skip = _conv(skip, params, f"skip{s}.proj")
-            skip = nd.resize_bilinear(skip, stage.resolution, stage.resolution)
-            cur = nd.concat([cur, skip], axis=1)
-        cur = nd.relu(_conv(cur, params, f"dec{s}.conv", padding=1))
+        prefix, res = f"dec{s}.conv", stage.resolution
+        if stage.upsampled or stage.skip_block is not None:
+            near = nd.nearest_matrix(cur.data.shape[-1], res)
+            parts = [(cur, near, near)]
+            if stage.skip_block is not None:
+                skip = _tokens_to_grid(block_outputs[stage.skip_block - 1], cfg)
+                skip = _conv(skip, params, f"skip{s}.proj")
+                lin = nd.bilinear_matrix(cfg.token_grid, res)
+                parts.append((skip, lin, lin))
+            out = nd.resized_conv2d(parts, params[f"{prefix}.weight"], padding=1)
+            out = _add_bias(out, params, prefix)
+        else:
+            out = _conv(cur, params, prefix, padding=1)
+        cur = nd.relu(out)
     return nd.reshape(nd.sigmoid(_conv(cur, params, "head")), imgs.data.shape)
 
 

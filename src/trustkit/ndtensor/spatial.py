@@ -4,7 +4,12 @@ convolution, pooling, resizing and box filtering.
 Pooling, resizing, upsampling and box filtering act on the last two axes
 and accept any leading axes. Convolution has one kernel, ``conv2d`` on one
 (C, H, W) map; ``batch_conv2d`` runs a (B, C, H, W) batch through it as
-one tall map.
+one tall map. ``resized_conv2d`` convolves the concatenation of resized
+(B, C, h, w) maps at the resolution of each map, from the matrices of its
+resize (``nearest_matrix``, ``bilinear_matrix``), without forming the
+resized maps: the same result as resizing, concatenating and calling
+``batch_conv2d``, up to rounding, for fewer FLOPs when the maps are
+upsampled.
 
 These ops follow the gradient rule of ``tensor``: each states one gradient
 function per input and leaves it to ``_make`` to run it for a tracking
@@ -27,10 +32,12 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
     Tap-shift kernel: the zero-padded map is split into its stride phases,
     rows a::s and columns c::s, each flattened to a (C_in, hq*wq) matrix.
     Tap (i, j) reads phase (i % s, j % s) at a fixed column offset, so the
-    forward pass and the kernel gradient are kh*kw GEMMs on views of that
-    buffer, and the input gradient is one GEMM per phase over shifted copies
-    of the output gradient. Flat positions that wrap across a row are
-    computed and discarded; no column (im2col) matrix is formed.
+    forward pass is kh*kw GEMMs on views of that buffer. Backward stacks
+    shifted copies of the output gradient per phase; the input gradient is
+    one GEMM per phase of the kernel against that stack, and the kernel
+    gradient one GEMM per phase of the stack against the buffer. Flat
+    positions that wrap across a row are computed and discarded; no column
+    (im2col) matrix is formed.
     """
     if x.data.ndim != 3 or kernel.data.ndim != 4:
         raise DimensionError(
@@ -73,9 +80,11 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
         g_pad[:, lead:].reshape(c_out, hq, wq)[:, :oh, :ow] = g
         return g_pad
 
-    def grad_x(g):
+    def phase_grads(g):
+        """Per stride phase (a, c): its taps, and the output gradient shifted
+        by each tap's offset as one (taps, C_out, n) stack."""
         g_pad = padded_grad(g)
-        gbuf = np.zeros((s, s, c_in, n))
+        out = []
         for a in range(s):
             for c in range(s):
                 phase = [(i, j, off) for i, j, off in taps if i % s == a and j % s == c]
@@ -84,16 +93,33 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
                 shifted = np.empty((len(phase), c_out, n))
                 for k, (_, _, off) in enumerate(phase):
                     shifted[k] = g_pad[:, lead - off : lead - off + n]
-                w_phase = np.concatenate([w_taps[i, j] for i, j, _ in phase], axis=0)
-                np.matmul(w_phase.T, shifted.reshape(-1, n), out=gbuf[a, c])
+                out.append((a, c, phase, shifted))
+        return out
+
+    # _make runs grad_kernel right after grad_x on the same output gradient,
+    # so grad_x leaves its shifted stacks here for it when the kernel tracks
+    handoff = []
+
+    def grad_x(g):
+        phases = phase_grads(g)
+        gbuf = np.zeros((s, s, c_in, n))
+        for a, c, phase, shifted in phases:
+            w_phase = np.concatenate([w_taps[i, j] for i, j, _ in phase], axis=0)
+            np.matmul(w_phase.T, shifted.reshape(-1, n), out=gbuf[a, c])
+        if kernel.requires_grad:
+            handoff.append(phases)
         gx = gbuf.reshape(s, s, c_in, hq, wq).transpose(2, 3, 0, 4, 1)
         return gx.reshape(c_in, hq * s, wq * s)[:, p : p + h, p : p + w]
 
     def grad_kernel(g):
-        g_span = padded_grad(g)[:, lead : lead + span]
+        # one GEMM per phase: shifted[k][:, m] is the gradient of the output
+        # that tap k reads at buffer column m, zero where that output is off
+        # the grid, so the full-width product is the kernel gradient
         gw = np.empty((kh, kw, c_out, c_in))
-        for i, j, off in taps:
-            np.matmul(g_span, buf[i % s, j % s, :, off : off + span].T, out=gw[i, j])
+        for a, c, phase, shifted in (handoff.pop() if handoff else phase_grads(g)):
+            gw_phase = np.matmul(shifted.reshape(-1, n), buf[a, c].T)
+            for k, (i, j, _) in enumerate(phase):
+                gw[i, j] = gw_phase[k * c_out : (k + 1) * c_out]
         return gw.transpose(2, 3, 0, 1)
 
     return _make(data, (x, grad_x), (kernel, grad_kernel))
@@ -107,6 +133,8 @@ def _conv_extents(x_shape, k_shape, stride: int, padding: int) -> tuple[int, int
         raise DimensionError(f"conv2d channel mismatch: input {c_in}, kernel expects {kc}")
     if stride < 1:
         raise ParameterError(f"conv2d stride must be >= 1, got {stride}")
+    if padding < 0:
+        raise ParameterError(f"conv2d padding must be >= 0, got {padding}")
     hp, wp = h + 2 * padding, w + 2 * padding
     if kh > hp or kw > wp:
         raise DimensionError(f"kernel {kh}x{kw} larger than padded input {hp}x{wp}")
@@ -153,6 +181,126 @@ def batch_conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -
     return _make(np.ascontiguousarray(data), (out, unfold_grad))
 
 
+def resized_conv2d(parts, kernel: Tensor, padding: int = 0) -> Tensor:
+    """``batch_conv2d`` of the channel concatenation of resized maps, without
+    forming them.
+
+    Each part is ``(x, rows, cols)``: a (B, C_k, h_k, w_k) map and the
+    (H, h_k) and (W, w_k) matrices of its separable resize, rows @ X @ cols.T
+    for each plane X. Every part resizes to the same (H, W), and the
+    (C_out, sum C_k, kh, kw) kernel reads the parts' channels in order; the
+    stride is 1.
+
+    Tap (i, j) of the zero-padded resized map is rows @ X @ cols.T shifted by
+    (i - padding, j - padding): P_i X Q_j.T, where P_i and Q_j are the resize
+    matrices with their rows shifted so and zero past either edge. Hence
+
+        out = sum_i P_i (sum_j (W_ij . X) Q_j.T),
+
+    with W_ij . X the channel mix of tap (i, j). Per part that is three GEMMs
+    (the sub-pixel argument of Shi et al., CVPR 2016): all taps' channel mix
+    at the part's own resolution, the column expansion against the stacked
+    [Q_0.T; Q_1.T; ...], and the row expansion by [P_0 P_1 ...]. Backward runs
+    them transposed; each part's gradient at its own resolution is formed
+    once and serves both its input's gradient and the kernel's.
+    """
+    if kernel.data.ndim != 4:
+        raise DimensionError(
+            f"resized_conv2d expects a (Cout,Cin,kh,kw) kernel, got {kernel.data.shape}"
+        )
+    parts = [(x, np.asarray(rows, dtype=np.float64), np.asarray(cols, dtype=np.float64))
+             for x, rows, cols in parts]
+    if not parts:
+        raise DimensionError("resized_conv2d needs at least one part")
+    b = parts[0][0].data.shape[0]
+    out_h, out_w = parts[0][1].shape[0], parts[0][2].shape[0]
+    for x, rows, cols in parts:
+        if x.data.ndim != 4 or x.data.shape[0] != b:
+            raise DimensionError(
+                f"resized_conv2d expects (B,C,h,w) parts with B={b}, got {x.data.shape}"
+            )
+        h, w = x.data.shape[2:]
+        if rows.shape != (out_h, h) or cols.shape != (out_w, w):
+            raise DimensionError(
+                f"resize matrices {rows.shape} and {cols.shape} do not map a {h}x{w} "
+                f"map to {out_h}x{out_w}"
+            )
+    c_total = sum(x.data.shape[1] for x, _, _ in parts)
+    c_out, _, kh, kw = kernel.data.shape
+    oh, ow = _conv_extents((c_total, out_h, out_w), kernel.data.shape, 1, padding)
+    w_taps = kernel.data.transpose(2, 3, 0, 1)  # (kh, kw, C_out, C_in)
+
+    # per part: its kernel channels, its kernel rows in tap-major (i, j, o)
+    # order, [P_0 P_1 ...] and [Q_0.T; Q_1.T; ...]
+    plans = []
+    lo = 0
+    for x, rows, cols in parts:
+        c = x.data.shape[1]
+        w_mix = np.ascontiguousarray(w_taps[..., lo : lo + c]).reshape(kh * kw * c_out, c)
+        plans.append((slice(lo, lo + c), w_mix, _tap_stack(rows, kh, oh, padding),
+                      _tap_stack(cols, kw, ow, padding).T))
+        lo += c
+
+    # each part's column-expanded map, (B, C_out, (i, a), OW), stacked along
+    # (i, a): one batched GEMM against the stacked [P_i] then sums the parts
+    stacked = np.empty((b, c_out, kh * sum(x.data.shape[2] for x, _, _ in parts), ow))
+    at = 0
+    for (x, _, _), (_, w_mix, _, q_cat) in zip(parts, plans):
+        _, c, h, w = x.data.shape
+        mixed = (w_mix @ _channels_first(x.data)).reshape(kh, kw, c_out, b, h, w)
+        cols_done = mixed.transpose(3, 0, 2, 4, 1, 5).reshape(-1, kw * w) @ q_cat
+        stacked[:, :, at : at + kh * h].reshape(b, c_out, kh, h, ow)[...] = (
+            cols_done.reshape(b, kh, c_out, h, ow).transpose(0, 2, 1, 3, 4))
+        at += kh * h
+    data = np.matmul(np.concatenate([p_cat for _, _, p_cat, _ in plans], axis=1), stacked)
+
+    def low_grad(k, g):
+        """The gradient of part k's channel mix, ((i, j, o), (B, a, d)): the
+        output gradient brought to the part's own resolution."""
+        _, c, h, w = parts[k][0].data.shape
+        _, _, p_cat, q_cat = plans[k]
+        rows_done = np.matmul(p_cat.T, g).reshape(b, c_out, kh, h, ow)
+        rows_done = rows_done.transpose(2, 1, 0, 3, 4).reshape(-1, ow) @ q_cat.T
+        mixed = rows_done.reshape(kh, c_out, b, h, kw, w).transpose(0, 4, 1, 2, 3, 5)
+        return mixed.reshape(kh * kw * c_out, b * h * w)
+
+    # _make runs grad_kernel right after the parts' gradients on the same
+    # output gradient, so each part leaves its low_grad here when the kernel tracks
+    handoff = {}
+
+    def grad_part(k):
+        def grad(g):
+            g_low = low_grad(k, g)
+            if kernel.requires_grad:
+                handoff[k] = g_low
+            _, c, h, w = parts[k][0].data.shape
+            return (plans[k][1].T @ g_low).reshape(c, b, h, w).transpose(1, 0, 2, 3)
+        return grad
+
+    def grad_kernel(g):
+        gw = np.empty((kh, kw, c_out, c_total))
+        for k, ((x, _, _), (chans, _, _, _)) in enumerate(zip(parts, plans)):
+            g_low = handoff.pop(k) if k in handoff else low_grad(k, g)
+            gw[..., chans] = (g_low @ _channels_first(x.data).T).reshape(kh, kw, c_out, -1)
+        return gw.transpose(2, 3, 0, 1)
+
+    edges = [(x, grad_part(k)) for k, (x, _, _) in enumerate(parts)]
+    return _make(data, *edges, (kernel, grad_kernel))
+
+
+def _channels_first(a: np.ndarray) -> np.ndarray:
+    """A (B, C, h, w) batch as one (C, B*h*w) matrix."""
+    return a.transpose(1, 0, 2, 3).reshape(a.shape[1], -1)
+
+
+def _tap_stack(mat: np.ndarray, taps: int, out: int, padding: int) -> np.ndarray:
+    """[M_0 M_1 ...], (out, taps * cols): M_t[y] is row y + t - padding of
+    ``mat``, zero where that row lies past either edge."""
+    padded = np.zeros((mat.shape[0] + 2 * padding, mat.shape[1]))
+    padded[padding : padding + mat.shape[0]] = mat
+    return np.concatenate([padded[t : t + out] for t in range(taps)], axis=1)
+
+
 def upsample_nearest(x: Tensor, factor: int) -> Tensor:
     """Replicate each pixel of a (..., H, W) map into a factor x factor block."""
     if int(factor) != factor or factor < 1:
@@ -172,6 +320,15 @@ def upsample_nearest(x: Tensor, factor: int) -> Tensor:
         return reduce(np.add, rows)
 
     return _make(data, (x, grad))
+
+
+def nearest_matrix(size: int, out: int) -> np.ndarray:
+    """(out, size) 0/1 matrix whose row i picks entry i * size // out: along
+    each axis, ``upsample_nearest`` by f when out = f * size, and the
+    identity when out = size."""
+    mat = np.zeros((out, size))
+    mat[np.arange(out), np.arange(out) * size // out] = 1.0
+    return mat
 
 
 def _separable(x: Tensor, rows: np.ndarray, cols: np.ndarray) -> Tensor:
@@ -211,8 +368,9 @@ def adaptive_avg_pool(x: Tensor, out_h: int, out_w: int) -> Tensor:
     return _separable(x, _pool_matrix(h, out_h), _pool_matrix(w, out_w))
 
 
-def _bilinear_matrix(size: int, out: int) -> np.ndarray:
-    """(out, size) interpolation matrix with half-pixel sample centers."""
+def bilinear_matrix(size: int, out: int) -> np.ndarray:
+    """(out, size) interpolation matrix with half-pixel sample centers: the
+    resize ``resize_bilinear`` applies along each axis."""
     src = (np.arange(out) + 0.5) * (size / out) - 0.5
     src = np.clip(src, 0.0, size - 1.0)
     lo = np.floor(src).astype(np.intp)
@@ -228,7 +386,7 @@ def resize_bilinear(x: Tensor, out_h: int, out_w: int) -> Tensor:
     """Bilinearly resample a (..., H, W) map to (..., out_h, out_w)."""
     _check_plane(x, "resize_bilinear", out_h, out_w)
     h, w = x.data.shape[-2:]
-    return _separable(x, _bilinear_matrix(h, out_h), _bilinear_matrix(w, out_w))
+    return _separable(x, bilinear_matrix(h, out_h), bilinear_matrix(w, out_w))
 
 
 def _box_matrix(size: int, window: int) -> np.ndarray:

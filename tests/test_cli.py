@@ -398,6 +398,16 @@ def _checkpoint_for_other_size(tmp, data):
             "--out", str(tmp / "ev")]
 
 
+def _checkpoint_pool_grid_0(tmp, data):
+    cfg = model.TrustConfig(image_size=8, embed_dim=8, num_heads=2, encoder_depth=1)
+    model.checkpoint_save(model.init_params(model.TRUST, cfg), model.TRUST, cfg, tmp / "c.json")
+    manifest = json.loads((tmp / "c.json").read_text())
+    manifest["config"]["pool_grid"] = 0
+    (tmp / "c.json").write_text(json.dumps(manifest))
+    return ["eval", "--checkpoint", str(tmp / "c.json"), "--dataset", str(data),
+            "--out", str(tmp / "ev")]
+
+
 def _bogus_kind(tmp, data):
     return ["verify-bound", "--out", str(tmp / "vb"), "--kinds", "bogus"]
 
@@ -491,7 +501,7 @@ def _config(command, entries):
     _missing_dataset, _corrupt_manifest(b"{not json"), _corrupt_manifest(b"[1, 2]"),
     _corrupt_manifest(b"\xff"),
     _manifest_without_splits, _checkpoint_without_blob, _checkpoint_bad_tensor_entries,
-    _checkpoint_for_other_size,
+    _checkpoint_for_other_size, _checkpoint_pool_grid_0,
     _bogus_kind, _oversized_sweep, _sweep_k(0), _sweep_k(-1),
     _sweep_without_cells("--kinds", ","), _sweep_without_cells("--m", "40", "--n", "12"),
     _sweep_without_cells("--m", "8,8", "--n", "16", "--k", "1", "--kinds", "gaussian_fat"),
@@ -522,7 +532,7 @@ def _config(command, entries):
     _config_not_utf8,
 ], ids=["missing-dataset", "manifest-not-json", "manifest-not-object", "manifest-not-utf8",
         "manifest-without-splits", "checkpoint-blob-deleted", "checkpoint-tensors-not-entries",
-        "checkpoint-for-other-image-size",
+        "checkpoint-for-other-image-size", "checkpoint-pool-grid-0",
         "bogus-kind", "oversized-sweep", "k-0", "k-negative", "sweep-kinds-empty",
         "sweep-grid-without-cells", "sweep-m-repeated", "sweep-n-repeated", "sweep-k-repeated",
         "sweep-kinds-repeated", "sweep-m-0", "sweep-n-negative", "report-aggregate-not-json",

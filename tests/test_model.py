@@ -63,6 +63,22 @@ def test_config_rejects_bad_shapes():
         model.TrustConfig(skip_sources=(9, 2))
 
 
+@pytest.mark.parametrize("make", [
+    lambda: model.TrustConfig(pool_grid=0),
+    lambda: model.TrustConfig(pool_grid=-2),
+    lambda: model.TrustConfig(decoder_channels=(-4, 32, 16, 8)),
+    lambda: model.TrustConfig(decoder_channels=(64, 32, 0, 8)),
+    lambda: model.UnetConfig(image_size=0),
+    lambda: model.UnetConfig(image_size=-4),
+], ids=["pool-grid-0", "pool-grid-negative", "decoder-channels-negative",
+        "decoder-channels-0", "unet-image-size-0", "unet-image-size-negative"])
+def test_config_refuses_sizes_below_one_before_using_them(make):
+    # a zero pool grid used to divide by zero, negative decoder channels to
+    # pass until init_params, and a U-Net to accept image sizes 0 and -4
+    with pytest.raises(ParameterError, match="must be >= "):
+        make()
+
+
 @pytest.mark.parametrize("size,grid", [(8, 2), (16, 4), (48, 6)])
 def test_config_derives_pool_grid_from_image_size(size, grid):
     cfg = model.TrustConfig(image_size=size, embed_dim=8, num_heads=2, encoder_depth=2,
@@ -252,6 +268,57 @@ _STACK_ONLY = {
     "ssim_tensor": lambda x: metrics.ssim_tensor(nd.Tensor(x), nd.Tensor(x)).data,
     "sample_losses": lambda x: model.sample_losses("l2", nd.Tensor(x), x).data,
 }
+
+
+def _forward_trust_concat_decoder(params, cfg, image):
+    """forward_trust with the decoder as it was before ``resized_conv2d``:
+    upsample, resize the skip, concatenate, and convolve at full resolution."""
+    from trustkit.model import forward as fw
+
+    imgs = fw._as_image_batch(image, cfg.image_size)
+    patches = nd.Tensor(fw.patchify(imgs.data, cfg.patch_size))
+    tokens = nd.add(fw._linear(patches, params, "patch_embed"), params["pos_embed"])
+    block_outputs = []
+    for i in range(cfg.encoder_depth):
+        tokens = fw._encoder_block(tokens, params, i, cfg, None)
+        block_outputs.append(tokens)
+    cur = nd.adaptive_avg_pool(fw._tokens_to_grid(tokens, cfg), cfg.pool_grid, cfg.pool_grid)
+    for s, stage in enumerate(cfg.stage_plan()):
+        if stage.upsampled:
+            cur = nd.upsample_nearest(cur, 2)
+        if stage.skip_block is not None:
+            skip = fw._tokens_to_grid(block_outputs[stage.skip_block - 1], cfg)
+            skip = fw._conv(skip, params, f"skip{s}.proj")
+            skip = nd.resize_bilinear(skip, stage.resolution, stage.resolution)
+            cur = nd.concat([cur, skip], axis=1)
+        cur = nd.relu(fw._conv(cur, params, f"dec{s}.conv", padding=1))
+    return nd.reshape(nd.sigmoid(fw._conv(cur, params, "head")), imgs.data.shape)
+
+
+@pytest.mark.parametrize("overrides", [
+    {},
+    dict(image_size=16),
+    dict(image_size=48),  # pool grid 6: three upsampling stages, the third without a skip
+    dict(skip_enabled=(False, False)),
+    dict(image_size=8, patch_size=1, pool_grid=8),  # skips, and no upsampling at all
+], ids=["32px", "16px", "48px", "no-skips", "pool-grid-is-image-size"])
+def test_trust_decoder_equals_the_full_resolution_concat_decoder(overrides):
+    cfg = model.TrustConfig(**{"embed_dim": 16, "num_heads": 2, "encoder_depth": 2, **overrides})
+    params = model.init_params(model.TRUST, cfg)
+    g = np.random.default_rng(11)
+    image = g.random((3, cfg.image_size, cfg.image_size))
+    weights = nd.Tensor(g.standard_normal((3, cfg.image_size, cfg.image_size)))
+    results = []
+    for forward in (model.forward_trust, _forward_trust_concat_decoder):
+        nd.zero_grads(params.values())
+        out = forward(params, cfg, image)
+        nd.reduce_sum(nd.mul(out, weights)).backward()
+        results.append((out.data, {name: t.grad for name, t in params.items()}))
+    (out, grads), (ref_out, ref_grads) = results
+    assert np.abs(out - ref_out).max() <= 1e-12 * np.abs(ref_out).max()
+    for name, ref in ref_grads.items():
+        err = np.abs(grads[name] - ref).max()
+        assert err <= 1e-12 * np.abs(ref).max(), (name, err)
 
 
 def test_forward_rejects_wrong_stack_shape():
@@ -777,7 +844,8 @@ def test_batched_step_gradients_match_per_sample_loop(kind, cfg, loss_kind):
 
 def test_trust_train_step_memory_is_bounded():
     # one 16-sample step of the default 32 px model; the per-sample graphs
-    # with per-sample im2col columns peaked at 548 MiB on the same step
+    # with per-sample im2col columns peaked at 548 MiB on the same step, and
+    # decoder stages that concatenated their full-resolution inputs at 265 MiB
     cfg = model.TrustConfig()
     tcfg = model.TrainConfig(epochs=1, batch_size=16)
     g = np.random.default_rng(0)
@@ -791,7 +859,7 @@ def test_trust_train_step_memory_is_bounded():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 400 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    assert peak < 230 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def _train_peak(cfg, tcfg, data):

@@ -164,8 +164,10 @@ def test_batch_conv2d_gradient(batch, stride, padding, ksize, rng):
 @pytest.mark.parametrize("height,width", [(9, 8), (8, 9)])
 def test_batch_conv2d_matches_per_sample_conv2d(stride, padding, ksize, height, width, rng):
     x = rng.standard_normal((3, 2, height, width))
-    k = nd.Tensor(rng.standard_normal((4, 2, ksize, ksize)))
+    k = nd.Tensor(rng.standard_normal((4, 2, ksize, ksize)), requires_grad=True)
     out = nd.batch_conv2d(nd.Tensor(x), k, stride=stride, padding=padding)
+    r = rng.standard_normal(out.data.shape)
+    nd.reduce_sum(nd.mul(out, nd.Tensor(r))).backward()
     for b in range(3):
         single = nd.conv2d(nd.Tensor(x[b]), k, stride=stride, padding=padding)
         assert np.abs(out.data[b] - single.data).max() <= 1e-12
@@ -178,6 +180,14 @@ def test_batch_conv2d_matches_per_sample_conv2d(stride, padding, ksize, height, 
             win = xp[:, :, i * stride : i * stride + ksize, j * stride : j * stride + ksize]
             ref[:, :, i, j] = np.einsum("bcij,ocij->bo", win, k.data)
     assert np.abs(out.data - ref).max() <= 1e-12
+    # the kernel gradient: tap (i, j) correlates the output gradient with
+    # the input window it reads
+    ref_grad = np.empty_like(k.data)
+    for i in range(ksize):
+        for j in range(ksize):
+            win = xp[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride]
+            ref_grad[:, :, i, j] = np.einsum("boyx,bcyx->oc", r, win)
+    assert np.abs(k.grad - ref_grad).max() <= 1e-12 * np.abs(ref_grad).max()
 
 
 def test_batch_conv2d_rejects_unbatched_input():
@@ -185,6 +195,96 @@ def test_batch_conv2d_rejects_unbatched_input():
         nd.batch_conv2d(nd.Tensor(np.zeros((1, 4, 4))), nd.Tensor(np.zeros((1, 1, 3, 3))))
     with pytest.raises(DimensionError):
         nd.conv2d(nd.Tensor(np.zeros((1, 1, 4, 4))), nd.Tensor(np.zeros((1, 1, 3, 3))))
+
+
+# ---- resized convolution --------------------------------------------------------
+
+# each case: its parts as (resize, channels, input side, output side), the
+# kernel size and the padding
+_RESIZED_CASES = {
+    "nearest-x2": ([("nearest", 2, 4, 8)], 3, 1),
+    "nearest-x4": ([("nearest", 2, 4, 16)], 3, 0),
+    "bilinear-8-to-16": ([("bilinear", 2, 8, 16)], 1, 0),
+    "bilinear-8-to-32": ([("bilinear", 3, 8, 32)], 3, 1),
+    "nearest-and-bilinear": ([("nearest", 3, 8, 16), ("bilinear", 2, 8, 16)], 3, 1),
+    "identity-and-bilinear": ([("identity", 2, 16, 16), ("bilinear", 3, 8, 16)], 1, 1),
+    "nearest-x4-and-identity": ([("nearest", 2, 4, 16), ("identity", 1, 16, 16)], 3, 0),
+}
+
+
+def _resize_matrix(kind, side, out):
+    return {"nearest": nd.nearest_matrix, "bilinear": nd.bilinear_matrix,
+            "identity": lambda size, _: np.eye(size)}[kind](side, out)
+
+
+def _resize_reference(kind, x, side, out):
+    if kind == "nearest":
+        return nd.upsample_nearest(x, out // side)
+    return nd.resize_bilinear(x, out, out) if kind == "bilinear" else x
+
+
+@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("case", sorted(_RESIZED_CASES))
+def test_resized_conv2d_matches_resize_concat_conv(case, batch, rng):
+    spec, ksize, padding = _RESIZED_CASES[case]
+    arrays = [rng.standard_normal((batch, c, side, side)) for _, c, side, _ in spec]
+    kernel = rng.standard_normal((4, sum(c for _, c, _, _ in spec), ksize, ksize))
+
+    def run(build):
+        xs = [nd.Tensor(a, requires_grad=True) for a in arrays]
+        k = nd.Tensor(kernel, requires_grad=True)
+        out = build(xs, k)
+        nd.reduce_sum(nd.mul(out, nd.Tensor(weights))).backward()
+        return [out.data] + [t.grad for t in xs + [k]]
+
+    def fused(xs, k):
+        parts = [(x, _resize_matrix(kind, side, out), _resize_matrix(kind, side, out))
+                 for x, (kind, _, side, out) in zip(xs, spec)]
+        return nd.resized_conv2d(parts, k, padding=padding)
+
+    def reference(xs, k):
+        maps = [_resize_reference(kind, x, side, out) for x, (kind, _, side, out) in zip(xs, spec)]
+        return nd.batch_conv2d(nd.concat(maps, axis=1), k, padding=padding)
+
+    out_side = spec[0][3] + 2 * padding - ksize + 1
+    weights = rng.standard_normal((batch, 4, out_side, out_side))
+    for got, want in zip(run(fused), run(reference)):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_resized_conv2d_gradient(rng):
+    near, lin = nd.nearest_matrix(3, 6), nd.bilinear_matrix(4, 6)
+
+    def op(a, b, k):
+        return nd.resized_conv2d([(a, near, near), (b, lin, lin)], k, padding=1)
+
+    _check_weighted(op, rng.standard_normal((2, 2, 3, 3)), rng.standard_normal((2, 1, 4, 4)),
+                    rng.standard_normal((3, 3, 3, 3)))
+
+
+def _x(*shape):
+    return nd.Tensor(np.zeros(shape))
+
+
+_UP = nd.nearest_matrix(4, 8)
+
+
+@pytest.mark.parametrize("parts, kernel, match", [
+    ([(_x(2, 3, 4, 4), _UP, _UP)], _x(1, 4, 3, 3), "channel mismatch"),
+    ([(_x(2, 3, 4, 4), _UP, _UP), (_x(3, 1, 4, 4), _UP, _UP)], _x(1, 4, 3, 3), "B=2"),
+    ([(_x(2, 3, 5, 4), _UP, _UP)], _x(1, 3, 3, 3), "do not map a 5x4"),
+    ([(_x(2, 3, 4, 4), _UP, nd.nearest_matrix(5, 8))], _x(1, 3, 3, 3), "do not map a 4x4"),
+    ([(_x(2, 3, 4, 4), _UP, _UP), (_x(2, 1, 4, 4), nd.nearest_matrix(4, 12), _UP)],
+     _x(1, 4, 3, 3), "to 8x8"),
+    ([(_x(3, 4, 4), _UP, _UP)], _x(1, 3, 3, 3), "expects"),
+    ([(_x(2, 3, 4, 4), _UP, _UP)], _x(3, 3, 3), "kernel"),
+    ([], _x(1, 3, 3, 3), "at least one part"),
+], ids=["channels", "batch", "rows", "cols", "output-sizes-differ", "part-not-4d",
+        "kernel-not-4d", "no-parts"])
+def test_resized_conv2d_rejects_mismatched_shapes(parts, kernel, match):
+    with pytest.raises(DimensionError, match=match):
+        nd.resized_conv2d(parts, kernel, padding=1)
 
 
 @pytest.mark.parametrize("batch", [1, 3])
@@ -525,6 +625,9 @@ _MULTI_INPUT_OPS = {
     "conv2d": (lambda x, k: nd.conv2d(x, k, stride=1, padding=1), [(2, 6, 6), (3, 2, 3, 3)]),
     "batch_conv2d": (lambda x, k: nd.batch_conv2d(x, k, stride=2, padding=1),
                      [(2, 2, 7, 6), (3, 2, 3, 3)]),
+    "resized_conv2d": (lambda a, b, k: nd.resized_conv2d(
+        [(a, _UP, _UP), (b, nd.bilinear_matrix(2, 8), nd.bilinear_matrix(2, 8))], k, padding=1),
+        [(2, 2, 4, 4), (2, 1, 2, 2), (3, 3, 3, 3)]),
 }
 
 
