@@ -94,20 +94,13 @@ def _linear(x: nd.Tensor, params: dict, prefix: str) -> nd.Tensor:
     w = params[f"{prefix}.weight"]
     d_in, d_out = w.data.shape
     lead = x.data.shape[:-1]
-    out = nd.matmul(nd.reshape(x, (-1, d_in)), w)
-    if f"{prefix}.bias" in params:
-        out = nd.add(out, params[f"{prefix}.bias"])
+    out = nd.matmul(nd.reshape(x, (-1, d_in)), w, bias=params.get(f"{prefix}.bias"))
     return nd.reshape(out, lead + (d_out,))
 
 
-def _add_bias(out: nd.Tensor, params: dict, prefix: str) -> nd.Tensor:
-    bias = params[f"{prefix}.bias"]
-    return nd.add(out, nd.reshape(bias, (bias.data.shape[0], 1, 1)))
-
-
 def _conv(x: nd.Tensor, params: dict, prefix: str, stride=1, padding=0) -> nd.Tensor:
-    out = nd.batch_conv2d(x, params[f"{prefix}.weight"], stride=stride, padding=padding)
-    return _add_bias(out, params, prefix)
+    return nd.batch_conv2d(x, params[f"{prefix}.weight"], params[f"{prefix}.bias"],
+                           stride=stride, padding=padding)
 
 
 def patchify(image: np.ndarray, patch: int) -> np.ndarray:
@@ -120,25 +113,18 @@ def patchify(image: np.ndarray, patch: int) -> np.ndarray:
 
 def _attention(x: nd.Tensor, params: dict, block: int, cfg: TrustConfig,
                capture: dict | None) -> nd.Tensor:
-    """Multi-head self-attention over (B, T, D) tokens; heads are one batched matmul."""
-    b, t, d = x.data.shape
-    dk, heads = cfg.head_dim, cfg.num_heads
-
-    def split_heads(y, axes):
-        return nd.permute(nd.reshape(y, (b, t, heads, dk)), axes)
-
-    # scores are (Q K^T) / sqrt(d_k); folding the scale into Q is equivalent
-    q = nd.scalar_mul(_linear(x, params, f"enc{block}.attn.q"), 1.0 / math.sqrt(dk))
+    """Multi-head self-attention over (B, T, D) tokens: the query, key and
+    value projections, one ``nd.attention`` op over all heads, and the
+    output projection. The graph so holds each projection once and the
+    attention weights, but not the scores."""
+    q = _linear(x, params, f"enc{block}.attn.q")
     k = _linear(x, params, f"enc{block}.attn.k")
     v = _linear(x, params, f"enc{block}.attn.v")
-    scores = nd.batch_matmul(split_heads(q, (0, 2, 1, 3)), split_heads(k, (0, 2, 3, 1)))
-    att = nd.softmax(scores, axis=-1)  # (B, H, T, T)
+    ctx, weights = nd.attention(q, k, v, cfg.num_heads)  # weights: (B, H, T, T)
     if capture is not None:
-        for h in range(heads):
-            capture[f"enc{block}.head{h}.attn"] = att.data[:, h].copy()
-    ctx = nd.batch_matmul(att, split_heads(v, (0, 2, 1, 3)))  # (B, H, T, d_k)
-    merged = nd.reshape(nd.permute(ctx, (0, 2, 1, 3)), (b, t, d))
-    return _linear(merged, params, f"enc{block}.attn.out")
+        for h in range(cfg.num_heads):
+            capture[f"enc{block}.head{h}.attn"] = weights[:, h].copy()
+    return _linear(ctx, params, f"enc{block}.attn.out")
 
 
 def _encoder_block(x: nd.Tensor, params: dict, block: int, cfg: TrustConfig,
@@ -175,6 +161,11 @@ def forward_trust(params: dict, cfg: TrustConfig, image,
     convolution runs at the resolution its inputs come from, and the
     upsampled map, the resized skip and their concatenation are never
     formed. The other stages run ``batch_conv2d`` at full resolution.
+
+    Every bias goes into the op that makes its product (``nd.matmul``, the
+    convolutions), and each block's attention is one ``nd.attention`` op, so
+    a training step's graph keeps no product that only a bias add reads and
+    no scores that only the softmax reads.
     """
     _check_params(params, trust_param_shapes(cfg))
     imgs = _as_image_batch(image, cfg.image_size)
@@ -200,8 +191,8 @@ def forward_trust(params: dict, cfg: TrustConfig, image,
                 skip = _conv(skip, params, f"skip{s}.proj")
                 lin = nd.bilinear_matrix(cfg.token_grid, res)
                 parts.append((skip, lin, lin))
-            out = nd.resized_conv2d(parts, params[f"{prefix}.weight"], padding=1)
-            out = _add_bias(out, params, prefix)
+            out = nd.resized_conv2d(parts, params[f"{prefix}.weight"],
+                                    params[f"{prefix}.bias"], padding=1)
         else:
             out = _conv(cur, params, prefix, padding=1)
         cur = nd.relu(out)

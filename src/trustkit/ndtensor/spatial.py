@@ -9,7 +9,8 @@ one tall map. ``resized_conv2d`` convolves the concatenation of resized
 resize (``nearest_matrix``, ``bilinear_matrix``), without forming the
 resized maps: the same result as resizing, concatenating and calling
 ``batch_conv2d``, up to rounding, for fewer FLOPs when the maps are
-upsampled.
+upsampled. Both add their (C_out,) bias to the product in place, so no
+graph node holds the product without it.
 
 These ops follow the gradient rule of ``tensor``: each states one gradient
 function per input and leaves it to ``_make`` to run it for a tracking
@@ -141,8 +142,10 @@ def _conv_extents(x_shape, k_shape, stride: int, padding: int) -> tuple[int, int
     return (hp - kh) // stride + 1, (wp - kw) // stride + 1
 
 
-def batch_conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """Cross-correlation of a (B, C_in, H, W) batch with a (C_out, C_in, kh, kw) kernel.
+def batch_conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1,
+                 padding: int = 0) -> Tensor:
+    """Cross-correlation of a (B, C_in, H, W) batch with a (C_out, C_in, kh, kw)
+    kernel, plus a (C_out,) bias per output channel.
 
     The batch runs as one ``conv2d`` call: its samples are stacked into one
     tall (C_in, B*block, W + 2*padding) map, each in a block of ``block``
@@ -157,6 +160,7 @@ def batch_conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -
         )
     b, c_in, h, w = x.data.shape
     oh, ow = _conv_extents(x.data.shape, kernel.data.shape, stride, padding)
+    _check_bias(bias, kernel)
     p = padding
     block = -(-(h + 2 * p) // stride) * stride
     tall = np.zeros((c_in, b, block, w + 2 * p))
@@ -178,10 +182,24 @@ def batch_conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -
         return g_tall
 
     data = out.data[:, picked].reshape(c_out, b, oh, ow).transpose(1, 0, 2, 3)
-    return _make(np.ascontiguousarray(data), (out, unfold_grad))
+    data = np.ascontiguousarray(data)
+    data += bias.data[:, None, None]
+    return _make(data, (out, unfold_grad), (bias, _bias_grad))
 
 
-def resized_conv2d(parts, kernel: Tensor, padding: int = 0) -> Tensor:
+def _check_bias(bias: Tensor, kernel: Tensor) -> None:
+    if bias.data.shape != kernel.data.shape[:1]:
+        raise DimensionError(
+            f"convolution bias must have shape {kernel.data.shape[:1]}, got {bias.data.shape}"
+        )
+
+
+def _bias_grad(g: np.ndarray) -> np.ndarray:
+    """The gradient of a per-channel bias from that of a (B, C, H, W) output."""
+    return g.sum(axis=0).sum(axis=(1, 2))
+
+
+def resized_conv2d(parts, kernel: Tensor, bias: Tensor, padding: int = 0) -> Tensor:
     """``batch_conv2d`` of the channel concatenation of resized maps, without
     forming them.
 
@@ -228,6 +246,7 @@ def resized_conv2d(parts, kernel: Tensor, padding: int = 0) -> Tensor:
     c_total = sum(x.data.shape[1] for x, _, _ in parts)
     c_out, _, kh, kw = kernel.data.shape
     oh, ow = _conv_extents((c_total, out_h, out_w), kernel.data.shape, 1, padding)
+    _check_bias(bias, kernel)
     w_taps = kernel.data.transpose(2, 3, 0, 1)  # (kh, kw, C_out, C_in)
 
     # per part: its kernel channels, its kernel rows in tap-major (i, j, o)
@@ -253,6 +272,7 @@ def resized_conv2d(parts, kernel: Tensor, padding: int = 0) -> Tensor:
             cols_done.reshape(b, kh, c_out, h, ow).transpose(0, 2, 1, 3, 4))
         at += kh * h
     data = np.matmul(np.concatenate([p_cat for _, _, p_cat, _ in plans], axis=1), stacked)
+    data += bias.data[:, None, None]
 
     def low_grad(k, g):
         """The gradient of part k's channel mix, ((i, j, o), (B, a, d)): the
@@ -285,7 +305,7 @@ def resized_conv2d(parts, kernel: Tensor, padding: int = 0) -> Tensor:
         return gw.transpose(2, 3, 0, 1)
 
     edges = [(x, grad_part(k)) for k, (x, _, _) in enumerate(parts)]
-    return _make(data, *edges, (kernel, grad_kernel))
+    return _make(data, *edges, (kernel, grad_kernel), (bias, _bias_grad))
 
 
 def _channels_first(a: np.ndarray) -> np.ndarray:

@@ -14,6 +14,13 @@ An op states only its local derivatives: one gradient function per input,
 mapping the output gradient to that input's gradient. ``_make`` applies
 the one rule for all ops: an input's function runs only when that input
 tracks gradients, and its result is accumulated into it, in input order.
+
+An op keeps only what its gradient functions read. The graph holds every
+op's output for as long as a consumer lists it as an input, so an array
+that only feeds the next op's arithmetic is not made a node of its own:
+a bias folds into the op that makes the product (``matmul``, and the
+convolutions of ``spatial``), and ``attention`` keeps its weights but not
+the scores they come from.
 """
 
 from __future__ import annotations
@@ -199,29 +206,84 @@ def absolute(a: Tensor) -> Tensor:
 # ---- linear algebra ---------------------------------------------------------
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
+def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
+    """a @ b for matrices, plus a (d,) ``bias`` added to every row when given."""
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
         raise DimensionError(f"matmul shapes incompatible: {a.data.shape} x {b.data.shape}")
-    return _make(a.data @ b.data,
-                 (a, lambda g: g @ b.data.T),
-                 (b, lambda g: a.data.T @ g))
+    data = a.data @ b.data
+    edges = [(a, lambda g: g @ b.data.T), (b, lambda g: a.data.T @ g)]
+    if bias is not None:
+        if bias.data.shape != data.shape[1:]:
+            raise DimensionError(
+                f"matmul bias must have shape {data.shape[1:]}, got {bias.data.shape}"
+            )
+        data += bias.data
+        edges.append((bias, lambda g: g.sum(axis=0)))
+    return _make(data, *edges)
 
 
-def batch_matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product over the last two axes, broadcasting the leading ones."""
-    if a.data.ndim < 2 or b.data.ndim < 2 or a.data.shape[-1] != b.data.shape[-2]:
-        raise DimensionError(f"batch_matmul shapes incompatible: {a.data.shape} x {b.data.shape}")
-    try:
-        np.broadcast_shapes(a.data.shape[:-2], b.data.shape[:-2])
-    except ValueError:
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> tuple[Tensor, np.ndarray]:
+    """Multi-head scaled dot-product attention of (B, T, D) queries, keys and
+    values: softmax(Q_h K_h^T / sqrt(d_k)) V_h per head h, over the head's
+    d_k = D / heads columns, with the heads' results side by side again.
+
+    Returns the (B, T, D) context and the (B, heads, T, T) attention weights.
+    Heads are strided views of the (B, T, D) arrays; keys alone are copied,
+    to (B, heads, d_k, T), so that every GEMM sees the operand layout, and
+    rounds the way, that separate reshape, permute, matmul and softmax ops
+    give it. The backward keeps the scaled queries, the key copy, the
+    values and the weights, never the scores.
+    """
+    if q.data.ndim != 3 or k.data.shape != q.data.shape or v.data.shape != q.data.shape:
         raise DimensionError(
-            f"batch_matmul batch axes incompatible: {a.data.shape} x {b.data.shape}"
-        ) from None
-    return _make(
-        np.matmul(a.data, b.data),
-        (a, lambda g: _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.data.shape)),
-        (b, lambda g: _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape)),
-    )
+            f"attention expects equal (B,T,D) shapes, got {q.data.shape}, {k.data.shape} "
+            f"and {v.data.shape}"
+        )
+    b, t, d = q.data.shape
+    if heads < 1 or d % heads:
+        raise DimensionError(f"attention width {d} does not split into {heads} heads")
+    dk = d // heads
+
+    def split(a):  # (B, T, D) -> (B, H, T, d_k), a view
+        return a.reshape(b, t, heads, dk).transpose(0, 2, 1, 3)
+
+    def merge(a):  # (B, H, T, d_k) -> (B, T, D), a copy
+        return a.transpose(0, 2, 1, 3).reshape(b, t, d)
+
+    # scores are (Q K^T) / sqrt(d_k); folding the scale into Q is equivalent
+    scale = float(1.0 / np.sqrt(dk))
+    qs = q.data * scale
+    kt = np.ascontiguousarray(np.swapaxes(split(k.data), -1, -2))  # (B, H, d_k, T)
+    weights = np.matmul(split(qs), kt)
+    _softmax(weights, -1, out=weights)
+    ctx = np.empty((b, t, d))
+    np.matmul(weights, split(v.data), out=split(ctx))
+
+    def grad_scores(g):
+        g_weights = np.matmul(split(g), np.swapaxes(split(v.data), -1, -2))
+        return _softmax_grad(g_weights, weights, -1)
+
+    # _make runs grad_k right after grad_q on the same output gradient, so
+    # grad_q leaves the scores' gradient here for it when the keys track
+    handoff = []
+
+    def grad_q(g):
+        g_scores = grad_scores(g)
+        if k.requires_grad:
+            handoff.append(g_scores)
+        gq = merge(np.matmul(g_scores, np.swapaxes(kt, -1, -2)))
+        gq *= scale
+        return gq
+
+    def grad_k(g):
+        g_scores = handoff.pop() if handoff else grad_scores(g)
+        gk = np.matmul(np.swapaxes(split(qs), -1, -2), g_scores)  # (B, H, d_k, T)
+        return gk.transpose(0, 3, 1, 2).reshape(b, t, d)
+
+    def grad_v(g):
+        return merge(np.matmul(np.swapaxes(weights, -1, -2), split(g)))
+
+    return _make(ctx, (q, grad_q), (k, grad_k), (v, grad_v)), weights
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -339,11 +401,24 @@ def sigmoid(a: Tensor) -> Tensor:
     return _make(s, (a, lambda g: g * s * (1.0 - s)))
 
 
+def _softmax(x: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.ndarray:
+    """exp(x - max) / sum along ``axis``, written to ``out`` (which may be x)."""
+    out = np.subtract(x, x.max(axis=axis, keepdims=True), out=out)
+    np.exp(out, out=out)
+    out /= out.sum(axis=axis, keepdims=True)
+    return out
+
+
+def _softmax_grad(g: np.ndarray, s: np.ndarray, axis: int) -> np.ndarray:
+    """The input gradient of a softmax with output ``s`` along ``axis``."""
+    out = g - (g * s).sum(axis=axis, keepdims=True)
+    out *= s
+    return out
+
+
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=axis, keepdims=True)
-    return _make(s, (a, lambda g: (g - (g * s).sum(axis=axis, keepdims=True)) * s))
+    s = _softmax(a.data, axis)
+    return _make(s, (a, lambda g: _softmax_grad(g, s, axis)))
 
 
 def layernorm(a: Tensor, scale: Tensor, shift: Tensor, eps: float = 1e-5) -> Tensor:

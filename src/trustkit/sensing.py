@@ -240,8 +240,10 @@ def estimate_rip(op: SensingOperator, k: int, method: str = EXACT_ENUMERATION,
     not move. The margin, 1e-9 max(1, max_j |a_j|^2), is absolute because
     that rounding is: on an isometry delta and b_S are both rounding noise
     (about 1e-15), and a relative margin would skip supports whose computed
-    deviation is the maximum. Skipping never happens there, so isometries
-    cost a full scan.
+    deviation is the maximum. Skipping never happens there: while delta is
+    at most the margin after a chunk, the next chunk is solved whole and
+    its bounds are not formed, so an isometry costs one chunk of bounds
+    and a full scan.
 
     A chunk holds its gathered columns, or its Grams with M_S and M_S^2, at
     one time, so peak memory stays a few MiB however many supports there
@@ -267,8 +269,12 @@ def estimate_rip(op: SensingOperator, k: int, method: str = EXACT_ENUMERATION,
         per_chunk = max(1, _RIP_CHUNK_BYTES // (order * op.m * columns.itemsize))
         margin = 1e-9 * max(1.0, float(np.max(np.einsum("ij,ij->i", columns, columns))))
         delta = 0.0
-        for supports in _colex_supports(op.n, order, per_chunk):
+        for i, supports in enumerate(_colex_supports(op.n, order, per_chunk)):
             grams = _gram_stack(columns, supports)
+            if i and delta <= margin:
+                # no bound can fall below delta - margin: every support is solved
+                delta = _max_eig_deviation(grams, delta)
+                continue
             bounds = _schatten4_deviation(grams)
             kth = max(bounds.size - _RIP_SEEDS, 0)
             seeds = np.argpartition(bounds, kth)[kth:]

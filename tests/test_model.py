@@ -844,8 +844,9 @@ def test_batched_step_gradients_match_per_sample_loop(kind, cfg, loss_kind):
 
 def test_trust_train_step_memory_is_bounded():
     # one 16-sample step of the default 32 px model; the per-sample graphs
-    # with per-sample im2col columns peaked at 548 MiB on the same step, and
-    # decoder stages that concatenated their full-resolution inputs at 265 MiB
+    # with per-sample im2col columns peaked at 548 MiB on the same step,
+    # decoder stages that concatenated their full-resolution inputs at 265 MiB,
+    # and a graph that kept bias-free products and attention scores at 172 MiB
     cfg = model.TrustConfig()
     tcfg = model.TrainConfig(epochs=1, batch_size=16)
     g = np.random.default_rng(0)
@@ -859,7 +860,7 @@ def test_trust_train_step_memory_is_bounded():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 230 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    assert peak < 150 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def _train_peak(cfg, tcfg, data):

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 import zlib
 
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from trustkit import ndtensor as nd
 from trustkit.errors import ContractError, DimensionError, ParameterError
 
-from gradcheck import finite_difference, rel_err
+from gradcheck import assert_grads_close, finite_difference, rel_err
 
 _SEED = 20240511
 
@@ -154,10 +155,10 @@ def test_batch_conv2d_gradient(batch, stride, padding, ksize, rng):
     x = rng.standard_normal((batch, 2, 8, 9))
     k = rng.standard_normal((3, 2, ksize, ksize))
 
-    def op(xt, kt):
-        return nd.batch_conv2d(xt, kt, stride=stride, padding=padding)
+    def op(xt, kt, bt):
+        return nd.batch_conv2d(xt, kt, bt, stride=stride, padding=padding)
 
-    _check_weighted(op, x, k)
+    _check_weighted(op, x, k, rng.standard_normal(3))
 
 
 @pytest.mark.parametrize("stride,padding,ksize", [(1, 1, 3), (2, 1, 3), (2, 0, 7), (1, 3, 7)])
@@ -165,12 +166,13 @@ def test_batch_conv2d_gradient(batch, stride, padding, ksize, rng):
 def test_batch_conv2d_matches_per_sample_conv2d(stride, padding, ksize, height, width, rng):
     x = rng.standard_normal((3, 2, height, width))
     k = nd.Tensor(rng.standard_normal((4, 2, ksize, ksize)), requires_grad=True)
-    out = nd.batch_conv2d(nd.Tensor(x), k, stride=stride, padding=padding)
+    bias = nd.Tensor(rng.standard_normal(4), requires_grad=True)
+    out = nd.batch_conv2d(nd.Tensor(x), k, bias, stride=stride, padding=padding)
     r = rng.standard_normal(out.data.shape)
     nd.reduce_sum(nd.mul(out, nd.Tensor(r))).backward()
     for b in range(3):
         single = nd.conv2d(nd.Tensor(x[b]), k, stride=stride, padding=padding)
-        assert np.abs(out.data[b] - single.data).max() <= 1e-12
+        assert np.abs(out.data[b] - single.data - bias.data[:, None, None]).max() <= 1e-12
     # the reference: an explicit window sum per output pixel
     xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
     oh, ow = out.data.shape[2:]
@@ -178,8 +180,9 @@ def test_batch_conv2d_matches_per_sample_conv2d(stride, padding, ksize, height, 
     for i in range(oh):
         for j in range(ow):
             win = xp[:, :, i * stride : i * stride + ksize, j * stride : j * stride + ksize]
-            ref[:, :, i, j] = np.einsum("bcij,ocij->bo", win, k.data)
+            ref[:, :, i, j] = np.einsum("bcij,ocij->bo", win, k.data) + bias.data
     assert np.abs(out.data - ref).max() <= 1e-12
+    assert np.abs(bias.grad - r.sum(axis=(0, 2, 3))).max() <= 1e-12 * np.abs(r).sum()
     # the kernel gradient: tap (i, j) correlates the output gradient with
     # the input window it reads
     ref_grad = np.empty_like(k.data)
@@ -192,7 +195,8 @@ def test_batch_conv2d_matches_per_sample_conv2d(stride, padding, ksize, height, 
 
 def test_batch_conv2d_rejects_unbatched_input():
     with pytest.raises(DimensionError):
-        nd.batch_conv2d(nd.Tensor(np.zeros((1, 4, 4))), nd.Tensor(np.zeros((1, 1, 3, 3))))
+        nd.batch_conv2d(nd.Tensor(np.zeros((1, 4, 4))), nd.Tensor(np.zeros((1, 1, 3, 3))),
+                        nd.Tensor(np.zeros(1)))
     with pytest.raises(DimensionError):
         nd.conv2d(nd.Tensor(np.zeros((1, 1, 4, 4))), nd.Tensor(np.zeros((1, 1, 3, 3))))
 
@@ -229,22 +233,23 @@ def test_resized_conv2d_matches_resize_concat_conv(case, batch, rng):
     spec, ksize, padding = _RESIZED_CASES[case]
     arrays = [rng.standard_normal((batch, c, side, side)) for _, c, side, _ in spec]
     kernel = rng.standard_normal((4, sum(c for _, c, _, _ in spec), ksize, ksize))
+    bias = rng.standard_normal(4)
 
     def run(build):
         xs = [nd.Tensor(a, requires_grad=True) for a in arrays]
-        k = nd.Tensor(kernel, requires_grad=True)
-        out = build(xs, k)
+        k, b = nd.Tensor(kernel, requires_grad=True), nd.Tensor(bias, requires_grad=True)
+        out = build(xs, k, b)
         nd.reduce_sum(nd.mul(out, nd.Tensor(weights))).backward()
-        return [out.data] + [t.grad for t in xs + [k]]
+        return [out.data] + [t.grad for t in xs + [k, b]]
 
-    def fused(xs, k):
+    def fused(xs, k, b):
         parts = [(x, _resize_matrix(kind, side, out), _resize_matrix(kind, side, out))
                  for x, (kind, _, side, out) in zip(xs, spec)]
-        return nd.resized_conv2d(parts, k, padding=padding)
+        return nd.resized_conv2d(parts, k, b, padding=padding)
 
-    def reference(xs, k):
+    def reference(xs, k, b):
         maps = [_resize_reference(kind, x, side, out) for x, (kind, _, side, out) in zip(xs, spec)]
-        return nd.batch_conv2d(nd.concat(maps, axis=1), k, padding=padding)
+        return nd.batch_conv2d(nd.concat(maps, axis=1), k, b, padding=padding)
 
     out_side = spec[0][3] + 2 * padding - ksize + 1
     weights = rng.standard_normal((batch, 4, out_side, out_side))
@@ -256,11 +261,11 @@ def test_resized_conv2d_matches_resize_concat_conv(case, batch, rng):
 def test_resized_conv2d_gradient(rng):
     near, lin = nd.nearest_matrix(3, 6), nd.bilinear_matrix(4, 6)
 
-    def op(a, b, k):
-        return nd.resized_conv2d([(a, near, near), (b, lin, lin)], k, padding=1)
+    def op(a, b, k, bias):
+        return nd.resized_conv2d([(a, near, near), (b, lin, lin)], k, bias, padding=1)
 
     _check_weighted(op, rng.standard_normal((2, 2, 3, 3)), rng.standard_normal((2, 1, 4, 4)),
-                    rng.standard_normal((3, 3, 3, 3)))
+                    rng.standard_normal((3, 3, 3, 3)), rng.standard_normal(3))
 
 
 def _x(*shape):
@@ -284,24 +289,12 @@ _UP = nd.nearest_matrix(4, 8)
         "kernel-not-4d", "no-parts"])
 def test_resized_conv2d_rejects_mismatched_shapes(parts, kernel, match):
     with pytest.raises(DimensionError, match=match):
-        nd.resized_conv2d(parts, kernel, padding=1)
+        nd.resized_conv2d(parts, kernel, _x(kernel.data.shape[0]), padding=1)
 
 
 @pytest.mark.parametrize("batch", [1, 3])
-def test_batch_matmul_and_permute_gradients(batch, rng):
-    _check_weighted(nd.batch_matmul, rng.standard_normal((batch, 3, 4)),
-                    rng.standard_normal((batch, 4, 2)))
-    # leading axes broadcast: (B, 1, 3, 4) x (2, 4, 5) -> (B, 2, 3, 5)
-    _check_weighted(nd.batch_matmul, rng.standard_normal((batch, 1, 3, 4)),
-                    rng.standard_normal((2, 4, 5)))
+def test_permute_gradients(batch, rng):
     _check_weighted(lambda t: nd.permute(t, (0, 2, 3, 1)), rng.standard_normal((batch, 2, 3, 4)))
-
-
-def test_batch_matmul_shape_errors():
-    with pytest.raises(DimensionError, match="incompatible"):
-        nd.batch_matmul(nd.Tensor(np.zeros((2, 3, 4))), nd.Tensor(np.zeros((2, 3, 4))))
-    with pytest.raises(DimensionError, match="batch axes"):
-        nd.batch_matmul(nd.Tensor(np.zeros((2, 3, 4))), nd.Tensor(np.zeros((3, 4, 4))))
     with pytest.raises(DimensionError, match="permute"):
         nd.permute(nd.Tensor(np.zeros((2, 3))), (0, 0))
 
@@ -340,19 +333,183 @@ def test_box_filter_matches_window_means(rng):
         nd.box_filter(nd.Tensor(x), 7)
 
 
+# ---- fused ops against the compositions they replace ---------------------------
+#
+# A bias folded into its product, and attention as one op, keep the bits of
+# the op chains the model ran before; those chains are the oracles here.
+
+
+def _batch_matmul(a, b):
+    """The product over the last two axes as its own op, as the model's
+    attention ran it before ``nd.attention``."""
+    return nd.tensor._make(np.matmul(a.data, b.data),
+                           (a, lambda g: np.matmul(g, np.swapaxes(b.data, -1, -2))),
+                           (b, lambda g: np.matmul(np.swapaxes(a.data, -1, -2), g)))
+
+
+def _attention_chain(q, k, v, heads):
+    b, t, d = q.data.shape
+    dk = d // heads
+
+    def split_heads(y, axes):
+        return nd.permute(nd.reshape(y, (b, t, heads, dk)), axes)
+
+    q = nd.scalar_mul(q, 1.0 / math.sqrt(dk))
+    scores = _batch_matmul(split_heads(q, (0, 2, 1, 3)), split_heads(k, (0, 2, 3, 1)))
+    att = nd.softmax(scores, axis=-1)
+    ctx = _batch_matmul(att, split_heads(v, (0, 2, 1, 3)))
+    return nd.reshape(nd.permute(ctx, (0, 2, 1, 3)), (b, t, d)), att.data
+
+
+def _conv_case(op, shapes):
+    """A convolution case: ``op``, and as its oracle the old composition,
+    ``op`` with a zero bias followed by the per-channel bias added as its
+    own op."""
+    def composed(*args):
+        *inputs, bias = args
+        out = op(*inputs, nd.Tensor(np.zeros(bias.data.shape)))
+        return nd.add(out, nd.reshape(bias, (bias.data.shape[0], 1, 1)))
+    return op, composed, shapes
+
+
+def _run_both(fused, composed, arrays, rng):
+    """Output and every input gradient of sum(r * op(...)), for both ops."""
+    results = []
+    for op in (fused, composed):
+        tensors = [nd.Tensor(a, requires_grad=True) for a in arrays]
+        out = op(*tensors)
+        if not results:
+            r = rng.standard_normal(out.data.shape)
+        nd.reduce_sum(nd.mul(out, nd.Tensor(r))).backward()
+        results.append([out.data] + [t.grad for t in tensors])
+    return results
+
+
+_NEAR, _LIN = nd.nearest_matrix(4, 8), nd.bilinear_matrix(3, 8)
+
+_MATMUL_CASE = (lambda a, w, b: nd.matmul(a, w, bias=b),
+                lambda a, w, b: nd.add(nd.matmul(a, w), b))
+
+_FUSED_BIAS_CASES = {
+    "matmul": (*_MATMUL_CASE, [(37, 16), (16, 48), (48,)]),
+    "matmul-one-row": (*_MATMUL_CASE, [(1, 5), (5, 3), (3,)]),
+    "batch_conv2d": _conv_case(lambda x, k, b: nd.batch_conv2d(x, k, b, padding=1),
+                               [(4, 3, 12, 12), (8, 3, 3, 3), (8,)]),
+    "batch_conv2d-strided": _conv_case(
+        lambda x, k, b: nd.batch_conv2d(x, k, b, stride=2, padding=1),
+        [(3, 2, 9, 8), (5, 2, 3, 3), (5,)]),
+    "batch_conv2d-one-row": _conv_case(lambda x, k, b: nd.batch_conv2d(x, k, b),
+                                       [(2, 2, 3, 6), (3, 2, 3, 3), (3,)]),
+    "resized_conv2d": _conv_case(
+        lambda a, c, k, b: nd.resized_conv2d([(a, _NEAR, _NEAR), (c, _LIN, _LIN)], k, b,
+                                             padding=1),
+        [(3, 4, 4, 4), (3, 2, 3, 3), (6, 6, 3, 3), (6,)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FUSED_BIAS_CASES))
+def test_folded_bias_equals_the_op_plus_add(case, rng):
+    fused, composed, shapes = _FUSED_BIAS_CASES[case]
+    arrays = [rng.standard_normal(shape) for shape in shapes]
+    got, want = _run_both(fused, composed, arrays, rng)
+    for name, a, b in zip(["output"] + [f"grad {i}" for i in range(len(arrays))], got, want):
+        assert np.array_equal(a, b), (case, name)
+
+
+@pytest.mark.parametrize("batch,tokens,width,heads", [
+    (2, 5, 8, 1), (2, 5, 8, 2), (3, 16, 8, 4), (2, 7, 12, 2), (4, 64, 64, 4),
+])
+def test_attention_equals_the_reshape_permute_matmul_softmax_chain(batch, tokens, width, heads,
+                                                                    rng):
+    arrays = [rng.standard_normal((batch, tokens, width)) for _ in range(3)]
+    weights = {}
+
+    def fused(q, k, v):
+        out, weights["fused"] = nd.attention(q, k, v, heads)
+        return out
+
+    def chain(q, k, v):
+        out, weights["chain"] = _attention_chain(q, k, v, heads)
+        return out
+
+    got, want = _run_both(fused, chain, arrays, rng)
+    assert weights["fused"].shape == (batch, heads, tokens, tokens)
+    assert np.array_equal(weights["fused"], weights["chain"])
+    for name, a, b in zip(["context", "grad q", "grad k", "grad v"], got, want):
+        assert np.array_equal(a, b), name
+
+
+def _attention_np(q, k, v, heads):
+    """Per-head attention, one head's columns at a time."""
+    dk = q.shape[-1] // heads
+    out = np.empty_like(q)
+    for h in range(heads):
+        cols = slice(h * dk, (h + 1) * dk)
+        s = q[..., cols] @ np.swapaxes(k[..., cols], -1, -2) / np.sqrt(dk)
+        e = np.exp(s - s.max(axis=-1, keepdims=True))
+        out[..., cols] = (e / e.sum(axis=-1, keepdims=True)) @ v[..., cols]
+    return out
+
+
+@pytest.mark.parametrize("heads", [1, 2, 4])
+def test_attention_gradcheck(heads, rng):
+    arrays = [rng.standard_normal((2, 3, 4)) for _ in range(3)]
+    r = rng.standard_normal((2, 3, 4))
+
+    def build_loss(q, k, v):
+        ts = [nd.Tensor(a, requires_grad=True) for a in (q, k, v)]
+        out, _ = nd.attention(*ts, heads)
+        return nd.reduce_sum(nd.mul(out, nd.Tensor(r))), ts
+
+    assert_grads_close(lambda q, k, v: float((_attention_np(q, k, v, heads) * r).sum()),
+                       build_loss, arrays, tol=1e-6)
+
+
+def test_folded_bias_gradcheck(rng):
+    # the convolutions' biases are gradchecked with their kernels above
+    def build_loss(a, w, b):
+        ts = [nd.Tensor(x, requires_grad=True) for x in (a, w, b)]
+        out = nd.matmul(ts[0], ts[1], bias=ts[2])
+        return nd.reduce_sum(nd.mul(out, out)), ts
+
+    arrays = [rng.standard_normal((3, 4)), rng.standard_normal((4, 2)), rng.standard_normal(2)]
+    assert_grads_close(lambda a, w, b: float(((a @ w + b) ** 2).sum()), build_loss, arrays,
+                       tol=1e-6)
+
+
+def test_fused_ops_reject_bad_shapes():
+    x, k = _x(2, 3, 6, 6), _x(4, 3, 3, 3)
+    with pytest.raises(DimensionError, match="bias"):
+        nd.matmul(_x(3, 4), _x(4, 5), bias=_x(4))
+    with pytest.raises(DimensionError, match="bias"):
+        nd.matmul(_x(3, 4), _x(4, 5), bias=_x(1, 5))
+    with pytest.raises(DimensionError, match="bias"):
+        nd.batch_conv2d(x, k, _x(3))
+    with pytest.raises(DimensionError, match="bias"):
+        nd.resized_conv2d([(x, np.eye(6), np.eye(6))], k, _x(4, 1, 1))
+    with pytest.raises(DimensionError, match="heads"):
+        nd.attention(_x(2, 3, 6), _x(2, 3, 6), _x(2, 3, 6), 4)
+    with pytest.raises(DimensionError, match="heads"):
+        nd.attention(_x(2, 3, 6), _x(2, 3, 6), _x(2, 3, 6), 0)
+    with pytest.raises(DimensionError, match="attention expects"):
+        nd.attention(_x(2, 3, 6), _x(2, 4, 6), _x(2, 3, 6), 2)
+    with pytest.raises(DimensionError, match="attention expects"):
+        nd.attention(_x(3, 6), _x(3, 6), _x(3, 6), 2)
+
+
 _FLAGS = st.lists(st.booleans(), min_size=2, max_size=2)
 
 
 @settings(max_examples=25)
 @given(batch=st.lists(st.integers(1, 3), min_size=0, max_size=2),
        squash_a=_FLAGS, squash_b=_FLAGS, drop=_FLAGS,
-       dims=st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)),
-       op=st.sampled_from(["add", "sub", "mul", "div", "batch_matmul"]))
+       dims=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+       op=st.sampled_from(["add", "sub", "mul", "div"]))
 def test_broadcast_gradients_property(batch, squash_a, squash_b, drop, dims, op):
-    """Gradients match finite differences when operands broadcast: each
-    operand has its leading axes set to 1 (squash) or left out (drop), for
-    the elementwise ops (where b may also be one row) and batch_matmul."""
-    m, k, n = dims
+    """Elementwise gradients match finite differences when operands
+    broadcast: each operand has its leading axes set to 1 (squash) or left
+    out (drop), and b may also be one row."""
+    m, k = dims
 
     def shape(squash, dropped, tail):
         lead = tuple(1 if sq else d for d, sq in zip(batch, squash))
@@ -360,12 +517,9 @@ def test_broadcast_gradients_property(batch, squash_a, squash_b, drop, dims, op)
 
     g = np.random.default_rng(len(batch) * 100 + m * 10 + k)
     a = g.standard_normal(shape(squash_a, drop[0], (m, k)))
-    if op == "batch_matmul":
-        b = g.standard_normal(shape(squash_b, drop[1], (k, n)))
-    else:
-        b = g.standard_normal(shape(squash_b, drop[1], (1 if squash_b[0] else m, k)))
-        if op == "div":
-            b = np.abs(b) + 1.0
+    b = g.standard_normal(shape(squash_b, drop[1], (1 if squash_b[0] else m, k)))
+    if op == "div":
+        b = np.abs(b) + 1.0
     _check_weighted(getattr(nd, op), a, b, tol=1e-6)
 
 
@@ -619,15 +773,17 @@ _MULTI_INPUT_OPS = {
     "mul": (nd.mul, [(3, 4), (4,)]),
     "div": (nd.div, [(3, 4), (3, 4)]),
     "matmul": (nd.matmul, [(3, 4), (4, 5)]),
-    "batch_matmul": (nd.batch_matmul, [(2, 3, 4), (1, 4, 5)]),
+    "matmul_bias": (nd.matmul, [(3, 4), (4, 5), (5,)]),
+    "attention": (lambda q, k, v: nd.attention(q, k, v, 2)[0], [(2, 3, 4)] * 3),
     "concat": (lambda a, b, c: nd.concat([a, b, c], axis=1), [(2, 3), (2, 2), (2, 1)]),
     "layernorm": (nd.layernorm, [(3, 5), (5,), (5,)]),
     "conv2d": (lambda x, k: nd.conv2d(x, k, stride=1, padding=1), [(2, 6, 6), (3, 2, 3, 3)]),
-    "batch_conv2d": (lambda x, k: nd.batch_conv2d(x, k, stride=2, padding=1),
-                     [(2, 2, 7, 6), (3, 2, 3, 3)]),
-    "resized_conv2d": (lambda a, b, k: nd.resized_conv2d(
-        [(a, _UP, _UP), (b, nd.bilinear_matrix(2, 8), nd.bilinear_matrix(2, 8))], k, padding=1),
-        [(2, 2, 4, 4), (2, 1, 2, 2), (3, 3, 3, 3)]),
+    "batch_conv2d": (lambda x, k, b: nd.batch_conv2d(x, k, b, stride=2, padding=1),
+                     [(2, 2, 7, 6), (3, 2, 3, 3), (3,)]),
+    "resized_conv2d": (lambda a, b, k, bias: nd.resized_conv2d(
+        [(a, _UP, _UP), (b, nd.bilinear_matrix(2, 8), nd.bilinear_matrix(2, 8))], k, bias,
+        padding=1),
+        [(2, 2, 4, 4), (2, 1, 2, 2), (3, 3, 3, 3), (3,)]),
 }
 
 

@@ -280,6 +280,30 @@ def test_rip_eigen_solves_only_supports_the_bound_keeps(monkeypatch, kind, m, fe
     assert fewest * est.count <= sum(solved) <= most * est.count
 
 
+@pytest.mark.parametrize("kind,m,bounded_chunks", [
+    # an isometry's delta stays below the margin, so only its first chunk
+    # gets bounds; a Gaussian draw's does not, and every chunk is pruned
+    (sensing.ORTHONORMAL_SQUARE, 16, 1), (sensing.GAUSSIAN_FAT, 10, None),
+])
+def test_rip_forms_bounds_only_while_they_can_skip(monkeypatch, kind, m, bounded_chunks):
+    calls = []
+    schatten4 = sensing._schatten4_deviation
+
+    def counting(grams):
+        calls.append(len(grams))
+        return schatten4(grams)
+
+    monkeypatch.setattr(sensing, "_schatten4_deviation", counting)
+    op = sensing.sample_operator(kind, m, 16, seed=7)
+    per_chunk = max(1, sensing._RIP_CHUNK_BYTES // (6 * m * 8))
+    chunks = -(-math.comb(16, 6) // per_chunk)
+    assert chunks >= 3
+    est = sensing.estimate_rip(op, 3)
+    assert len(calls) == (chunks if bounded_chunks is None else bounded_chunks)
+    monkeypatch.setattr(sensing, "_schatten4_deviation", schatten4)
+    assert est.delta == _rip_unpruned_stack(op, 3)
+
+
 @pytest.mark.parametrize("per_chunk", [1, 5, 7])
 @pytest.mark.parametrize("n,order", [(8, 2), (8, 3), (6, 6)])
 def test_colex_supports_hold_every_subset_once(per_chunk, n, order):
