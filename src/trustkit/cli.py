@@ -362,11 +362,6 @@ def train_cmd(**cfg):
     started = time.monotonic()
     manifest = dataset.load_manifest(cfg["dataset"])
     size = manifest["image_size"]
-    if manifest["observation_side"] != size:
-        raise ParameterError(
-            f"observation side {manifest['observation_side']} != image size {size}; "
-            "training needs a square operator dataset"
-        )
     skip_enabled = _parse_skips(cfg["skips"], 2)
     if cfg["model"] == model.TRUST:
         model_cfg = model.TrustConfig(
@@ -382,11 +377,12 @@ def train_cmd(**cfg):
     )
     train = dataset.load_split(manifest, "train").head(cfg["limit"])
     val = dataset.load_split(manifest, "val")
+    train_y, val_y = train.images(), val.images()
     created = not Path(cfg["out"]).exists()
     out = _make_out_dir(cfg["out"])
     try:
-        result = model.train(cfg["model"], model_cfg, train_cfg, (train.x, train.y),
-                             (val.x, val.y), out_dir=out)
+        result = model.train(cfg["model"], model_cfg, train_cfg, (train.x, train_y),
+                             (val.x, val_y), out_dir=out)
     except BaseException:
         # training writes only after its last epoch; rmdir refuses a directory
         # that holds anything, so only one made here and left empty goes
@@ -424,20 +420,19 @@ def eval_cmd(**cfg):
     model_cfg = model.config_from_manifest(manifest_ckpt)
     model_kind = manifest_ckpt["model_kind"]
     data_manifest = dataset.load_manifest(cfg["dataset"])
-    size, side = data_manifest["image_size"], data_manifest["observation_side"]
-    if (size, side) != (model_cfg.image_size, model_cfg.image_size):
-        raise ParameterError(
-            f"dataset images are {size} px with {side} px observations; "
-            f"the checkpoint's model takes {model_cfg.image_size} px"
-        )
+    size = data_manifest["image_size"]
+    if size != model_cfg.image_size:
+        raise ParameterError(f"dataset images are {size} px; "
+                             f"the checkpoint's model takes {model_cfg.image_size} px")
     data = dataset.load_split(data_manifest, cfg["split"]).head(cfg["limit"])
+    y = data.images()
     out = _make_out_dir(cfg["out"])
     img_dir = _make_out_dir(cfg["emit_images"]) if cfg["emit_images"] else None
     preds = np.concatenate([pred.data for _, pred in
-                            model.predict(model_kind, params, model_cfg, data.y)])
+                            model.predict(model_kind, params, model_cfg, y)])
     if img_dir is not None:
         for i, pred in enumerate(preds):
-            dataset.write_pgm(img_dir / f"{i:04d}_y.pgm", data.y[i])
+            dataset.write_pgm(img_dir / f"{i:04d}_y.pgm", y[i])
             dataset.write_pgm(img_dir / f"{i:04d}_x.pgm", data.x[i])
             dataset.write_pgm(img_dir / f"{i:04d}_xhat.pgm", pred)
     cfg["param_count"] = model.param_count(model_kind, model_cfg)

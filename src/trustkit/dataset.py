@@ -1,25 +1,26 @@
 """Synthetic observation-target pair generation and persistence.
 
 Targets are sparse fields of Gaussian blobs on a dark background; the
-observation is the operator image of the flattened target plus optional
-noise, affine-normalized into [0, 1] with the constants stored so the raw
-measurement can be recovered.
+observation is the operator's m measurements of the flattened target plus
+optional noise, affine-normalized into [0, 1] with the constants stored so
+the raw measurement can be recovered. A split stores them as an (N, m)
+block; only a square operator (m = S^2) gives the image stack the models
+read.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from . import sensing
+from . import metrics, sensing
 from .errors import DatasetError, DimensionError, ParameterError
 
-MANIFEST_VERSION = 1
+MANIFEST_VERSION = 2
 SPLITS = ("train", "val", "test")
 DTYPES = ("f32", "f64")  # on-disk precisions
 _SPLIT_KEY = {"train": 0x10, "val": 0x11, "test": 0x12}
@@ -53,8 +54,9 @@ class DatasetSpec:
     target: TargetSpec = field(default_factory=TargetSpec)
 
     def __post_init__(self):
-        if self.image_size < 1:
-            raise ParameterError(f"image_size must be >= 1, got {self.image_size}")
+        if self.image_size < metrics.SSIM_WINDOW:
+            raise ParameterError(f"image_size must be >= {metrics.SSIM_WINDOW}, the SSIM "
+                                 f"window every score uses, got {self.image_size}")
         if self.train < 1 or self.val < 1 or self.test < 1:
             raise ParameterError("split counts must be >= 1")
         if self.dtype not in DTYPES:
@@ -78,31 +80,38 @@ class DatasetSpec:
 
 @dataclass(frozen=True)
 class Split:
-    """One split as stacks: targets x (N, S, S), normalized observations
-    y (N, side, side), and the per-sample affine constants scale and offset
-    (N,), with y_raw = y * scale + offset on the first raw_len entries of
-    each flattened y."""
+    """One split as stacks: targets x (N, S, S), the operator's normalized
+    measurements y (N, m), and the per-sample affine constants scale and
+    offset (N,), with y_raw = y * scale + offset."""
 
     x: np.ndarray
     y: np.ndarray
     scale: np.ndarray
     offset: np.ndarray
-    raw_len: int
 
     def __len__(self) -> int:
         return len(self.x)
 
     def raw(self) -> np.ndarray:
-        """The (N, raw_len) de-normalized measurements."""
-        flat = self.y.reshape(len(self), -1)[:, : self.raw_len]
-        return flat * self.scale[:, None] + self.offset[:, None]
+        """The (N, m) de-normalized measurements."""
+        return self.y * self.scale[:, None] + self.offset[:, None]
+
+    def images(self) -> np.ndarray:
+        """The normalized measurements as the (N, S, S) stack the models
+        read; ParameterError unless the operator is square (m = S^2)."""
+        s, m = self.x.shape[-1], self.y.shape[-1]
+        if m != s * s:
+            raise ParameterError(
+                f"{m} measurements per sample do not form a {s}x{s} image; "
+                "the models need a square operator dataset"
+            )
+        return self.y.reshape(len(self), s, s)
 
     def head(self, limit: int) -> Split:
         """The first ``limit`` samples; 0 keeps them all."""
         if not limit:
             return self
-        return Split(self.x[:limit], self.y[:limit], self.scale[:limit],
-                     self.offset[:limit], self.raw_len)
+        return Split(self.x[:limit], self.y[:limit], self.scale[:limit], self.offset[:limit])
 
 
 SPARSITY_FLOOR = 5e-3  # blob tails below this snap to exactly zero
@@ -128,30 +137,22 @@ def gen_target(spec: TargetSpec, image_size: int, seed) -> np.ndarray:
 
 
 def _normalize(y_raw: np.ndarray) -> tuple[np.ndarray, float, float]:
-    """Affine map into [0, 1] that is the identity when already inside."""
+    """Affine map into [0, 1] whose range holds 0 as well as y_raw; the
+    identity when y_raw is already inside."""
     offset = min(float(y_raw.min()), 0.0)
-    scale = max(float(y_raw.max()) - offset, 1.0)
+    scale = max(max(float(y_raw.max()), 0.0) - offset, 1.0)
     return (y_raw - offset) / scale, scale, offset
-
-
-def observation_side(m: int) -> int:
-    """Side of the square image an m-vector observation is zero-padded to."""
-    return math.isqrt(m - 1) + 1
 
 
 def gen_pair(op: sensing.SensingOperator, target: np.ndarray, noise_sigma: float,
              rng: np.random.Generator | None = None) -> tuple[np.ndarray, float, float]:
-    """Observation of one target: y = reshape(A vec(x) + w), zero-padded to a
-    square and normalized. Returns y with its (scale, offset)."""
+    """Observation of one target: the m-vector y = A vec(x) + w, normalized.
+    Returns y with its (scale, offset)."""
     n = target.size
     if op.n != n:
         raise DimensionError(f"operator expects n={op.n}, target has {n} pixels")
     y_raw = sensing.apply(op, target.reshape(-1), noise_sigma=noise_sigma, rng=rng)
-    side = observation_side(op.m)
-    padded = np.zeros(side * side)
-    padded[: op.m] = y_raw
-    normalized, scale, offset = _normalize(padded)
-    return normalized.reshape(side, side), scale, offset
+    return _normalize(y_raw)
 
 
 def _derived_seed(global_seed: int, split: str, index: int, noise: bool = False):
@@ -161,9 +162,9 @@ def _derived_seed(global_seed: int, split: str, index: int, noise: bool = False)
 
 def generate_split(spec: DatasetSpec, op: sensing.SensingOperator, split: str,
                    count: int) -> Split:
-    s, side = spec.image_size, observation_side(op.m)
-    data = Split(x=np.empty((count, s, s)), y=np.empty((count, side, side)),
-                 scale=np.empty(count), offset=np.empty(count), raw_len=op.m)
+    s = spec.image_size
+    data = Split(x=np.empty((count, s, s)), y=np.empty((count, op.m)),
+                 scale=np.empty(count), offset=np.empty(count))
     # noise that overflows the observations is refused below, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
         for index in range(count):
@@ -207,7 +208,6 @@ def gen_dataset(spec: DatasetSpec, out_dir: str | Path) -> dict:
         "noise_sigma": spec.noise_sigma,
         "operator": {"kind": op.kind, "m": op.m, "n": op.n, "seed": op.seed,
                      **({"keep": spec.operator_keep} if op.kind == sensing.FOURIER_MASKED else {})},
-        "observation_side": observation_side(op.m),
         "target": asdict(spec.target),
         "splits": {},
     }
@@ -216,7 +216,7 @@ def gen_dataset(spec: DatasetSpec, out_dir: str | Path) -> dict:
               for split, count in (("train", spec.train), ("val", spec.val), ("test", spec.test))}
     for split, data in splits.items():
         count = len(data)
-        records = np.concatenate([data.x.reshape(count, -1), data.y.reshape(count, -1)], axis=1)
+        records = np.concatenate([data.x.reshape(count, -1), data.y], axis=1)
         pair_file = out_dir / f"{split}.pairs.{spec.dtype}"
         norm_file = out_dir / f"{split}.norm.f64"
         manifest["splits"][split] = {
@@ -226,7 +226,6 @@ def gen_dataset(spec: DatasetSpec, out_dir: str | Path) -> dict:
             "norm": norm_file.name,
             "norm_sha256": _write_blob(norm_file, np.stack([data.scale, data.offset], axis=1)
                                        .astype("<f8")),
-            "raw_len": op.m,
         }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     return manifest
@@ -241,8 +240,8 @@ def _is_int(value, least: int) -> bool:
 _POSITIVE = (lambda v: _is_int(v, 1), "a positive integer")
 _STRING = (lambda v: isinstance(v, str), "a string")
 _TOP_KEYS = {
-    "image_size": _POSITIVE,
-    "observation_side": _POSITIVE,
+    "image_size": (lambda v: _is_int(v, metrics.SSIM_WINDOW),
+                   f"an integer >= {metrics.SSIM_WINDOW}, the SSIM window"),
     "dtype": (lambda v: v in DTYPES, "'f32' or 'f64'"),
 }
 _OPERATOR_KEYS = {
@@ -252,7 +251,7 @@ _OPERATOR_KEYS = {
     "seed": (lambda v: _is_int(v, 0), "a non-negative integer"),
 }
 _SPLIT_KEYS = {"count": _POSITIVE, "pairs": _STRING, "pairs_sha256": _STRING,
-               "norm": _STRING, "norm_sha256": _STRING, "raw_len": _POSITIVE}
+               "norm": _STRING, "norm_sha256": _STRING}
 
 
 def _check_keys(entries: dict, schema: dict, where: str) -> None:
@@ -283,19 +282,14 @@ def load_manifest(path: str | Path) -> dict:
     _check_keys(manifest, _TOP_KEYS, f"manifest {path}")
     op = manifest["operator"]
     _check_keys(op, _OPERATOR_KEYS, f"manifest {path} operator")
-    side = manifest["observation_side"]
-    if op["n"] != manifest["image_size"] ** 2 or op["m"] > side * side:
-        raise DatasetError(
-            f"manifest {path}: a {op['m']}x{op['n']} operator does not map "
-            f"{manifest['image_size']} px images to {side} px observations"
-        )
+    if op["n"] != manifest["image_size"] ** 2:
+        raise DatasetError(f"manifest {path}: a {op['m']}x{op['n']} operator does not map "
+                           f"{manifest['image_size']} px images")
     for split, info in manifest["splits"].items():
         where = f"manifest {path} split {split!r}"
         if not isinstance(info, dict):
             raise DatasetError(f"{where} is not an object")
         _check_keys(info, _SPLIT_KEYS, where)
-        if info["raw_len"] != op["m"]:
-            raise DatasetError(f"{where} 'raw_len' {info['raw_len']} != operator m {op['m']}")
     manifest["_dir"] = str(path.parent)
     return manifest
 
@@ -316,19 +310,18 @@ def load_split(manifest: dict, split: str) -> Split:
         if hashlib.sha256(blob).hexdigest() != digest:
             raise DatasetError(f"checksum mismatch for {f}")
         blobs.append(blob)
-    s, side, count = manifest["image_size"], manifest["observation_side"], info["count"]
+    s, m, count = manifest["image_size"], manifest["operator"]["m"], info["count"]
     records = np.frombuffer(blobs[0], dtype=_pair_dtype(manifest["dtype"]))
     norms = np.frombuffer(blobs[1], dtype="<f8")
-    if records.size != count * (s * s + side * side) or norms.size != 2 * count:
+    if records.size != count * (s * s + m) or norms.size != 2 * count:
         raise DatasetError(f"dataset file sizes inconsistent for split {split!r}")
     records = records.reshape(count, -1)
     norms = norms.reshape(count, 2)
     return Split(
         x=records[:, : s * s].astype(np.float64).reshape(count, s, s),
-        y=records[:, s * s :].astype(np.float64).reshape(count, side, side),
+        y=records[:, s * s :].astype(np.float64),
         scale=norms[:, 0].copy(),
         offset=norms[:, 1].copy(),
-        raw_len=info["raw_len"],
     )
 
 

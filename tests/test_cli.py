@@ -67,6 +67,62 @@ def test_gen_data_invalid_spec_exits_2(runner, tmp_path):
     assert res.exit_code == 2
 
 
+def test_gen_data_refuses_images_below_the_ssim_window(runner, tmp_path):
+    res = runner.invoke(main, ["gen-data", "--out", str(tmp_path / "ds"), "--image-size", "6"])
+    assert res.exit_code == 2, res.output
+    assert "SSIM window" in res.output
+    assert not (tmp_path / "ds").exists()
+
+
+def _edited_copy(data, dst, edit):
+    """A copy of the dataset ``data`` at ``dst`` whose manifest ``edit`` changed."""
+    dst.mkdir()
+    for f in data.iterdir():
+        (dst / f.name).write_bytes(f.read_bytes())
+    manifest = json.loads((dst / "manifest.json").read_text())
+    edit(manifest)
+    (dst / "manifest.json").write_text(json.dumps(manifest))
+    return dst
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("image_size", 6, "SSIM window"), ("version", 1, "manifest version 1"),
+])
+def test_solve_refuses_a_manifest_before_writing(runner, small_dataset, tmp_path, key, value,
+                                                  message):
+    data = _edited_copy(small_dataset, tmp_path / "ds",
+                        lambda manifest: manifest.update({key: value}))
+    res = runner.invoke(main, ["solve", "--dataset", str(data), "--out", str(tmp_path / "r")])
+    assert res.exit_code == 2, res.output
+    assert message in res.output
+    assert not (tmp_path / "r").exists()
+
+
+def test_seven_px_dataset_solves_end_to_end(runner, tmp_path):
+    res = runner.invoke(main, ["gen-data", "--out", str(tmp_path / "ds"), "--image-size", "7",
+                               "--train", "2", "--val", "1", "--test", "2"])
+    assert res.exit_code == 0, res.output
+    res = runner.invoke(main, ["solve", "--dataset", str(tmp_path / "ds"),
+                               "--out", str(tmp_path / "r")], catch_exceptions=False)
+    assert res.exit_code == 0, res.output
+    assert res.output.startswith("2 samples")
+    assert (tmp_path / "r" / "reconstructions.f64").stat().st_size == 2 * 49 * 8
+
+
+def test_train_and_eval_refuse_a_non_square_dataset_before_making_out(runner, tmp_path):
+    data = _gen(runner, tmp_path / "f", extra=["--operator", "fourier"])
+    cfg = model.UnetConfig(image_size=8)
+    model.checkpoint_save(model.init_params(model.UNET, cfg), model.UNET, cfg, tmp_path / "c.json")
+    for args in (_train_args(data, tmp_path / "tr"),
+                 ["eval", "--checkpoint", str(tmp_path / "c.json"), "--dataset", str(data),
+                  "--out", str(tmp_path / "ev"), "--emit-images", str(tmp_path / "img")]):
+        res = runner.invoke(main, args)
+        assert res.exit_code == 2, res.output
+        assert "square operator dataset" in res.output
+        assert "Traceback" not in res.output
+    assert not any((tmp_path / name).exists() for name in ("tr", "ev", "img"))
+
+
 def test_config_file_with_flag_override(runner, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"train": 5, "seed": 3, "image_size": 8, "val": 2, "test": 2}))

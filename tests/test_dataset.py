@@ -52,7 +52,7 @@ def test_pair_identity_operator_roundtrip():
     op = sensing.sample_operator(sensing.IDENTITY, 64, 64, seed=1)
     x = dataset.gen_target(dataset.TargetSpec(), 8, seed=3)
     y, scale, offset = dataset.gen_pair(op, x, noise_sigma=0.0)
-    assert np.allclose(y, x, atol=1e-15)  # already in [0,1]: identity normalization
+    assert np.allclose(y, x.reshape(-1), atol=1e-15)  # already in [0,1]: identity normalization
     assert scale == 1.0 and offset == 0.0
 
 
@@ -64,19 +64,55 @@ def test_pair_normalization_roundtrip():
     assert y.min() >= 0.0 and y.max() <= 1.0
     rng2 = np.random.default_rng(0)
     y_raw = sensing.apply(op, x.reshape(-1), noise_sigma=0.1, rng=rng2)
-    one = dataset.Split(x[None], y[None], np.array([scale]), np.array([offset]), raw_len=64)
+    one = dataset.Split(x[None], y[None], np.array([scale]), np.array([offset]))
     assert np.max(np.abs(one.raw()[0] - y_raw)) < 1e-10
 
 
-def test_pair_fat_operator_padded_square():
+def test_pair_normalization_range_holds_zero():
+    # all-negative measurements normalize as if a zero were among them
+    op = sensing.sample_operator(sensing.IDENTITY, 2, 2, seed=0)
+    y, scale, offset = dataset.gen_pair(op, np.array([-3.0, -2.0]), noise_sigma=0.0)
+    assert (scale, offset) == (3.0, -3.0)
+    assert y.tolist() == [0.0, 1.0 / 3.0]
+
+
+def test_pair_fat_operator_gives_its_m_measurements():
     op = sensing.sample_operator(sensing.GAUSSIAN_FAT, 32, 64, seed=2)
     x = dataset.gen_target(dataset.TargetSpec(), 8, seed=1)
     y, scale, offset = dataset.gen_pair(op, x, noise_sigma=0.0)
-    assert y.shape == (6, 6)  # ceil(sqrt(32)) = 6
-    one = dataset.Split(x[None], y[None], np.array([scale]), np.array([offset]), raw_len=32)
-    assert one.raw().shape == (1, 32)
+    assert y.shape == (32,)
+    one = dataset.Split(x[None], y[None], np.array([scale]), np.array([offset]))
     y_raw = sensing.apply(op, x.reshape(-1))
     assert np.max(np.abs(one.raw()[0] - y_raw)) < 1e-10
+
+
+@pytest.mark.parametrize("kind", [sensing.GAUSSIAN_FAT, sensing.FOURIER_MASKED])
+def test_stored_records_hold_the_operators_m_measurements(tmp_path, kind):
+    spec = small_spec(operator_kind=kind, dtype="f64")
+    manifest = dataset.gen_dataset(spec, tmp_path)
+    m = manifest["operator"]["m"]
+    assert m < 64
+    assert (tmp_path / "val.pairs.f64").stat().st_size == 4 * (64 + m) * 8
+    data = dataset.load_split(dataset.load_manifest(tmp_path), "val")
+    assert data.y.shape == (4, m)
+    op = dataset.operator_from_manifest(manifest)
+    y_raw = np.stack([sensing.apply(op, x.reshape(-1)) for x in data.x])
+    assert np.max(np.abs(data.raw() - y_raw)) < 1e-10
+
+
+def test_images_refuse_a_non_square_split(tmp_path):
+    dataset.gen_dataset(small_spec(operator_kind=sensing.GAUSSIAN_FAT), tmp_path)
+    data = dataset.load_split(dataset.load_manifest(tmp_path), "val")
+    with pytest.raises(ParameterError, match="square operator dataset"):
+        data.images()
+
+
+def test_images_of_a_square_split_are_its_measurements(tmp_path):
+    dataset.gen_dataset(small_spec(), tmp_path)
+    data = dataset.load_split(dataset.load_manifest(tmp_path), "val")
+    images = data.images()
+    assert images.shape == (4, 8, 8)
+    assert images.tobytes() == data.y.tobytes()
 
 
 def test_energy_spread_under_dense_operator():
@@ -125,7 +161,7 @@ def test_loader_counts_and_checksums(tmp_path):
     for split, expected in (("train", 12), ("val", 4), ("test", 4)):
         data = dataset.load_split(manifest, split)
         assert len(data) == expected
-        assert data.x.shape == (expected, 8, 8) and data.y.shape == (expected, 8, 8)
+        assert data.x.shape == (expected, 8, 8) and data.y.shape == (expected, 64)
         assert data.scale.shape == data.offset.shape == (expected,)
         assert data.x.dtype == data.y.dtype == np.float64
         assert data.x.min() >= 0 and data.x.max() <= 1
@@ -195,13 +231,13 @@ def test_write_pgm(tmp_path):
 
 
 def test_split_raw_and_head_match_per_sample_denormalization(tmp_path):
-    dataset.gen_dataset(small_spec(operator_kind=sensing.FOURIER_MASKED), tmp_path)
+    manifest = dataset.gen_dataset(small_spec(operator_kind=sensing.FOURIER_MASKED), tmp_path)
     data = dataset.load_split(dataset.load_manifest(tmp_path), "train")
     raw = data.raw()
-    assert raw.shape == (12, data.raw_len)
+    assert raw.shape == (12, manifest["operator"]["m"])
     for i in range(len(data)):
-        one = data.y[i].reshape(-1) * data.scale[i] + data.offset[i]
-        assert raw[i].tobytes() == one[: data.raw_len].tobytes()
+        one = data.y[i] * data.scale[i] + data.offset[i]
+        assert raw[i].tobytes() == one.tobytes()
     assert data.head(0) is data
     first = data.head(5)
     assert len(first) == 5 and first.raw().tobytes() == raw[:5].tobytes()
@@ -214,7 +250,6 @@ def test_load_split_returns_the_generated_stacks(tmp_path):
     made = dataset.generate_split(spec, spec.build_operator(), "val", spec.val)
     for name in ("x", "y", "scale", "offset"):
         assert getattr(loaded, name).tobytes() == getattr(made, name).tobytes(), name
-    assert loaded.raw_len == made.raw_len
 
 
 def _edit_manifest(tmp_path, edit):
@@ -226,14 +261,14 @@ def _edit_manifest(tmp_path, edit):
 
 
 @pytest.mark.parametrize("where, key, value, message", [
-    ((), "observation_side", "8", "observation_side"),
+    ((), "image_size", 6, "image_size"),
     ((), "dtype", "f16", "dtype"),
     (("operator",), "kind", "bogus", "kind"),
     (("operator",), "seed", -1, "seed"),
     (("operator",), "n", 65, "operator does not map"),
     (("splits", "val"), "count", "4", "count"),
     (("splits", "val"), "pairs", 3, "pairs"),
-    (("splits", "test"), "raw_len", 63, "raw_len"),
+    (("splits", "test"), "norm", None, "norm"),
     ((), "version", True, "version"),
     ((), "version", 1.0, "version"),
 ])
@@ -252,10 +287,10 @@ def test_load_manifest_rejects_malformed_entries(tmp_path, where, key, value, me
 
 # every manifest entry that load_split and operator_from_manifest read
 _READ_KEYS = (
-    [("image_size",), ("observation_side",), ("dtype",), ("splits",), ("operator",)]
+    [("image_size",), ("dtype",), ("splits",), ("operator",)]
     + [("operator", key) for key in ("kind", "m", "n", "seed")]
     + [("splits", split, key) for split in dataset.SPLITS
-       for key in ("count", "pairs", "pairs_sha256", "norm", "norm_sha256", "raw_len")]
+       for key in ("count", "pairs", "pairs_sha256", "norm", "norm_sha256")]
 )
 
 
