@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics, sensing
-from .errors import DatasetError, DimensionError, ParameterError
+from .errors import DatasetError, DimensionError, ParameterError, is_int
 
 MANIFEST_VERSION = 2
 SPLITS = ("train", "val", "test")
@@ -231,16 +231,12 @@ def gen_dataset(spec: DatasetSpec, out_dir: str | Path) -> dict:
     return manifest
 
 
-def _is_int(value, least: int) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= least
-
-
 # Every manifest entry that load_split and operator_from_manifest read:
 # key -> (test of its value, what the value must be).
-_POSITIVE = (lambda v: _is_int(v, 1), "a positive integer")
+_POSITIVE = (lambda v: is_int(v, 1), "a positive integer")
 _STRING = (lambda v: isinstance(v, str), "a string")
 _TOP_KEYS = {
-    "image_size": (lambda v: _is_int(v, metrics.SSIM_WINDOW),
+    "image_size": (lambda v: is_int(v, metrics.SSIM_WINDOW),
                    f"an integer >= {metrics.SSIM_WINDOW}, the SSIM window"),
     "dtype": (lambda v: v in DTYPES, "'f32' or 'f64'"),
 }
@@ -248,7 +244,7 @@ _OPERATOR_KEYS = {
     "kind": (lambda v: v in sensing.KINDS, f"one of {sensing.KINDS}"),
     "m": _POSITIVE,
     "n": _POSITIVE,
-    "seed": (lambda v: _is_int(v, 0), "a non-negative integer"),
+    "seed": (lambda v: is_int(v, 0), "a non-negative integer"),
 }
 _SPLIT_KEYS = {"count": _POSITIVE, "pairs": _STRING, "pairs_sha256": _STRING,
                "norm": _STRING, "norm_sha256": _STRING}

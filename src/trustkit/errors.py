@@ -1,4 +1,11 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the integer rule the
+checks that raise them share."""
+
+
+def is_int(value, least: int) -> bool:
+    """Whether ``value`` is an integer of at least ``least``; a bool or a
+    float such as 16.0 is not one."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= least
 
 
 class DimensionError(ValueError):

@@ -5,10 +5,10 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
-from ..errors import ParameterError
+from ..errors import ParameterError, is_int
 
 MLP_RATIO = 4  # transformer feed-forward width, in multiples of embed_dim
-MAX_POOL_GRID = 8  # largest pooled token grid chosen when pool_grid is not given
+MAX_POOL_GRID = 8  # largest pooled token grid
 
 
 class Stage(NamedTuple):
@@ -23,24 +23,29 @@ class Stage(NamedTuple):
     skip_block: int | None
 
 
+def _check_ints(cfg, least: dict[str, int]) -> None:
+    """ParameterError unless each named setting is an integer (not a bool)
+    of at least its bound."""
+    for name, bound in least.items():
+        value = getattr(cfg, name)
+        if not is_int(value, bound):
+            raise ParameterError(f"{name} must be an integer >= {bound}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TrustConfig:
     """Hybrid reconstructor: attention encoder, adaptive pooling, upsampling
     decoder with projected token skips.
 
-    Decoder stages double the resolution until the image size is reached;
-    any remaining stages refine at full resolution. Skip connection j wires
-    encoder block ``skip_sources[j]`` (1-indexed) into decoder stage j. When
-    ``skip_sources`` is not given it is (min(4, depth), min(2, depth)) for
-    the encoder depth: (4, 2) at the default depth 4, (2, 2) at depth 2.
-
-    When ``pool_grid`` is not given it is derived from the image: the largest
-    grid that is at most ``MAX_POOL_GRID`` (8), at most the token grid, and
-    divides ``image_size`` by a power of two. A 32 px image keeps 8, 8 px
-    gets 2, 48 px gets 6. The resolved integer is what the instance holds,
-    so ``to_dict`` and checkpoints store it, and a checkpoint that holds
-    ``pool_grid: 8`` loads unchanged. The same holds for ``skip_sources``.
-    An explicit ``pool_grid`` or ``skip_sources`` is validated as given.
+    The decoder's geometry follows from the other settings. ``pool_grid`` is
+    the largest grid that is at most ``MAX_POOL_GRID`` (8), at most the token
+    grid, and divides ``image_size`` by a power of two: 8 at 32 px, 2 at
+    8 px, 6 at 48 px. Decoder stages double the resolution from it until the
+    image size is reached; any remaining stages refine at full resolution.
+    Skip connection j wires encoder block ``skip_sources[j]`` (1-indexed)
+    into decoder stage j when ``skip_enabled[j]`` is set; the sources are
+    (min(4, depth), min(2, depth)) for the encoder depth: (4, 2) at the
+    default depth 4, (1, 1) at depth 1.
     """
 
     image_size: int = 32
@@ -48,64 +53,41 @@ class TrustConfig:
     embed_dim: int = 64
     num_heads: int = 4
     encoder_depth: int = 4
-    pool_grid: int | None = None
     decoder_channels: tuple[int, ...] = (64, 32, 16, 8)
-    skip_sources: tuple[int, ...] | None = None
     skip_enabled: tuple[bool, ...] = (True, True)
     seed: int = 0
 
     def __post_init__(self):
-        skips = self.skip_sources
-        if skips is None:
-            skips = (min(4, self.encoder_depth), min(2, self.encoder_depth))
         object.__setattr__(self, "decoder_channels", tuple(self.decoder_channels))
-        object.__setattr__(self, "skip_sources", tuple(skips))
-        object.__setattr__(self, "skip_enabled", tuple(bool(b) for b in self.skip_enabled))
-        for name in ("image_size", "patch_size", "embed_dim", "num_heads", "encoder_depth"):
-            if getattr(self, name) < 1:
-                raise ParameterError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if any(ch < 1 for ch in self.decoder_channels):
+        object.__setattr__(self, "skip_enabled", tuple(self.skip_enabled))
+        _check_ints(self, {"image_size": 1, "patch_size": 1, "embed_dim": 1, "num_heads": 1,
+                           "encoder_depth": 1, "seed": 0})
+        if not all(is_int(ch, 1) for ch in self.decoder_channels):
+            raise ParameterError("every decoder_channels entry must be an integer >= 1, "
+                                 f"got {self.decoder_channels}")
+        if not all(isinstance(flag, bool) for flag in self.skip_enabled):
             raise ParameterError(
-                f"every decoder_channels entry must be >= 1, got {self.decoder_channels}"
+                f"every skip_enabled entry must be a bool, got {self.skip_enabled}"
             )
         if self.image_size % self.patch_size != 0:
             raise ParameterError(
                 f"image_size {self.image_size} not divisible by patch_size {self.patch_size}"
             )
-        if self.pool_grid is None:
-            grid = _derive_pool_grid(self.image_size, self.token_grid)
-            object.__setattr__(self, "pool_grid", grid)
-        if self.pool_grid < 1:
-            raise ParameterError(f"pool_grid must be >= 1, got {self.pool_grid}")
         if self.embed_dim % self.num_heads != 0:
             raise ParameterError(
                 f"embed_dim {self.embed_dim} not divisible by num_heads {self.num_heads}"
             )
-        if self.pool_grid > self.token_grid:
-            raise ParameterError(
-                f"pool_grid {self.pool_grid} exceeds token grid {self.token_grid}"
-            )
-        ratio = self.image_size // self.pool_grid
-        ups = _log2(ratio)
-        if ups < 0 or self.pool_grid * ratio != self.image_size:
-            raise ParameterError(
-                f"image_size {self.image_size} must be pool_grid {self.pool_grid} "
-                "times a power of two"
-            )
+        ups = (self.image_size // self.pool_grid).bit_length() - 1
         if len(self.decoder_channels) < ups:
             raise ParameterError(
                 f"{ups} upsampling stages needed to reach {self.image_size} from "
                 f"{self.pool_grid}, but only {len(self.decoder_channels)} decoder channels given"
             )
-        if len(self.skip_sources) != len(self.skip_enabled):
-            raise ParameterError("skip_sources and skip_enabled lengths differ")
+        if len(self.skip_enabled) != len(self.skip_sources):
+            raise ParameterError(f"skip_enabled must hold one flag per skip connection "
+                                 f"({len(self.skip_sources)}), got {self.skip_enabled}")
         if len(self.skip_sources) > len(self.decoder_channels):
             raise ParameterError("more skip connections than decoder stages")
-        for s in self.skip_sources:
-            if not 1 <= s <= self.encoder_depth:
-                raise ParameterError(
-                    f"skip source block {s} outside 1..{self.encoder_depth}"
-                )
 
     @property
     def head_dim(self) -> int:
@@ -126,6 +108,14 @@ class TrustConfig:
     @property
     def mlp_dim(self) -> int:
         return MLP_RATIO * self.embed_dim
+
+    @property
+    def pool_grid(self) -> int:
+        return _derive_pool_grid(self.image_size, self.token_grid)
+
+    @property
+    def skip_sources(self) -> tuple[int, int]:
+        return (min(4, self.encoder_depth), min(2, self.encoder_depth))
 
     def stage_plan(self) -> list[Stage]:
         """One ``Stage`` per decoder stage, in order. A stage upsamples by two
@@ -151,22 +141,13 @@ class TrustConfig:
 
 def _derive_pool_grid(image_size: int, token_grid: int) -> int:
     for grid in range(min(MAX_POOL_GRID, token_grid), 0, -1):
-        if image_size % grid == 0 and _log2(image_size // grid) >= 0:
+        ratio, rest = divmod(image_size, grid)
+        if rest == 0 and ratio & (ratio - 1) == 0:  # a power of two
             return grid
     raise ParameterError(
         f"no pool grid <= {min(MAX_POOL_GRID, token_grid)} divides image_size "
         f"{image_size} by a power of two"
     )
-
-
-def _log2(value: int) -> int:
-    out = 0
-    while value > 1:
-        if value % 2:
-            return -1  # caller's divisibility check fails on reconstruction
-        value //= 2
-        out += 1
-    return out
 
 
 @dataclass(frozen=True)
@@ -178,12 +159,9 @@ class UnetConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.image_size < 4:
-            raise ParameterError(f"image_size must be >= 4, got {self.image_size}")
+        _check_ints(self, {"image_size": 4, "base_channels": 1, "seed": 0})
         if self.image_size % 4 != 0:
             raise ParameterError(f"image_size {self.image_size} must be divisible by 4")
-        if self.base_channels < 1:
-            raise ParameterError("base_channels must be >= 1")
 
     def to_dict(self) -> dict:
         return asdict(self)

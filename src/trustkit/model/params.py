@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -11,7 +12,7 @@ from typing import Callable
 import numpy as np
 
 from .. import ndtensor as nd
-from ..errors import CheckpointError, ParameterError
+from ..errors import CheckpointError, ParameterError, is_int
 from . import forward as _forward
 from .config import TrustConfig, UnetConfig
 from .forward import trust_param_shapes, unet_param_shapes
@@ -53,32 +54,33 @@ def param_count(model_kind: str, cfg) -> int:
     return sum(int(np.prod(s)) for s in param_shapes(model_kind, cfg).values())
 
 
+def _weight_flops(shapes: dict[str, tuple[int, ...]], positions: Callable[[str], int]) -> int:
+    """Each weight's size times the number of positions it is applied at."""
+    return sum(math.prod(shape) * positions(name)
+               for name, shape in shapes.items() if name.endswith(".weight"))
+
+
 def _trust_flops(cfg: TrustConfig) -> int:
-    t, d = cfg.tokens, cfg.embed_dim
-    total = t * cfg.patch_dim * d  # patch embedding
-    per_block = 4 * t * d * d  # q, k, v, out projections
-    per_block += 2 * t * t * d  # scores and value aggregation across heads
-    per_block += 2 * t * d * cfg.mlp_dim
-    total += cfg.encoder_depth * per_block
     plan = cfg.stage_plan()
-    for stage in plan:
-        if stage.skip_block is not None:
-            total += cfg.token_grid**2 * stage.out_channels * d  # 1x1 skip projection
-        total += stage.resolution**2 * stage.out_channels * stage.in_channels * 9
-    total += cfg.image_size**2 * (plan[-1].out_channels if plan else d)  # 1x1 head
-    return total
+
+    def positions(name: str) -> int:
+        if name.startswith("dec"):
+            return plan[int(name[3:name.index(".")])].resolution ** 2
+        if name.startswith("head"):
+            return cfg.image_size**2
+        return cfg.tokens  # the patch embedding, the encoder and the skip projections
+
+    # each block's scores and value aggregation, across heads, hold no weight
+    scores = cfg.encoder_depth * 2 * cfg.tokens**2 * cfg.embed_dim
+    return _weight_flops(trust_param_shapes(cfg), positions) + scores
 
 
 def _unet_flops(cfg: UnetConfig) -> int:
-    s = cfg.image_size
-    c = cfg.base_channels
-    total = s * s * c * 1 * 9
-    total += (s // 2) ** 2 * (2 * c) * c * 9
-    total += (s // 4) ** 2 * (4 * c) * (2 * c) * 9
-    total += (s // 2) ** 2 * (2 * c) * (6 * c) * 9
-    total += s * s * c * (3 * c) * 9
-    total += s * s * 1 * c
-    return total
+    def positions(name: str) -> int:
+        level = int(name[3]) if name.startswith(("enc", "dec")) else 0  # the head: level 0
+        return (cfg.image_size // 2**level) ** 2
+
+    return _weight_flops(unet_param_shapes(cfg), positions)
 
 
 def flop_estimate(model_kind: str, cfg) -> int:
@@ -213,9 +215,7 @@ def _is_tensor_entry(entry) -> bool:
     if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
         return False
     shape = entry.get("shape")
-    return isinstance(shape, list) and all(
-        isinstance(d, int) and not isinstance(d, bool) and d >= 0 for d in shape
-    )
+    return isinstance(shape, list) and all(is_int(d, 0) for d in shape)
 
 
 def config_from_manifest(manifest: dict):

@@ -231,8 +231,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> tuple[Tensor, np.n
     Heads are strided views of the (B, T, D) arrays; keys alone are copied,
     to (B, heads, d_k, T), so that every GEMM sees the operand layout, and
     rounds the way, that separate reshape, permute, matmul and softmax ops
-    give it. The backward keeps the scaled queries, the key copy, the
-    values and the weights, never the scores.
+    give it. Beyond its inputs the backward keeps the key copy and the
+    weights, never the scores or the scaled queries, which the key gradient
+    forms again.
     """
     if q.data.ndim != 3 or k.data.shape != q.data.shape or v.data.shape != q.data.shape:
         raise DimensionError(
@@ -252,9 +253,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> tuple[Tensor, np.n
 
     # scores are (Q K^T) / sqrt(d_k); folding the scale into Q is equivalent
     scale = float(1.0 / np.sqrt(dk))
-    qs = q.data * scale
     kt = np.ascontiguousarray(np.swapaxes(split(k.data), -1, -2))  # (B, H, d_k, T)
-    weights = np.matmul(split(qs), kt)
+    weights = np.matmul(split(q.data * scale), kt)
     _softmax(weights, -1, out=weights)
     ctx = np.empty((b, t, d))
     np.matmul(weights, split(v.data), out=split(ctx))
@@ -277,7 +277,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> tuple[Tensor, np.n
 
     def grad_k(g):
         g_scores = handoff.pop() if handoff else grad_scores(g)
-        gk = np.matmul(np.swapaxes(split(qs), -1, -2), g_scores)  # (B, H, d_k, T)
+        gk = np.matmul(np.swapaxes(split(q.data * scale), -1, -2), g_scores)  # (B, H, d_k, T)
         return gk.transpose(0, 3, 1, 2).reshape(b, t, d)
 
     def grad_v(g):

@@ -454,14 +454,18 @@ def _checkpoint_for_other_size(tmp, data):
             "--out", str(tmp / "ev")]
 
 
-def _checkpoint_pool_grid_0(tmp, data):
-    cfg = model.TrustConfig(image_size=8, embed_dim=8, num_heads=2, encoder_depth=1)
-    model.checkpoint_save(model.init_params(model.TRUST, cfg), model.TRUST, cfg, tmp / "c.json")
-    manifest = json.loads((tmp / "c.json").read_text())
-    manifest["config"]["pool_grid"] = 0
-    (tmp / "c.json").write_text(json.dumps(manifest))
-    return ["eval", "--checkpoint", str(tmp / "c.json"), "--dataset", str(data),
-            "--out", str(tmp / "ev")]
+def _checkpoint_config(kind, **entries):
+    """An eval of a checkpoint whose stored config also holds ``entries``."""
+    def args(tmp, data):
+        cfg = (model.TrustConfig(image_size=8, embed_dim=8, num_heads=2, encoder_depth=1)
+               if kind == model.TRUST else model.UnetConfig(image_size=8))
+        model.checkpoint_save(model.init_params(kind, cfg), kind, cfg, tmp / "c.json")
+        manifest = json.loads((tmp / "c.json").read_text())
+        manifest["config"].update(entries)
+        (tmp / "c.json").write_text(json.dumps(manifest))
+        return ["eval", "--checkpoint", str(tmp / "c.json"), "--dataset", str(data),
+                "--out", str(tmp / "ev")]
+    return args
 
 
 def _bogus_kind(tmp, data):
@@ -557,7 +561,17 @@ def _config(command, entries):
     _missing_dataset, _corrupt_manifest(b"{not json"), _corrupt_manifest(b"[1, 2]"),
     _corrupt_manifest(b"\xff"),
     _manifest_without_splits, _checkpoint_without_blob, _checkpoint_bad_tensor_entries,
-    _checkpoint_for_other_size, _checkpoint_pool_grid_0,
+    _checkpoint_for_other_size,
+    # the decoder settings a checkpoint stored before they were derived
+    _checkpoint_config(model.TRUST, pool_grid=2, skip_sources=[1, 1]),
+    *(_checkpoint_config(model.TRUST, **{key: value}) for key, value in (
+        ("image_size", 8.0), ("patch_size", 4.0), ("embed_dim", 8.0), ("num_heads", 2.0),
+        ("encoder_depth", 1.0), ("seed", 0.0))),
+    _checkpoint_config(model.TRUST, decoder_channels=[64, 32.0, 16, 8]),
+    _checkpoint_config(model.TRUST, skip_enabled=[1, "x"]),
+    _checkpoint_config(model.UNET, image_size=8.0),
+    _checkpoint_config(model.UNET, base_channels=8.0),
+    _checkpoint_config(model.UNET, seed=True),
     _bogus_kind, _oversized_sweep, _sweep_k(0), _sweep_k(-1),
     _sweep_without_cells("--kinds", ","), _sweep_without_cells("--m", "40", "--n", "12"),
     _sweep_without_cells("--m", "8,8", "--n", "16", "--k", "1", "--kinds", "gaussian_fat"),
@@ -588,7 +602,13 @@ def _config(command, entries):
     _config_not_utf8,
 ], ids=["missing-dataset", "manifest-not-json", "manifest-not-object", "manifest-not-utf8",
         "manifest-without-splits", "checkpoint-blob-deleted", "checkpoint-tensors-not-entries",
-        "checkpoint-for-other-image-size", "checkpoint-pool-grid-0",
+        "checkpoint-for-other-image-size", "checkpoint-holds-pool-grid",
+        "checkpoint-trust-image-size-float", "checkpoint-trust-patch-size-float",
+        "checkpoint-trust-embed-dim-float", "checkpoint-trust-num-heads-float",
+        "checkpoint-trust-encoder-depth-float", "checkpoint-trust-seed-float",
+        "checkpoint-trust-decoder-channel-float", "checkpoint-trust-skip-flag-not-bool",
+        "checkpoint-unet-image-size-float", "checkpoint-unet-base-channels-float",
+        "checkpoint-unet-seed-bool",
         "bogus-kind", "oversized-sweep", "k-0", "k-negative", "sweep-kinds-empty",
         "sweep-grid-without-cells", "sweep-m-repeated", "sweep-n-repeated", "sweep-k-repeated",
         "sweep-kinds-repeated", "sweep-m-0", "sweep-n-negative", "report-aggregate-not-json",

@@ -20,8 +20,7 @@ rng = np.random.default_rng(314)
 def reduced_trust(**overrides):
     base = dict(
         image_size=16, patch_size=4, embed_dim=8, num_heads=2, encoder_depth=1,
-        pool_grid=4, decoder_channels=(4, 4), skip_sources=(1,), skip_enabled=(True,),
-        seed=5,
+        decoder_channels=(4, 4), skip_enabled=(True, False), seed=5,
     )
     base.update(overrides)
     return model.TrustConfig(**base)
@@ -56,64 +55,58 @@ def test_config_rejects_bad_shapes():
     with pytest.raises(ParameterError):
         model.TrustConfig(embed_dim=65)
     with pytest.raises(ParameterError):
-        model.TrustConfig(pool_grid=16)  # exceeds 8x8 token grid
-    with pytest.raises(ParameterError):
         model.TrustConfig(decoder_channels=(8,))  # cannot reach 32 from 8
-    with pytest.raises(ParameterError):
-        model.TrustConfig(skip_sources=(9, 2))
+    with pytest.raises(ParameterError, match="one flag per skip connection"):
+        model.TrustConfig(skip_enabled=(True,))
 
 
 @pytest.mark.parametrize("make", [
-    lambda: model.TrustConfig(pool_grid=0),
-    lambda: model.TrustConfig(pool_grid=-2),
     lambda: model.TrustConfig(decoder_channels=(-4, 32, 16, 8)),
     lambda: model.TrustConfig(decoder_channels=(64, 32, 0, 8)),
     lambda: model.UnetConfig(image_size=0),
     lambda: model.UnetConfig(image_size=-4),
-], ids=["pool-grid-0", "pool-grid-negative", "decoder-channels-negative",
-        "decoder-channels-0", "unet-image-size-0", "unet-image-size-negative"])
+    lambda: model.TrustConfig(seed=-1),
+], ids=["decoder-channels-negative", "decoder-channels-0", "unet-image-size-0",
+        "unet-image-size-negative", "trust-seed-negative"])
 def test_config_refuses_sizes_below_one_before_using_them(make):
-    # a zero pool grid used to divide by zero, negative decoder channels to
-    # pass until init_params, and a U-Net to accept image sizes 0 and -4
-    with pytest.raises(ParameterError, match="must be >= "):
+    # negative decoder channels used to pass until init_params, a U-Net to
+    # accept image sizes 0 and -4, and a negative seed to fail in numpy
+    with pytest.raises(ParameterError, match="must be an integer >= "):
         make()
 
 
 @pytest.mark.parametrize("size,grid", [(8, 2), (16, 4), (48, 6)])
 def test_config_derives_pool_grid_from_image_size(size, grid):
-    cfg = model.TrustConfig(image_size=size, embed_dim=8, num_heads=2, encoder_depth=2,
-                            skip_sources=(2, 1))
+    cfg = model.TrustConfig(image_size=size, embed_dim=8, num_heads=2, encoder_depth=2)
     assert cfg.pool_grid == grid
-    assert cfg.to_dict()["pool_grid"] == grid
     out = model.forward_trust(model.init_params(model.TRUST, cfg), cfg,
                               rng.random((1, size, size)))
     assert out.data.shape == (1, size, size)
 
 
-def test_config_pool_grid_default_and_explicit():
+def test_config_pool_grid_default_and_underivable():
     assert model.TrustConfig().pool_grid == 8
-    with pytest.raises(ParameterError, match="exceeds token grid"):
-        model.TrustConfig(image_size=8, pool_grid=4)  # token grid is 2
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="no pool grid"):
         model.TrustConfig(image_size=36)  # no grid <= 8 divides 36 by a power of two
 
 
 @pytest.mark.parametrize("depth,sources", [(1, (1, 1)), (2, (2, 2)), (4, (4, 2))])
 def test_config_derives_skip_sources_from_depth(tmp_path, depth, sources):
-    shape = dict(image_size=16, embed_dim=8, num_heads=2, encoder_depth=depth)
-    cfg = model.TrustConfig(**shape)
+    cfg = model.TrustConfig(image_size=16, embed_dim=8, num_heads=2, encoder_depth=depth)
     assert cfg.skip_sources == sources
-    assert cfg.to_dict()["skip_sources"] == sources
-    # a checkpoint saved with the tuple given explicitly stores and loads the same config
-    explicit = model.TrustConfig(**shape, skip_sources=sources)
-    params = model.init_params(model.TRUST, explicit)
-    for name, saved in (("old", explicit), ("new", cfg)):
-        (tmp_path / name).mkdir()
-        model.checkpoint_save(params, model.TRUST, saved, tmp_path / name / "ckpt.json")
-    old_text = (tmp_path / "old" / "ckpt.json").read_text()
-    assert old_text == (tmp_path / "new" / "ckpt.json").read_text()
-    _, manifest = model.checkpoint_load(tmp_path / "old" / "ckpt.json")
+    assert [stage.skip_block for stage in cfg.stage_plan()[:2]] == list(sources)
+    model.checkpoint_save(model.init_params(model.TRUST, cfg), model.TRUST, cfg,
+                          tmp_path / "ckpt.json")
+    _, manifest = model.checkpoint_load(tmp_path / "ckpt.json")
     assert model.config_from_manifest(manifest) == cfg
+
+
+def test_config_to_dict_holds_only_the_settings():
+    # the pool grid and the skip sources follow from these, so a checkpoint
+    # stores neither
+    assert list(model.TrustConfig().to_dict()) == [
+        "image_size", "patch_size", "embed_dim", "num_heads", "encoder_depth",
+        "decoder_channels", "skip_enabled", "seed"]
 
 
 # ---- forward contracts --------------------------------------------------------
@@ -217,7 +210,7 @@ def test_batched_forward_equals_per_sample_forwards(kind):
 
 
 def test_batched_capture_keeps_batch_axis():
-    cfg = reduced_trust(encoder_depth=2, skip_sources=(2,))
+    cfg = reduced_trust(encoder_depth=2)
     params = model.init_params(model.TRUST, cfg)
     stack = rng.random((3, 16, 16))
     batched = {}
@@ -300,7 +293,7 @@ def _forward_trust_concat_decoder(params, cfg, image):
     dict(image_size=16),
     dict(image_size=48),  # pool grid 6: three upsampling stages, the third without a skip
     dict(skip_enabled=(False, False)),
-    dict(image_size=8, patch_size=1, pool_grid=8),  # skips, and no upsampling at all
+    dict(image_size=8, patch_size=1),  # pool grid 8: skips, and no upsampling at all
 ], ids=["32px", "16px", "48px", "no-skips", "pool-grid-is-image-size"])
 def test_trust_decoder_equals_the_full_resolution_concat_decoder(overrides):
     cfg = model.TrustConfig(**{"embed_dim": 16, "num_heads": 2, "encoder_depth": 2, **overrides})
@@ -825,7 +818,7 @@ def _reference_step_grads(kind, cfg, tcfg, params, data):
 
 @pytest.mark.parametrize("kind,cfg,loss_kind", [
     (model.TRUST, reduced_trust(), "l2_ssim"),
-    (model.TRUST, reduced_trust(encoder_depth=2, skip_sources=(2,)), "l2_l1"),
+    (model.TRUST, reduced_trust(encoder_depth=2), "l2_l1"),
     (model.UNET, model.UnetConfig(image_size=16, base_channels=4, seed=1), "l2_ssim"),
 ])
 def test_batched_step_gradients_match_per_sample_loop(kind, cfg, loss_kind):
