@@ -23,6 +23,7 @@ import contextlib
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -39,6 +40,7 @@ from .errors import (
     EnumerationCapExceeded,
     ParameterError,
     SingularMatrixError,
+    is_int,
 )
 
 _USAGE_ERRORS = (ParameterError, DatasetError, CheckpointError, DimensionError,
@@ -111,6 +113,18 @@ def _canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True)
 
 
+def _environment() -> dict:
+    """What output bytes depend on beyond the config and the inputs: the
+    numpy build, its BLAS, and the BLAS thread count (the order of a BLAS
+    reduction, so its rounding, can follow the thread count)."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "numpy": np.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        **{name: os.environ.get(name) for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
+    }
+
+
 def write_run_record(out_dir: Path, command: str, config: dict, inputs: dict,
                      outputs: list[str], started: float, exit_status: int = 0) -> None:
     """Write ``run_record.json``; ``inputs`` maps a name to the path of each
@@ -126,6 +140,7 @@ def write_run_record(out_dir: Path, command: str, config: dict, inputs: dict,
         "inputs": digests,
         "outputs": sorted(outputs),
         "duration_seconds": round(time.monotonic() - started, 3),
+        "environment": _environment(),
         "exit_status": exit_status,
     }
     (out_dir / "run_record.json").write_text(
@@ -164,8 +179,28 @@ class _FiniteNonNegative(click.FloatRange):
         return value
 
 
+class _Integer(click.ParamType):
+    """An integer, of at least ``least`` when that is given. A command-line
+    string parses as click's INT parses it; a config-file value must
+    already be an integer by ``is_int``, so 2.7, 2.0 or true is refused
+    instead of truncated."""
+
+    def __init__(self, least: int | None = None):
+        self.least = least
+        self.name = "integer" if least is None else f"integer>={least}"  # --help's metavar
+
+    def convert(self, value, param, ctx):
+        if isinstance(value, str):
+            value = click.INT.convert(value, param, ctx)
+        if not is_int(value, self.least):
+            bound = "" if self.least is None else f" >= {self.least}"
+            self.fail(f"{value!r} is not an integer{bound}.", param, ctx)
+        return value
+
+
 # types and flags shared by several commands; an out-of-range value is a usage error (exit 2)
-_NON_NEGATIVE = click.IntRange(min=0)
+_INT = _Integer()
+_NON_NEGATIVE = _Integer(least=0)
 _FINITE = _FiniteNonNegative(min=0)
 _config_option = click.option("--config", default=None, is_eager=True, expose_value=False,
                               callback=_read_config, help="JSON config file; flags override.")
@@ -189,10 +224,10 @@ main.command_class = _Command
 @main.command("gen-data")
 @click.option("--out", default="data", show_default=True)
 @_config_option
-@click.option("--image-size", default=32, show_default=True)
-@click.option("--train", default=2000, show_default=True)
-@click.option("--val", default=400, show_default=True)
-@click.option("--test", default=400, show_default=True)
+@click.option("--image-size", default=32, type=_INT, show_default=True)
+@click.option("--train", default=2000, type=_INT, show_default=True)
+@click.option("--val", default=400, type=_INT, show_default=True)
+@click.option("--test", default=400, type=_INT, show_default=True)
 @click.option("--operator", default="gaussian", show_default=True,
               type=click.Choice(list(_OPERATOR_TOKENS)))
 @click.option("--keep", default=0.25, show_default=True, type=_FINITE,
@@ -235,7 +270,7 @@ def _int_list(text: str, flag: str) -> list[int]:
 @click.option("--m", "m_list", default="8,12", show_default=True)
 @click.option("--n", "n_list", default="12", show_default=True)
 @click.option("--k", "k_list", default="2", show_default=True)
-@click.option("--trials", default=100, show_default=True)
+@click.option("--trials", default=100, type=_INT, show_default=True)
 @_seed_option
 @click.option("--matrix", "emit_matrix", is_flag=True,
               help="Also emit a gnuplot-ready mean-deviation matrix per kind.")
@@ -281,6 +316,19 @@ def verify_bound(**cfg):
 # ---- solve ---------------------------------------------------------------------
 
 
+def _solver_csv(results: list[solvers.RecoveryResult], ys: np.ndarray) -> str:
+    """One row per sample: how its solve ended. A solve that took no step
+    (y already within tolerance, or ``--max-iter 0``) returns x = 0, whose
+    residual is |y|."""
+    lines = ["index,iterations,converged,rank_deficient,final_residual"]
+    for i, (r, y) in enumerate(zip(results, ys)):
+        history = r.residual_norm_history
+        residual = history[-1] if history else float(np.linalg.norm(y))
+        lines.append(f"{i},{r.iterations_used},{int(r.converged)},{int(r.rank_deficient)},"
+                     f"{residual!r}")
+    return "\n".join(lines) + "\n"
+
+
 @main.command("solve")
 @click.option("--dataset", required=True)
 @click.option("--out", default="solve_run", show_default=True)
@@ -290,7 +338,7 @@ def verify_bound(**cfg):
 @click.option("--operator", default="known",
               type=click.Choice(["known", "estimated"]), show_default=True)
 @click.option("--split", default="test", show_default=True)
-@click.option("--sparsity", default=0, show_default=True,
+@click.option("--sparsity", default=0, type=_INT, show_default=True,
               help="Greedy atom budget for omp; 0 means n // 4.")
 @click.option("--lam", default=None, type=_FINITE,
               help="l1 weight for ista/fista; default 0.05 * |A^T y|_inf per problem.")
@@ -316,10 +364,13 @@ def solve(**cfg):
         sparsity_budget=cfg["sparsity"] or max(1, op.n // 4), lam=cfg["lam"],
     )
     method = getattr(solvers, cfg["method"])  # looked up per call, so a wrapped solver is seen
-    recon = np.stack([method(op, y, solver_cfg).x_hat for y in data.raw()]).reshape(data.x.shape)
+    ys = data.raw()
+    results = [method(op, y, solver_cfg) for y in ys]
+    recon = np.stack([r.x_hat for r in results]).reshape(data.x.shape)
     (out / "reconstructions.f64").write_bytes(recon.astype("<f8").tobytes())
-    _score_and_record(out, "solve", cfg, _dataset_input(manifest), ["reconstructions.f64"],
-                      started, recon, data.x)
+    (out / "solver_per_sample.csv").write_text(_solver_csv(results, ys))
+    _score_and_record(out, "solve", cfg, _dataset_input(manifest),
+                      ["reconstructions.f64", "solver_per_sample.csv"], started, recon, data.x)
 
 
 # ---- train ---------------------------------------------------------------------
@@ -348,14 +399,14 @@ def _parse_skips(mask: str, n_connections: int) -> tuple[bool, ...]:
               type=click.Choice(sorted(_LOSS_TOKENS)), show_default=True)
 @click.option("--skips", default="all", show_default=True,
               help="Skip-connection mask: all, none, or per-connection 0/1 list.")
-@click.option("--epochs", default=20, show_default=True)
+@click.option("--epochs", default=20, type=_INT, show_default=True)
 @click.option("--lr", default=1e-4, show_default=True, type=_FINITE)
-@click.option("--batch", default=16, show_default=True)
+@click.option("--batch", default=16, type=_INT, show_default=True)
 @_seed_option
-@click.option("--embed-dim", default=64, show_default=True)
-@click.option("--depth", default=4, show_default=True)
-@click.option("--heads", default=4, show_default=True)
-@click.option("--base-channels", default=8, show_default=True, help="unet width")
+@click.option("--embed-dim", default=64, type=_INT, show_default=True)
+@click.option("--depth", default=4, type=_INT, show_default=True)
+@click.option("--heads", default=4, type=_INT, show_default=True)
+@click.option("--base-channels", default=8, type=_INT, show_default=True, help="unet width")
 @_limit_option
 def train_cmd(**cfg):
     """Train a reconstruction model; writes checkpoints and an epoch log."""

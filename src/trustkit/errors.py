@@ -2,10 +2,11 @@
 checks that raise them share."""
 
 
-def is_int(value, least: int) -> bool:
-    """Whether ``value`` is an integer of at least ``least``; a bool or a
-    float such as 16.0 is not one."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= least
+def is_int(value, least: int | None = None) -> bool:
+    """Whether ``value`` is an integer, of at least ``least`` when that is
+    given; a bool or a float such as 16.0 is not one."""
+    return isinstance(value, int) and not isinstance(value, bool) and \
+        (least is None or value >= least)
 
 
 class DimensionError(ValueError):

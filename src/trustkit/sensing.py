@@ -139,7 +139,8 @@ def sample_operator(kind: str, m: int, n: int, seed: int) -> SensingOperator:
     elif kind == IDENTITY:
         a = np.eye(n)
     else:  # GAUSSIAN_FAT, DENSE: i.i.d. Gaussian (DENSE is the square forward model)
-        a = rng.standard_normal((m, n)) / math.sqrt(m)
+        a = rng.standard_normal((m, n))
+        a /= math.sqrt(m)  # in place: the same bytes as dividing, without a second m x n array
     return SensingOperator(kind, m, n, seed, np.ascontiguousarray(a), mask=mask)
 
 

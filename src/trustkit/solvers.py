@@ -66,8 +66,9 @@ def omp(op: sensing.SensingOperator, y: np.ndarray,
     The loop has already factored the support as A_S = Q R: column j of the
     upper-triangular R holds the atom's two Gram-Schmidt coefficients
     summed and, on the diagonal, the norm of its remainder, and Q^T y holds
-    the residual's component along each basis vector. The fit is then one
-    back substitution R x_S = Q^T y. When an atom added no vector, or an R
+    the residual's component along each basis vector. The fit then solves
+    R x_S = Q^T y with ``np.linalg.solve``; R is triangular, so its
+    partial pivoting swaps no rows. When an atom added no vector, or an R
     diagonal is at most ``_RANK_TOL`` times the largest (or 1), the support
     is rank deficient: the fit is the minimum-norm least-squares solution
     and the result says so.
@@ -139,8 +140,7 @@ def omp(op: sensing.SensingOperator, y: np.ndarray,
         if rank_deficient:
             coef, *_ = np.linalg.lstsq(a[:, support], y, rcond=_RANK_TOL)
         else:
-            from scipy.linalg import solve_triangular  # scipy loads only when a solve needs it
-            coef = solve_triangular(r_factor[:rank, :rank], qty[:rank], lower=False)
+            coef = np.linalg.solve(r_factor[:rank, :rank], qty[:rank])
         x_hat[support] = coef
     order = np.argsort(support)
     return RecoveryResult(
@@ -165,22 +165,26 @@ def lipschitz_constant(a: np.ndarray, gram: np.ndarray | None = None) -> float:
 
     Each step applies the Gram matrix once and orthogonalizes the new
     vector against every earlier Lanczos vector, twice. It stops when the
-    top Ritz value's residual bound beta |s_last| is at most
-    ``_LANCZOS_TOL`` times that value, which also covers breakdown
-    (beta = 0, an invariant subspace), or after n steps, when the Krylov
-    space is all of R^n. A zero matrix gives 1e-300, so that 1 / L stays
+    top Ritz value theta's residual bound beta |s_k| is at most
+    ``_LANCZOS_TOL`` times theta, where s_k is the last entry of theta's
+    eigenvector of the k x k tridiagonal T_k, or after n steps, when the
+    Krylov space is all of R^n. ``np.linalg.eigh`` of the dense T_k gives
+    theta and s_k; that check runs at step 8, then every max(8, k // 8)
+    steps, so the eigensolves cost a bounded multiple of the last one.
+    It also runs as soon as beta is at most ``_LANCZOS_TOL`` times T_k's
+    largest diagonal entry: theta is at least that entry and |s_k| at
+    most 1, so the test holds there, breakdown (beta = 0, an invariant
+    subspace) included. A zero matrix gives 1e-300, so that 1 / L stays
     finite.
     """
-    from scipy.linalg.lapack import dstemr  # scipy loads only when a solve needs it
-
     if gram is None:
         gram = a.T @ a
     n = a.shape[1]
     v = np.random.default_rng(_LANCZOS_SEED).standard_normal(n)
     v /= np.linalg.norm(v)
     vectors = np.empty((n, n))  # rows [:k] are the Lanczos vectors
-    diag, off = np.empty(n), np.zeros(n)  # the tridiagonal T = V^T (A^T A) V
-    top = 0.0
+    diag, off = np.empty(n), np.empty(n)  # the tridiagonal T = V^T (A^T A) V
+    check = 8
     for k in range(1, n + 1):
         vectors[k - 1] = v
         w = gram @ v
@@ -189,15 +193,13 @@ def lipschitz_constant(a: np.ndarray, gram: np.ndarray | None = None) -> float:
         w -= done.T @ (done @ w)
         w -= done.T @ (done @ w)
         beta = float(np.linalg.norm(w))
-        # the top eigenpair of the leading k x k block of T: range 2 selects
-        # eigenvalues k..k by index; the off-diagonal argument has length k,
-        # its last entry is workspace, and dstemr overwrites it
-        _, ritz, ritz_vecs, info = dstemr(diag[:k], off[:k].copy(), 2, 0.0, 0.0, k, k)
-        if info:
-            raise np.linalg.LinAlgError(f"dstemr failed on the Lanczos matrix (info={info})")
-        top = float(ritz[0])
-        if beta * abs(ritz_vecs[k - 1, 0]) <= _LANCZOS_TOL * top:
-            break
+        if k in (check, n) or beta <= _LANCZOS_TOL * diag[:k].max():
+            # eigh reads the lower triangle: the diagonal and the subdiagonal
+            ritz, ritz_vecs = np.linalg.eigh(np.diag(diag[:k]) + np.diag(off[:k - 1], -1))
+            top = float(ritz[-1])
+            if beta * abs(ritz_vecs[k - 1, -1]) <= _LANCZOS_TOL * top:
+                break
+            check = k + max(8, k // 8)
         off[k - 1] = beta
         v = w / beta
     return max(top, 1e-300)
@@ -281,12 +283,14 @@ def estimate_operator(xs: np.ndarray, ys: np.ndarray,
     """Ridge least-squares fit of the map x -> y over the rows of the (N, n)
     target stack ``xs`` and the (N, m) measurement stack ``ys``.
 
-    Solves A = Y X^T (X X^T + ridge I)^{-1} via Cholesky; ridge defaults to
-    1e-6 * trace(X X^T) / n to stabilize small sample counts. Pass ridge=0
-    to demand an exactly determined system (singular X X^T then raises).
+    Solves (X X^T + ridge I) A^T = X Y^T with ``np.linalg.solve``, once a
+    Cholesky factorization has shown the left side positive definite; ridge
+    defaults to 1e-6 * trace(X X^T) / n to stabilize small sample counts.
+    With fewer pairs than target entries (N < n) it solves the N x N
+    system of the same solution, A^T = X (X^T X + ridge I)^{-1} Y^T: it is
+    smaller, and better conditioned. Pass ridge=0 to demand an exactly
+    determined system (singular X X^T, N < n included, then raises).
     """
-    from scipy.linalg import solve_triangular  # scipy loads only when a solve needs it
-
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
     if xs.ndim != 2 or ys.ndim != 2 or len(xs) != len(ys):
@@ -297,28 +301,27 @@ def estimate_operator(xs: np.ndarray, ys: np.ndarray,
         raise ParameterError("estimate_operator needs at least one pair")
     # one column per pair
     xs, ys = np.ascontiguousarray(xs.T), np.ascontiguousarray(ys.T)
-    n = xs.shape[0]
+    n, pairs = xs.shape
+    few = pairs < n  # X X^T then has rank at most N < n
+    system = xs.T @ xs if few else xs @ xs.T  # the trace is the same either way
     if ridge is None:
-        ridge = 1e-6 * float(np.trace(xs @ xs.T)) / n
+        ridge = 1e-6 * float(np.trace(system)) / n
     if ridge < 0:
         raise ParameterError(f"ridge must be >= 0, got {ridge}")
-    gram = xs @ xs.T + ridge * np.eye(n)
+    system = system + ridge * np.eye(len(system))
     if ridge == 0:
-        eigs = np.linalg.eigvalsh(gram)
-        if eigs[0] <= 1e-12 * max(eigs[-1], 1e-300):
+        eigs = np.linalg.eigvalsh(system)
+        if few or eigs[0] <= 1e-12 * max(eigs[-1], 1e-300):
             raise SingularMatrixError(
                 "X X^T is singular with ridge=0; add ridge or more pairs"
             )
     try:
-        chol = np.linalg.cholesky(gram)
+        np.linalg.cholesky(system)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(
             f"X X^T is singular with ridge={ridge}; add ridge or more pairs"
         ) from exc
-    # A^T solves (X X^T + ridge I) A^T = X Y^T
-    rhs = xs @ ys.T
-    half = solve_triangular(chol, rhs, lower=True)
-    at = solve_triangular(chol.T, half, lower=False)
+    at = xs @ np.linalg.solve(system, ys.T) if few else np.linalg.solve(system, xs @ ys.T)
     matrix = np.ascontiguousarray(at.T)
     return sensing.SensingOperator(
         kind=sensing.DENSE, m=ys.shape[0], n=n, seed=0, matrix=matrix

@@ -233,6 +233,32 @@ def test_solve_fista_computes_lipschitz_once(runner, small_dataset, tmp_path, mo
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("method", ["omp", "ista", "fista"])
+def test_solve_writes_one_solver_row_per_sample(runner, small_dataset, tmp_path, method):
+    out = tmp_path / "r"
+    res = runner.invoke(main, ["solve", "--dataset", str(small_dataset), "--out", str(out),
+                               "--method", method, "--split", "train", "--limit", "5",
+                               "--max-iter", "30"], catch_exceptions=False)
+    assert res.exit_code == 0, res.output
+    lines = (out / "solver_per_sample.csv").read_text().splitlines()
+    assert lines[0] == "index,iterations,converged,rank_deficient,final_residual"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [int(row[0]) for row in rows] == list(range(5))
+    for row in rows:
+        assert 1 <= int(row[1]) <= 30
+        assert row[2] in ("0", "1") and row[3] in ("0", "1")
+        assert float(row[4]) >= 0
+    record = json.loads((out / "run_record.json").read_text())
+    assert "solver_per_sample.csv" in record["outputs"]
+
+
+def test_run_record_names_what_output_bytes_depend_on(small_dataset):
+    env = json.loads((small_dataset / "run_record.json").read_text())["environment"]
+    assert env["numpy"] == np.__version__
+    assert set(env["blas"]) == {"name", "version"}
+    assert set(env) == {"numpy", "blas", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"}
+
+
 def test_solve_missing_dataset_exit_2(runner, tmp_path):
     res = runner.invoke(main, ["solve", "--dataset", str(tmp_path / "nope"),
                                "--out", str(tmp_path / "r")])
@@ -600,6 +626,9 @@ def _config(command, entries):
     _flags("gen-data", "--noise-sigma", "1e308"), _flags("train", "--model", "unet",
                                                         "--skips", "bogus"),
     _config_not_utf8,
+    _config("solve", {"max_iter": 2.7, "limit": 1.5}), _config("solve", {"sparsity": 4.0}),
+    _config("train", {"epochs": 1.9}), _config("train", {"embed_dim": True}),
+    _config("gen-data", {"image_size": 8.0}), _config("gen-data", {"seed": False}),
 ], ids=["missing-dataset", "manifest-not-json", "manifest-not-object", "manifest-not-utf8",
         "manifest-without-splits", "checkpoint-blob-deleted", "checkpoint-tensors-not-entries",
         "checkpoint-for-other-image-size", "checkpoint-holds-pool-grid",
@@ -623,12 +652,40 @@ def _config(command, entries):
         "train-lr-nan", "fista-lam-nan", "solve-tol-nan", "solve-ridge-nan",
         "gen-data-noise-sigma-inf", "gen-data-noise-sigma-nan", "gen-data-keep-inf",
         "config-gen-data-noise-sigma-nan", "config-train-lr-inf",
-        "gen-data-noise-sigma-overflows", "unet-skips-bogus", "config-file-not-utf8"])
+        "gen-data-noise-sigma-overflows", "unet-skips-bogus", "config-file-not-utf8",
+        "config-solve-max-iter-float", "config-solve-sparsity-integral-float",
+        "config-train-epochs-float", "config-train-embed-dim-bool",
+        "config-gen-data-image-size-float", "config-gen-data-seed-bool"])
 def test_bad_input_exits_2_without_traceback(runner, small_dataset, tmp_path, make_args):
     res = runner.invoke(main, make_args(tmp_path, small_dataset))
     assert res.exit_code == 2, res.output
     assert "Traceback" not in res.output
     assert res.exception is None or isinstance(res.exception, SystemExit)
+
+
+@pytest.mark.parametrize("value", [2.7, 2.0, True])
+def test_config_integer_is_refused_not_truncated(runner, small_dataset, tmp_path, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"max_iter": value}))
+    out = tmp_path / "r"
+    res = runner.invoke(main, ["solve", "--dataset", str(small_dataset), "--out", str(out),
+                               "--limit", "1", "--config", str(cfg)])
+    assert res.exit_code == 2, res.output
+    assert [line for line in res.output.splitlines() if line.startswith("Error:")] == [
+        f"Error: Invalid value for '--max-iter': {value!r} is not an integer >= 0."]
+    assert not out.exists()
+
+
+def test_command_line_integers_parse_as_before(runner, small_dataset, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"max_iter": 7}))
+    out = tmp_path / "r"
+    res = runner.invoke(main, ["solve", "--dataset", str(small_dataset), "--out", str(out),
+                               "--limit", " 2", "--sparsity", "+3", "--config", str(cfg)],
+                        catch_exceptions=False)
+    assert res.exit_code == 0, res.output
+    config = json.loads((out / "run_record.json").read_text())["config"]
+    assert (config["max_iter"], config["limit"], config["sparsity"]) == (7, 2, 3)
 
 
 def test_config_null_lam_means_default(runner, small_dataset, tmp_path):
@@ -754,7 +811,9 @@ def test_solve_calls_the_module_solver_once_per_sample(runner, small_dataset, tm
     assert len(calls) == 3
 
 
-def test_cli_import_leaves_scipy_unloaded():
+def _scipy_loaded_after(code: str, *args: str) -> bool:
+    """Whether a fresh interpreter that runs ``code`` with ``args`` as its
+    argv has scipy loaded."""
     import os
     import subprocess
     import sys
@@ -762,10 +821,26 @@ def test_cli_import_leaves_scipy_unloaded():
     import trustkit
 
     src = str(Path(trustkit.__file__).resolve().parents[1])
-    code = "import sys, trustkit.cli; print('scipy' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+    done = subprocess.run([sys.executable, "-c", code + "\nprint('scipy' in sys.modules)",
+                           *args], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, check=True)
-    assert done.stdout.strip() == "False"
+    return done.stdout.strip().splitlines()[-1] == "True"
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    assert not _scipy_loaded_after("import sys, trustkit.cli")
+
+
+@pytest.mark.parametrize("flags", [["--method", "omp"], ["--method", "ista"],
+                                   ["--method", "fista"], ["--operator", "estimated"]],
+                         ids=["omp", "ista", "fista", "estimated"])
+def test_solve_leaves_scipy_unloaded(small_dataset, tmp_path, flags):
+    code = ("import sys, trustkit.cli\n"
+            "try:\n    trustkit.cli.main(sys.argv[1:])\n"
+            "except SystemExit as exc:\n    assert not exc.code, exc.code")
+    assert not _scipy_loaded_after(code, "solve", *flags, "--dataset", str(small_dataset),
+                                   "--out", str(tmp_path / "r"), "--limit", "2",
+                                   "--max-iter", "20")
 
 
 _OUTPUT_FLAGS = [("gen-data", "--out"), ("verify-bound", "--out"), ("solve", "--out"),

@@ -29,6 +29,15 @@ def test_same_seed_bitwise_identical():
     assert a.matrix.tobytes() == b.matrix.tobytes()
 
 
+@pytest.mark.parametrize("kind,m,n", [(sensing.DENSE, 1024, 1024),
+                                      (sensing.GAUSSIAN_FAT, 24, 40)])
+def test_gaussian_draw_bytes_pinned(kind, m, n):
+    # the draw divided by sqrt(m) into a new array, as it was first written
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=0))
+    expected = rng.standard_normal((m, n)) / math.sqrt(m)
+    assert sensing.sample_operator(kind, m, n, seed=0).matrix.tobytes() == expected.tobytes()
+
+
 def test_kind_shape_validation():
     with pytest.raises(ParameterError):
         sensing.sample_operator(sensing.ORTHONORMAL_SQUARE, 4, 8, seed=0)

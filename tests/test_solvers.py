@@ -476,6 +476,23 @@ def test_lipschitz_of_zero_matrix_takes_one_product():
     assert gram.products == 1
 
 
+def test_lipschitz_of_identity_breaks_down_after_one_product():
+    gram = _CountedGram(np.eye(9))
+    assert abs(solvers.lipschitz_constant(np.eye(9), gram=gram) - 1.0) <= 1e-12
+    assert gram.products == 1
+
+
+@pytest.mark.parametrize("gap", [1e-2, 1e-3])
+def test_lipschitz_runs_past_several_eigensolve_checks(gap):
+    # a diagonal Gram whose top eigenvalue sits just above an even spread of
+    # the others converges slowly, so the Ritz test fails at the first checks
+    spectrum = np.append(np.linspace(0.0, 1.0, 199), 1.0 + gap)
+    gram = _CountedGram(np.diag(spectrum))
+    lip = solvers.lipschitz_constant(np.diag(np.sqrt(spectrum)), gram=gram)
+    assert abs(lip - spectrum[-1]) <= 1e-12 * spectrum[-1]
+    assert 24 < gram.products < len(spectrum)
+
+
 @settings(max_examples=60)
 @given(st.integers(1, 12).flatmap(lambda m: st.integers(1, 12).flatmap(
     lambda n: arrays(np.float64, (m, n), elements=st.floats(-2.0, 2.0, width=64).map(
@@ -519,6 +536,15 @@ def test_estimate_operator_single_pair_minimum_norm():
         assert np.max(np.abs(est.matrix - oracle)) < 1e-10
     est = solvers.estimate_operator(x[None], y[None], ridge=1e-12)
     assert np.max(np.abs(est.matrix @ x - y)) < 1e-9  # consistent as ridge -> 0
+
+
+def test_estimate_operator_from_few_pairs_solves_the_n_by_n_system():
+    rng = np.random.default_rng(2)
+    xs, ys = rng.standard_normal((12, 20)), rng.standard_normal((12, 8))
+    est = solvers.estimate_operator(xs, ys, ridge=1e-3)
+    # (X X^T + ridge I) A^T = X Y^T, in the (N, n) row layout
+    oracle = np.linalg.solve(xs.T @ xs + 1e-3 * np.eye(20), xs.T @ ys).T
+    assert np.max(np.abs(est.matrix - oracle)) <= 1e-10 * np.max(np.abs(oracle))
 
 
 def test_estimate_operator_noisy_beats_truth_on_training_residual():
