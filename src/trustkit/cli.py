@@ -15,6 +15,12 @@ map, so each entry passes the same type and range check as its flag. An
 entry that names no setting of the command is a usage error, and so is
 ``null`` for a setting whose default is not none (only ``lam``, ``ridge``
 and ``emit_images`` take it).
+
+A setting that only some choices of another read (``--keep`` only
+``--operator fourier``; a model kind's are those its ``ModelSpec`` lists)
+says so in its ``--help``. Given, as a flag or a config entry, to a run of
+another choice, it is a usage error; left at its default, it is left out of
+that run's settings and record.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ from pathlib import Path
 
 import click
 import numpy as np
+from click.core import ParameterSource
 
 from . import bound_lab, dataset, metrics, model, sensing, solvers
 from .errors import (
@@ -41,6 +48,7 @@ from .errors import (
     ParameterError,
     SingularMatrixError,
     is_int,
+    read_json_object,
 )
 
 _USAGE_ERRORS = (ParameterError, DatasetError, CheckpointError, DimensionError,
@@ -55,12 +63,29 @@ _OPERATOR_TOKENS = {
 }
 
 
+class _Owned(click.Option):
+    """An option that only the ``owners`` choices of the command's option
+    ``owner`` read; its help text says so."""
+
+    def __init__(self, *decls, owner: str, owners: tuple[str, ...], help: str = "", **attrs):
+        self.owner, self.owners = owner, owners
+        self.owned_by = f"--{owner} {'/'.join(owners)}"
+        super().__init__(*decls, help=f"{help} Only for {self.owned_by}.".lstrip(), **attrs)
+
+
 class _Command(click.Command):
     """A command whose typed library errors follow the exit-code contract:
     bad input is a usage error (exit 2); a broken run contract, such as a
-    non-finite training loss, is a failed run (exit 1)."""
+    non-finite training loss, is a failed run (exit 1). An ``_Owned`` setting
+    the run's choice does not read is refused if given, else dropped."""
 
     def invoke(self, ctx: click.Context):
+        for param in self.params:
+            if isinstance(param, _Owned) and ctx.params[param.owner] not in param.owners:
+                if ctx.get_parameter_source(param.name) is not ParameterSource.DEFAULT:
+                    raise click.UsageError(f"{param.opts[0]} is a setting of {param.owned_by}, not "
+                                           f"of --{param.owner} {ctx.params[param.owner]}", ctx)
+                del ctx.params[param.name]
         try:
             return super().invoke(ctx)
         except _USAGE_ERRORS as exc:
@@ -69,24 +94,12 @@ class _Command(click.Command):
             raise click.ClickException(str(exc)) from exc
 
 
-def _run_file(path: Path) -> dict:
-    """The JSON object in the file at ``path``; UsageError naming the file
-    when it is not one."""
-    try:
-        value = json.loads(path.read_text())
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise click.UsageError(f"cannot read {path}: {exc}")
-    if not isinstance(value, dict):
-        raise click.UsageError(f"{path} does not hold a JSON object")
-    return value
-
-
 def _read_config(ctx: click.Context, param: click.Parameter, path: str | None) -> None:
     """Make the config file at ``path`` the command's default map, once no
     entry names an unknown setting or nulls one whose default is not none."""
     if not path:
         return
-    entries = _run_file(Path(path))
+    entries = read_json_object(Path(path), click.UsageError, "config file")
     settings = {p.name: p for p in ctx.command.params}
     unknown = sorted(set(entries) - set(settings))
     if unknown:
@@ -107,10 +120,6 @@ def _make_out_dir(path) -> Path:
     except OSError as exc:
         raise click.UsageError(f"cannot create output directory {out}: {exc.strerror or exc}")
     return out
-
-
-def _canonical(obj) -> str:
-    return json.dumps(obj, sort_keys=True)
 
 
 def _environment() -> dict:
@@ -135,7 +144,7 @@ def write_run_record(out_dir: Path, command: str, config: dict, inputs: dict,
         "command": command,
         "config": config,
         "input_hash": hashlib.sha256(
-            (_canonical(config) + _canonical(digests)).encode()
+            (json.dumps(config, sort_keys=True) + json.dumps(digests, sort_keys=True)).encode()
         ).hexdigest(),
         "inputs": digests,
         "outputs": sorted(outputs),
@@ -230,8 +239,8 @@ main.command_class = _Command
 @click.option("--test", default=400, type=_INT, show_default=True)
 @click.option("--operator", default="gaussian", show_default=True,
               type=click.Choice(list(_OPERATOR_TOKENS)))
-@click.option("--keep", default=0.25, show_default=True, type=_FINITE,
-              help="Kept-frequency fraction for the fourier operator.")
+@click.option("--keep", default=0.25, show_default=True, type=_FINITE, cls=_Owned,
+              owner="operator", owners=("fourier",), help="Kept-frequency fraction.")
 @click.option("--noise-sigma", default=0.0, show_default=True, type=_FINITE)
 @_seed_option
 @click.option("--dtype", default="f32", type=click.Choice(dataset.DTYPES), show_default=True)
@@ -241,8 +250,8 @@ def gen_data(**cfg):
     spec = dataset.DatasetSpec(
         image_size=cfg["image_size"], train=cfg["train"], val=cfg["val"],
         test=cfg["test"], operator_kind=_OPERATOR_TOKENS[cfg["operator"]],
-        operator_keep=cfg["keep"], noise_sigma=cfg["noise_sigma"],
-        seed=cfg["seed"], dtype=cfg["dtype"],
+        operator_keep=cfg.get("keep", dataset.DatasetSpec.operator_keep),
+        noise_sigma=cfg["noise_sigma"], seed=cfg["seed"], dtype=cfg["dtype"],
     )
     out = _make_out_dir(cfg["out"])
     manifest = dataset.gen_dataset(spec, out)
@@ -338,14 +347,14 @@ def _solver_csv(results: list[solvers.RecoveryResult], ys: np.ndarray) -> str:
 @click.option("--operator", default="known",
               type=click.Choice(["known", "estimated"]), show_default=True)
 @click.option("--split", default="test", show_default=True)
-@click.option("--sparsity", default=0, type=_INT, show_default=True,
-              help="Greedy atom budget for omp; 0 means n // 4.")
-@click.option("--lam", default=None, type=_FINITE,
-              help="l1 weight for ista/fista; default 0.05 * |A^T y|_inf per problem.")
+@click.option("--sparsity", default=0, type=_INT, show_default=True, cls=_Owned,
+              owner="method", owners=("omp",), help="Greedy atom budget; 0 means n // 4.")
+@click.option("--lam", default=None, type=_FINITE, cls=_Owned, owner="method",
+              owners=("ista", "fista"), help="l1 weight; default 0.05 * |A^T y|_inf per problem.")
 @click.option("--tol", default=1e-6, show_default=True, type=_FINITE)
 @click.option("--max-iter", default=500, show_default=True, type=_NON_NEGATIVE)
-@click.option("--ridge", default=None, type=_FINITE,
-              help="Ridge for operator estimation; default trace-scaled.")
+@click.option("--ridge", default=None, type=_FINITE, cls=_Owned, owner="operator",
+              owners=("estimated",), help="Ridge for operator estimation; default trace-scaled.")
 @_limit_option
 def solve(**cfg):
     """Sparse-recover a dataset split with a classical solver and score it."""
@@ -361,7 +370,7 @@ def solve(**cfg):
                                        ridge=cfg["ridge"])
     solver_cfg = solvers.SolverConfig(
         max_iterations=cfg["max_iter"], residual_tolerance=cfg["tol"],
-        sparsity_budget=cfg["sparsity"] or max(1, op.n // 4), lam=cfg["lam"],
+        sparsity_budget=cfg.get("sparsity") or max(1, op.n // 4), lam=cfg.get("lam"),
     )
     method = getattr(solvers, cfg["method"])  # looked up per call, so a wrapped solver is seen
     ys = data.raw()
@@ -376,52 +385,47 @@ def solve(**cfg):
 # ---- train ---------------------------------------------------------------------
 
 
-def _parse_skips(mask: str, n_connections: int) -> tuple[bool, ...]:
-    if mask == "all":
-        return tuple([True] * n_connections)
-    if mask == "none":
-        return tuple([False] * n_connections)
-    parts = mask.split(",")
-    if len(parts) != n_connections or any(p not in ("0", "1") for p in parts):
-        raise click.UsageError(
-            f"--skips must be 'all', 'none', or {n_connections} comma-separated 0/1 flags"
-        )
+def _parse_skips(mask: str) -> tuple[bool, ...]:
+    n = len(model.TrustConfig().skip_sources)
+    parts = {"all": ["1"] * n, "none": ["0"] * n}.get(mask, mask.split(","))
+    if len(parts) != n or any(p not in ("0", "1") for p in parts):
+        raise click.UsageError(f"--skips must be 'all', 'none', or {n} comma-separated 0/1 flags")
     return tuple(p == "1" for p in parts)
+
+
+def _model_option(flag: str, **attrs):
+    """An option that only the model kinds whose spec lists it read."""
+    name = flag[2:].replace("-", "_")
+    kinds = tuple(kind for kind in model.KINDS if name in model.model_spec(kind).settings)
+    return click.option(flag, cls=_Owned, owner="model", owners=kinds, **attrs)
 
 
 @main.command("train")
 @click.option("--dataset", required=True)
 @click.option("--out", default="train_run", show_default=True)
 @_config_option
-@click.option("--model", default=model.TRUST,
-              type=click.Choice([model.TRUST, model.UNET]), show_default=True)
+@click.option("--model", default=model.TRUST, type=click.Choice(model.KINDS), show_default=True)
 @click.option("--loss", default="l2ssim",
               type=click.Choice(sorted(_LOSS_TOKENS)), show_default=True)
-@click.option("--skips", default="all", show_default=True,
-              help="Skip-connection mask: all, none, or per-connection 0/1 list.")
+@_model_option("--skips", default="all", show_default=True,
+               help="Skip-connection mask: all, none, or per-connection 0/1 list.")
 @click.option("--epochs", default=20, type=_INT, show_default=True)
 @click.option("--lr", default=1e-4, show_default=True, type=_FINITE)
 @click.option("--batch", default=16, type=_INT, show_default=True)
 @_seed_option
-@click.option("--embed-dim", default=64, type=_INT, show_default=True)
-@click.option("--depth", default=4, type=_INT, show_default=True)
-@click.option("--heads", default=4, type=_INT, show_default=True)
-@click.option("--base-channels", default=8, type=_INT, show_default=True, help="unet width")
+@_model_option("--embed-dim", default=64, type=_INT, show_default=True)
+@_model_option("--depth", default=4, type=_INT, show_default=True)
+@_model_option("--heads", default=4, type=_INT, show_default=True)
+@_model_option("--base-channels", default=8, type=_INT, show_default=True)
 @_limit_option
 def train_cmd(**cfg):
     """Train a reconstruction model; writes checkpoints and an epoch log."""
     started = time.monotonic()
     manifest = dataset.load_manifest(cfg["dataset"])
-    size = manifest["image_size"]
-    skip_enabled = _parse_skips(cfg["skips"], 2)
-    if cfg["model"] == model.TRUST:
-        model_cfg = model.TrustConfig(
-            image_size=size, embed_dim=cfg["embed_dim"], num_heads=cfg["heads"],
-            encoder_depth=cfg["depth"], skip_enabled=skip_enabled, seed=cfg["seed"],
-        )
-    else:
-        model_cfg = model.UnetConfig(image_size=size, base_channels=cfg["base_channels"],
-                                     seed=cfg["seed"])
+    spec = model.model_spec(cfg["model"])
+    values = dict(cfg, skips=_parse_skips(cfg["skips"])) if "skips" in cfg else cfg
+    model_cfg = spec.config_class(image_size=manifest["image_size"], seed=cfg["seed"],
+                                  **{field: values[name] for name, field in spec.settings.items()})
     train_cfg = model.TrainConfig(
         loss_kind=_LOSS_TOKENS[cfg["loss"]], learning_rate=cfg["lr"],
         batch_size=cfg["batch"], epochs=cfg["epochs"], seed=cfg["seed"],
@@ -515,53 +519,39 @@ def report_cmd(runs_dir, out_dir):
     runs = Path(runs_dir)
     if not runs.is_dir():
         raise click.UsageError(f"{runs_dir} is not a directory")
-    rows = []
+    md = ["| run | kind | params | " + " | ".join(f.upper() for f in _REPORT_FIELDS) + " |",
+          "|" + "---|" * (3 + len(_REPORT_FIELDS))]
+    csv_lines = ["run,command,kind,param_count,"
+                 + ",".join(f"{f}_mean,{f}_std" for f in _REPORT_FIELDS)]
     for sub in sorted(p for p in runs.iterdir() if p.is_dir()):
         agg_file = sub / "metrics_aggregate.json"
         record_file = sub / "run_record.json"
         if not agg_file.exists() or not record_file.exists():
             continue
-        agg = _run_file(agg_file).get("aggregate")
+        agg = read_json_object(agg_file, click.UsageError, "metrics file").get("aggregate")
         if not isinstance(agg, dict) or not all(_is_stat(agg.get(f)) for f in _REPORT_FIELDS):
             raise click.UsageError(
                 f"{agg_file} lacks a numeric mean and std under 'aggregate' for each of "
                 + ", ".join(_REPORT_FIELDS)
             )
-        record = _run_file(record_file)
+        record = read_json_object(record_file, click.UsageError, "run record")
         if "command" not in record or not isinstance(record.get("config"), dict):
             raise click.UsageError(f"{record_file} lacks its command or config object")
-        label = record["config"].get("model") or record["config"].get("method") or "?"
-        rows.append({
-            "run": sub.name,
-            "command": record["command"],
-            "kind": label,
-            "param_count": record["config"].get("param_count", ""),
-            **{f: agg[f] for f in _REPORT_FIELDS},
-        })
-    if not rows:
+        config = record["config"]
+        kind = config.get("model") or config.get("method") or "?"
+        params = config.get("param_count", "")
+        md.append(f"| {sub.name} | {kind} | {params} | " + " | ".join(
+            f"{agg[f]['mean']:.4g} ± {agg[f]['std']:.2g}" for f in _REPORT_FIELDS) + " |")
+        csv_lines.append(f"{sub.name},{record['command']},{kind},{params},"
+                         + ",".join(f"{agg[f]['mean']!r},{agg[f]['std']!r}"
+                                    for f in _REPORT_FIELDS))
+    if len(csv_lines) == 1:  # the header alone
         click.echo(f"no finished runs found under {runs_dir}", err=True)
         sys.exit(1)
     out = _make_out_dir(out_dir) if out_dir else runs
-
-    def fmt(cell):
-        return f"{cell['mean']:.4g} ± {cell['std']:.2g}"
-
-    md = ["| run | kind | params | " + " | ".join(f.upper() for f in _REPORT_FIELDS) + " |",
-          "|" + "---|" * (3 + len(_REPORT_FIELDS))]
-    csv_lines = ["run,command,kind,param_count,"
-                 + ",".join(f"{f}_mean,{f}_std" for f in _REPORT_FIELDS)]
-    for r in rows:
-        md.append(
-            f"| {r['run']} | {r['kind']} | {r['param_count']} | "
-            + " | ".join(fmt(r[f]) for f in _REPORT_FIELDS) + " |"
-        )
-        csv_lines.append(
-            f"{r['run']},{r['command']},{r['kind']},{r['param_count']},"
-            + ",".join(f"{r[f]['mean']!r},{r[f]['std']!r}" for f in _REPORT_FIELDS)
-        )
     (out / "report.md").write_text("\n".join(md) + "\n")
     (out / "report.csv").write_text("\n".join(csv_lines) + "\n")
-    click.echo(f"{len(rows)} runs -> {out / 'report.md'}")
+    click.echo(f"{len(csv_lines) - 1} runs -> {out / 'report.md'}")
 
 
 if __name__ == "__main__":

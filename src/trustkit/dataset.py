@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics, sensing
-from .errors import DatasetError, DimensionError, ParameterError, is_int
+from .errors import DatasetError, DimensionError, ParameterError, is_int, read_json_object
 
 MANIFEST_VERSION = 2
 SPLITS = ("train", "val", "test")
@@ -263,12 +263,7 @@ def load_manifest(path: str | Path) -> dict:
     path = Path(path)
     if path.is_dir():
         path = path / "manifest.json"
-    try:
-        manifest = json.loads(path.read_text())
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise DatasetError(f"unreadable manifest {path}: {exc}") from exc
-    if not isinstance(manifest, dict):
-        raise DatasetError(f"manifest {path} does not hold a JSON object")
+    manifest = read_json_object(path, DatasetError, "manifest")
     version = manifest.get("version")
     if type(version) is not int or version != MANIFEST_VERSION:  # 1.0 and true are not 1
         raise DatasetError(f"manifest version {version} != {MANIFEST_VERSION}")

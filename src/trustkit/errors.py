@@ -1,5 +1,8 @@
-"""Exception types shared across the toolkit, and the integer rule the
-checks that raise them share."""
+"""Exception types shared across the toolkit, and the integer and JSON-file
+rules the checks that raise them share."""
+
+import json
+from pathlib import Path
 
 
 def is_int(value, least: int | None = None) -> bool:
@@ -7,6 +10,18 @@ def is_int(value, least: int | None = None) -> bool:
     given; a bool or a float such as 16.0 is not one."""
     return isinstance(value, int) and not isinstance(value, bool) and \
         (least is None or value >= least)
+
+
+def read_json_object(path: Path, error: type[Exception], what: str) -> dict:
+    """The JSON object in the file at ``path``; ``error``, naming the file
+    as ``what``, when it cannot be read or holds anything else."""
+    try:
+        value = json.loads(path.read_text())
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise error(f"unreadable {what} {path}: {exc}") from exc
+    if not isinstance(value, dict):
+        raise error(f"{what} {path} does not hold a JSON object")
+    return value
 
 
 class DimensionError(ValueError):

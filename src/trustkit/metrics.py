@@ -22,20 +22,21 @@ FPR_T_HIGH = 0.5
 FPR_T_LOW = 0.1
 
 
-def _check_shapes(a: np.ndarray, b: np.ndarray) -> None:
-    if a.shape != b.shape:
-        raise DimensionError(f"shape mismatch: {a.shape} vs {b.shape}")
+def _float_pair(pred, target) -> tuple[np.ndarray, np.ndarray]:
+    """Both as float64 arrays; DimensionError unless their shapes agree."""
+    pred, target = np.asarray(pred, dtype=np.float64), np.asarray(target, dtype=np.float64)
+    if pred.shape != target.shape:
+        raise DimensionError(f"shape mismatch: {pred.shape} vs {target.shape}")
+    return pred, target
 
 
 def mse(pred, target) -> float:
-    pred, target = np.asarray(pred, dtype=np.float64), np.asarray(target, dtype=np.float64)
-    _check_shapes(pred, target)
+    pred, target = _float_pair(pred, target)
     return float(np.mean((pred - target) ** 2))
 
 
 def mae(pred, target) -> float:
-    pred, target = np.asarray(pred, dtype=np.float64), np.asarray(target, dtype=np.float64)
-    _check_shapes(pred, target)
+    pred, target = _float_pair(pred, target)
     return float(np.mean(np.abs(pred - target)))
 
 
@@ -59,8 +60,7 @@ def fpr(pred, target) -> float:
     reported under ``fpr`` only, since a support-level false discovery rate
     is a different quantity.
     """
-    pred, target = np.asarray(pred, dtype=np.float64), np.asarray(target, dtype=np.float64)
-    _check_shapes(pred, target)
+    pred, target = _float_pair(pred, target)
     hallucinated = (pred > FPR_T_HIGH) & (target <= FPR_T_LOW)
     return float(np.count_nonzero(hallucinated)) / pred.size
 
@@ -118,9 +118,7 @@ class ImageMetrics:
 
 
 def score_image(pred, target) -> ImageMetrics:
-    pred = np.asarray(pred, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    return score_batch(pred[None], target[None])[0]
+    return score_batch(np.asarray(pred)[None], np.asarray(target)[None])[0]
 
 
 def score_batch(preds, targets) -> list[ImageMetrics]:
@@ -129,9 +127,7 @@ def score_batch(preds, targets) -> list[ImageMetrics]:
     Each row equals what ``mse``, ``mae``, ``rmse``, ``psnr``, ``ssim`` and
     ``fpr`` give for that image alone.
     """
-    preds = np.asarray(preds, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
-    _check_shapes(preds, targets)
+    preds, targets = _float_pair(preds, targets)
     if preds.ndim != 3:
         raise DimensionError(f"score_batch expects (B, H, W) stacks, got {preds.shape}")
     b = preds.shape[0]

@@ -5,6 +5,7 @@ from .config import LOSS_KINDS, TrainConfig, TrustConfig, UnetConfig
 from .forward import forward_trust, forward_unet, patchify, token_gram
 from .losses import loss, sample_losses
 from .params import (
+    KINDS,
     TRUST,
     UNET,
     checkpoint_load,
@@ -21,6 +22,7 @@ from .train import PREDICT_CHUNK, Adam, EpochRow, TrainResult, batch_loss, evalu
 __all__ = [
     "Adam",
     "EpochRow",
+    "KINDS",
     "LOSS_KINDS",
     "PREDICT_CHUNK",
     "TRUST",

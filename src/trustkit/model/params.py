@@ -12,7 +12,7 @@ from typing import Callable
 import numpy as np
 
 from .. import ndtensor as nd
-from ..errors import CheckpointError, ParameterError, is_int
+from ..errors import CheckpointError, ParameterError, is_int, read_json_object
 from . import forward as _forward
 from .config import TrustConfig, UnetConfig
 from .forward import trust_param_shapes, unet_param_shapes
@@ -90,12 +90,14 @@ def flop_estimate(model_kind: str, cfg) -> int:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Everything that differs between model kinds."""
+    """Everything that differs between model kinds; ``settings`` maps each
+    command-line setting only this kind reads to its ``config_class`` field."""
 
     config_class: type
     param_shapes: Callable[..., dict[str, tuple[int, ...]]]
     flops: Callable[..., int]
     forward_name: str
+    settings: dict[str, str]
 
     @property
     def forward(self) -> Callable:
@@ -105,9 +107,13 @@ class ModelSpec:
 
 
 _MODEL_SPECS = {
-    TRUST: ModelSpec(TrustConfig, trust_param_shapes, _trust_flops, "forward_trust"),
-    UNET: ModelSpec(UnetConfig, unet_param_shapes, _unet_flops, "forward_unet"),
+    TRUST: ModelSpec(TrustConfig, trust_param_shapes, _trust_flops, "forward_trust",
+                     {"embed_dim": "embed_dim", "heads": "num_heads", "depth": "encoder_depth",
+                      "skips": "skip_enabled"}),
+    UNET: ModelSpec(UnetConfig, unet_param_shapes, _unet_flops, "forward_unet",
+                    {"base_channels": "base_channels"}),
 }
+KINDS = tuple(_MODEL_SPECS)
 
 
 def model_spec(model_kind: str) -> ModelSpec:
@@ -158,12 +164,7 @@ def checkpoint_load(path: str | Path) -> tuple[dict[str, nd.Tensor], dict]:
     before any tensor is returned.
     """
     path = Path(path)
-    try:
-        manifest = json.loads(path.read_text())
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointError(f"unreadable checkpoint manifest {path}: {exc}") from exc
-    if not isinstance(manifest, dict):
-        raise CheckpointError(f"checkpoint manifest {path} does not hold a JSON object")
+    manifest = read_json_object(path, CheckpointError, "checkpoint manifest")
     version = manifest.get("format_version")
     if type(version) is not int or version != CHECKPOINT_VERSION:  # 1.0 and true are not 1
         raise CheckpointError(

@@ -1,12 +1,14 @@
+import dataclasses
 import json
 from pathlib import Path
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from trustkit import dataset, model, solvers
-from trustkit.cli import main
+from trustkit.cli import _Owned, main
 from trustkit.errors import (
     CheckpointError,
     ContractError,
@@ -278,7 +280,8 @@ def test_solve_estimated_matches_known_on_f64_data(runner, tmp_path):
         out = tmp_path / mode
         res = runner.invoke(main, [
             "solve", "--dataset", str(data), "--out", str(out), "--method", "omp",
-            "--operator", mode, "--sparsity", "24", "--ridge", "0",
+            "--operator", mode, "--sparsity", "24",
+            *(["--ridge", "0"] if mode == "estimated" else []),
         ], catch_exceptions=False)
         assert res.exit_code == 0, res.output
         outs[mode] = (out / "metrics_per_image.csv").read_text().strip().splitlines()[1:]
@@ -871,3 +874,140 @@ def test_output_path_that_cannot_be_a_directory_exits_2(runner, small_dataset, t
     assert "Traceback" not in res.output
     assert res.exception is None or isinstance(res.exception, SystemExit)
     assert blocker.read_text() == "not a directory\n"
+
+
+# a choice made, a setting that only another choice reads, a value for it,
+# and that other choice
+_FOREIGN_SETTINGS = [
+    ("train", "--model unet", "skips", "none", "--model trust"),
+    ("train", "--model unet", "embed_dim", 8, "--model trust"),
+    ("train", "--model unet", "depth", 1, "--model trust"),
+    ("train", "--model unet", "heads", 2, "--model trust"),
+    ("train", "--model trust", "base_channels", 4, "--model unet"),
+    ("gen-data", "--operator gaussian", "keep", 0.9, "--operator fourier"),
+    ("solve", "--method omp", "lam", 0.3, "--method ista/fista"),
+    ("solve", "--method fista", "sparsity", 3, "--method omp"),
+    ("solve", "--operator known", "ridge", 5.0, "--operator estimated"),
+]
+_TRUST_FLAGS = ("--embed-dim", "--depth", "--heads")
+
+
+def _run_choosing(command, choice, tmp, data):
+    """The flags of ``_small_run(command)`` with ``choice`` made and no
+    TRUST setting given."""
+    flags = {flag: value for flag, value in _small_run(command, tmp, data).items()
+             if flag not in _TRUST_FLAGS}
+    option, value = choice.split()
+    flags[option] = value
+    return flags
+
+
+@pytest.mark.parametrize("where", ["flags", "config", "choice-flag-setting-config"])
+@pytest.mark.parametrize("command,choice,key,value,owner", _FOREIGN_SETTINGS,
+                         ids=[f"{row[0]}-{row[1][2:].replace(' ', '-')}-{row[2]}"
+                              for row in _FOREIGN_SETTINGS])
+def test_setting_of_another_choice_exits_2(runner, small_dataset, tmp_path, command, choice,
+                                           key, value, owner, where):
+    flags = _run_choosing(command, choice, tmp_path, small_dataset)
+    option, picked = choice.split()
+    flag = "--" + key.replace("_", "-")
+    entries = {"flags": {}, "config": {option[2:]: picked, key: value},
+               "choice-flag-setting-config": {key: value}}[where]
+    if where == "flags":
+        flags[flag] = str(value)
+    if where == "config":
+        del flags[option]
+    args = [command, *(part for item in flags.items() for part in item)]
+    if entries:
+        (tmp_path / "cfg.json").write_text(json.dumps(entries))
+        args += ["--config", str(tmp_path / "cfg.json")]
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2, res.output
+    assert [line for line in res.output.splitlines() if line.startswith("Error:")] == [
+        f"Error: {flag} is a setting of {owner}, not of {choice}"]
+    assert "Traceback" not in res.output
+    assert not Path(flags["--out"]).exists()
+
+
+# a choice made, with the settings its run reads beyond the shared ones, and
+# those it leaves at their defaults and out of its run record
+_OWN_SETTINGS = [
+    ("train", "--model unet", {"base_channels"}, {"embed_dim", "depth", "heads", "skips"}),
+    ("train", "--model trust", {"embed_dim", "depth", "heads", "skips"}, {"base_channels"}),
+    ("gen-data", "--operator gaussian", set(), {"keep"}),
+    ("gen-data", "--operator fourier", {"keep"}, set()),
+    ("solve", "--method omp", {"sparsity"}, {"lam", "ridge"}),
+    ("solve", "--method fista", {"lam"}, {"sparsity", "ridge"}),
+    ("solve", "--operator estimated", {"sparsity", "ridge"}, {"lam"}),
+]
+
+
+@pytest.mark.parametrize("command,choice,read,unread", _OWN_SETTINGS,
+                         ids=[f"{row[0]}-{row[1][2:].replace(' ', '-')}" for row in _OWN_SETTINGS])
+def test_run_record_leaves_out_the_settings_its_choice_does_not_read(
+        runner, small_dataset, tmp_path, command, choice, read, unread):
+    flags = _run_choosing(command, choice, tmp_path, small_dataset)
+    if choice == "--model trust":
+        flags.update({"--embed-dim": "8", "--depth": "1", "--heads": "2"})
+    res = runner.invoke(main, [command, *(part for item in flags.items() for part in item)],
+                        catch_exceptions=False)
+    assert res.exit_code == 0, res.output
+    config = json.loads((Path(flags["--out"]) / "run_record.json").read_text())["config"]
+    owned = {p.name for p in main.commands[command].params if isinstance(p, _Owned)}
+    assert owned & set(config) == read
+    assert not unread & set(config)
+
+
+@pytest.mark.parametrize("command,choice", [("gen-data", "--operator gaussian"),
+                                            ("solve", "--method fista"),
+                                            ("solve", "--operator known")])
+def test_run_record_config_reruns_as_a_config_file(runner, small_dataset, tmp_path, command,
+                                                   choice):
+    flags = _run_choosing(command, choice, tmp_path, small_dataset)
+    res = runner.invoke(main, [command, *(part for item in flags.items() for part in item)],
+                        catch_exceptions=False)
+    assert res.exit_code == 0, res.output
+    first, again = Path(flags["--out"]), tmp_path / "again"
+    config = json.loads((first / "run_record.json").read_text())["config"]
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    res = runner.invoke(main, [command, "--config", str(tmp_path / "cfg.json"),
+                               "--out", str(again)], catch_exceptions=False)
+    assert res.exit_code == 0, res.output
+    for out in (first, again):
+        (out / "run_record.json").unlink()
+    assert {p.name: p.read_bytes() for p in first.iterdir()} == \
+        {p.name: p.read_bytes() for p in again.iterdir()}
+
+
+# the options that every choice of each command reads
+_SHARED = {
+    "gen-data": {"out", "config", "image_size", "train", "val", "test", "operator",
+                 "noise_sigma", "seed", "dtype"},
+    "solve": {"dataset", "out", "config", "method", "operator", "split", "tol", "max_iter",
+              "limit"},
+    "train": {"dataset", "out", "config", "model", "loss", "epochs", "lr", "batch", "seed",
+              "limit"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(_SHARED))
+def test_every_option_is_shared_or_owned_by_a_declared_choice(command):
+    params = {p.name: p for p in main.commands[command].params}
+    owned = {name: p for name, p in params.items() if isinstance(p, _Owned)}
+    assert set(params) - set(owned) == _SHARED[command]
+    for p in owned.values():
+        choices = params[p.owner].type.choices
+        assert p.owner in _SHARED[command] and isinstance(params[p.owner].type, click.Choice)
+        assert set(p.owners) < set(choices)  # some choice does not read it
+        assert p.help.endswith(f"Only for --{p.owner} {'/'.join(p.owners)}.")
+
+
+def test_model_settings_are_the_specs_and_name_their_config_fields():
+    params = {p.name: p for p in main.commands["train"].params}
+    assert tuple(params["model"].type.choices) == model.KINDS
+    for kind in model.KINDS:
+        spec = model.model_spec(kind)
+        fields = {f.name for f in dataclasses.fields(spec.config_class)}
+        assert set(spec.settings.values()) <= fields - {"image_size", "seed"}
+        assert set(spec.settings) == {name for name, p in params.items()
+                                      if isinstance(p, _Owned) and kind in p.owners}

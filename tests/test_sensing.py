@@ -120,6 +120,36 @@ def test_fourier_adjoint_matches_dense_materialization():
     assert np.allclose(op.matrix, dense, atol=1e-12)
 
 
+_COLUMN_NORM_CASES = [(sensing.DENSE, 96, 96), (sensing.GAUSSIAN_FAT, 48, 96),
+                      (sensing.FOURIER_MASKED, 48, 96), (sensing.ORTHONORMAL_SQUARE, 96, 96),
+                      (sensing.TALL_ORTHONORMAL, 96, 48), (sensing.IDENTITY, 96, 96)]
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("kind,m,n", _COLUMN_NORM_CASES,
+                         ids=[case[0] for case in _COLUMN_NORM_CASES])
+def test_column_norms_are_linalg_norms_bit_for_bit(kind, m, n, seed):
+    op = sensing.sample_operator(kind, m, n, seed)
+    assert np.array_equal(op.column_norms, np.linalg.norm(op.matrix, axis=0))
+
+
+def test_column_norms_stand_in_one_for_a_zero_column():
+    matrix = np.array([[3.0, 0.0, 1.0], [4.0, 0.0, 1.0]])
+    op = sensing.SensingOperator(sensing.DENSE, 2, 3, 0, matrix)
+    assert op.column_norms.tolist() == [5.0, 1.0, math.sqrt(2.0)]
+
+
+def test_column_norms_make_no_matrix_sized_temporary():
+    op = sensing.sample_operator(sensing.DENSE, 256, 256, seed=0)
+    tracemalloc.start()
+    try:
+        op.column_norms
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < op.matrix.nbytes // 16
+
+
 def test_rip_orthonormal_is_zero():
     op = sensing.sample_operator(sensing.ORTHONORMAL_SQUARE, 9, 9, seed=2)
     est = sensing.estimate_rip(op, k=2, method=sensing.EXACT_ENUMERATION)
