@@ -4,7 +4,10 @@ For unit-norm k-sparse x, x' and an operator A with isometry constant
 delta_2k, the similarity error |x^T A^T A x' - x^T x'| never exceeds
 delta_2k. This module checks that bound over stacked trial pairs, validates
 the polarization identity it rests on, and runs the operator-ensemble sweep
-that maps mean/max deviation against the estimated constant.
+that maps mean/max deviation against the estimated constant. A sweep cell
+draws all its pairs as one block (``sensing.unit_ksparse_rows``), maps them
+through A in one product, and takes delta_2k from ``sensing.estimate_rip``,
+whose exact scan gathers every support's Gram from the operator's A^T A.
 """
 
 from __future__ import annotations
@@ -144,7 +147,7 @@ class SweepResult:
 
     def to_matrix(self, kind: str) -> str:
         """Gnuplot-ready mean-deviation matrix (rows = m, cols = k) for one kind
-        and fixed n."""
+        of a sweep over one n."""
         cells = [c for c in self.cells if c.kind == kind]
         ms = sorted({c.m for c in cells})
         ks = sorted({c.k for c in cells})
@@ -167,7 +170,7 @@ def _run_cell(kind: str, m: int, n: int, k: int, index: int, trials: int,
     rng = np.random.default_rng(_cell_rng_seed(seed, index))
     op_seed = int(rng.integers(0, 2**31 - 1))
     op = sensing.sample_operator(kind, m, n, op_seed)
-    pairs = _unit_ksparse(rng, 2 * trials, n, k)  # x_t, x'_t interleaved, as drawn
+    pairs = sensing.unit_ksparse_rows(rng, 2 * trials, n, k)  # x_t, x'_t interleaved
     devs, post = pair_deviations(op, pairs[0::2], pairs[1::2])
     if math.comb(n, 2 * k) <= sensing.ENUMERATION_CAP:
         est = sensing.estimate_rip(op, k, sensing.EXACT_ENUMERATION)
@@ -185,9 +188,11 @@ def attention_similarity_sweep(kinds, ms, ns, ks, trials: int, seed: int) -> Swe
     """Mean/max deviation and delta estimate per (kind, m, n, k) cell.
 
     Cells run in deterministic grid order; (m, n) pairs the kind's ensemble
-    has no member of, and k with 2k > min(m, n), are skipped. Pair supports
-    are drawn independently, so joint supports of size <= 2k arise by
-    construction (overlaps are kept, which the bound permits). An empty
+    has no member of, and k with 2k > min(m, n), are skipped. A cell draws
+    its 2 * trials pair rows as one block of independent unit k-sparse rows
+    (``sensing.unit_ksparse_rows``: one call for the supports' keys, one for
+    the values), so joint supports of size <= 2k arise by construction
+    (overlaps are kept, which the bound permits). An empty
     axis, a repeated value (its cells would run twice, from different
     draws), an m, n or k below 1, an unknown kind or an oversized operator
     raises ParameterError before any cell runs.
@@ -214,19 +219,3 @@ def attention_similarity_sweep(kinds, ms, ns, ks, trials: int, seed: int) -> Swe
         for index, (kind, m, n, k) in enumerate(specs)
     ])
 
-
-def _unit_ksparse(rng: np.random.Generator, count: int, n: int, k: int) -> np.ndarray:
-    """``count`` unit-norm k-sparse rows of length n.
-
-    Rows are drawn in order, each taking its support from ``rng.choice`` and
-    then its values from ``rng.standard_normal``, so the stream is consumed
-    exactly as ``count`` single-vector draws would consume it.
-    """
-    supports = np.empty((count, k), dtype=np.intp)
-    vals = np.empty((count, k))
-    for i in range(count):
-        supports[i] = rng.choice(n, size=k, replace=False)
-        vals[i] = rng.standard_normal(k)
-    rows = np.zeros((count, n))
-    rows[np.arange(count)[:, None], supports] = vals / np.sqrt(_row_dots(vals, vals))[:, None]
-    return rows

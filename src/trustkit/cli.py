@@ -135,9 +135,12 @@ def _environment() -> dict:
 
 
 def write_run_record(out_dir: Path, command: str, config: dict, inputs: dict,
-                     outputs: list[str], started: float, exit_status: int = 0) -> None:
+                     outputs: list[str], started: float, exit_status: int = 0,
+                     model_info: dict | None = None) -> None:
     """Write ``run_record.json``; ``inputs`` maps a name to the path of each
-    input file, recorded by its sha256."""
+    input file, recorded by its sha256. ``config`` holds the settings alone,
+    so it reruns as a config file; what a model command learns of its model
+    (``kind``, ``param_count``) goes under ``model``."""
     digests = {name: hashlib.sha256(Path(path).read_bytes()).hexdigest()
                for name, path in inputs.items()}
     record = {
@@ -152,6 +155,8 @@ def write_run_record(out_dir: Path, command: str, config: dict, inputs: dict,
         "environment": _environment(),
         "exit_status": exit_status,
     }
+    if model_info is not None:
+        record["model"] = model_info
     (out_dir / "run_record.json").write_text(
         json.dumps(record, sort_keys=True, indent=2) + "\n"
     )
@@ -163,14 +168,16 @@ def _dataset_input(manifest: dict) -> dict:
 
 
 def _score_and_record(out: Path, command: str, cfg: dict, inputs: dict, outputs: list[str],
-                      started: float, preds: np.ndarray, targets: np.ndarray) -> None:
+                      started: float, preds: np.ndarray, targets: np.ndarray,
+                      model_info: dict | None = None) -> None:
     """The end of ``solve`` and ``eval``: score the (N, S, S) predictions,
     save the metric files, write the run record and print the summary line."""
     report = metrics.MetricReport()
     report.extend(preds, targets)
     report.save(out, stem="metrics")
     write_run_record(out, command, cfg, inputs,
-                     ["metrics_per_image.csv", "metrics_aggregate.json", *outputs], started)
+                     ["metrics_per_image.csv", "metrics_aggregate.json", *outputs], started,
+                     model_info=model_info)
     agg = report.aggregate()
     click.echo(
         f"{len(report.rows)} samples: psnr {agg['psnr']['mean']:.2f} dB, "
@@ -282,7 +289,8 @@ def _int_list(text: str, flag: str) -> list[int]:
 @click.option("--trials", default=100, type=_INT, show_default=True)
 @_seed_option
 @click.option("--matrix", "emit_matrix", is_flag=True,
-              help="Also emit a gnuplot-ready mean-deviation matrix per kind.")
+              help="Also emit a gnuplot-ready mean-deviation matrix per kind; "
+                   "needs one n.")
 def verify_bound(**cfg):
     """Sweep operator ensembles and check deviation <= delta on exact cells.
 
@@ -292,6 +300,8 @@ def verify_bound(**cfg):
     started = time.monotonic()
     kind_names = [k.strip() for k in cfg["kinds"].split(",") if k.strip()]
     grid = {key: _int_list(cfg[f"{key}_list"], key) for key in ("m", "n", "k")}
+    if cfg["emit_matrix"] and len(grid["n"]) > 1:
+        raise click.UsageError(f"--matrix takes one n, got --n {cfg['n_list']}")
     result = bound_lab.attention_similarity_sweep(
         kinds=kind_names, ms=grid["m"], ns=grid["n"], ks=grid["k"],
         trials=cfg["trials"], seed=cfg["seed"],
@@ -393,6 +403,11 @@ def _parse_skips(mask: str) -> tuple[bool, ...]:
     return tuple(p == "1" for p in parts)
 
 
+def _model_info(kind: str, model_cfg) -> dict:
+    """The run record's ``model`` entry of a model command."""
+    return {"kind": kind, "param_count": model.param_count(kind, model_cfg)}
+
+
 def _model_option(flag: str, **attrs):
     """An option that only the model kinds whose spec lists it read."""
     name = flag[2:].replace("-", "_")
@@ -445,10 +460,10 @@ def train_cmd(**cfg):
             with contextlib.suppress(OSError):
                 out.rmdir()
         raise
-    cfg["param_count"] = model.param_count(cfg["model"], model_cfg)
     write_run_record(out, "train", cfg, _dataset_input(manifest),
                      ["ckpt_best.json", "ckpt_best.json.bin", "ckpt_last.json",
-                      "ckpt_last.json.bin", "epochs.csv"], started)
+                      "ckpt_last.json.bin", "epochs.csv"], started,
+                     model_info=_model_info(cfg["model"], model_cfg))
     last = result.rows[-1]
     click.echo(
         f"epoch {last.epoch}: val_loss {last.val_loss:.6f}, val_ssim {last.val_ssim:.4f} "
@@ -490,11 +505,9 @@ def eval_cmd(**cfg):
             dataset.write_pgm(img_dir / f"{i:04d}_y.pgm", y[i])
             dataset.write_pgm(img_dir / f"{i:04d}_x.pgm", data.x[i])
             dataset.write_pgm(img_dir / f"{i:04d}_xhat.pgm", pred)
-    cfg["param_count"] = model.param_count(model_kind, model_cfg)
-    cfg["model"] = model_kind
     _score_and_record(out, "eval", cfg, {"checkpoint": cfg["checkpoint"],
                                          **_dataset_input(data_manifest)},
-                      [], started, preds, data.x)
+                      [], started, preds, data.x, model_info=_model_info(model_kind, model_cfg))
 
 
 # ---- report --------------------------------------------------------------------
@@ -535,11 +548,13 @@ def report_cmd(runs_dir, out_dir):
                 + ", ".join(_REPORT_FIELDS)
             )
         record = read_json_object(record_file, click.UsageError, "run record")
-        if "command" not in record or not isinstance(record.get("config"), dict):
-            raise click.UsageError(f"{record_file} lacks its command or config object")
-        config = record["config"]
-        kind = config.get("model") or config.get("method") or "?"
-        params = config.get("param_count", "")
+        if "command" not in record or not isinstance(record.get("config"), dict) \
+                or not isinstance(record.get("model", {}), dict):
+            raise click.UsageError(f"{record_file} lacks its command or config object, "
+                                   "or its model entry is no object")
+        info = record.get("model", {})
+        kind = info.get("kind") or record["config"].get("method") or "?"
+        params = info.get("param_count", "")
         md.append(f"| {sub.name} | {kind} | {params} | " + " | ".join(
             f"{agg[f]['mean']:.4g} ± {agg[f]['std']:.2g}" for f in _REPORT_FIELDS) + " |")
         csv_lines.append(f"{sub.name},{record['command']},{kind},{params},"

@@ -25,7 +25,8 @@ KINDS = (ORTHONORMAL_SQUARE, TALL_ORTHONORMAL, GAUSSIAN_FAT, FOURIER_MASKED, DEN
 
 ENUMERATION_CAP = 1_000_000
 
-# Gathered columns per chunk of the exact RIP scan (about 1 MiB).
+# Chunk size of the exact RIP scan: as many supports as would have about
+# 1 MiB of 2k x m column blocks between them.
 _RIP_CHUNK_BYTES = 1 << 20
 
 # Largest-bound supports eigen-solved first per chunk: their delta rules out most of the rest.
@@ -57,7 +58,8 @@ class SensingOperator:
     kept, the arrays read-only too: ``gram``, ``column_norms`` and
     ``lipschitz``. OMP reads the column norms and the Gram's rows;
     proximal gradient applies the Gram once per step and takes its step
-    from the Lipschitz constant.
+    from the Lipschitz constant; the exact ``estimate_rip`` scan gathers
+    every support's Gram from it.
     Equality is identity.
     """
 
@@ -224,34 +226,37 @@ def estimate_rip(op: SensingOperator, k: int, method: str = EXACT_ENUMERATION,
 
     Exact enumeration returns max |lambda - 1| over the eigenvalues of the
     Gram matrix G_S of every size-2k support S; it refuses (never silently
-    falls back) when C(n, 2k) exceeds ENUMERATION_CAP. Supports are unranked
-    in colex order (``_colex_supports``) in chunks holding about 1 MiB of
-    gathered columns (at least one support). Each chunk forms all its Grams
-    in one batched matmul (``_gram_stack``) and, from M_S = G_S - I, the
-    Schatten-4 norm b_S = |M_S^2|_F^(1/2) = (sum lambda^4)^(1/4), which is at
-    least the spectral norm max |lambda - 1|. ``eigvalsh`` runs first on the
-    chunk's _RIP_SEEDS largest-b supports, then on every other support unless
-    b_S + margin < delta, the running maximum; a nan bound is so never
-    skipped.
+    falls back) when C(n, 2k) exceeds ENUMERATION_CAP. G = A^T A is formed
+    once (the operator's ``gram``), and each G_S is the gather G[S][:, S].
+    Supports are unranked in colex order (``_colex_supports``) in chunks of
+    as many supports as have about 1 MiB of columns between them (at least
+    one). Each chunk gathers all its Grams at once and, from M_S = G_S - I,
+    the Schatten-4 norm b_S = |M_S^2|_F^(1/2) = (sum lambda^4)^(1/4), which
+    is at least the spectral norm max |lambda - 1|. ``eigvalsh`` runs first
+    on the chunk's _RIP_SEEDS largest-b supports, then on every other
+    support unless b_S + margin < delta, the running maximum; a nan bound is
+    so never skipped.
 
-    The result is bit for bit the unpruned scan's. Every Gram handed to
-    ``eigvalsh`` is the array the unpruned scan builds, and ``eigvalsh``
-    solves each matrix of a stack on its own. A skipped support's computed
-    |lambda - 1| would exceed b_S by at most O(2k eps |G_S|) of rounding, and
-    |G_S| <= 2k max_j |a_j|^2, so it stays below delta and the maximum does
-    not move. The margin, 1e-9 max(1, max_j |a_j|^2), is absolute because
-    that rounding is: on an isometry delta and b_S are both rounding noise
-    (about 1e-15), and a relative margin would skip supports whose computed
-    deviation is the maximum. Skipping never happens there: while delta is
-    at most the margin after a chunk, the next chunk is solved whole and
-    its bounds are not formed, so an isometry costs one chunk of bounds
-    and a full scan.
+    The result is bit for bit the unpruned scan's over the same Grams, as
+    ``eigvalsh`` solves each matrix of a stack on its own. A skipped
+    support's computed |lambda - 1| would exceed b_S by at most
+    O(2k eps |G_S|) of rounding, and |G_S| <= 2k max_j |a_j|^2, so it stays
+    below delta and the maximum does not move. The margin,
+    1e-9 max(1, max_j |a_j|^2), is absolute because that rounding is: on an
+    isometry delta and b_S are both rounding noise (about 1e-15), and a
+    relative margin would skip supports whose computed deviation is the
+    maximum. Skipping never happens there: while delta is at most the
+    margin after a chunk, the next chunk is solved whole and its bounds are
+    not formed, so an isometry costs one chunk of bounds and a full scan.
 
-    A chunk holds its gathered columns, or its Grams with M_S and M_S^2, at
-    one time, so peak memory stays a few MiB however many supports there
-    are. ``count`` is C(n, 2k), the supports covered. Monte Carlo maxes
-    |(|Az|^2 - 1)| over random unit 2k-sparse draws and is therefore a lower
-    bound.
+    Beside the n x n Gram, a chunk holds its Grams with M_S and M_S^2, so
+    peak memory stays a few MiB however many supports there are. ``count``
+    is C(n, 2k), the supports covered.
+
+    Monte Carlo draws ``budget`` unit 2k-sparse rows z as one block
+    (``unit_ksparse_rows``), maps them all through A in one product and
+    returns max |(|Az|^2 - 1)| over them, a lower bound. The block and its
+    keys, budget x n values each, are held at once.
     """
     if k < 1:
         raise ParameterError(f"RIP needs k >= 1, got {k}")
@@ -267,12 +272,12 @@ def estimate_rip(op: SensingOperator, k: int, method: str = EXACT_ENUMERATION,
                 f"C({op.n}, {order}) = {n_supports} supports exceeds cap {ENUMERATION_CAP}; "
                 "request monte_carlo explicitly instead"
             )
-        columns = np.ascontiguousarray(op.matrix.T)
-        per_chunk = max(1, _RIP_CHUNK_BYTES // (order * op.m * columns.itemsize))
-        margin = 1e-9 * max(1.0, float(np.max(np.einsum("ij,ij->i", columns, columns))))
+        gram = op.gram
+        per_chunk = max(1, _RIP_CHUNK_BYTES // (order * op.m * gram.itemsize))
+        margin = 1e-9 * max(1.0, float(np.max(np.diagonal(gram))))
         delta = 0.0
         for i, supports in enumerate(_colex_supports(op.n, order, per_chunk)):
-            grams = _gram_stack(columns, supports)
+            grams = gram[supports[:, :, None], supports[:, None, :]]
             if i and delta <= margin:
                 # no bound can fall below delta - margin: every support is solved
                 delta = _max_eig_deviation(grams, delta)
@@ -289,26 +294,34 @@ def estimate_rip(op: SensingOperator, k: int, method: str = EXACT_ENUMERATION,
         if budget < 1:
             raise ParameterError(f"monte_carlo budget must be >= 1, got {budget}")
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0xB1,)))
-        delta = 0.0
-        for _ in range(budget):
-            support = rng.choice(op.n, size=order, replace=False)
-            z = rng.standard_normal(order)
-            z /= np.linalg.norm(z)
-            az = op.matrix[:, support] @ z
-            delta = max(delta, abs(float(az @ az) - 1.0))
+        az = unit_ksparse_rows(rng, budget, op.n, order) @ op.matrix.T
+        delta = float(np.max(np.abs(np.einsum("ij,ij->i", az, az) - 1.0)))
         return RipEstimate(order=order, delta=delta, method=method, count=budget)
     raise ParameterError(f"unknown RIP method {method!r}")
 
 
-def _gram_stack(columns: np.ndarray, supports: np.ndarray) -> np.ndarray:
-    """One Gram matrix per row of ``supports``, whose entries index the rows of
-    ``columns`` (A^T).
+def unit_ksparse_rows(rng: np.random.Generator, count: int, n: int, k: int) -> np.ndarray:
+    """``count`` unit-norm k-sparse rows of length n, drawn as one block.
 
-    The gathered (len, 2k, m) stack is local, so it is freed before the
-    caller's eigvalsh runs and never overlaps the next chunk's.
+    All count x n keys come from one ``rng.random`` call, then all count x k
+    values from one ``rng.standard_normal`` call. Row i's support is the
+    indices of its k smallest keys, so every k-subset of range(n) is equally
+    likely; value j of row i lands on the support's j-th smallest index,
+    and the row is scaled to unit norm. k = 0 gives zero rows; k > n raises
+    ParameterError.
     """
-    sub_t = columns[supports]
-    return sub_t @ sub_t.transpose(0, 2, 1)
+    if not 0 <= k <= n:
+        raise ParameterError(f"a k-sparse row of length {n} needs 0 <= k <= {n}, got k={k}")
+    keys = rng.random((count, n))
+    vals = rng.standard_normal((count, k))
+    # sorted, the supports do not depend on the order argpartition leaves them in
+    # (k = 0 partitions at the last key and keeps none)
+    supports = np.sort(np.argpartition(keys, k - 1)[:, :k])
+    rows = np.zeros((count, n))
+    # each row's squared norm by the same dot routine as ``vals[i] @ vals[i]``
+    norms = np.sqrt((vals[:, None, :] @ vals[:, :, None])[:, 0, 0])
+    np.put_along_axis(rows, supports, vals / norms[:, None], axis=1)
+    return rows
 
 
 def _schatten4_deviation(grams: np.ndarray) -> np.ndarray:

@@ -178,13 +178,15 @@ def test_sweep_matrix_output():
 # ---- stacked trials -------------------------------------------------------------
 
 
-def _unit_ksparse_one(rng, n, k):
-    """One draw the way the per-trial sweep drew it: support, then values."""
-    x = np.zeros(n)
-    support = rng.choice(n, size=k, replace=False)
-    vals = rng.standard_normal(k)
-    x[support] = vals / np.linalg.norm(vals)
-    return x
+def _unit_ksparse_reference(rng, count, n, k):
+    """The block draw row by row: the same key and value blocks, each row's
+    support by a full sort of its keys, its values normalised one at a time."""
+    keys = rng.random((count, n))
+    vals = rng.standard_normal((count, k))
+    rows = np.zeros((count, n))
+    for key, val, row in zip(keys, vals, rows):
+        row[np.sort(np.argsort(key)[:k])] = val / np.linalg.norm(val)
+    return rows
 
 
 def _pair_reference(op, x, xp):
@@ -203,9 +205,8 @@ def _pair_reference(op, x, xp):
 
 @pytest.mark.parametrize("n, k", [(16, 1), (16, 3), (12, 6)])
 def test_stacked_draw_matches_single_draws_bit_for_bit(n, k):
-    stacked = bound_lab._unit_ksparse(np.random.default_rng(4), 37, n, k)
-    rng = np.random.default_rng(4)
-    loop = np.stack([_unit_ksparse_one(rng, n, k) for _ in range(37)])
+    stacked = sensing.unit_ksparse_rows(np.random.default_rng(4), 37, n, k)
+    loop = _unit_ksparse_reference(np.random.default_rng(4), 37, n, k)
     assert stacked.tobytes() == loop.tobytes()
 
 
@@ -219,7 +220,7 @@ def test_stacked_deviations_match_per_pair_reference(kind, m):
     n, k = 16, 2
     op = sensing.sample_operator(kind, m, n, seed=5)
     delta = sensing.estimate_rip(op, k, sensing.EXACT_ENUMERATION).delta
-    pairs = bound_lab._unit_ksparse(np.random.default_rng(6), 2 * 60, n, k)
+    pairs = sensing.unit_ksparse_rows(np.random.default_rng(6), 2 * 60, n, k)
     # the last rows pair x with x' = x and with x' = -x, where the polarized
     # route collapses to 4|Ax|^2 and to -4|Ax|^2
     xs = np.concatenate([pairs[0::2], pairs[:5], pairs[:5]])
@@ -239,7 +240,7 @@ def test_stacked_deviations_match_per_pair_reference(kind, m):
 @pytest.mark.parametrize("side, label", [(0, "x"), (1, "x'")])
 def test_stacked_deviations_reject_a_non_unit_row(side, label):
     op = sensing.sample_operator(sensing.GAUSSIAN_FAT, 8, 12, seed=9)
-    stacks = [bound_lab._unit_ksparse(np.random.default_rng(s), 5, 12, 2) for s in (1, 2)]
+    stacks = [sensing.unit_ksparse_rows(np.random.default_rng(s), 5, 12, 2) for s in (1, 2)]
     stacks[side][3] *= 1.5
     with pytest.raises(ContractError, match=rf"^{label} must be unit-norm.*row 3"):
         bound_lab.pair_deviations(op, *stacks)
@@ -249,8 +250,8 @@ def test_stacked_deviations_reject_routes_that_disagree():
     # entries of 1e8 put the polarized route's rounding near 1e-4, far past 1e-12
     good = sensing.sample_operator(sensing.GAUSSIAN_FAT, 8, 12, seed=9)
     op = sensing.SensingOperator(good.kind, good.m, good.n, good.seed, good.matrix * 1e8)
-    xs = bound_lab._unit_ksparse(np.random.default_rng(1), 5, 12, 2)
-    xps = bound_lab._unit_ksparse(np.random.default_rng(2), 5, 12, 2)
+    xs = sensing.unit_ksparse_rows(np.random.default_rng(1), 5, 12, 2)
+    xps = sensing.unit_ksparse_rows(np.random.default_rng(2), 5, 12, 2)
     with pytest.raises(ContractError, match="deviation routes disagree"):
         bound_lab.pair_deviations(op, xs, xps)
     bound_lab.pair_deviations(good, xs, xps)
@@ -261,8 +262,8 @@ def test_cell_matches_per_trial_loop():
     cell = bound_lab._run_cell(kind, m, n, k, index, trials, seed)
     rng = np.random.default_rng(bound_lab._cell_rng_seed(seed, index))
     op = sensing.sample_operator(kind, m, n, int(rng.integers(0, 2**31 - 1)))
-    ref = np.array([_pair_reference(op, _unit_ksparse_one(rng, n, k),
-                                    _unit_ksparse_one(rng, n, k)) for _ in range(trials)])
+    rows = _unit_ksparse_reference(rng, 2 * trials, n, k)
+    ref = np.array([_pair_reference(op, x, xp) for x, xp in zip(rows[0::2], rows[1::2])])
     assert cell.trials == trials and cell.delta_is_exact
     np.testing.assert_allclose([cell.mean_dev, cell.max_dev, cell.postsoftmax_mean_dev],
                                [ref[:, 0].mean(), ref[:, 0].max(), ref[:, 1].mean()],

@@ -204,6 +204,20 @@ def test_verify_bound_matrix_output(runner, tmp_path):
     assert (out / "matrix_gaussian_fat.txt").exists()
 
 
+def test_verify_bound_matrix_refuses_more_than_one_n(runner, tmp_path):
+    # a matrix row per m would mix cells of different n
+    out = tmp_path / "vb"
+    res = runner.invoke(main, [
+        "verify-bound", "--out", str(out), "--kinds", "gaussian_fat",
+        "--m", "6,8", "--n", "8,12", "--k", "1,2", "--trials", "5", "--matrix",
+    ])
+    assert res.exit_code == 2, res.output
+    assert [line for line in res.output.splitlines() if line.startswith("Error:")] == [
+        "Error: --matrix takes one n, got --n 8,12"]
+    assert not out.exists()
+    assert "one n" in runner.invoke(main, ["verify-bound", "--help"]).output
+
+
 def test_solve_identity_omp_psnr_capped(runner, tmp_path):
     data = _gen(runner, tmp_path / "ds", extra=["--operator", "identity"])
     out = tmp_path / "run"
@@ -307,7 +321,8 @@ def test_train_writes_outputs_and_log(runner, small_dataset, tmp_path):
     assert len(log) == 3
     assert (out / "ckpt_best.json").exists() and (out / "ckpt_last.json.bin").exists()
     record = json.loads((out / "run_record.json").read_text())
-    assert record["config"]["param_count"] > 0
+    assert record["model"]["kind"] == "trust" and record["model"]["param_count"] > 0
+    assert "param_count" not in record["config"]
 
 
 def test_train_zero_lr_flat_log(runner, small_dataset, tmp_path):
@@ -960,7 +975,9 @@ def test_run_record_leaves_out_the_settings_its_choice_does_not_read(
 
 @pytest.mark.parametrize("command,choice", [("gen-data", "--operator gaussian"),
                                             ("solve", "--method fista"),
-                                            ("solve", "--operator known")])
+                                            ("solve", "--operator known"),
+                                            ("train", "--model unet"),
+                                            ("eval", "--split val")])
 def test_run_record_config_reruns_as_a_config_file(runner, small_dataset, tmp_path, command,
                                                    choice):
     flags = _run_choosing(command, choice, tmp_path, small_dataset)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from trustkit import bound_lab, sensing
+from trustkit import sensing
 from trustkit.errors import DimensionError, EnumerationCapExceeded, ParameterError
 
 
@@ -221,9 +221,11 @@ def _rip_per_support_loop(op, k):
 
 
 def _rip_unpruned_stack(op, k):
-    """Reference exact scan: eigvalsh of the Grams of every support, one stack."""
+    """Reference exact scan: eigvalsh of the Grams of every support, one
+    stack, each Gram the product of the support's gathered columns."""
     supports = np.array(list(combinations(range(op.n), 2 * k)), dtype=np.intp)
-    eigs = np.linalg.eigvalsh(sensing._gram_stack(np.ascontiguousarray(op.matrix.T), supports))
+    sub_t = np.ascontiguousarray(op.matrix.T)[supports]
+    eigs = np.linalg.eigvalsh(sub_t @ sub_t.transpose(0, 2, 1))
     return max(0.0, float(np.max(np.abs(eigs - 1.0))))
 
 
@@ -379,30 +381,61 @@ def test_rip_rejects_k_below_one(method, k):
         sensing.estimate_rip(op, k, method=method)
 
 
-# k-sparse draws: bound_lab._unit_ksparse is the one drawer of unit k-sparse rows
+# k-sparse draws: sensing.unit_ksparse_rows is the one drawer of unit k-sparse rows
 
 
 def test_ksparse_zero_k():
-    rows = bound_lab._unit_ksparse(np.random.default_rng(0), 3, 10, 0)
+    rows = sensing.unit_ksparse_rows(np.random.default_rng(0), 3, 10, 0)
     assert np.array_equal(rows, np.zeros((3, 10)))
 
 
 def test_ksparse_normalized():
-    rows = bound_lab._unit_ksparse(np.random.default_rng(4), 20, 50, 7)
+    rows = sensing.unit_ksparse_rows(np.random.default_rng(4), 20, 50, 7)
     assert np.all(np.abs(np.linalg.norm(rows, axis=1) - 1.0) < 1e-12)
     assert np.all(np.count_nonzero(rows, axis=1) == 7)  # zero off the support
 
 
 def test_ksparse_k_exceeds_n():
     with pytest.raises(ValueError):
-        bound_lab._unit_ksparse(np.random.default_rng(0), 1, 4, 5)
+        sensing.unit_ksparse_rows(np.random.default_rng(0), 1, 4, 5)
 
 
 def test_ksparse_support_uniform():
     # statistical oracle: each index appears ~ draws*k/n times, within 3-sigma
     n, k, draws = 12, 3, 20_000
-    counts = np.count_nonzero(bound_lab._unit_ksparse(np.random.default_rng(0), draws, n, k),
+    counts = np.count_nonzero(sensing.unit_ksparse_rows(np.random.default_rng(0), draws, n, k),
                               axis=0)
     p = k / n
     sigma = math.sqrt(draws * p * (1 - p))
     assert np.all(np.abs(counts - draws * p) < 3 * sigma)
+
+
+def test_ksparse_every_subset_is_equally_likely():
+    # chi-square over the C(6, 3) = 20 supports, 19 degrees of freedom:
+    # 43.82 is the 0.999 quantile
+    n, k, draws = 6, 3, 20_000
+    rows = sensing.unit_ksparse_rows(np.random.default_rng(3), draws, n, k)
+    support_ids = (rows != 0) @ (1 << np.arange(n))
+    subsets = [sum(1 << i for i in s) for s in combinations(range(n), k)]
+    counts = np.array([np.count_nonzero(support_ids == s) for s in subsets])
+    assert counts.sum() == draws
+    expected = draws / len(subsets)
+    assert np.sum((counts - expected) ** 2 / expected) < 43.82
+
+
+def test_ksparse_same_seed_same_bytes():
+    a, b = (sensing.unit_ksparse_rows(np.random.default_rng(11), 50, 16, 3) for _ in range(2))
+    assert a.tobytes() == b.tobytes()
+    assert a.tobytes() != sensing.unit_ksparse_rows(np.random.default_rng(12), 50, 16, 3).tobytes()
+
+
+@settings(max_examples=40)
+@given(st.integers(2, 10).flatmap(lambda m: st.integers(2, 10).flatmap(
+    lambda n: st.tuples(arrays(np.float64, (m, n), elements=st.floats(-2.0, 2.0, width=64)),
+                        st.integers(1, min(m, n) // 2), st.integers(0, 2**32 - 1)))))
+def test_rip_monte_carlo_never_exceeds_exact(case):
+    matrix, k, seed = case
+    op = sensing.SensingOperator(sensing.DENSE, *matrix.shape, seed=0, matrix=matrix)
+    mc = sensing.estimate_rip(op, k, sensing.MONTE_CARLO, budget=300, seed=seed)
+    assert mc.count == 300
+    assert mc.delta <= sensing.estimate_rip(op, k).delta + 1e-12
