@@ -17,7 +17,7 @@ entry that names no setting of the command is a usage error, and so is
 and ``emit_images`` take it).
 
 A setting that only some choices of another read (``--keep`` only
-``--operator fourier``; a model kind's are those its ``ModelSpec`` lists)
+``--operator fourier_masked``; a model kind's are those its ``ModelSpec`` lists)
 says so in its ``--help``. Given, as a flag or a config entry, to a run of
 another choice, it is a usage error; left at its default, it is left out of
 that run's settings and record.
@@ -55,12 +55,6 @@ _USAGE_ERRORS = (ParameterError, DatasetError, CheckpointError, DimensionError,
                  SingularMatrixError, EnumerationCapExceeded)
 
 _LOSS_TOKENS = {"l2": "l2", "l2l1": "l2_l1", "l2ssim": "l2_ssim"}
-_OPERATOR_TOKENS = {
-    "gaussian": sensing.DENSE,
-    "orthonormal": sensing.ORTHONORMAL_SQUARE,
-    "fourier": sensing.FOURIER_MASKED,
-    "identity": sensing.IDENTITY,
-}
 
 
 class _Owned(click.Option):
@@ -244,10 +238,14 @@ main.command_class = _Command
 @click.option("--train", default=2000, type=_INT, show_default=True)
 @click.option("--val", default=400, type=_INT, show_default=True)
 @click.option("--test", default=400, type=_INT, show_default=True)
-@click.option("--operator", default="gaussian", show_default=True,
-              type=click.Choice(list(_OPERATOR_TOKENS)))
+@click.option("--operator", default=sensing.DENSE, show_default=True,
+              type=click.Choice(dataset.OPERATOR_KINDS),
+              help="Sensing operator kind; its m measurements of an SxS image, n = S^2: "
+                   + ", ".join(f"{kind} {rule}" for kind, (_, rule)
+                               in dataset.MEASUREMENTS.items()) + ".")
 @click.option("--keep", default=0.25, show_default=True, type=_FINITE, cls=_Owned,
-              owner="operator", owners=("fourier",), help="Kept-frequency fraction.")
+              owner="operator", owners=(sensing.FOURIER_MASKED,),
+              help="Kept-frequency fraction, in (0, 1].")
 @click.option("--noise-sigma", default=0.0, show_default=True, type=_FINITE)
 @_seed_option
 @click.option("--dtype", default="f32", type=click.Choice(dataset.DTYPES), show_default=True)
@@ -256,7 +254,7 @@ def gen_data(**cfg):
     started = time.monotonic()
     spec = dataset.DatasetSpec(
         image_size=cfg["image_size"], train=cfg["train"], val=cfg["val"],
-        test=cfg["test"], operator_kind=_OPERATOR_TOKENS[cfg["operator"]],
+        test=cfg["test"], operator_kind=cfg["operator"],
         operator_keep=cfg.get("keep", dataset.DatasetSpec.operator_keep),
         noise_sigma=cfg["noise_sigma"], seed=cfg["seed"], dtype=cfg["dtype"],
     )

@@ -6,19 +6,23 @@ optional noise, affine-normalized into [0, 1] with the constants stored so
 the raw measurement can be recovered. A split stores them as an (N, m)
 block; only a square operator (m = S^2) gives the image stack the models
 read.
+
+``MEASUREMENTS`` is the one description of each operator kind a dataset
+can have: its m for an n-pixel image. ``OPERATOR_KINDS`` lists its keys.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import metrics, sensing
-from .errors import DatasetError, DimensionError, ParameterError, is_int, read_json_object
+from .errors import DatasetError, ParameterError, is_int, read_json_object
 
 MANIFEST_VERSION = 2
 SPLITS = ("train", "val", "test")
@@ -33,11 +37,27 @@ class TargetSpec:
     sigma: tuple[float, float] = (0.5, 1.5)
 
     def __post_init__(self):
-        object.__setattr__(self, "num_blobs", tuple(self.num_blobs))
-        object.__setattr__(self, "amplitude", tuple(self.amplitude))
-        object.__setattr__(self, "sigma", tuple(self.sigma))
-        if self.num_blobs[0] < 0 or self.num_blobs[0] > self.num_blobs[1]:
-            raise ParameterError(f"invalid blob count range {self.num_blobs}")
+        for name, valid, what in (("num_blobs", lambda v: is_int(v, 0), "blob counts >= 0"),
+                                  ("amplitude", math.isfinite, "finite amplitudes"),
+                                  ("sigma", lambda v: math.isfinite(v) and v > 0,
+                                   "finite sigmas > 0")):
+            pair = tuple(getattr(self, name))
+            object.__setattr__(self, name, pair)
+            if not (len(pair) == 2 and all(map(valid, pair)) and pair[0] <= pair[1]):
+                raise ParameterError(f"{name} must be a (low, high) range of {what}, got {pair}")
+
+
+# kind -> (m of its operator on an n-pixel image, given the fourier_masked keep
+# fraction; that rule as --help states it)
+MEASUREMENTS = {
+    sensing.DENSE: (lambda n, keep: n, "n"),
+    sensing.GAUSSIAN_FAT: (lambda n, keep: n // 2, "n // 2"),
+    sensing.ORTHONORMAL_SQUARE: (lambda n, keep: n, "n"),
+    sensing.FOURIER_MASKED: (lambda n, keep: 2 * max(1, round(keep * n)),
+                             "2 * max(1, round(keep * n))"),
+    sensing.IDENTITY: (lambda n, keep: n, "n"),
+}
+OPERATOR_KINDS = tuple(MEASUREMENTS)
 
 
 @dataclass(frozen=True)
@@ -54,28 +74,30 @@ class DatasetSpec:
     target: TargetSpec = field(default_factory=TargetSpec)
 
     def __post_init__(self):
-        if self.image_size < metrics.SSIM_WINDOW:
-            raise ParameterError(f"image_size must be >= {metrics.SSIM_WINDOW}, the SSIM "
-                                 f"window every score uses, got {self.image_size}")
-        if self.train < 1 or self.val < 1 or self.test < 1:
-            raise ParameterError("split counts must be >= 1")
+        if not is_int(self.image_size, metrics.SSIM_WINDOW):
+            raise ParameterError(f"image_size must be an integer >= {metrics.SSIM_WINDOW}, "
+                                 f"the SSIM window every score uses, got {self.image_size!r}")
+        if not all(is_int(count, 1) for count in (self.train, self.val, self.test)):
+            raise ParameterError(f"split counts must be integers >= 1, got {self.train!r}, "
+                                 f"{self.val!r}, {self.test!r}")
+        if not is_int(self.seed, 0):
+            raise ParameterError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.dtype not in DTYPES:
             raise ParameterError(f"dtype must be f32 or f64, got {self.dtype!r}")
+        if self.operator_kind not in MEASUREMENTS:
+            raise ParameterError(f"unsupported dataset operator kind {self.operator_kind!r}; "
+                                 f"choose from {OPERATOR_KINDS}")
+        if self.operator_kind == sensing.FOURIER_MASKED and not 0 < self.operator_keep <= 1:
+            raise ParameterError(f"keep fraction must be in (0, 1], got {self.operator_keep}")
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise ParameterError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
 
     def build_operator(self) -> sensing.SensingOperator:
         n = self.image_size**2
-        op_seed = int(
-            np.random.default_rng(
-                np.random.SeedSequence(entropy=self.seed, spawn_key=(0x20,))
-            ).integers(0, 2**31 - 1)
-        )
-        if self.operator_kind == sensing.FOURIER_MASKED:
-            return sensing.fourier_from_keep(n, self.operator_keep, op_seed)
-        if self.operator_kind in (sensing.DENSE, sensing.ORTHONORMAL_SQUARE, sensing.IDENTITY):
-            return sensing.sample_operator(self.operator_kind, n, n, op_seed)
-        if self.operator_kind == sensing.GAUSSIAN_FAT:
-            return sensing.sample_operator(self.operator_kind, n // 2, n, op_seed)
-        raise ParameterError(f"unsupported dataset operator kind {self.operator_kind!r}")
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=self.seed, spawn_key=(0x20,)))
+        op_seed = int(rng.integers(0, 2**31 - 1))
+        m = MEASUREMENTS[self.operator_kind][0](n, self.operator_keep)
+        return sensing.sample_operator(self.operator_kind, m, n, op_seed)
 
 
 @dataclass(frozen=True)
@@ -136,25 +158,6 @@ def gen_target(spec: TargetSpec, image_size: int, seed) -> np.ndarray:
     return np.clip(img, 0.0, 1.0)
 
 
-def _normalize(y_raw: np.ndarray) -> tuple[np.ndarray, float, float]:
-    """Affine map into [0, 1] whose range holds 0 as well as y_raw; the
-    identity when y_raw is already inside."""
-    offset = min(float(y_raw.min()), 0.0)
-    scale = max(max(float(y_raw.max()), 0.0) - offset, 1.0)
-    return (y_raw - offset) / scale, scale, offset
-
-
-def gen_pair(op: sensing.SensingOperator, target: np.ndarray, noise_sigma: float,
-             rng: np.random.Generator | None = None) -> tuple[np.ndarray, float, float]:
-    """Observation of one target: the m-vector y = A vec(x) + w, normalized.
-    Returns y with its (scale, offset)."""
-    n = target.size
-    if op.n != n:
-        raise DimensionError(f"operator expects n={op.n}, target has {n} pixels")
-    y_raw = sensing.apply(op, target.reshape(-1), noise_sigma=noise_sigma, rng=rng)
-    return _normalize(y_raw)
-
-
 def _derived_seed(global_seed: int, split: str, index: int, noise: bool = False):
     key = (_SPLIT_KEY[split], index, 1 if noise else 0)
     return np.random.SeedSequence(entropy=global_seed, spawn_key=key)
@@ -162,21 +165,33 @@ def _derived_seed(global_seed: int, split: str, index: int, noise: bool = False)
 
 def generate_split(spec: DatasetSpec, op: sensing.SensingOperator, split: str,
                    count: int) -> Split:
+    """The ``count`` samples of one split, each target and noise vector drawn
+    from its sample's seed. One ``sensing.apply`` measures the stack; each row
+    maps affinely into [0, 1] by a range that also holds 0 (the identity when
+    the row is already inside)."""
     s = spec.image_size
-    data = Split(x=np.empty((count, s, s)), y=np.empty((count, op.m)),
-                 scale=np.empty(count), offset=np.empty(count))
+    x = np.empty((count, s, s))
+    for index in range(count):
+        x[index] = gen_target(spec.target, s, _derived_seed(spec.seed, split, index))
+    y = sensing.apply(op, x.reshape(count, -1))
     # noise that overflows the observations is refused below, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
-        for index in range(count):
-            data.x[index] = gen_target(spec.target, s, _derived_seed(spec.seed, split, index))
-            noise_rng = np.random.default_rng(_derived_seed(spec.seed, split, index, noise=True))
-            data.y[index], data.scale[index], data.offset[index] = gen_pair(
-                op, data.x[index], spec.noise_sigma, rng=noise_rng)
-    if not all(np.isfinite(a).all() for a in (data.y, data.scale, data.offset)):
-        raise ParameterError(
-            f"noise_sigma {spec.noise_sigma} overflows the {split} observations"
-        )
-    return data
+        if spec.noise_sigma > 0:
+            noise = np.empty_like(y)
+            for index in range(count):
+                rng = np.random.default_rng(_derived_seed(spec.seed, split, index, noise=True))
+                noise[index] = rng.standard_normal(op.m)
+            y += spec.noise_sigma * noise
+        # Python's min(v, 0.0) and max(v, c): np.minimum and np.maximum turn -0.0 into 0.0
+        low, high = y.min(axis=1), y.max(axis=1)
+        offset = np.where(low > 0.0, 0.0, low)
+        span = np.where(high < 0.0, 0.0, high) - offset
+        scale = np.where(span < 1.0, 1.0, span)
+        y -= offset[:, None]
+        y /= scale[:, None]
+    if not all(np.isfinite(a).all() for a in (y, scale, offset)):
+        raise ParameterError(f"noise_sigma {spec.noise_sigma} overflows the {split} observations")
+    return Split(x=x, y=y, scale=scale, offset=offset)
 
 
 def _pair_dtype(dtype: str):

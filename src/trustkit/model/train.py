@@ -117,10 +117,9 @@ def evaluate(model_kind: str, params: dict[str, nd.Tensor], model_cfg,
         x = targets[lo : lo + len(pred.data)]
         losses.extend(sample_losses(train_cfg.loss_kind, pred, x).data.tolist())
         report.extend(pred.data, x)
-    n = max(len(losses), 1)
-    return (math.fsum(losses) / n,
-            *(math.fsum(getattr(r, name) for r in report.rows) / n
-              for name in ("ssim", "psnr", "fpr")))
+    agg = report.aggregate()
+    return (math.fsum(losses) / max(len(losses), 1),
+            *(agg[name]["mean"] for name in ("ssim", "psnr", "fpr")))
 
 
 def batch_loss(model_kind: str, params: dict[str, nd.Tensor], model_cfg,

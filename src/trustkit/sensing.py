@@ -1,4 +1,8 @@
-"""Sensing operators and isometry-constant estimation."""
+"""Sensing operators and isometry-constant estimation.
+
+``_KINDS`` is the one description of each operator kind: the shapes it
+has members of, and how a member is drawn. ``KINDS`` lists its keys.
+"""
 
 from __future__ import annotations
 
@@ -21,12 +25,10 @@ FOURIER_MASKED = "fourier_masked"
 DENSE = "dense"  # free-shape Gaussian draw or estimated map; no ensemble invariant
 IDENTITY = "identity"
 
-KINDS = (ORTHONORMAL_SQUARE, TALL_ORTHONORMAL, GAUSSIAN_FAT, FOURIER_MASKED, DENSE, IDENTITY)
-
 ENUMERATION_CAP = 1_000_000
 
-# Chunk size of the exact RIP scan: as many supports as would have about
-# 1 MiB of 2k x m column blocks between them.
+# Chunk size of the RIP estimates: as many supports as would have about 1 MiB
+# of 2k x m column blocks between them, or Monte-Carlo rows of n float64 keys.
 _RIP_CHUNK_BYTES = 1 << 20
 
 # Largest-bound supports eigen-solved first per chunk: their delta rules out most of the rest.
@@ -35,16 +37,6 @@ _RIP_SEEDS = 32
 # Largest m * n materialized (2 GiB of float64): admits the 16384 x 16384
 # operator of a 128 px image and refuses the 32 GiB one of a 256 px image.
 MAX_OPERATOR_ENTRIES = 2**28
-
-# kind -> (predicate on m, n, the requirement it states)
-_SHAPE_RULES = {
-    ORTHONORMAL_SQUARE: (lambda m, n: m == n, "m == n"),
-    TALL_ORTHONORMAL: (lambda m, n: m >= n, "m >= n"),
-    GAUSSIAN_FAT: (lambda m, n: m < n, "m < n"),
-    FOURIER_MASKED: (lambda m, n: m % 2 == 0 and 0 < m <= 2 * n, "even m with 0 < m <= 2n"),
-    DENSE: (lambda m, n: True, "any shape"),
-    IDENTITY: (lambda m, n: m == n, "m == n"),
-}
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,102 +95,89 @@ class SensingOperator:
         return solvers.lipschitz_constant(self.matrix, gram=self.gram)
 
 
+def _gaussian(rng: np.random.Generator, m: int, n: int) -> tuple[np.ndarray, None]:
+    """i.i.d. N(0, 1/m) entries."""
+    a = rng.standard_normal((m, n))
+    a /= math.sqrt(m)  # in place: the same bytes as dividing, without a second m x n array
+    return a, None
+
+
+def _orthonormal(rng: np.random.Generator, m: int, n: int) -> tuple[np.ndarray, None]:
+    """Orthonormal columns from the QR factorization of a Gaussian draw, the
+    R-diagonal signs fixed so the result is canonical."""
+    q, r = np.linalg.qr(rng.standard_normal((m, n)))
+    return q * np.sign(np.diag(r)), None
+
+
+def _masked_fourier(rng: np.random.Generator, m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The real and imaginary parts, as separate rows, of the unitary-DFT rows
+    of m // 2 frequencies sampled without replacement, weighted toward DC;
+    and the sorted frequency indices.
+
+    Rows are rescaled by sqrt(n / kept) so a generic unit vector keeps unit
+    energy on average; the adjoint is then the (scaled) zero-filled inverse
+    DFT restricted to the kept coefficients.
+    """
+    freq_dist = np.minimum(np.arange(n), n - np.arange(n))
+    weights = np.exp(-0.5 * (freq_dist / max(1.0, n / 8.0)) ** 2) + 1e-6
+    mask = np.sort(rng.choice(n, size=m // 2, replace=False, p=weights / weights.sum()))
+    phases = -2.0 * np.pi * np.outer(mask, np.arange(n)) / n
+    scale = math.sqrt(n / len(mask)) / math.sqrt(n)
+    a = np.empty((m, n))
+    a[0::2] = np.cos(phases) * scale
+    a[1::2] = np.sin(phases) * scale
+    return a, mask
+
+
+# kind -> (predicate on m, n; the requirement it states; its draw (rng, m, n) -> (A, mask))
+_KINDS = {
+    ORTHONORMAL_SQUARE: (lambda m, n: m == n, "m == n", _orthonormal),
+    TALL_ORTHONORMAL: (lambda m, n: m >= n, "m >= n", _orthonormal),
+    GAUSSIAN_FAT: (lambda m, n: m < n, "m < n", _gaussian),
+    FOURIER_MASKED: (lambda m, n: m % 2 == 0 and 0 < m <= 2 * n, "even m with 0 < m <= 2n",
+                     _masked_fourier),
+    DENSE: (lambda m, n: True, "any shape", _gaussian),
+    IDENTITY: (lambda m, n: m == n, "m == n", lambda rng, m, n: (np.eye(n), None)),
+}
+KINDS = tuple(_KINDS)
+
+
 def shape_violation(kind: str, m: int, n: int) -> str | None:
     """Why the ensemble ``kind`` has no m x n member, or None when it has one.
 
     Raises ParameterError for an unknown kind and for a matrix of more than
     MAX_OPERATOR_ENTRIES entries, so no caller allocates one.
     """
-    if kind not in _SHAPE_RULES:
+    if kind not in _KINDS:
         raise ParameterError(f"unknown operator kind {kind!r}; choose from {KINDS}")
     if m * n > MAX_OPERATOR_ENTRIES:
         raise ParameterError(
             f"a {m}x{n} operator has {m * n} entries, more than the "
             f"{MAX_OPERATOR_ENTRIES} a dense float64 matrix may hold"
         )
-    holds, requirement = _SHAPE_RULES[kind]
+    holds, requirement, _ = _KINDS[kind]
     return None if holds(m, n) else f"{kind} requires {requirement}, got {m}x{n}"
 
 
 def sample_operator(kind: str, m: int, n: int, seed: int) -> SensingOperator:
-    """Draw a deterministic operator of the given ensemble.
-
-    Gaussian entries are i.i.d. N(0, 1/m); orthonormal kinds come from the
-    QR factorization of a Gaussian draw (R-diagonal signs fixed so the
-    result is canonical). The shape must pass ``shape_violation``.
-    """
+    """Draw a deterministic m x n operator of the ensemble ``kind``, by its
+    draw in ``_KINDS``. The shape must pass ``shape_violation``."""
     violation = shape_violation(kind, m, n)
     if violation:
         raise ParameterError(violation)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
-    mask = None
-    if kind == ORTHONORMAL_SQUARE:
-        a = _orthonormal_columns(rng, n, n)
-    elif kind == TALL_ORTHONORMAL:
-        a = _orthonormal_columns(rng, m, n)
-    elif kind == FOURIER_MASKED:
-        mask = _center_weighted_mask(rng, n, m // 2)
-        a = _fourier_rows(n, mask)
-    elif kind == IDENTITY:
-        a = np.eye(n)
-    else:  # GAUSSIAN_FAT, DENSE: i.i.d. Gaussian (DENSE is the square forward model)
-        a = rng.standard_normal((m, n))
-        a /= math.sqrt(m)  # in place: the same bytes as dividing, without a second m x n array
+    a, mask = _KINDS[kind][2](rng, m, n)
     return SensingOperator(kind, m, n, seed, np.ascontiguousarray(a), mask=mask)
 
 
-def fourier_from_keep(n: int, keep: float, seed: int) -> SensingOperator:
-    """Masked-Fourier operator keeping roughly `keep * n` frequencies."""
-    if not 0 < keep <= 1:
-        raise ParameterError(f"keep fraction must be in (0, 1], got {keep}")
-    kept = max(1, round(keep * n))
-    return sample_operator(FOURIER_MASKED, 2 * kept, n, seed)
-
-
-def _orthonormal_columns(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    q, r = np.linalg.qr(rng.standard_normal((rows, cols)))
-    return q * np.sign(np.diag(r))
-
-
-def _center_weighted_mask(rng: np.random.Generator, n: int, kept: int) -> np.ndarray:
-    """Frequency indices sampled without replacement, weighted toward DC."""
-    freq_dist = np.minimum(np.arange(n), n - np.arange(n))
-    weights = np.exp(-0.5 * (freq_dist / max(1.0, n / 8.0)) ** 2) + 1e-6
-    idx = rng.choice(n, size=kept, replace=False, p=weights / weights.sum())
-    return np.sort(idx)
-
-
-def _fourier_rows(n: int, mask: np.ndarray) -> np.ndarray:
-    """Real/imaginary parts of kept unitary-DFT rows, stacked as separate rows.
-
-    Rows are rescaled by sqrt(n / kept) so a generic unit vector keeps unit
-    energy on average; the adjoint is then the (scaled) zero-filled inverse
-    DFT restricted to the kept coefficients.
-    """
-    t = np.arange(n)
-    phases = -2.0 * np.pi * np.outer(mask, t) / n
-    scale = math.sqrt(n / len(mask)) / math.sqrt(n)
-    a = np.empty((2 * len(mask), n))
-    a[0::2] = np.cos(phases) * scale
-    a[1::2] = np.sin(phases) * scale
-    return a
-
-
-def apply(op: SensingOperator, x: np.ndarray, noise_sigma: float = 0.0,
-          rng: np.random.Generator | None = None) -> np.ndarray:
-    """y = A x + w with w ~ N(0, sigma^2) drawn from the caller's ``rng``,
-    which noise_sigma > 0 requires."""
+def apply(op: SensingOperator, x: np.ndarray) -> np.ndarray:
+    """y = A x of an n-vector, or of every row of an (N, n) stack; a broadcast
+    matrix-vector product per row keeps each row's bits equal to ``A @ x``."""
     x = np.asarray(x, dtype=np.float64)
-    if x.shape != (op.n,):
-        raise DimensionError(f"apply expects length-{op.n} vector, got shape {x.shape}")
-    if noise_sigma < 0:
-        raise ParameterError(f"noise_sigma must be >= 0, got {noise_sigma}")
-    if noise_sigma > 0 and rng is None:
-        raise ParameterError("noise_sigma > 0 needs an rng to draw the noise from")
-    y = op.matrix @ x
-    if noise_sigma > 0:
-        y = y + noise_sigma * rng.standard_normal(op.m)
-    return y
+    if x.ndim not in (1, 2) or x.shape[-1] != op.n:
+        raise DimensionError(
+            f"apply expects a length-{op.n} vector or an (N, {op.n}) stack, got shape {x.shape}")
+    return (op.matrix @ x[..., None])[..., 0]
 
 
 EXACT_ENUMERATION = "exact_enumeration"
@@ -253,10 +232,10 @@ def estimate_rip(op: SensingOperator, k: int, method: str = EXACT_ENUMERATION,
     peak memory stays a few MiB however many supports there are. ``count``
     is C(n, 2k), the supports covered.
 
-    Monte Carlo draws ``budget`` unit 2k-sparse rows z as one block
-    (``unit_ksparse_rows``), maps them all through A in one product and
-    returns max |(|Az|^2 - 1)| over them, a lower bound. The block and its
-    keys, budget x n values each, are held at once.
+    Monte Carlo draws ``budget`` unit 2k-sparse rows z (``unit_ksparse_rows``)
+    in blocks of as many rows as have about 1 MiB of keys, maps each block
+    through A in one product and returns max |(|Az|^2 - 1)| over them all, a
+    lower bound. A budget of one block is one ``unit_ksparse_rows`` draw.
     """
     if k < 1:
         raise ParameterError(f"RIP needs k >= 1, got {k}")
@@ -294,9 +273,13 @@ def estimate_rip(op: SensingOperator, k: int, method: str = EXACT_ENUMERATION,
         if budget < 1:
             raise ParameterError(f"monte_carlo budget must be >= 1, got {budget}")
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0xB1,)))
-        az = unit_ksparse_rows(rng, budget, op.n, order) @ op.matrix.T
-        delta = float(np.max(np.abs(np.einsum("ij,ij->i", az, az) - 1.0)))
-        return RipEstimate(order=order, delta=delta, method=method, count=budget)
+        per_chunk = max(1, _RIP_CHUNK_BYTES // (op.n * 8))
+        delta = -np.inf
+        for start in range(0, budget, per_chunk):
+            az = unit_ksparse_rows(rng, min(per_chunk, budget - start), op.n, order) @ op.matrix.T
+            # np.maximum, unlike max, keeps a nan deviation
+            delta = np.maximum(delta, np.max(np.abs(np.einsum("ij,ij->i", az, az) - 1.0)))
+        return RipEstimate(order=order, delta=float(delta), method=method, count=budget)
     raise ParameterError(f"unknown RIP method {method!r}")
 
 

@@ -58,10 +58,41 @@ def test_gen_data_deterministic(runner, tmp_path):
 
 
 def test_gen_data_fourier_records_keep(runner, tmp_path):
-    out = _gen(runner, tmp_path / "f", extra=["--operator", "fourier", "--keep", "0.25"])
+    out = _gen(runner, tmp_path / "f", extra=["--operator", "fourier_masked", "--keep", "0.25"])
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["operator"]["kind"] == "fourier_masked"
     assert manifest["operator"]["keep"] == 0.25
+
+
+@pytest.mark.parametrize("kind", dataset.OPERATOR_KINDS)
+def test_gen_data_operator_kind_names_the_manifest_the_sweep_and_the_solve(runner, tmp_path,
+                                                                           kind):
+    data = _gen(runner, tmp_path / "ds", extra=["--operator", kind])
+    op = json.loads((data / "manifest.json").read_text())["operator"]
+    assert op["kind"] == kind
+    res = runner.invoke(main, ["verify-bound", "--out", str(tmp_path / "vb"), "--kinds", kind,
+                               "--m", str(op["m"]), "--n", str(op["n"]), "--k", "1",
+                               "--trials", "2"], catch_exceptions=False)
+    assert res.exit_code == 0, res.output
+    assert (tmp_path / "vb" / "sweep.csv").read_text().splitlines()[1].startswith(f"{kind},")
+    res = runner.invoke(main, ["solve", "--dataset", str(data), "--out", str(tmp_path / "s"),
+                               "--limit", "1"], catch_exceptions=False)
+    assert res.exit_code == 0, res.output
+
+
+@pytest.mark.parametrize("where", ["flags", "config"])
+@pytest.mark.parametrize("token", ["gaussian", "orthonormal", "fourier"])
+def test_gen_data_refuses_the_old_operator_tokens(runner, tmp_path, token, where):
+    args = ["gen-data", "--out", str(tmp_path / "ds"), "--image-size", "8"]
+    if where == "flags":
+        args += ["--operator", token]
+    else:
+        (tmp_path / "cfg.json").write_text(json.dumps({"operator": token}))
+        args += ["--config", str(tmp_path / "cfg.json")]
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2, res.output
+    assert f"Invalid value for '--operator': '{token}' is not one of 'dense', " in res.output
+    assert not (tmp_path / "ds").exists()
 
 
 def test_gen_data_invalid_spec_exits_2(runner, tmp_path):
@@ -112,7 +143,15 @@ def test_seven_px_dataset_solves_end_to_end(runner, tmp_path):
 
 
 def test_train_and_eval_refuse_a_non_square_dataset_before_making_out(runner, tmp_path):
-    data = _gen(runner, tmp_path / "f", extra=["--operator", "fourier"])
+    _assert_train_and_eval_refuse_before_making_out(runner, tmp_path, "fourier_masked")
+
+
+def test_train_and_eval_refuse_a_fat_gaussian_dataset_before_making_out(runner, tmp_path):
+    _assert_train_and_eval_refuse_before_making_out(runner, tmp_path, "gaussian_fat")
+
+
+def _assert_train_and_eval_refuse_before_making_out(runner, tmp_path, kind):
+    data = _gen(runner, tmp_path / "f", extra=["--operator", kind])
     cfg = model.UnetConfig(image_size=8)
     model.checkpoint_save(model.init_params(model.UNET, cfg), model.UNET, cfg, tmp_path / "c.json")
     for args in (_train_args(data, tmp_path / "tr"),
@@ -639,7 +678,7 @@ def _config(command, entries):
     _flags("train", "--lr", "nan"), _flags("solve", "--method", "fista", "--lam", "nan"),
     _flags("solve", "--tol", "nan"), _flags("solve", "--operator", "estimated", "--ridge", "nan"),
     _flags("gen-data", "--noise-sigma", "inf"), _flags("gen-data", "--noise-sigma", "nan"),
-    _flags("gen-data", "--operator", "fourier", "--keep", "inf"),
+    _flags("gen-data", "--operator", "fourier_masked", "--keep", "inf"),
     _config("gen-data", {"noise_sigma": float("nan")}), _config("train", {"lr": float("inf")}),
     _flags("gen-data", "--noise-sigma", "1e308"), _flags("train", "--model", "unet",
                                                         "--skips", "bogus"),
@@ -899,7 +938,7 @@ _FOREIGN_SETTINGS = [
     ("train", "--model unet", "depth", 1, "--model trust"),
     ("train", "--model unet", "heads", 2, "--model trust"),
     ("train", "--model trust", "base_channels", 4, "--model unet"),
-    ("gen-data", "--operator gaussian", "keep", 0.9, "--operator fourier"),
+    ("gen-data", "--operator dense", "keep", 0.9, "--operator fourier_masked"),
     ("solve", "--method omp", "lam", 0.3, "--method ista/fista"),
     ("solve", "--method fista", "sparsity", 3, "--method omp"),
     ("solve", "--operator known", "ridge", 5.0, "--operator estimated"),
@@ -949,8 +988,8 @@ def test_setting_of_another_choice_exits_2(runner, small_dataset, tmp_path, comm
 _OWN_SETTINGS = [
     ("train", "--model unet", {"base_channels"}, {"embed_dim", "depth", "heads", "skips"}),
     ("train", "--model trust", {"embed_dim", "depth", "heads", "skips"}, {"base_channels"}),
-    ("gen-data", "--operator gaussian", set(), {"keep"}),
-    ("gen-data", "--operator fourier", {"keep"}, set()),
+    ("gen-data", "--operator dense", set(), {"keep"}),
+    ("gen-data", "--operator fourier_masked", {"keep"}, set()),
     ("solve", "--method omp", {"sparsity"}, {"lam", "ridge"}),
     ("solve", "--method fista", {"lam"}, {"sparsity", "ridge"}),
     ("solve", "--operator estimated", {"sparsity", "ridge"}, {"lam"}),
@@ -973,7 +1012,7 @@ def test_run_record_leaves_out_the_settings_its_choice_does_not_read(
     assert not unread & set(config)
 
 
-@pytest.mark.parametrize("command,choice", [("gen-data", "--operator gaussian"),
+@pytest.mark.parametrize("command,choice", [("gen-data", "--operator dense"),
                                             ("solve", "--method fista"),
                                             ("solve", "--operator known"),
                                             ("train", "--model unet"),

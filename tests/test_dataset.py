@@ -49,41 +49,76 @@ def test_targets_are_sparse():
 
 
 def test_pair_identity_operator_roundtrip():
-    op = sensing.sample_operator(sensing.IDENTITY, 64, 64, seed=1)
-    x = dataset.gen_target(dataset.TargetSpec(), 8, seed=3)
-    y, scale, offset = dataset.gen_pair(op, x, noise_sigma=0.0)
-    assert np.allclose(y, x.reshape(-1), atol=1e-15)  # already in [0,1]: identity normalization
-    assert scale == 1.0 and offset == 0.0
+    # targets already lie in [0, 1], so normalization is the identity
+    spec = small_spec(operator_kind=sensing.IDENTITY)
+    data = dataset.generate_split(spec, spec.build_operator(), "val", spec.val)
+    assert data.y.tobytes() == data.x.reshape(spec.val, -1).tobytes()
+    assert np.all(data.scale == 1.0) and np.all(data.offset == 0.0)
 
 
 def test_pair_normalization_roundtrip():
-    op = sensing.sample_operator(sensing.DENSE, 64, 64, seed=5)
-    x = dataset.gen_target(dataset.TargetSpec(), 8, seed=4)
-    rng = np.random.default_rng(0)
-    y, scale, offset = dataset.gen_pair(op, x, noise_sigma=0.1, rng=rng)
-    assert y.min() >= 0.0 and y.max() <= 1.0
-    rng2 = np.random.default_rng(0)
-    y_raw = sensing.apply(op, x.reshape(-1), noise_sigma=0.1, rng=rng2)
-    one = dataset.Split(x[None], y[None], np.array([scale]), np.array([offset]))
-    assert np.max(np.abs(one.raw()[0] - y_raw)) < 1e-10
+    spec = small_spec(noise_sigma=0.1)
+    op = spec.build_operator()
+    data = dataset.generate_split(spec, op, "train", spec.train)
+    assert data.y.min() >= 0.0 and data.y.max() <= 1.0
+    seeds = (dataset._derived_seed(spec.seed, "train", i, noise=True) for i in range(spec.train))
+    noise = np.stack([np.random.default_rng(seed).standard_normal(op.m) for seed in seeds])
+    y_raw = data.x.reshape(spec.train, -1) @ op.matrix.T + 0.1 * noise
+    assert np.max(np.abs(data.raw() - y_raw)) < 1e-10
+
+
+def test_split_noise_is_drawn_from_each_samples_seed():
+    # the same sample gets the same noise whatever the split's size, and
+    # the noise is there
+    spec = small_spec(noise_sigma=0.5)
+    op = spec.build_operator()
+    every = dataset.generate_split(spec, op, "train", spec.train)
+    first = dataset.generate_split(spec, op, "train", 3)
+    for name in ("x", "y", "scale", "offset"):
+        assert getattr(first, name).tobytes() == getattr(every, name)[:3].tobytes(), name
+    clean = dataset.generate_split(small_spec(), op, "train", 3)
+    assert clean.x.tobytes() == first.x.tobytes()
+    assert not np.allclose(clean.raw(), first.raw())
 
 
 def test_pair_normalization_range_holds_zero():
     # all-negative measurements normalize as if a zero were among them
-    op = sensing.sample_operator(sensing.IDENTITY, 2, 2, seed=0)
-    y, scale, offset = dataset.gen_pair(op, np.array([-3.0, -2.0]), noise_sigma=0.0)
-    assert (scale, offset) == (3.0, -3.0)
-    assert y.tolist() == [0.0, 1.0 / 3.0]
+    spec = small_spec()
+    matrix = np.stack([np.full(64, -30.0), np.full(64, -20.0)])
+    op = sensing.SensingOperator(sensing.DENSE, 2, 64, 0, matrix)
+    data = dataset.generate_split(spec, op, "val", spec.val)
+    total = data.x.reshape(spec.val, -1).sum(axis=1)
+    assert np.allclose(data.offset, -30.0 * total, rtol=1e-15, atol=0)
+    assert np.array_equal(data.scale, -data.offset)
+    assert np.all(data.y[:, 0] == 0.0)
+    assert np.allclose(data.y[:, 1], 1.0 / 3.0, rtol=1e-14, atol=0)
 
 
 def test_pair_fat_operator_gives_its_m_measurements():
-    op = sensing.sample_operator(sensing.GAUSSIAN_FAT, 32, 64, seed=2)
-    x = dataset.gen_target(dataset.TargetSpec(), 8, seed=1)
-    y, scale, offset = dataset.gen_pair(op, x, noise_sigma=0.0)
-    assert y.shape == (32,)
-    one = dataset.Split(x[None], y[None], np.array([scale]), np.array([offset]))
-    y_raw = sensing.apply(op, x.reshape(-1))
-    assert np.max(np.abs(one.raw()[0] - y_raw)) < 1e-10
+    spec = small_spec(operator_kind=sensing.GAUSSIAN_FAT)
+    op = spec.build_operator()
+    assert (op.m, op.n) == (32, 64)
+    data = dataset.generate_split(spec, op, "val", spec.val)
+    assert data.y.shape == (spec.val, 32)
+    y_raw = np.stack([sensing.apply(op, x.reshape(-1)) for x in data.x])
+    assert np.max(np.abs(data.raw() - y_raw)) < 1e-10
+
+
+def test_split_rows_match_one_sample_at_a_time():
+    # the stacked measurement and normalization give each row the bits of
+    # measuring and normalizing that sample alone
+    spec = small_spec(operator_kind=sensing.FOURIER_MASKED, noise_sigma=0.05)
+    op = spec.build_operator()
+    data = dataset.generate_split(spec, op, "test", spec.test)
+    for i in range(spec.test):
+        x = dataset.gen_target(spec.target, 8, dataset._derived_seed(spec.seed, "test", i))
+        rng = np.random.default_rng(dataset._derived_seed(spec.seed, "test", i, noise=True))
+        y_raw = op.matrix @ x.reshape(-1) + 0.05 * rng.standard_normal(op.m)
+        offset = min(float(y_raw.min()), 0.0)
+        scale = max(max(float(y_raw.max()), 0.0) - offset, 1.0)
+        assert data.x[i].tobytes() == x.tobytes()
+        assert (data.scale[i], data.offset[i]) == (scale, offset)
+        assert data.y[i].tobytes() == ((y_raw - offset) / scale).tobytes()
 
 
 @pytest.mark.parametrize("kind", [sensing.GAUSSIAN_FAT, sensing.FOURIER_MASKED])
@@ -117,13 +152,12 @@ def test_images_of_a_square_split_are_its_measurements(tmp_path):
 
 def test_energy_spread_under_dense_operator():
     # a single blob diffuses: no pixel of y holds > 20% of total energy
-    spec = dataset.TargetSpec(num_blobs=(1, 1))
     wins = 0
     for seed in (0, 1, 2):
+        spec = dataset.DatasetSpec(image_size=32, train=1, val=1, test=1, seed=seed,
+                                   target=dataset.TargetSpec(num_blobs=(1, 1)))
         op = sensing.sample_operator(sensing.DENSE, 1024, 1024, seed=seed)
-        x = dataset.gen_target(spec, 32, seed=seed)
-        y, _, _ = dataset.gen_pair(op, x, noise_sigma=0.0)
-        energy = y.reshape(-1) ** 2
+        energy = dataset.generate_split(spec, op, "val", 1).y[0] ** 2
         if energy.max() / energy.sum() <= 0.20:
             wins += 1
     assert wins >= 2
@@ -195,6 +229,45 @@ def test_load_manifest_rejects_missing_or_malformed_keys(tmp_path, key, value):
     path.write_text(json.dumps(manifest))
     with pytest.raises(DatasetError, match=key):
         dataset.load_manifest(tmp_path)
+
+
+@pytest.mark.parametrize("kind,keep,m", [
+    (sensing.DENSE, 0.25, 64), (sensing.GAUSSIAN_FAT, 0.25, 32),
+    (sensing.ORTHONORMAL_SQUARE, 0.25, 64), (sensing.FOURIER_MASKED, 0.25, 32),
+    (sensing.FOURIER_MASKED, 0.01, 2), (sensing.FOURIER_MASKED, 1.0, 128),
+    (sensing.IDENTITY, 0.25, 64),
+])
+def test_each_dataset_operator_kind_has_its_tables_m(kind, keep, m):
+    op = small_spec(operator_kind=kind, operator_keep=keep).build_operator()
+    assert (op.kind, op.m, op.n) == (kind, m, 64)
+
+
+@pytest.mark.parametrize("make,values,message", [
+    (dataset.TargetSpec, {"sigma": (0, 0)}, "sigma"),
+    (dataset.TargetSpec, {"sigma": (-1.0, 1.0)}, "sigma"),
+    (dataset.TargetSpec, {"amplitude": (1.0, 0.5)}, "amplitude"),
+    (dataset.TargetSpec, {"amplitude": (0.5, float("inf"))}, "amplitude"),
+    (dataset.TargetSpec, {"num_blobs": (1.5, 3)}, "num_blobs"),
+    (dataset.TargetSpec, {"num_blobs": (1, 2, 3)}, "num_blobs"),
+    (small_spec, {"image_size": 8.0}, "image_size"),
+    (small_spec, {"train": 2.5}, "split counts"),
+    (small_spec, {"test": True}, "split counts"),
+    (small_spec, {"seed": -1}, "seed"),
+    (small_spec, {"seed": 1.5}, "seed"),
+    (small_spec, {"noise_sigma": float("nan")}, "noise_sigma"),
+    (small_spec, {"noise_sigma": float("inf")}, "noise_sigma"),
+    (small_spec, {"noise_sigma": -0.1}, "noise_sigma"),
+    (small_spec, {"operator_kind": sensing.TALL_ORTHONORMAL}, "operator kind"),
+    (small_spec, {"operator_kind": "bogus"}, "operator kind"),
+    (small_spec, {"operator_kind": sensing.FOURIER_MASKED, "operator_keep": 0.0}, "keep"),
+    (small_spec, {"operator_kind": sensing.FOURIER_MASKED, "operator_keep": 1.5}, "keep"),
+], ids=["sigma-zero", "sigma-negative", "amplitude-reversed", "amplitude-inf",
+        "blobs-float", "blobs-three", "image-size-float", "train-float", "test-bool",
+        "seed-negative", "seed-float", "noise-nan", "noise-inf", "noise-negative",
+        "kind-without-dataset-form", "kind-unknown", "keep-zero", "keep-above-one"])
+def test_bad_spec_values_are_parameter_errors(make, values, message):
+    with pytest.raises(ParameterError, match=message):
+        make(**values)
 
 
 def test_image_size_below_one_rejected():

@@ -64,7 +64,7 @@ def test_operator_size_cap_refuses_before_allocating():
     with pytest.raises(ParameterError, match="entries"):
         sensing.sample_operator(sensing.GAUSSIAN_FAT, n // 8, n, seed=0)
     with pytest.raises(ParameterError, match="entries"):
-        sensing.fourier_from_keep(n, 0.25, seed=0)
+        sensing.sample_operator(sensing.FOURIER_MASKED, 2 * round(0.25 * n), n, seed=0)
 
 
 def test_apply_identity_and_zero():
@@ -90,22 +90,17 @@ def test_apply_dimension_error():
         sensing.apply(op, np.zeros(7))
 
 
-def test_apply_noise_deterministic_per_seed():
-    # the same seeded rng gives the same noise, whatever ran before on the operator
-    op = sensing.sample_operator(sensing.GAUSSIAN_FAT, 4, 8, seed=11)
-    x = np.ones(8)
-    first = sensing.apply(op, x, noise_sigma=0.5, rng=np.random.default_rng(3))
-    sensing.apply(op, x, noise_sigma=0.5, rng=np.random.default_rng(4))
-    again = sensing.apply(op, x, noise_sigma=0.5, rng=np.random.default_rng(3))
-    assert np.array_equal(first, again)
-    assert not np.array_equal(first, sensing.apply(op, x))
-
-
-def test_apply_noise_without_rng_raises():
-    op = sensing.sample_operator(sensing.GAUSSIAN_FAT, 4, 8, seed=11)
-    with pytest.raises(ParameterError, match="rng"):
-        sensing.apply(op, np.ones(8), noise_sigma=0.5)
-    assert np.array_equal(sensing.apply(op, np.ones(8), noise_sigma=0.0), op.matrix @ np.ones(8))
+def test_apply_maps_a_stack_row_by_row_bit_for_bit():
+    op = sensing.sample_operator(sensing.GAUSSIAN_FAT, 9, 17, seed=5)
+    xs = np.random.default_rng(3).standard_normal((6, 17))
+    ys = sensing.apply(op, xs)
+    assert ys.shape == (6, 9)
+    for x, y in zip(xs, ys):
+        assert y.tobytes() == (op.matrix @ x).tobytes() == sensing.apply(op, x).tobytes()
+    with pytest.raises(DimensionError):
+        sensing.apply(op, xs[:, :16])
+    with pytest.raises(DimensionError):
+        sensing.apply(op, xs[None])
 
 
 def test_fourier_adjoint_matches_dense_materialization():
@@ -222,10 +217,12 @@ def _rip_per_support_loop(op, k):
 
 def _rip_unpruned_stack(op, k):
     """Reference exact scan: eigvalsh of the Grams of every support, one
-    stack, each Gram the product of the support's gathered columns."""
+    stack, each gathered from the operator's Gram as ``estimate_rip``
+    gathers them. (A product of gathered columns can round differently on
+    another BLAS kernel; ``_rip_per_support_loop`` and the SVD test check
+    the Grams themselves.)"""
     supports = np.array(list(combinations(range(op.n), 2 * k)), dtype=np.intp)
-    sub_t = np.ascontiguousarray(op.matrix.T)[supports]
-    eigs = np.linalg.eigvalsh(sub_t @ sub_t.transpose(0, 2, 1))
+    eigs = np.linalg.eigvalsh(op.gram[supports[:, :, None], supports[:, None, :]])
     return max(0.0, float(np.max(np.abs(eigs - 1.0))))
 
 
@@ -439,3 +436,45 @@ def test_rip_monte_carlo_never_exceeds_exact(case):
     mc = sensing.estimate_rip(op, k, sensing.MONTE_CARLO, budget=300, seed=seed)
     assert mc.count == 300
     assert mc.delta <= sensing.estimate_rip(op, k).delta + 1e-12
+
+
+def _rip_monte_carlo_reference(op, k, budget, seed, per_chunk):
+    """Monte Carlo delta from ``unit_ksparse_rows`` blocks of ``per_chunk`` rows."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0xB1,)))
+    worst = []
+    for start in range(0, budget, per_chunk):
+        az = sensing.unit_ksparse_rows(rng, min(per_chunk, budget - start), op.n, 2 * k) \
+            @ op.matrix.T
+        worst.append(float(np.max(np.abs(np.einsum("ij,ij->i", az, az) - 1.0))))
+    return max(worst)
+
+
+@pytest.mark.parametrize("n", [16, 40, 65])
+def test_rip_monte_carlo_budget_in_one_chunk_is_one_draw(n):
+    # the lab's budget of 2000 rows fits one chunk up to n = 65
+    op = sensing.sample_operator(sensing.GAUSSIAN_FAT, n // 2, n, seed=4)
+    assert 2000 * n * 8 <= sensing._RIP_CHUNK_BYTES
+    est = sensing.estimate_rip(op, 2, sensing.MONTE_CARLO, budget=2000, seed=9)
+    assert est.delta == _rip_monte_carlo_reference(op, 2, 2000, 9, 2000)
+
+
+def test_rip_monte_carlo_chunks_keep_the_running_maximum(monkeypatch):
+    # 3 rows of keys per chunk: chunks of 3, 3, 3 and 1 rows
+    op = sensing.sample_operator(sensing.GAUSSIAN_FAT, 6, 12, seed=1)
+    monkeypatch.setattr(sensing, "_RIP_CHUNK_BYTES", 3 * 12 * 8)
+    est = sensing.estimate_rip(op, 1, sensing.MONTE_CARLO, budget=10, seed=2)
+    assert est.count == 10
+    assert est.delta == _rip_monte_carlo_reference(op, 1, 10, 2, 3)
+
+
+def test_rip_monte_carlo_memory_is_bounded():
+    # 10,000 rows of 1024 keys and values: about 160 MiB drawn as one block
+    op = sensing.sample_operator(sensing.GAUSSIAN_FAT, 64, 1024, seed=0)
+    tracemalloc.start()
+    try:
+        est = sensing.estimate_rip(op, 3, sensing.MONTE_CARLO, budget=10_000, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert est.count == 10_000 and np.isfinite(est.delta)
+    assert peak < 4 * 2**20
