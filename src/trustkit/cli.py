@@ -12,9 +12,9 @@ A config file is a JSON object whose keys are those of the run record's
 per setting. It may supply any setting of the command, required ones
 (``dataset``, ``checkpoint``) included, and becomes the command's default
 map, so each entry passes the same type and range check as its flag. An
-entry that names no setting of the command is a usage error, and so is
-``null`` for a setting whose default is not none (only ``lam``, ``ridge``
-and ``emit_images`` take it).
+entry that names no setting of the command is a usage error, and so are a
+list or an object, which no setting takes, and ``null`` for a setting whose
+default is not none (only ``lam``, ``ridge`` and ``emit_images`` take it).
 
 A setting that only some choices of another read (``--keep`` only
 ``--operator fourier_masked``; a model kind's are those its ``ModelSpec`` lists)
@@ -48,6 +48,7 @@ from .errors import (
     ParameterError,
     SingularMatrixError,
     is_int,
+    make_out_dir,
     read_json_object,
 )
 
@@ -90,7 +91,8 @@ class _Command(click.Command):
 
 def _read_config(ctx: click.Context, param: click.Parameter, path: str | None) -> None:
     """Make the config file at ``path`` the command's default map, once no
-    entry names an unknown setting or nulls one whose default is not none."""
+    entry names an unknown setting, holds a list or an object, or nulls a
+    setting whose default is not none."""
     if not path:
         return
     entries = read_json_object(Path(path), click.UsageError, "config file")
@@ -101,19 +103,11 @@ def _read_config(ctx: click.Context, param: click.Parameter, path: str | None) -
             "config file entries name no setting of this command: "
             + ", ".join(repr(key) for key in unknown))
     for key, value in entries.items():
+        if isinstance(value, (list, dict)):
+            raise click.UsageError(f"config file entry {key!r} must not be a list or an object")
         if value is None and settings[key].default is not None:
             raise click.UsageError(f"config file entry {key!r} must not be null")
     ctx.default_map = entries
-
-
-def _make_out_dir(path) -> Path:
-    """Create the output directory ``path``; a usage error naming it if that fails."""
-    out = Path(path)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise click.UsageError(f"cannot create output directory {out}: {exc.strerror or exc}")
-    return out
 
 
 def _environment() -> dict:
@@ -258,8 +252,8 @@ def gen_data(**cfg):
         operator_keep=cfg.get("keep", dataset.DatasetSpec.operator_keep),
         noise_sigma=cfg["noise_sigma"], seed=cfg["seed"], dtype=cfg["dtype"],
     )
-    out = _make_out_dir(cfg["out"])
-    manifest = dataset.gen_dataset(spec, out)
+    manifest = dataset.gen_dataset(spec, cfg["out"])
+    out = Path(cfg["out"])
     outputs = ["manifest.json"] + [
         name for info in manifest["splits"].values() for name in (info["pairs"], info["norm"])
     ]
@@ -308,7 +302,7 @@ def verify_bound(**cfg):
         raise click.UsageError(
             "the grid has no cell: no kind has a member of any (m, n) with 2k <= min(m, n)"
         )
-    out = _make_out_dir(cfg["out"])
+    out = make_out_dir(cfg["out"])
     (out / "sweep.csv").write_text(result.to_csv())
     outputs = ["sweep.csv"]
     if cfg["emit_matrix"]:
@@ -355,7 +349,7 @@ def _solver_csv(results: list[solvers.RecoveryResult], ys: np.ndarray) -> str:
 @click.option("--operator", default="known",
               type=click.Choice(["known", "estimated"]), show_default=True)
 @click.option("--split", default="test", show_default=True)
-@click.option("--sparsity", default=0, type=_INT, show_default=True, cls=_Owned,
+@click.option("--sparsity", default=0, type=_NON_NEGATIVE, show_default=True, cls=_Owned,
               owner="method", owners=("omp",), help="Greedy atom budget; 0 means n // 4.")
 @click.option("--lam", default=None, type=_FINITE, cls=_Owned, owner="method",
               owners=("ista", "fista"), help="l1 weight; default 0.05 * |A^T y|_inf per problem.")
@@ -369,7 +363,6 @@ def solve(**cfg):
     started = time.monotonic()
     manifest = dataset.load_manifest(cfg["dataset"])
     data = dataset.load_split(manifest, cfg["split"]).head(cfg["limit"])
-    out = _make_out_dir(cfg["out"])
     if cfg["operator"] == "known":
         op = dataset.operator_from_manifest(manifest)
     else:
@@ -380,6 +373,7 @@ def solve(**cfg):
         max_iterations=cfg["max_iter"], residual_tolerance=cfg["tol"],
         sparsity_budget=cfg.get("sparsity") or max(1, op.n // 4), lam=cfg.get("lam"),
     )
+    out = make_out_dir(cfg["out"])
     method = getattr(solvers, cfg["method"])  # looked up per call, so a wrapped solver is seen
     ys = data.raw()
     results = [method(op, y, solver_cfg) for y in ys]
@@ -445,12 +439,11 @@ def train_cmd(**cfg):
     )
     train = dataset.load_split(manifest, "train").head(cfg["limit"])
     val = dataset.load_split(manifest, "val")
-    train_y, val_y = train.images(), val.images()
     created = not Path(cfg["out"]).exists()
-    out = _make_out_dir(cfg["out"])
+    out = make_out_dir(cfg["out"])
     try:
-        result = model.train(cfg["model"], model_cfg, train_cfg, (train.x, train_y),
-                             (val.x, val_y), out_dir=out)
+        result = model.train(cfg["model"], model_cfg, train_cfg, (train.x, train.y),
+                             (val.x, val.y), out_dir=out)
     except BaseException:
         # training writes only after its last epoch; rmdir refuses a directory
         # that holds anything, so only one made here and left empty goes
@@ -479,10 +472,12 @@ def train_cmd(**cfg):
 @_config_option
 @click.option("--split", default="test", show_default=True)
 @click.option("--emit-images", default=None,
-              help="Write (y, x, x_hat) PGM triplets into this directory.")
+              help="Write (y, x, x_hat) PGM triplets into this directory; y is the (S, S) "
+                   "image the model's input stage makes of a sample's measurements.")
 @_limit_option
 def eval_cmd(**cfg):
-    """Score a checkpoint on a dataset split; optionally dump PGM images."""
+    """Score a checkpoint's (N, S, S) estimates of a split's (N, m) measurements, and
+    optionally dump PGM images."""
     started = time.monotonic()
     params, manifest_ckpt = model.checkpoint_load(cfg["checkpoint"])
     model_cfg = model.config_from_manifest(manifest_ckpt)
@@ -493,14 +488,12 @@ def eval_cmd(**cfg):
         raise ParameterError(f"dataset images are {size} px; "
                              f"the checkpoint's model takes {model_cfg.image_size} px")
     data = dataset.load_split(data_manifest, cfg["split"]).head(cfg["limit"])
-    y = data.images()
-    out = _make_out_dir(cfg["out"])
-    img_dir = _make_out_dir(cfg["emit_images"]) if cfg["emit_images"] else None
-    preds = np.concatenate([pred.data for _, pred in
-                            model.predict(model_kind, params, model_cfg, y)])
-    if img_dir is not None:
-        for i, pred in enumerate(preds):
-            dataset.write_pgm(img_dir / f"{i:04d}_y.pgm", y[i])
+    preds = model.predict(model_kind, params, model_cfg, data.y)
+    out = make_out_dir(cfg["out"])
+    if cfg["emit_images"]:
+        img_dir = make_out_dir(cfg["emit_images"])
+        for i, (y, pred) in enumerate(zip(model.input_stage(model_cfg, data.y).data, preds)):
+            dataset.write_pgm(img_dir / f"{i:04d}_y.pgm", y)
             dataset.write_pgm(img_dir / f"{i:04d}_x.pgm", data.x[i])
             dataset.write_pgm(img_dir / f"{i:04d}_xhat.pgm", pred)
     _score_and_record(out, "eval", cfg, {"checkpoint": cfg["checkpoint"],
@@ -561,7 +554,7 @@ def report_cmd(runs_dir, out_dir):
     if len(csv_lines) == 1:  # the header alone
         click.echo(f"no finished runs found under {runs_dir}", err=True)
         sys.exit(1)
-    out = _make_out_dir(out_dir) if out_dir else runs
+    out = make_out_dir(out_dir) if out_dir else runs
     (out / "report.md").write_text("\n".join(md) + "\n")
     (out / "report.csv").write_text("\n".join(csv_lines) + "\n")
     click.echo(f"{len(csv_lines) - 1} runs -> {out / 'report.md'}")

@@ -4,8 +4,7 @@ Targets are sparse fields of Gaussian blobs on a dark background; the
 observation is the operator's m measurements of the flattened target plus
 optional noise, affine-normalized into [0, 1] with the constants stored so
 the raw measurement can be recovered. A split stores them as an (N, m)
-block; only a square operator (m = S^2) gives the image stack the models
-read.
+block.
 
 ``MEASUREMENTS`` is the one description of each operator kind a dataset
 can have: its m for an n-pixel image. ``OPERATOR_KINDS`` lists its keys.
@@ -22,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics, sensing
-from .errors import DatasetError, ParameterError, is_int, read_json_object
+from .errors import DatasetError, ParameterError, is_int, make_out_dir, read_json_object
 
 MANIFEST_VERSION = 2
 SPLITS = ("train", "val", "test")
@@ -118,17 +117,6 @@ class Split:
         """The (N, m) de-normalized measurements."""
         return self.y * self.scale[:, None] + self.offset[:, None]
 
-    def images(self) -> np.ndarray:
-        """The normalized measurements as the (N, S, S) stack the models
-        read; ParameterError unless the operator is square (m = S^2)."""
-        s, m = self.x.shape[-1], self.y.shape[-1]
-        if m != s * s:
-            raise ParameterError(
-                f"{m} measurements per sample do not form a {s}x{s} image; "
-                "the models need a square operator dataset"
-            )
-        return self.y.reshape(len(self), s, s)
-
     def head(self, limit: int) -> Split:
         """The first ``limit`` samples; 0 keeps them all."""
         if not limit:
@@ -208,13 +196,15 @@ def _write_blob(path: Path, array: np.ndarray) -> str:
 def gen_dataset(spec: DatasetSpec, out_dir: str | Path) -> dict:
     """Write split blobs, normalization sidecars, and the manifest.
 
-    Every split is generated before any file is written, so a spec whose
-    observations overflow (ParameterError) leaves no split behind.
-    Deterministic: identical specs produce byte-identical files.
+    The operator and every split are drawn before ``out_dir`` is made, so a
+    spec they refuse leaves no directory behind; that, and a directory that
+    cannot be made, is a ParameterError. Deterministic: identical specs
+    produce byte-identical files.
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     op = spec.build_operator()
+    splits = {split: generate_split(spec, op, split, count)
+              for split, count in (("train", spec.train), ("val", spec.val), ("test", spec.test))}
+    out_dir = make_out_dir(out_dir)
     manifest = {
         "version": MANIFEST_VERSION,
         "image_size": spec.image_size,
@@ -227,8 +217,6 @@ def gen_dataset(spec: DatasetSpec, out_dir: str | Path) -> dict:
         "splits": {},
     }
     dt = _pair_dtype(spec.dtype)
-    splits = {split: generate_split(spec, op, split, count)
-              for split, count in (("train", spec.train), ("val", spec.val), ("test", spec.test))}
     for split, data in splits.items():
         count = len(data)
         records = np.concatenate([data.x.reshape(count, -1), data.y], axis=1)

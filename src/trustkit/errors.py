@@ -1,5 +1,5 @@
-"""Exception types shared across the toolkit, and the integer and JSON-file
-rules the checks that raise them share."""
+"""Exception types shared across the toolkit, and the integer, JSON-file
+and output-directory rules the checks that raise them share."""
 
 import json
 from pathlib import Path
@@ -22,6 +22,16 @@ def read_json_object(path: Path, error: type[Exception], what: str) -> dict:
     if not isinstance(value, dict):
         raise error(f"{what} {path} does not hold a JSON object")
     return value
+
+
+def make_out_dir(path) -> Path:
+    """Create the output directory ``path``; a ParameterError naming it if that fails."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ParameterError(f"cannot create output directory {out}: {exc.strerror or exc}")
+    return out
 
 
 class DimensionError(ValueError):

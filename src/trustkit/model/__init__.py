@@ -2,7 +2,7 @@
 convolutional baseline, training, and checkpointing."""
 
 from .config import LOSS_KINDS, TrainConfig, TrustConfig, UnetConfig
-from .forward import forward_trust, forward_unet, patchify, token_gram
+from .forward import forward_trust, forward_unet, input_stage, patchify, token_gram
 from .losses import loss, sample_losses
 from .params import (
     KINDS,
@@ -40,6 +40,7 @@ __all__ = [
     "forward_trust",
     "forward_unet",
     "init_params",
+    "input_stage",
     "loss",
     "model_spec",
     "param_count",

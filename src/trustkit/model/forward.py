@@ -88,6 +88,21 @@ def _as_image_batch(image, size: int) -> nd.Tensor:
     return t
 
 
+def input_stage(cfg: TrustConfig | UnetConfig, y) -> nd.Tensor:
+    """The input stage both models share: a (B, m) stack of normalized
+    measurements as the (B, S, S) images their networks read. Only a square
+    operator, m = S^2, has such images, and the stage is then a reshape; any
+    other m is a DimensionError. A (B, S, S) stack passes as it is."""
+    s = cfg.image_size
+    t = y if isinstance(y, nd.Tensor) else nd.Tensor(np.asarray(y, dtype=np.float64))
+    if t.data.ndim == 2:
+        if t.data.shape[1] != s * s:
+            raise DimensionError(f"{t.data.shape[1]} measurements per sample do not form a "
+                                 f"{s}x{s} image; the models need a square operator dataset")
+        t = nd.reshape(t, (-1, s, s))
+    return _as_image_batch(t, s)
+
+
 def _linear(x: nd.Tensor, params: dict, prefix: str) -> nd.Tensor:
     """x @ W (+ b, when the parameter set holds one) over the last axis, as
     one 2-D matmul over all leading axes."""
@@ -145,10 +160,10 @@ def _tokens_to_grid(tokens: nd.Tensor, cfg: TrustConfig) -> nd.Tensor:
     return nd.reshape(nd.permute(tokens, (0, 2, 1)), (b, cfg.embed_dim, g, g))
 
 
-def forward_trust(params: dict, cfg: TrustConfig, image,
+def forward_trust(params: dict, cfg: TrustConfig, y,
                   capture: dict | None = None) -> nd.Tensor:
-    """Reconstruct a (B, S, S) stack of observation images into (B, S, S)
-    estimates in (0, 1); the batch runs as one graph.
+    """Reconstruct a (B, m) measurement stack, through ``input_stage``, into
+    (B, S, S) estimates in (0, 1); the batch runs as one graph.
 
     ``params`` must hold exactly the tensors of ``trust_param_shapes(cfg)``.
     Pass a dict as ``capture`` to collect, per encoder block, each head's
@@ -168,7 +183,7 @@ def forward_trust(params: dict, cfg: TrustConfig, image,
     no scores that only the softmax reads.
     """
     _check_params(params, trust_param_shapes(cfg))
-    imgs = _as_image_batch(image, cfg.image_size)
+    imgs = input_stage(cfg, y)
     patches = nd.Tensor(patchify(imgs.data, cfg.patch_size))  # (B, T, P)
     tokens = nd.add(_linear(patches, params, "patch_embed"), params["pos_embed"])
 
@@ -199,13 +214,12 @@ def forward_trust(params: dict, cfg: TrustConfig, image,
     return nd.reshape(nd.sigmoid(_conv(cur, params, "head")), imgs.data.shape)
 
 
-def forward_unet(params: dict, cfg: UnetConfig, image) -> nd.Tensor:
-    """Three-level encoder/decoder baseline; same I/O contract as forward_trust,
-    with the tensors of ``unet_param_shapes(cfg)``."""
+def forward_unet(params: dict, cfg: UnetConfig, y) -> nd.Tensor:
+    """Three-level encoder/decoder baseline with the tensors of ``unet_param_shapes(cfg)``
+    and forward_trust's contract: (B, m) measurements in, (B, S, S) estimates out."""
     _check_params(params, unet_param_shapes(cfg))
-    imgs = _as_image_batch(image, cfg.image_size)
-    size = cfg.image_size
-    x = nd.reshape(imgs, (imgs.data.shape[0], 1, size, size))
+    imgs = input_stage(cfg, y)
+    x = nd.reshape(imgs, (-1, 1, cfg.image_size, cfg.image_size))
     e0 = nd.relu(_conv(x, params, "enc0.conv", padding=1))
     e1 = nd.relu(_conv(e0, params, "enc1.conv", stride=2, padding=1))
     e2 = nd.relu(_conv(e1, params, "enc2.conv", stride=2, padding=1))

@@ -87,45 +87,42 @@ def _abort_on_nonfinite(batch_loss: nd.Tensor, params: dict[str, nd.Tensor]) -> 
     raise ContractError("training aborted: loss is non-finite")
 
 
-def _detached(params: dict[str, nd.Tensor]) -> dict[str, nd.Tensor]:
-    # zero-copy re-wrap: evaluation forwards skip graph construction
-    return {k: nd.Tensor(p.data) for k, p in params.items()}
-
-
 def predict(model_kind: str, params: dict[str, nd.Tensor], model_cfg,
-            observations: np.ndarray):
-    """Forward an (N, S, S) observation stack, PREDICT_CHUNK samples per call.
-
-    Yields ``(start, prediction)`` per chunk, the prediction a (b, S, S)
-    tensor with no graph behind it. A bounded chunk keeps the forward's
-    transient memory near that of a few samples whatever N is.
-    """
+            observations) -> np.ndarray:
+    """The (N, S, S) estimate stack of an (N, m) measurement stack, forwarded
+    PREDICT_CHUNK samples at a time with no graph behind them, so that the
+    forward's transient memory stays near that of a few samples whatever N is."""
     forward = model_spec(model_kind).forward
-    frozen = _detached(params)
+    frozen = {k: nd.Tensor(p.data) for k, p in params.items()}  # zero-copy, builds no graph
+    preds = np.empty((len(observations), model_cfg.image_size, model_cfg.image_size))
     for lo in range(0, len(observations), PREDICT_CHUNK):
-        yield lo, forward(frozen, model_cfg, observations[lo : lo + PREDICT_CHUNK])
+        preds[lo : lo + PREDICT_CHUNK] = forward(
+            frozen, model_cfg, observations[lo : lo + PREDICT_CHUNK]).data
+    return preds
 
 
 def evaluate(model_kind: str, params: dict[str, nd.Tensor], model_cfg,
              data, train_cfg: TrainConfig) -> tuple[float, float, float, float]:
-    """Mean validation loss, SSIM, PSNR, FPR over ``data``, a pair of
-    (N, S, S) float64 stacks: (targets, observations). The loss is taken on
-    the raw outputs, the metrics on outputs clipped as ``MetricReport`` clips."""
+    """Mean validation loss, SSIM, PSNR, FPR over ``data``, a pair of float64
+    stacks: (N, S, S) targets and (N, m) measurements. The loss is taken on the
+    raw estimates, the metrics on estimates clipped as ``MetricReport`` clips."""
     targets, observations = data
-    losses, report = [], metrics.MetricReport()
-    for lo, pred in predict(model_kind, params, model_cfg, observations):
-        x = targets[lo : lo + len(pred.data)]
-        losses.extend(sample_losses(train_cfg.loss_kind, pred, x).data.tolist())
-        report.extend(pred.data, x)
+    if not len(targets):  # no sample to score: a loss of 0, no metrics
+        return 0.0, math.nan, math.nan, math.nan
+    preds = predict(model_kind, params, model_cfg, observations)
+    losses = sample_losses(train_cfg.loss_kind, nd.Tensor(preds), targets).data
+    report = metrics.MetricReport()
+    report.extend(preds, targets)
     agg = report.aggregate()
-    return (math.fsum(losses) / max(len(losses), 1),
+    return (math.fsum(losses) / len(losses),
             *(agg[name]["mean"] for name in ("ssim", "psnr", "fpr")))
 
 
 def batch_loss(model_kind: str, params: dict[str, nd.Tensor], model_cfg,
                train_cfg: TrainConfig, targets: np.ndarray,
                observations: np.ndarray) -> nd.Tensor:
-    """Mean training loss of a (B, S, S) batch as one graph: one forward, one loss."""
+    """Mean training loss of a batch, (B, S, S) targets and (B, m)
+    measurements, as one graph: one forward, one loss."""
     pred = model_spec(model_kind).forward(params, model_cfg, observations)
     return make_loss(train_cfg.loss_kind, pred, targets)
 
@@ -146,9 +143,9 @@ def _train_step(model_kind: str, params: dict[str, nd.Tensor], model_cfg,
 def train(model_kind: str, model_cfg, train_cfg: TrainConfig, train_data,
           val_data, out_dir: str | Path | None = None,
           params: dict[str, nd.Tensor] | None = None) -> TrainResult:
-    """Train on ``train_data``, a pair of (N, S, S) float64 stacks (targets,
-    observations), and score each epoch on ``val_data``, another such pair;
-    deterministic for fixed seeds.
+    """Train on ``train_data``, a pair of float64 stacks, (N, S, S) targets and
+    (N, m) measurements, and score each epoch's (N, S, S) estimates of
+    ``val_data``, another such pair; deterministic for fixed seeds.
 
     One step's graph is alive at a time: each step is built, differentiated
     and released before the next begins. After the last epoch, and only

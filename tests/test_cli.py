@@ -107,6 +107,33 @@ def test_gen_data_refuses_images_below_the_ssim_window(runner, tmp_path):
     assert not (tmp_path / "ds").exists()
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--image-size", "256"], "may hold"), (["--noise-sigma", "1e308"], "overflows"),
+], ids=["operator-over-the-size-cap", "noise-overflows"])
+def test_gen_data_refuses_a_spec_before_making_out(runner, tmp_path, flags, message):
+    # the operator and the splits are drawn before the directory is made
+    res = runner.invoke(main, ["gen-data", "--out", str(tmp_path / "cap" / "ds"), *flags])
+    assert res.exit_code == 2, res.output
+    assert message in res.output
+    assert "Traceback" not in res.output
+    assert not (tmp_path / "cap").exists()
+
+
+@pytest.mark.parametrize("where", ["flags", "config"])
+def test_solve_refuses_a_negative_sparsity_before_making_out(runner, small_dataset, tmp_path,
+                                                              where):
+    args = ["solve", "--dataset", str(small_dataset), "--out", str(tmp_path / "r")]
+    if where == "flags":
+        args += ["--sparsity", "-1"]
+    else:
+        (tmp_path / "cfg.json").write_text(json.dumps({"sparsity": -1}))
+        args += ["--config", str(tmp_path / "cfg.json")]
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2, res.output
+    assert "Invalid value for '--sparsity'" in res.output
+    assert not (tmp_path / "r").exists()
+
+
 def _edited_copy(data, dst, edit):
     """A copy of the dataset ``data`` at ``dst`` whose manifest ``edit`` changed."""
     dst.mkdir()
@@ -686,6 +713,8 @@ def _config(command, entries):
     _config("solve", {"max_iter": 2.7, "limit": 1.5}), _config("solve", {"sparsity": 4.0}),
     _config("train", {"epochs": 1.9}), _config("train", {"embed_dim": True}),
     _config("gen-data", {"image_size": 8.0}), _config("gen-data", {"seed": False}),
+    _config("solve", {"method": "fista", "lam": [1]}), _config("solve", {"tol": {}}),
+    _config("solve", {"operator": "estimated", "ridge": [1]}),
 ], ids=["missing-dataset", "manifest-not-json", "manifest-not-object", "manifest-not-utf8",
         "manifest-without-splits", "checkpoint-blob-deleted", "checkpoint-tensors-not-entries",
         "checkpoint-for-other-image-size", "checkpoint-holds-pool-grid",
@@ -712,7 +741,8 @@ def _config(command, entries):
         "gen-data-noise-sigma-overflows", "unet-skips-bogus", "config-file-not-utf8",
         "config-solve-max-iter-float", "config-solve-sparsity-integral-float",
         "config-train-epochs-float", "config-train-embed-dim-bool",
-        "config-gen-data-image-size-float", "config-gen-data-seed-bool"])
+        "config-gen-data-image-size-float", "config-gen-data-seed-bool",
+        "config-fista-lam-list", "config-solve-tol-object", "config-solve-ridge-list"])
 def test_bad_input_exits_2_without_traceback(runner, small_dataset, tmp_path, make_args):
     res = runner.invoke(main, make_args(tmp_path, small_dataset))
     assert res.exit_code == 2, res.output

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -315,13 +316,29 @@ def test_trust_decoder_equals_the_full_resolution_concat_decoder(overrides):
 
 
 def test_forward_rejects_wrong_stack_shape():
-    # every stack-only entry point takes (B, S, S) and nothing else, (S, S) included
+    # every stack-only entry point takes a (B, S, S) stack and refuses a single
+    # (S, S) image; the forwards also take (B, S^2), and test_input_stage_* covers that
     for entry, call in _STACK_ONLY.items():
         assert call(rng.random((2, 16, 16))).shape[0] == 2, entry
         for bad in (rng.random((16, 16)), rng.random((16, 8)), rng.random((2, 1, 16, 16)),
                     rng.random(16)):
             with pytest.raises(DimensionError):
                 call(bad)
+
+
+@pytest.mark.parametrize("kind", model.KINDS)
+def test_input_stage_reads_a_square_measurement_stack_as_its_images(kind):
+    cfg = _REDUCED_CONFIGS[kind]
+    params = model.init_params(kind, cfg)
+    forward = model.model_spec(kind).forward
+    y = rng.random((3, 16 * 16))
+    stage = model.input_stage(cfg, y)
+    assert stage.data.shape == (3, 16, 16) and stage.data.tobytes() == y.tobytes()
+    assert forward(params, cfg, y).data.tobytes() == \
+        forward(params, cfg, y.reshape(3, 16, 16)).data.tobytes()
+    for m in (16 * 16 // 2, 16 * 16 + 1):
+        with pytest.raises(DimensionError, match="square operator dataset"):
+            forward(params, cfg, rng.random((3, m)))
 
 
 def test_loss_rejects_a_target_of_another_shape():
@@ -898,16 +915,27 @@ def test_predict_memory_does_not_grow_with_sample_count():
     assert all_chunks < 1.1 * one_chunk
 
 
-def test_predict_chunks_cover_the_stack_in_order():
+def test_predict_is_one_graph_free_stack_equal_to_the_whole_stack_forward():
     cfg = reduced_trust()
     params = model.init_params(model.TRUST, cfg)
-    observations = rng.random((model.PREDICT_CHUNK * 2 + 1, 16, 16))
-    chunks = list(model.predict(model.TRUST, params, cfg, observations))
-    assert [lo for lo, _ in chunks] == [0, model.PREDICT_CHUNK, 2 * model.PREDICT_CHUNK]
-    stacked = np.concatenate([pred.data for _, pred in chunks])
-    assert np.abs(stacked - model.forward_trust(params, cfg, observations).data).max() <= 1e-12
-    assert all(pred._vjp is None for _, pred in chunks)
-    assert list(model.predict(model.TRUST, params, cfg, observations[:0])) == []
+    y = rng.random((model.PREDICT_CHUNK * 2 + 1, 16 * 16))
+    preds = model.predict(model.TRUST, params, cfg, y)
+    assert type(preds) is np.ndarray and preds.shape == (len(y), 16, 16)
+    assert np.abs(preds - model.forward_trust(params, cfg, y).data).max() <= 1e-12
+    assert model.predict(model.TRUST, params, cfg, y[:0]).shape == (0, 16, 16)
+
+
+@pytest.mark.parametrize("loss_kind", model.LOSS_KINDS)
+def test_evaluate_loss_is_the_fsum_of_per_sample_losses(loss_kind):
+    cfg = reduced_trust()
+    params = model.init_params(model.TRUST, cfg)
+    targets, images = _toy_data(model.PREDICT_CHUNK * 2 + 1, 16, seed=5)
+    y = images.reshape(len(images), -1)
+    val_loss, *_ = model.evaluate(model.TRUST, params, cfg, (targets, y),
+                                  model.TrainConfig(loss_kind=loss_kind))
+    preds = model.forward_trust(params, cfg, y)
+    expected = math.fsum(model.sample_losses(loss_kind, preds, targets).data) / len(y)
+    assert val_loss == expected
 
 
 def test_zero_learning_rate_freezes_parameters():
