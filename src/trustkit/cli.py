@@ -5,7 +5,9 @@ Every command accepts both flags and a JSON config file (flags win), echoes
 the fully resolved configuration into a run record next to its outputs, and
 follows a fixed exit-code contract: 0 success, 1 verification failure,
 2 usage or configuration error. ``_Command.invoke`` is the one place that
-maps the library's typed errors onto those codes.
+maps the library's typed errors onto those codes. An input file that cannot
+be read (missing, a directory, a NUL byte in its name, or a wrong digest or
+size) is a usage error.
 
 A config file is a JSON object whose keys are those of the run record's
 ``config`` object (``out``, ``max_iter``, ``m_list``, ``emit_images``...), one
@@ -25,7 +27,6 @@ that run's settings and record.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import json
 import math
@@ -40,6 +41,8 @@ from click.core import ParameterSource
 
 from . import bound_lab, dataset, metrics, model, sensing, solvers
 from .errors import (
+    OBJECT,
+    STRING,
     CheckpointError,
     ContractError,
     DatasetError,
@@ -47,6 +50,7 @@ from .errors import (
     EnumerationCapExceeded,
     ParameterError,
     SingularMatrixError,
+    check_entries,
     is_int,
     make_out_dir,
     read_json_object,
@@ -439,18 +443,11 @@ def train_cmd(**cfg):
     )
     train = dataset.load_split(manifest, "train").head(cfg["limit"])
     val = dataset.load_split(manifest, "val")
-    created = not Path(cfg["out"]).exists()
+    result = model.train(cfg["model"], model_cfg, train_cfg, (train.x, train.y), (val.x, val.y))
     out = make_out_dir(cfg["out"])
-    try:
-        result = model.train(cfg["model"], model_cfg, train_cfg, (train.x, train.y),
-                             (val.x, val.y), out_dir=out)
-    except BaseException:
-        # training writes only after its last epoch; rmdir refuses a directory
-        # that holds anything, so only one made here and left empty goes
-        if created:
-            with contextlib.suppress(OSError):
-                out.rmdir()
-        raise
+    model.checkpoint_save(result.best_params, cfg["model"], model_cfg, out / "ckpt_best.json")
+    model.checkpoint_save(result.params, cfg["model"], model_cfg, out / "ckpt_last.json")
+    (out / "epochs.csv").write_text(result.log_csv())
     write_run_record(out, "train", cfg, _dataset_input(manifest),
                      ["ckpt_best.json", "ckpt_best.json.bin", "ckpt_last.json",
                       "ckpt_last.json.bin", "epochs.csv"], started,
@@ -505,12 +502,12 @@ def eval_cmd(**cfg):
 
 
 _REPORT_FIELDS = ("mse", "mae", "psnr", "ssim", "fpr")
-
-
-def _is_stat(cell) -> bool:
-    """A {mean, std} pair of numbers, as ``MetricReport.aggregate`` writes it."""
-    return isinstance(cell, dict) and all(type(cell.get(k)) in (int, float)
-                                          for k in ("mean", "std"))
+# what report reads of a run's metrics file and run record
+_AGGREGATE_KEYS = dict.fromkeys(_REPORT_FIELDS, (
+    lambda cell: isinstance(cell, dict) and all(type(cell.get(k)) in (int, float)
+                                                for k in ("mean", "std")),
+    "a {mean, std} pair of numbers"))
+_RECORD_KEYS = {"command": STRING, "config": OBJECT}
 
 
 @main.command("report")
@@ -532,17 +529,14 @@ def report_cmd(runs_dir, out_dir):
         record_file = sub / "run_record.json"
         if not agg_file.exists() or not record_file.exists():
             continue
-        agg = read_json_object(agg_file, click.UsageError, "metrics file").get("aggregate")
-        if not isinstance(agg, dict) or not all(_is_stat(agg.get(f)) for f in _REPORT_FIELDS):
-            raise click.UsageError(
-                f"{agg_file} lacks a numeric mean and std under 'aggregate' for each of "
-                + ", ".join(_REPORT_FIELDS)
-            )
+        agg = read_json_object(agg_file, click.UsageError, "metrics file")
+        check_entries(agg, {"aggregate": OBJECT}, f"metrics file {agg_file}", click.UsageError)
+        agg = agg["aggregate"]
+        check_entries(agg, _AGGREGATE_KEYS, f"metrics file {agg_file} aggregate",
+                      click.UsageError)
         record = read_json_object(record_file, click.UsageError, "run record")
-        if "command" not in record or not isinstance(record.get("config"), dict) \
-                or not isinstance(record.get("model", {}), dict):
-            raise click.UsageError(f"{record_file} lacks its command or config object, "
-                                   "or its model entry is no object")
+        check_entries(record, dict(_RECORD_KEYS, model=OBJECT) if "model" in record
+                      else _RECORD_KEYS, f"run record {record_file}", click.UsageError)
         info = record.get("model", {})
         kind = info.get("kind") or record["config"].get("method") or "?"
         params = info.get("param_count", "")

@@ -21,7 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics, sensing
-from .errors import DatasetError, ParameterError, is_int, make_out_dir, read_json_object
+from .errors import (OBJECT, STRING, DatasetError, ParameterError, check_entries, check_finite,
+                     is_int, make_out_dir, read_blob, read_json_object)
 
 MANIFEST_VERSION = 2
 SPLITS = ("train", "val", "test")
@@ -88,8 +89,7 @@ class DatasetSpec:
                                  f"choose from {OPERATOR_KINDS}")
         if self.operator_kind == sensing.FOURIER_MASKED and not 0 < self.operator_keep <= 1:
             raise ParameterError(f"keep fraction must be in (0, 1], got {self.operator_keep}")
-        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
-            raise ParameterError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
+        check_finite(self, ("noise_sigma",))
 
     def build_operator(self) -> sensing.SensingOperator:
         n = self.image_size**2
@@ -237,11 +237,13 @@ def gen_dataset(spec: DatasetSpec, out_dir: str | Path) -> dict:
 # Every manifest entry that load_split and operator_from_manifest read:
 # key -> (test of its value, what the value must be).
 _POSITIVE = (lambda v: is_int(v, 1), "a positive integer")
-_STRING = (lambda v: isinstance(v, str), "a string")
 _TOP_KEYS = {
+    "version": (lambda v: is_int(v) and v == MANIFEST_VERSION, str(MANIFEST_VERSION)),
     "image_size": (lambda v: is_int(v, metrics.SSIM_WINDOW),
                    f"an integer >= {metrics.SSIM_WINDOW}, the SSIM window"),
     "dtype": (lambda v: v in DTYPES, "'f32' or 'f64'"),
+    "operator": OBJECT,
+    "splits": OBJECT,
 }
 _OPERATOR_KEYS = {
     "kind": (lambda v: v in sensing.KINDS, f"one of {sensing.KINDS}"),
@@ -249,16 +251,8 @@ _OPERATOR_KEYS = {
     "n": _POSITIVE,
     "seed": (lambda v: is_int(v, 0), "a non-negative integer"),
 }
-_SPLIT_KEYS = {"count": _POSITIVE, "pairs": _STRING, "pairs_sha256": _STRING,
-               "norm": _STRING, "norm_sha256": _STRING}
-
-
-def _check_keys(entries: dict, schema: dict, where: str) -> None:
-    for key, (valid, requirement) in schema.items():
-        if key not in entries:
-            raise DatasetError(f"{where} has no {key!r}")
-        if not valid(entries[key]):
-            raise DatasetError(f"{where} {key!r} must be {requirement}, got {entries[key]!r}")
+_SPLIT_KEYS = {"count": _POSITIVE, "pairs": STRING, "pairs_sha256": STRING,
+               "norm": STRING, "norm_sha256": STRING}
 
 
 def load_manifest(path: str | Path) -> dict:
@@ -267,23 +261,16 @@ def load_manifest(path: str | Path) -> dict:
     if path.is_dir():
         path = path / "manifest.json"
     manifest = read_json_object(path, DatasetError, "manifest")
-    version = manifest.get("version")
-    if type(version) is not int or version != MANIFEST_VERSION:  # 1.0 and true are not 1
-        raise DatasetError(f"manifest version {version} != {MANIFEST_VERSION}")
-    for key in ("splits", "operator"):
-        if not isinstance(manifest.get(key), dict):
-            raise DatasetError(f"manifest {path} has no {key!r} object")
-    _check_keys(manifest, _TOP_KEYS, f"manifest {path}")
-    op = manifest["operator"]
-    _check_keys(op, _OPERATOR_KEYS, f"manifest {path} operator")
+    where = f"manifest {path}"
+    check_entries(manifest, _TOP_KEYS, where, DatasetError)
+    op, splits = manifest["operator"], manifest["splits"]
+    check_entries(op, _OPERATOR_KEYS, f"{where} operator", DatasetError)
     if op["n"] != manifest["image_size"] ** 2:
-        raise DatasetError(f"manifest {path}: a {op['m']}x{op['n']} operator does not map "
+        raise DatasetError(f"{where}: a {op['m']}x{op['n']} operator does not map "
                            f"{manifest['image_size']} px images")
-    for split, info in manifest["splits"].items():
-        where = f"manifest {path} split {split!r}"
-        if not isinstance(info, dict):
-            raise DatasetError(f"{where} is not an object")
-        _check_keys(info, _SPLIT_KEYS, where)
+    check_entries(splits, dict.fromkeys(splits, OBJECT), f"{where} splits", DatasetError)
+    for split, info in splits.items():
+        check_entries(info, _SPLIT_KEYS, f"{where} split {split!r}", DatasetError)
     manifest["_dir"] = str(path.parent)
     return manifest
 
@@ -293,20 +280,12 @@ def load_split(manifest: dict, split: str) -> Split:
     if split not in manifest["splits"]:
         raise DatasetError(f"manifest has no split {split!r}")
     info = manifest["splits"][split]
-    blobs = []
-    for name, digest in ((info["pairs"], info["pairs_sha256"]),
-                         (info["norm"], info["norm_sha256"])):
-        f = Path(manifest["_dir"]) / name
-        try:
-            blob = f.read_bytes()
-        except OSError as exc:
-            raise DatasetError(f"cannot read dataset file {f}: {exc.strerror}") from exc
-        if hashlib.sha256(blob).hexdigest() != digest:
-            raise DatasetError(f"checksum mismatch for {f}")
-        blobs.append(blob)
+    pair_blob, norm_blob = (
+        read_blob(Path(manifest["_dir"]) / info[name], info[f"{name}_sha256"], DatasetError,
+                  "dataset file") for name in ("pairs", "norm"))
     s, m, count = manifest["image_size"], manifest["operator"]["m"], info["count"]
-    records = np.frombuffer(blobs[0], dtype=_pair_dtype(manifest["dtype"]))
-    norms = np.frombuffer(blobs[1], dtype="<f8")
+    records = np.frombuffer(pair_blob, dtype=_pair_dtype(manifest["dtype"]))
+    norms = np.frombuffer(norm_blob, dtype="<f8")
     if records.size != count * (s * s + m) or norms.size != 2 * count:
         raise DatasetError(f"dataset file sizes inconsistent for split {split!r}")
     records = records.reshape(count, -1)
@@ -320,8 +299,13 @@ def load_split(manifest: dict, split: str) -> Split:
 
 
 def operator_from_manifest(manifest: dict) -> sensing.SensingOperator:
+    """The operator the manifest records; a DatasetError when its kind has
+    no member of its shape."""
     info = manifest["operator"]
-    return sensing.sample_operator(info["kind"], info["m"], info["n"], info["seed"])
+    try:
+        return sensing.sample_operator(info["kind"], info["m"], info["n"], info["seed"])
+    except ParameterError as exc:
+        raise DatasetError(f"manifest operator: {exc}") from None
 
 
 def write_pgm(path: str | Path, image: np.ndarray) -> None:

@@ -1,7 +1,13 @@
-"""Exception types shared across the toolkit, and the integer, JSON-file
-and output-directory rules the checks that raise them share."""
+"""Exception types shared across the toolkit, and the rules the checks that
+raise them share: what an integer and a finite setting are (``is_int``,
+``check_ints``, ``check_finite``); how a JSON file a command takes in is read
+and its entries checked against a key schema (``read_json_object``,
+``check_entries``); how a data file a manifest names is read and its sha256
+checked (``read_blob``); and how an output directory is made (``make_out_dir``)."""
 
+import hashlib
 import json
+import math
 from pathlib import Path
 
 
@@ -10,6 +16,24 @@ def is_int(value, least: int | None = None) -> bool:
     given; a bool or a float such as 16.0 is not one."""
     return isinstance(value, int) and not isinstance(value, bool) and \
         (least is None or value >= least)
+
+
+def check_ints(cfg, least: dict[str, int]) -> None:
+    """ParameterError unless each named attribute of ``cfg`` is an integer
+    of at least its bound."""
+    for name, bound in least.items():
+        value = getattr(cfg, name)
+        if not is_int(value, bound):
+            raise ParameterError(f"{name} must be an integer >= {bound}, got {value!r}")
+
+
+def check_finite(cfg, names: tuple[str, ...]) -> None:
+    """ParameterError unless each named attribute of ``cfg`` is a finite
+    number >= 0."""
+    for name in names:
+        value = getattr(cfg, name)
+        if not (isinstance(value, (int, float)) and math.isfinite(value) and value >= 0):
+            raise ParameterError(f"{name} must be finite and >= 0, got {value!r}")
 
 
 def read_json_object(path: Path, error: type[Exception], what: str) -> dict:
@@ -22,6 +46,35 @@ def read_json_object(path: Path, error: type[Exception], what: str) -> dict:
     if not isinstance(value, dict):
         raise error(f"{what} {path} does not hold a JSON object")
     return value
+
+
+# schema entries: the key's value is an object; a string
+OBJECT = (lambda v: isinstance(v, dict), "an object")
+STRING = (lambda v: isinstance(v, str), "a string")
+
+
+def check_entries(entries: dict, schema: dict, where: str, error: type[Exception]) -> None:
+    """``error``, naming ``where``, unless ``entries`` holds every key of
+    ``schema``, in its order, with a value that passes the key's test; the
+    schema maps a key to (test of its value, what the value must be)."""
+    for key, (valid, requirement) in schema.items():
+        if key not in entries:
+            raise error(f"{where} has no {key!r}")
+        if not valid(entries[key]):
+            raise error(f"{where} {key!r} must be {requirement}, got {entries[key]!r}")
+
+
+def read_blob(path: Path, sha256: str, error: type[Exception], what: str) -> bytes:
+    """The bytes of the file at ``path``; ``error``, naming the file as
+    ``what``, when it cannot be read (missing, a directory, a NUL byte in
+    its name) or its sha256 is not ``sha256``."""
+    try:
+        blob = path.read_bytes()
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the name
+        raise error(f"unreadable {what} {path}: {exc}") from exc
+    if hashlib.sha256(blob).hexdigest() != sha256:
+        raise error(f"{what} digest mismatch for {path}")
+    return blob
 
 
 def make_out_dir(path) -> Path:

@@ -95,7 +95,8 @@ def ssim_tensor(pred: nd.Tensor, target: nd.Tensor) -> nd.Tensor:
     den = nd.mul(nd.scalar_add(nd.add(mu_pp, mu_tt), SSIM_C1),
                  nd.scalar_add(nd.add(var_p, var_t), SSIM_C2))
     ratio = nd.div(num, den)
-    return nd.reduce_mean(nd.reshape(ratio, (pred.data.shape[0], -1)), axis=1)
+    b, h, w = ratio.data.shape  # an explicit h * w: numpy infers no -1 when b = 0
+    return nd.reduce_mean(nd.reshape(ratio, (b, h * w)), axis=1)
 
 
 def ssim(pred, target) -> float:
@@ -130,13 +131,13 @@ def score_batch(preds, targets) -> list[ImageMetrics]:
     preds, targets = _float_pair(preds, targets)
     if preds.ndim != 3:
         raise DimensionError(f"score_batch expects (B, H, W) stacks, got {preds.shape}")
-    b = preds.shape[0]
-    diff = (preds - targets).reshape(b, -1)
+    b, h, w = preds.shape
+    diff = (preds - targets).reshape(b, h * w)
     mses = np.mean(diff**2, axis=1)
     maes = np.mean(np.abs(diff), axis=1)
     ssims = ssim_tensor(nd.Tensor(preds), nd.Tensor(targets)).data
     hallucinated = (preds > FPR_T_HIGH) & (targets <= FPR_T_LOW)
-    fprs = np.count_nonzero(hallucinated.reshape(b, -1), axis=1) / diff.shape[1]
+    fprs = np.count_nonzero(hallucinated.reshape(b, h * w), axis=1) / (h * w)
     return [
         ImageMetrics(mse=float(m), mae=float(a), rmse=math.sqrt(m),
                      psnr=_psnr_db(math.sqrt(m)), ssim=float(s), fpr=float(f))

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
-from ..errors import ParameterError, is_int
+from ..errors import ParameterError, check_finite, check_ints, is_int
 
 MLP_RATIO = 4  # transformer feed-forward width, in multiples of embed_dim
 MAX_POOL_GRID = 8  # largest pooled token grid
@@ -21,15 +21,6 @@ class Stage(NamedTuple):
     out_channels: int
     upsampled: bool
     skip_block: int | None
-
-
-def _check_ints(cfg, least: dict[str, int]) -> None:
-    """ParameterError unless each named setting is an integer (not a bool)
-    of at least its bound."""
-    for name, bound in least.items():
-        value = getattr(cfg, name)
-        if not is_int(value, bound):
-            raise ParameterError(f"{name} must be an integer >= {bound}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -60,7 +51,7 @@ class TrustConfig:
     def __post_init__(self):
         object.__setattr__(self, "decoder_channels", tuple(self.decoder_channels))
         object.__setattr__(self, "skip_enabled", tuple(self.skip_enabled))
-        _check_ints(self, {"image_size": 1, "patch_size": 1, "embed_dim": 1, "num_heads": 1,
+        check_ints(self, {"image_size": 1, "patch_size": 1, "embed_dim": 1, "num_heads": 1,
                            "encoder_depth": 1, "seed": 0})
         if not all(is_int(ch, 1) for ch in self.decoder_channels):
             raise ParameterError("every decoder_channels entry must be an integer >= 1, "
@@ -159,7 +150,7 @@ class UnetConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _check_ints(self, {"image_size": 4, "base_channels": 1, "seed": 0})
+        check_ints(self, {"image_size": 4, "base_channels": 1, "seed": 0})
         if self.image_size % 4 != 0:
             raise ParameterError(f"image_size {self.image_size} must be divisible by 4")
 
@@ -181,7 +172,5 @@ class TrainConfig:
     def __post_init__(self):
         if self.loss_kind not in LOSS_KINDS:
             raise ParameterError(f"loss_kind must be one of {LOSS_KINDS}, got {self.loss_kind!r}")
-        if self.learning_rate < 0:
-            raise ParameterError("learning_rate must be >= 0")
-        if self.batch_size < 1 or self.epochs < 1:
-            raise ParameterError("batch_size and epochs must be >= 1")
+        check_ints(self, {"batch_size": 1, "epochs": 1, "seed": 0})
+        check_finite(self, ("learning_rate",))

@@ -22,10 +22,10 @@ def sample_losses(kind: str, pred: nd.Tensor, target) -> nd.Tensor:
         raise DimensionError(
             f"loss expects matching (B, H, W) stacks, got {pred.data.shape} "
             f"and {target.data.shape}")
-    b = pred.data.shape[0]
+    b, h, w = pred.data.shape
 
     def image_mean(t):
-        return nd.reduce_mean(nd.reshape(t, (b, -1)), axis=1)
+        return nd.reduce_mean(nd.reshape(t, (b, h * w)), axis=1)
 
     diff = nd.sub(pred, target)
     l2 = image_mean(nd.mul(diff, diff))

@@ -12,7 +12,8 @@ from typing import Callable
 import numpy as np
 
 from .. import ndtensor as nd
-from ..errors import CheckpointError, ParameterError, is_int, read_json_object
+from ..errors import (OBJECT, STRING, CheckpointError, ParameterError, check_entries, is_int,
+                      read_blob, read_json_object)
 from . import forward as _forward
 from .config import TrustConfig, UnetConfig
 from .forward import trust_param_shapes, unet_param_shapes
@@ -153,70 +154,45 @@ def checkpoint_save(params: dict[str, nd.Tensor], model_kind: str, cfg,
     path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
 
-_MANIFEST_KEYS = ("blob", "blob_sha256", "tensors", "model_kind", "config")
+# every manifest entry checkpoint_load reads but "tensors", which must equal
+# the table its model kind and config fix; config_from_manifest checks those two
+_MANIFEST_KEYS = {
+    "format_version": (lambda v: is_int(v) and v == CHECKPOINT_VERSION,
+                       str(CHECKPOINT_VERSION)),
+    "blob": STRING,
+    "blob_sha256": STRING,
+    "model_kind": STRING,
+    "config": OBJECT,
+}
 
 
 def checkpoint_load(path: str | Path) -> tuple[dict[str, nd.Tensor], dict]:
     """Load and validate a checkpoint; returns (params, manifest).
 
-    Validation is all-or-nothing: a truncated blob, digest mismatch, format
-    version bump, or shape disagreement with the stored config raises
-    before any tensor is returned.
+    The stored model kind and config fix every tensor's name and shape, so
+    the manifest's ``tensors`` must list exactly those, in name order, and
+    the blob is sliced by them. Validation is all-or-nothing: a truncated
+    blob, digest mismatch, format version bump, or shape disagreement with
+    the stored config raises before any tensor is returned.
     """
     path = Path(path)
     manifest = read_json_object(path, CheckpointError, "checkpoint manifest")
-    version = manifest.get("format_version")
-    if type(version) is not int or version != CHECKPOINT_VERSION:  # 1.0 and true are not 1
-        raise CheckpointError(
-            f"checkpoint format version {version} != {CHECKPOINT_VERSION}"
-        )
-    missing = [key for key in _MANIFEST_KEYS if key not in manifest]
-    if missing:
-        raise CheckpointError(f"checkpoint manifest {path} lacks {', '.join(missing)}")
-    for key in ("blob", "blob_sha256"):
-        if not isinstance(manifest[key], str):
-            raise CheckpointError(f"checkpoint manifest {path}: {key!r} must be a string")
-    if not isinstance(manifest["tensors"], list) or \
-            not all(_is_tensor_entry(t) for t in manifest["tensors"]):
-        raise CheckpointError(
-            f"checkpoint manifest {path}: 'tensors' must list {{name, shape}} objects "
-            "with a string name and a shape of non-negative integers"
-        )
-    blob_file = path.parent / manifest["blob"]
-    try:
-        blob = blob_file.read_bytes()
-    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the name
-        raise CheckpointError(f"unreadable checkpoint blob {blob_file}: {exc}") from exc
-    if hashlib.sha256(blob).hexdigest() != manifest["blob_sha256"]:
-        raise CheckpointError(f"checkpoint blob digest mismatch for {blob_file}")
-    expected_len = sum(int(np.prod(t["shape"])) for t in manifest["tensors"]) * 8
-    if len(blob) != expected_len:
-        raise CheckpointError(
-            f"checkpoint blob holds {len(blob)} bytes, expected {expected_len}"
-        )
+    check_entries(manifest, _MANIFEST_KEYS, f"checkpoint manifest {path}", CheckpointError)
     cfg = config_from_manifest(manifest)
-    expected_shapes = param_shapes(manifest["model_kind"], cfg)
-    stored = {t["name"]: tuple(t["shape"]) for t in manifest["tensors"]}
-    if stored != expected_shapes:
-        raise CheckpointError(
-            "checkpoint tensor shapes disagree with the stored config"
-        )
-    params: dict[str, nd.Tensor] = {}
-    offset = 0
-    flat = np.frombuffer(blob, dtype="<f8")
-    for entry in manifest["tensors"]:
-        size = int(np.prod(entry["shape"]))
-        data = flat[offset : offset + size].reshape(entry["shape"]).copy()
-        params[entry["name"]] = nd.Tensor(data, requires_grad=True, name=entry["name"])
-        offset += size
+    shapes = sorted(param_shapes(manifest["model_kind"], cfg).items())
+    if manifest.get("tensors") != [{"name": n, "shape": list(s)} for n, s in shapes]:
+        raise CheckpointError(f"checkpoint manifest {path}: 'tensors' must list the name and "
+                              "shape of each parameter of the stored config, in name order")
+    blob = read_blob(path.parent / manifest["blob"], manifest["blob_sha256"], CheckpointError,
+                     "checkpoint blob")
+    sizes = [math.prod(shape) for _, shape in shapes]
+    if len(blob) != 8 * sum(sizes):
+        raise CheckpointError(f"checkpoint blob holds {len(blob)} bytes, "
+                              f"expected {8 * sum(sizes)}")
+    flat = np.split(np.frombuffer(blob, dtype="<f8"), np.cumsum(sizes)[:-1])
+    params = {name: nd.Tensor(data.reshape(shape).copy(), requires_grad=True, name=name)
+              for (name, shape), data in zip(shapes, flat)}
     return params, manifest
-
-
-def _is_tensor_entry(entry) -> bool:
-    if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
-        return False
-    shape = entry.get("shape")
-    return isinstance(shape, list) and all(is_int(d, 0) for d in shape)
 
 
 def config_from_manifest(manifest: dict):

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -12,7 +11,7 @@ from .. import metrics, ndtensor as nd
 from ..errors import ContractError
 from .config import TrainConfig
 from .losses import loss as make_loss, sample_losses
-from .params import checkpoint_save, init_params, model_spec
+from .params import init_params, model_spec
 
 
 PREDICT_CHUNK = 4  # samples per forward when evaluating; bounds the transient memory
@@ -58,7 +57,11 @@ class EpochRow:
 
 @dataclass
 class TrainResult:
+    """The last epoch's parameters, a copy of the best epoch's (lowest
+    validation loss), and one row per epoch."""
+
     params: dict[str, nd.Tensor]
+    best_params: dict[str, nd.Tensor] | None = None
     rows: list[EpochRow] = field(default_factory=list)
     best_epoch: int = 0
 
@@ -105,16 +108,15 @@ def evaluate(model_kind: str, params: dict[str, nd.Tensor], model_cfg,
              data, train_cfg: TrainConfig) -> tuple[float, float, float, float]:
     """Mean validation loss, SSIM, PSNR, FPR over ``data``, a pair of float64
     stacks: (N, S, S) targets and (N, m) measurements. The loss is taken on the
-    raw estimates, the metrics on estimates clipped as ``MetricReport`` clips."""
+    raw estimates, the metrics on estimates clipped as ``MetricReport`` clips.
+    Empty stacks give a loss of 0 and nan metrics."""
     targets, observations = data
-    if not len(targets):  # no sample to score: a loss of 0, no metrics
-        return 0.0, math.nan, math.nan, math.nan
     preds = predict(model_kind, params, model_cfg, observations)
     losses = sample_losses(train_cfg.loss_kind, nd.Tensor(preds), targets).data
     report = metrics.MetricReport()
     report.extend(preds, targets)
     agg = report.aggregate()
-    return (math.fsum(losses) / len(losses),
+    return (math.fsum(losses) / max(len(losses), 1),
             *(agg[name]["mean"] for name in ("ssim", "psnr", "fpr")))
 
 
@@ -141,19 +143,15 @@ def _train_step(model_kind: str, params: dict[str, nd.Tensor], model_cfg,
 
 
 def train(model_kind: str, model_cfg, train_cfg: TrainConfig, train_data,
-          val_data, out_dir: str | Path | None = None,
-          params: dict[str, nd.Tensor] | None = None) -> TrainResult:
+          val_data, params: dict[str, nd.Tensor] | None = None) -> TrainResult:
     """Train on ``train_data``, a pair of float64 stacks, (N, S, S) targets and
     (N, m) measurements, and score each epoch's (N, S, S) estimates of
-    ``val_data``, another such pair; deterministic for fixed seeds.
+    ``val_data``, another such pair; deterministic for fixed seeds. Writes
+    no file.
 
     One step's graph is alive at a time: each step is built, differentiated
-    and released before the next begins. After the last epoch, and only
-    then, ``ckpt_best``/``ckpt_last`` checkpoints and ``epochs.csv`` are
-    written under ``out_dir`` when given, so an aborted run writes nothing;
-    the best epoch's parameters are kept as a copy until then. Initial
-    parameters come from the model config's seed unless an explicit set is
-    passed.
+    and released before the next begins. Initial parameters come from the
+    model config's seed unless an explicit set is passed.
     """
     if params is None:
         params = init_params(model_kind, model_cfg)
@@ -162,7 +160,7 @@ def train(model_kind: str, model_cfg, train_cfg: TrainConfig, train_data,
         np.random.SeedSequence(entropy=train_cfg.seed, spawn_key=(0x5,))
     )
     result = TrainResult(params=params)
-    best_val, best_params = math.inf, None
+    best_val = math.inf
     targets, observations = train_data
     n_train = len(targets)
     # an overflowing forward is refused by the non-finite guards, not warned about
@@ -187,12 +185,5 @@ def train(model_kind: str, model_cfg, train_cfg: TrainConfig, train_data,
             if val_loss < best_val:
                 best_val = val_loss
                 result.best_epoch = epoch
-                if out_dir is not None:
-                    best_params = {k: nd.Tensor(p.data.copy()) for k, p in params.items()}
-    if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        checkpoint_save(best_params, model_kind, model_cfg, out_dir / "ckpt_best.json")
-        checkpoint_save(params, model_kind, model_cfg, out_dir / "ckpt_last.json")
-        (out_dir / "epochs.csv").write_text(result.log_csv())
+                result.best_params = {k: nd.Tensor(p.data.copy()) for k, p in params.items()}
     return result

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import sensing
-from .errors import DimensionError, ParameterError, SingularMatrixError
+from .errors import DimensionError, ParameterError, SingularMatrixError, check_finite, check_ints
 
 # Relative size below which a Gram-Schmidt remainder, an R diagonal or a
 # singular value counts as zero: sqrt(float64 eps), so a column that only
@@ -31,12 +31,9 @@ class SolverConfig:
     lam: float | None = None           # l1 weight; None -> 0.05 * |A^T y|_inf
 
     def __post_init__(self):
-        if self.residual_tolerance < 0:
-            raise ParameterError("residual_tolerance must be >= 0")
-        if self.lam is not None and self.lam < 0:
-            raise ParameterError("lambda must be >= 0")
-        if self.sparsity_budget < 1:
-            raise ParameterError("sparsity_budget must be >= 1")
+        check_ints(self, {"max_iterations": 0, "sparsity_budget": 1})
+        check_finite(self, ("residual_tolerance",) if self.lam is None
+                     else ("residual_tolerance", "lam"))
 
 
 @dataclass

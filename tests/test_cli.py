@@ -146,7 +146,7 @@ def _edited_copy(data, dst, edit):
 
 
 @pytest.mark.parametrize("key, value, message", [
-    ("image_size", 6, "SSIM window"), ("version", 1, "manifest version 1"),
+    ("image_size", 6, "SSIM window"), ("version", 1, "'version' must be 2, got 1"),
 ])
 def test_solve_refuses_a_manifest_before_writing(runner, small_dataset, tmp_path, key, value,
                                                   message):

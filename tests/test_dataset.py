@@ -4,11 +4,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from trustkit import dataset, model, sensing
 from trustkit.errors import DatasetError, DimensionError, ParameterError
+
+from json_values import JSON_VALUES
 
 
 def small_spec(**overrides):
@@ -359,9 +361,9 @@ def test_load_manifest_rejects_malformed_entries(tmp_path, where, key, value, me
 
 # ---- corrupt datasets: typed errors, and the CLI exits 2 ---------------------------
 
-# every manifest entry that load_split and operator_from_manifest read
+# every manifest entry that load_manifest, load_split and operator_from_manifest read
 _READ_KEYS = (
-    [("image_size",), ("dtype",), ("splits",), ("operator",)]
+    [("version",), ("image_size",), ("dtype",), ("splits",), ("operator",)]
     + [("operator", key) for key in ("kind", "m", "n", "seed")]
     + [("splits", split, key) for split in dataset.SPLITS
        for key in ("count", "pairs", "pairs_sha256", "norm", "norm_sha256")]
@@ -409,6 +411,37 @@ def test_manifest_missing_any_read_key_is_a_dataset_error(clean_dataset, path):
         _solve_exits_2(tmp)
 
 
+@settings(max_examples=60)
+@given(path=st.sampled_from(_READ_KEYS), value=JSON_VALUES)
+@example(path=("splits", "test", "pairs"), value="\x00")
+@example(path=("splits", "test", "norm"), value="\x00")
+@example(path=("splits", "val", "pairs"), value="a\x00b")
+@example(path=("splits", "train", "norm"), value="a\x00b")
+@example(path=("version",), value=True)
+def test_any_substituted_manifest_entry_is_a_dataset_error(clean_dataset, path, value):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        _copy_dataset(clean_dataset, tmp)
+        manifest = json.loads((tmp / "manifest.json").read_text())
+        entries = manifest
+        for step in path[:-1]:
+            entries = entries[step]
+        assume(json.dumps(value, sort_keys=True)
+               != json.dumps(entries[path[-1]], sort_keys=True))
+        entries[path[-1]] = value
+        (tmp / "manifest.json").write_text(json.dumps(manifest))
+        split = path[1] if len(path) == 3 else "test"
+        try:
+            loaded = dataset.load_manifest(tmp)
+            dataset.load_split(loaded, split)
+            dataset.operator_from_manifest(loaded)
+        except DatasetError:
+            _solve_exits_2(tmp, split)
+            return
+        # only another operator of the stored shape still fits the stored pairs
+        assert path in (("operator", "kind"), ("operator", "seed")), (path, value)
+
+
 @settings(max_examples=30)
 @given(split=st.sampled_from(dataset.SPLITS), blob=st.sampled_from(["pairs", "norm"]),
        where=st.floats(0.0, 1.0, exclude_max=True), flip=st.integers(1, 255))
@@ -421,6 +454,6 @@ def test_flipped_blob_byte_is_a_dataset_error(clean_dataset, split, blob, where,
         data = bytearray(target.read_bytes())
         data[int(where * len(data))] ^= flip
         target.write_bytes(bytes(data))
-        with pytest.raises(DatasetError, match="checksum mismatch"):
+        with pytest.raises(DatasetError, match="dataset file digest mismatch"):
             dataset.load_split(manifest, split)
         _solve_exits_2(tmp, split)

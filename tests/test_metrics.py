@@ -200,6 +200,18 @@ def test_score_batch_rows_equal_single_image_metrics():
         metrics.score_batch(preds[0], targets[0])
 
 
+def test_an_empty_stack_adds_no_rows():
+    # a (0, H, W) stack reshapes by its explicit H * W: numpy infers no -1 there
+    empty = np.empty((0, 8, 9))
+    assert metrics.score_batch(empty, empty) == []
+    assert metrics.ssim_tensor(nd.Tensor(empty), nd.Tensor(empty)).data.shape == (0,)
+    report = metrics.MetricReport()
+    report.extend(rng.random((1, 8, 9)), rng.random((1, 8, 9)))
+    rows = list(report.rows)
+    report.extend(empty, empty)
+    assert report.rows == rows
+
+
 def test_report_rmse_is_sqrt_mse():
     report = metrics.MetricReport()
     report.extend(rng.random((1, 8, 8)), rng.random((1, 8, 8)))

@@ -14,6 +14,7 @@ from trustkit import dataset, metrics, model, ndtensor as nd
 from trustkit.errors import CheckpointError, ContractError, DimensionError, ParameterError
 
 from gradcheck import finite_difference, rel_err
+from json_values import JSON_VALUES
 
 rng = np.random.default_rng(314)
 
@@ -74,6 +75,21 @@ def test_config_refuses_sizes_below_one_before_using_them(make):
     # accept image sizes 0 and -4, and a negative seed to fail in numpy
     with pytest.raises(ParameterError, match="must be an integer >= "):
         make()
+
+
+@pytest.mark.parametrize("values, message", [
+    ({"epochs": 2.5}, "epochs must be an integer >= 1, got 2.5"),
+    ({"epochs": 0}, "epochs must be an integer >= 1, got 0"),
+    ({"batch_size": True}, "batch_size must be an integer >= 1, got True"),
+    ({"seed": -1}, "seed must be an integer >= 0, got -1"),
+    ({"learning_rate": math.nan}, "learning_rate must be finite and >= 0, got nan"),
+    ({"learning_rate": math.inf}, "learning_rate must be finite and >= 0, got inf"),
+    ({"learning_rate": -1e-3}, "learning_rate must be finite and >= 0, got -0.001"),
+], ids=["epochs-float", "epochs-0", "batch-bool", "seed-negative", "lr-nan", "lr-inf",
+        "lr-negative"])
+def test_train_config_refuses_non_integers_and_non_finite_rates(values, message):
+    with pytest.raises(ParameterError, match=f"^{message}$"):
+        model.TrainConfig(**values)
 
 
 @pytest.mark.parametrize("size,grid", [(8, 2), (16, 4), (48, 6)])
@@ -685,12 +701,6 @@ def test_checkpoint_unknown_model_kind(tmp_path):
 
 _CHECKPOINT_ENTRIES = ("format_version", "blob", "blob_sha256", "tensors", "model_kind",
                        "config")
-_JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
-    | st.text(),
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
-    max_leaves=8,
-)
 
 
 @pytest.fixture(scope="module")
@@ -732,7 +742,7 @@ def _copy_checkpoint(src, dst):
 
 
 @settings(max_examples=60)
-@given(key=st.sampled_from(_CHECKPOINT_ENTRIES), value=_JSON_VALUES)
+@given(key=st.sampled_from(_CHECKPOINT_ENTRIES), value=JSON_VALUES)
 @example(key="blob", value=5)
 @example(key="blob", value=None)
 @example(key="blob", value="\x00")
@@ -936,6 +946,10 @@ def test_evaluate_loss_is_the_fsum_of_per_sample_losses(loss_kind):
     preds = model.forward_trust(params, cfg, y)
     expected = math.fsum(model.sample_losses(loss_kind, preds, targets).data) / len(y)
     assert val_loss == expected
+    # an empty stack scores as no sample: a loss of 0 and nan metrics
+    val_loss, *scores = model.evaluate(model.TRUST, params, cfg, (targets[:0], y[:0]),
+                                       model.TrainConfig(loss_kind=loss_kind))
+    assert val_loss == 0.0 and all(math.isnan(score) for score in scores)
 
 
 def test_zero_learning_rate_freezes_parameters():
@@ -991,24 +1005,44 @@ def test_best_checkpoint_holds_the_best_epochs_parameters(tmp_path):
     cfg = reduced_trust()
     tcfg = model.TrainConfig(learning_rate=0.2, epochs=3, batch_size=4, loss_kind="l2")
     data = _toy_data(8, 16, seed=4)
-    best = model.train(model.TRUST, cfg, tcfg, data, _head(data, 2),
-                       out_dir=tmp_path / "long").best_epoch
-    assert best < tcfg.epochs
-    short = model.TrainConfig(learning_rate=0.2, epochs=best, batch_size=4, loss_kind="l2")
-    model.train(model.TRUST, cfg, short, data, _head(data, 2), out_dir=tmp_path / "short")
-    blob = (tmp_path / "long" / "ckpt_best.json.bin").read_bytes()
-    assert blob == (tmp_path / "short" / "ckpt_last.json.bin").read_bytes()
-    assert blob != (tmp_path / "long" / "ckpt_last.json.bin").read_bytes()
+    long = model.train(model.TRUST, cfg, tcfg, data, _head(data, 2))
+    assert long.best_epoch < tcfg.epochs
+    short = model.TrainConfig(learning_rate=0.2, epochs=long.best_epoch, batch_size=4,
+                              loss_kind="l2")
+    blobs = {}
+    for name, params in (("long_best", long.best_params), ("long_last", long.params),
+                         ("short_last", model.train(model.TRUST, cfg, short, data,
+                                                    _head(data, 2)).params)):
+        model.checkpoint_save(params, model.TRUST, cfg, tmp_path / f"{name}.json")
+        blobs[name] = (tmp_path / f"{name}.json.bin").read_bytes()
+    assert blobs["long_best"] == blobs["short_last"]
+    assert blobs["long_best"] != blobs["long_last"]
 
 
 def test_train_writes_checkpoints_and_log(tmp_path):
-    cfg = reduced_trust()
+    # model.train writes nothing; the train command saves what it returns, the
+    # two checkpoints and the epoch log, and no file its run record omits
+    from click.testing import CliRunner
+
+    from trustkit.cli import main
+
+    data = tmp_path / "ds"
+    dataset.gen_dataset(dataset.DatasetSpec(image_size=8, train=6, val=2, test=1, seed=4), data)
+    out = tmp_path / "tr"
+    res = CliRunner().invoke(main, [
+        "train", "--dataset", str(data), "--out", str(out), "--loss", "l2", "--epochs", "2",
+        "--lr", "1e-3", "--batch", "4", "--embed-dim", "8", "--depth", "1", "--heads", "2",
+    ], catch_exceptions=False)
+    assert res.exit_code == 0, res.output
+    record = json.loads((out / "run_record.json").read_text())
+    assert sorted(p.name for p in out.iterdir()) == sorted(record["outputs"] + ["run_record.json"])
+    manifest = dataset.load_manifest(data)
+    train, val = (dataset.load_split(manifest, split) for split in ("train", "val"))
+    cfg = model.TrustConfig(image_size=8, embed_dim=8, num_heads=2, encoder_depth=1)
     tcfg = model.TrainConfig(learning_rate=1e-3, epochs=2, batch_size=4, loss_kind="l2")
-    data = _toy_data(6, 16, seed=4)
-    model.train(model.TRUST, cfg, tcfg, data, _head(data, 2), out_dir=tmp_path)
-    assert (tmp_path / "ckpt_best.json").exists()
-    assert (tmp_path / "ckpt_last.json").exists()
-    log = (tmp_path / "epochs.csv").read_text()
-    header, *rows = log.strip().splitlines()
-    assert header == "epoch,train_loss,val_loss,val_ssim,val_psnr,val_fpr"
-    assert len(rows) == 2
+    result = model.train(model.TRUST, cfg, tcfg, (train.x, train.y), (val.x, val.y))
+    assert (out / "epochs.csv").read_text() == result.log_csv()
+    for name, params in (("ckpt_best", result.best_params), ("ckpt_last", result.params)):
+        model.checkpoint_save(params, model.TRUST, cfg, tmp_path / f"{name}.json")
+        for file in (f"{name}.json", f"{name}.json.bin"):
+            assert (out / file).read_bytes() == (tmp_path / file).read_bytes(), file

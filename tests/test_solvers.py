@@ -359,6 +359,20 @@ def test_negative_lambda_rejected():
         solvers.SolverConfig(lam=-0.1)
 
 
+@pytest.mark.parametrize("values, message", [
+    ({"max_iterations": 2.5}, "max_iterations must be an integer >= 0, got 2.5"),
+    ({"max_iterations": -1}, "max_iterations must be an integer >= 0, got -1"),
+    ({"sparsity_budget": True}, "sparsity_budget must be an integer >= 1, got True"),
+    ({"residual_tolerance": float("nan")}, "residual_tolerance must be finite and >= 0, got nan"),
+    ({"lam": float("inf")}, "lam must be finite and >= 0, got inf"),
+    ({"lam": float("nan")}, "lam must be finite and >= 0, got nan"),
+], ids=["max-iterations-float", "max-iterations-negative", "sparsity-bool", "tolerance-nan",
+        "lam-inf", "lam-nan"])
+def test_solver_config_refuses_non_integers_and_non_finite_numbers(values, message):
+    with pytest.raises(ParameterError, match=f"^{message}$"):
+        solvers.SolverConfig(**values)
+
+
 def test_ista_objective_nonincreasing():
     op = _gaussian(16, 32, seed=2)
     rng = np.random.default_rng(7)
