@@ -7,7 +7,10 @@ the polarization identity it rests on, and runs the operator-ensemble sweep
 that maps mean/max deviation against the estimated constant. A sweep cell
 draws all its pairs as one block (``sensing.unit_ksparse_rows``), maps them
 through A in one product, and takes delta_2k from ``sensing.estimate_rip``,
-whose exact scan gathers every support's Gram from the operator's A^T A.
+whose exact scan gathers every support's Gram from the operator's A^T A. An
+isometry's A^T A is the identity up to rounding; its delta is then the
+interlacing bound |A^T A - I|_2 from one n x n eigensolve, which bounds every
+support's deviation at once, and no support's Gram is formed.
 """
 
 from __future__ import annotations

@@ -15,8 +15,10 @@ per setting. It may supply any setting of the command, required ones
 (``dataset``, ``checkpoint``) included, and becomes the command's default
 map, so each entry passes the same type and range check as its flag. An
 entry that names no setting of the command is a usage error, and so are a
-list or an object, which no setting takes, and ``null`` for a setting whose
-default is not none (only ``lam``, ``ridge`` and ``emit_images`` take it).
+list or an object, which no setting takes, ``null`` for a setting whose
+default is not none (only ``lam``, ``ridge`` and ``emit_images`` take it),
+anything but ``true`` or ``false`` for a flag (``emit_matrix``), and a bool
+or a number beyond the float range for a float setting.
 
 A setting that only some choices of another read (``--keep`` only
 ``--operator fourier_masked``; a model kind's are those its ``ModelSpec`` lists)
@@ -95,8 +97,9 @@ class _Command(click.Command):
 
 def _read_config(ctx: click.Context, param: click.Parameter, path: str | None) -> None:
     """Make the config file at ``path`` the command's default map, once no
-    entry names an unknown setting, holds a list or an object, or nulls a
-    setting whose default is not none."""
+    entry names an unknown setting, holds a list or an object, nulls a
+    setting whose default is not none, or gives a flag a value but true or
+    false."""
     if not path:
         return
     entries = read_json_object(Path(path), click.UsageError, "config file")
@@ -111,6 +114,8 @@ def _read_config(ctx: click.Context, param: click.Parameter, path: str | None) -
             raise click.UsageError(f"config file entry {key!r} must not be a list or an object")
         if value is None and settings[key].default is not None:
             raise click.UsageError(f"config file entry {key!r} must not be null")
+        if getattr(settings[key], "is_flag", False) and not isinstance(value, bool):
+            raise click.UsageError(f"config file entry {key!r} must be true or false")
     ctx.default_map = entries
 
 
@@ -178,10 +183,16 @@ def _score_and_record(out: Path, command: str, cfg: dict, inputs: dict, outputs:
 
 
 class _FiniteNonNegative(click.FloatRange):
-    """A float >= 0 that is neither nan nor inf."""
+    """A float >= 0 that is neither nan nor inf; a config-file bool is not
+    one, though Python's float() would read true as 1.0."""
 
     def convert(self, value, param, ctx):
-        value = super().convert(value, param, ctx)
+        if isinstance(value, bool):
+            self.fail(f"{value!r} is not a number.", param, ctx)
+        try:
+            value = super().convert(value, param, ctx)
+        except OverflowError:  # a config-file integer beyond the float range
+            self.fail("the integer is beyond the float range.", param, ctx)
         if not math.isfinite(value):
             self.fail(f"{value} is not a finite number.", param, ctx)
         return value
@@ -291,7 +302,9 @@ def verify_bound(**cfg):
     """Sweep operator ensembles and check deviation <= delta on exact cells.
 
     An exactly-enumerated cell's delta is exact, the maximum over all
-    C(n, 2k) supports. Exits 1 if any such cell violates the bound.
+    C(n, 2k) supports; on an isometry it is the interlacing bound
+    |A^T A - I|_2, which bounds every support's deviation. Exits 1 if any
+    such cell violates the bound.
     """
     started = time.monotonic()
     kind_names = [k.strip() for k in cfg["kinds"].split(",") if k.strip()]
@@ -366,13 +379,15 @@ def solve(**cfg):
     """Sparse-recover a dataset split with a classical solver and score it."""
     started = time.monotonic()
     manifest = dataset.load_manifest(cfg["dataset"])
-    data = dataset.load_split(manifest, cfg["split"]).head(cfg["limit"])
+    split = dataset.load_split(manifest, cfg["split"])
     if cfg["operator"] == "known":
         op = dataset.operator_from_manifest(manifest)
+        dataset.check_operator(manifest, op, split)
     else:
         train = dataset.load_split(manifest, "train")
         op = solvers.estimate_operator(train.x.reshape(len(train), -1), train.raw(),
                                        ridge=cfg["ridge"])
+    data = split.head(cfg["limit"])
     solver_cfg = solvers.SolverConfig(
         max_iterations=cfg["max_iter"], residual_tolerance=cfg["tol"],
         sparsity_budget=cfg.get("sparsity") or max(1, op.n // 4), lam=cfg.get("lam"),

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import metrics, sensing
 from .errors import (OBJECT, STRING, DatasetError, ParameterError, check_entries, check_finite,
-                     is_int, make_out_dir, read_blob, read_json_object)
+                     is_finite, is_int, make_out_dir, read_blob, read_json_object)
 
 MANIFEST_VERSION = 2
 SPLITS = ("train", "val", "test")
@@ -242,6 +242,7 @@ _TOP_KEYS = {
     "image_size": (lambda v: is_int(v, metrics.SSIM_WINDOW),
                    f"an integer >= {metrics.SSIM_WINDOW}, the SSIM window"),
     "dtype": (lambda v: v in DTYPES, "'f32' or 'f64'"),
+    "noise_sigma": (is_finite, "a finite number >= 0"),
     "operator": OBJECT,
     "splits": OBJECT,
 }
@@ -306,6 +307,38 @@ def operator_from_manifest(manifest: dict) -> sensing.SensingOperator:
         return sensing.sample_operator(info["kind"], info["m"], info["n"], info["seed"])
     except ParameterError as exc:
         raise DatasetError(f"manifest operator: {exc}") from None
+
+
+def check_operator(manifest: dict, op: sensing.SensingOperator, split: Split) -> None:
+    """DatasetError unless ``op`` measured the split: its measurement of the
+    first non-zero stored target must lie within the noise and storage
+    allowance of that sample's stored raw measurement. A split whose targets
+    are all zero cannot tell operators apart and passes.
+
+    The noise allowance is sigma (sqrt(m) + 8), with sigma the manifest's
+    ``noise_sigma``: |w| of w ~ N(0, sigma^2 I_m) exceeds it with
+    probability below e^-32. The storage allowance is
+    4 eps (|A|_F |x| + sqrt(m) (scale + |offset|)), with eps that of the
+    stored precision: it holds the rounding of the stored target and of the
+    normalized measurement. An operator of another seed misses a blob target
+    by a distance of the order of |A x|, far outside both.
+    """
+    nonzero = np.flatnonzero(split.x.reshape(len(split), -1).any(axis=1))
+    if not nonzero.size:
+        return
+    i = int(nonzero[0])
+    x = split.x[i].reshape(-1)
+    scale, offset = split.scale[i], split.offset[i]
+    residual = float(np.linalg.norm(op.matrix @ x - (split.y[i] * scale + offset)))
+    eps = float(np.finfo(_pair_dtype(manifest["dtype"])).eps)
+    allowance = (manifest["noise_sigma"] * (math.sqrt(op.m) + 8.0)
+                 + 4.0 * eps * (float(np.linalg.norm(op.matrix)) * float(np.linalg.norm(x))
+                                + math.sqrt(op.m) * (scale + abs(offset))))
+    if not residual <= allowance:
+        raise DatasetError(
+            f"manifest {Path(manifest['_dir']) / 'manifest.json'}: its {op.kind} operator of "
+            f"seed {op.seed} did not measure the stored pairs (sample {i}: |A x - y| = "
+            f"{residual:.3g}, allowed {allowance:.3g})")
 
 
 def write_pgm(path: str | Path, image: np.ndarray) -> None:

@@ -1,13 +1,13 @@
 """Exception types shared across the toolkit, and the rules the checks that
 raise them share: what an integer and a finite setting are (``is_int``,
-``check_ints``, ``check_finite``); how a JSON file a command takes in is read
+``check_ints``, ``is_finite``, ``check_finite``); how a JSON file a command takes in is read
 and its entries checked against a key schema (``read_json_object``,
 ``check_entries``); how a data file a manifest names is read and its sha256
 checked (``read_blob``); and how an output directory is made (``make_out_dir``)."""
 
 import hashlib
 import json
-import math
+import sys
 from pathlib import Path
 
 
@@ -27,12 +27,19 @@ def check_ints(cfg, least: dict[str, int]) -> None:
             raise ParameterError(f"{name} must be an integer >= {bound}, got {value!r}")
 
 
+def is_finite(value) -> bool:
+    """Whether ``value`` is a number >= 0 that a float holds: an int or a
+    float in [0, the largest float]; a bool, nan or inf is not one."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and \
+        0 <= value <= sys.float_info.max
+
+
 def check_finite(cfg, names: tuple[str, ...]) -> None:
     """ParameterError unless each named attribute of ``cfg`` is a finite
-    number >= 0."""
+    number >= 0 (``is_finite``)."""
     for name in names:
         value = getattr(cfg, name)
-        if not (isinstance(value, (int, float)) and math.isfinite(value) and value >= 0):
+        if not is_finite(value):
             raise ParameterError(f"{name} must be finite and >= 0, got {value!r}")
 
 
@@ -41,7 +48,8 @@ def read_json_object(path: Path, error: type[Exception], what: str) -> dict:
     as ``what``, when it cannot be read or holds anything else."""
     try:
         value = json.loads(path.read_text())
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    # ValueError: not UTF-8, not JSON, or an integer of more digits than Python parses
+    except (OSError, ValueError) as exc:
         raise error(f"unreadable {what} {path}: {exc}") from exc
     if not isinstance(value, dict):
         raise error(f"{what} {path} does not hold a JSON object")

@@ -204,9 +204,10 @@ def estimate_rip(op: SensingOperator, k: int, method: str = EXACT_ENUMERATION,
     over 2k-sparse z.
 
     Exact enumeration returns max |lambda - 1| over the eigenvalues of the
-    Gram matrix G_S of every size-2k support S; it refuses (never silently
-    falls back) when C(n, 2k) exceeds ENUMERATION_CAP. G = A^T A is formed
-    once (the operator's ``gram``), and each G_S is the gather G[S][:, S].
+    Gram matrix G_S of every size-2k support S (of an isometry, the bound
+    on it below); it refuses (never silently falls back) when C(n, 2k)
+    exceeds ENUMERATION_CAP. G = A^T A is formed once (the operator's
+    ``gram``), and each G_S is the gather G[S][:, S].
     Supports are unranked in colex order (``_colex_supports``) in chunks of
     as many supports as have about 1 MiB of columns between them (at least
     one). Each chunk gathers all its Grams at once and, from M_S = G_S - I,
@@ -216,17 +217,31 @@ def estimate_rip(op: SensingOperator, k: int, method: str = EXACT_ENUMERATION,
     support unless b_S + margin < delta, the running maximum; a nan bound is
     so never skipped.
 
-    The result is bit for bit the unpruned scan's over the same Grams, as
-    ``eigvalsh`` solves each matrix of a stack on its own. A skipped
-    support's computed |lambda - 1| would exceed b_S by at most
+    The margin is 1e-9 max(1, max_j |a_j|^2). It is absolute because
+    rounding is: on an isometry every deviation is rounding noise (about
+    1e-15), and a relative margin would skip supports whose computed
+    deviation is the maximum.
+
+    An isometry takes no scan. Before any support is unranked, one O(n^2)
+    test asks whether |G - I|_F <= margin. When it holds, delta is
+    max |lambda - 1| over the eigenvalues of G, from one n x n
+    ``eigvalsh``, and no G_S is formed. By Cauchy's interlacing theorem
+    every G_S has its eigenvalues in [lambda_min(G), lambda_max(G)], so
+    this |G - I|_2 bounds every support's deviation at once. It is at most
+    the margin, and within the margin of the full scan's delta, as both
+    are rounding noise; at 2k = n the only support is G itself, and it is
+    the full scan's delta bit for bit.
+
+    Every other operator, farther than the margin from an isometry, takes
+    the scan, and its delta is bit for bit the unpruned scan's over the
+    same Grams, as ``eigvalsh`` solves each matrix of a stack on its own.
+    A skipped support's computed |lambda - 1| would exceed b_S by at most
     O(2k eps |G_S|) of rounding, and |G_S| <= 2k max_j |a_j|^2, so it stays
-    below delta and the maximum does not move. The margin,
-    1e-9 max(1, max_j |a_j|^2), is absolute because that rounding is: on an
-    isometry delta and b_S are both rounding noise (about 1e-15), and a
-    relative margin would skip supports whose computed deviation is the
-    maximum. Skipping never happens there: while delta is at most the
+    below delta and the maximum does not move. While delta is at most the
     margin after a chunk, the next chunk is solved whole and its bounds are
-    not formed, so an isometry costs one chunk of bounds and a full scan.
+    not formed: no bound could skip a support then. That still serves an
+    operator whose first supports are isometric and whose later ones are
+    not.
 
     Beside the n x n Gram, a chunk holds its Grams with M_S and M_S^2, so
     peak memory stays a few MiB however many supports there are. ``count``
@@ -252,8 +267,11 @@ def estimate_rip(op: SensingOperator, k: int, method: str = EXACT_ENUMERATION,
                 "request monte_carlo explicitly instead"
             )
         gram = op.gram
-        per_chunk = max(1, _RIP_CHUNK_BYTES // (order * op.m * gram.itemsize))
         margin = 1e-9 * max(1.0, float(np.max(np.diagonal(gram))))
+        if np.linalg.norm(gram - np.eye(op.n)) <= margin:  # an isometry; a nan norm is not
+            return RipEstimate(order=order, delta=_max_eig_deviation(gram[None], 0.0),
+                               method=method, count=n_supports)
+        per_chunk = max(1, _RIP_CHUNK_BYTES // (order * op.m * gram.itemsize))
         delta = 0.0
         for i, supports in enumerate(_colex_supports(op.n, order, per_chunk)):
             grams = gram[supports[:, :, None], supports[:, None, :]]

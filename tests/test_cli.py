@@ -1,11 +1,14 @@
 import dataclasses
 import json
+import os
 from pathlib import Path
 
 import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from trustkit import dataset, model, solvers
 from trustkit.cli import _Owned, main
@@ -156,6 +159,22 @@ def test_solve_refuses_a_manifest_before_writing(runner, small_dataset, tmp_path
     assert res.exit_code == 2, res.output
     assert message in res.output
     assert not (tmp_path / "r").exists()
+
+
+def test_solve_refuses_an_operator_that_did_not_measure_the_pairs(runner, small_dataset,
+                                                                  tmp_path):
+    data = _edited_copy(small_dataset, tmp_path / "ds",
+                        lambda manifest: manifest["operator"].update(
+                            seed=manifest["operator"]["seed"] + 1))
+    res = runner.invoke(main, ["solve", "--dataset", str(data), "--out", str(tmp_path / "r")])
+    assert res.exit_code == 2, res.output
+    assert "did not measure the stored pairs" in res.output
+    assert "Traceback" not in res.output
+    assert not (tmp_path / "r").exists()
+    # an estimated operator reads no operator entry
+    res = runner.invoke(main, ["solve", "--dataset", str(data), "--out", str(tmp_path / "e"),
+                               "--operator", "estimated", "--limit", "1"])
+    assert res.exit_code == 0, res.output
 
 
 def test_seven_px_dataset_solves_end_to_end(runner, tmp_path):
@@ -667,6 +686,13 @@ def _config(command, entries):
     return args
 
 
+def _config_digits(tmp, data):
+    # more digits than Python turns into an int
+    (tmp / "cfg.json").write_text('{"seed": 1' + "0" * 5000 + "}")
+    return ["gen-data", "--out", str(tmp / "ds"), "--image-size", "8",
+            "--config", str(tmp / "cfg.json")]
+
+
 @pytest.mark.parametrize("make_args", [
     _missing_dataset, _corrupt_manifest(b"{not json"), _corrupt_manifest(b"[1, 2]"),
     _corrupt_manifest(b"\xff"),
@@ -715,6 +741,9 @@ def _config(command, entries):
     _config("gen-data", {"image_size": 8.0}), _config("gen-data", {"seed": False}),
     _config("solve", {"method": "fista", "lam": [1]}), _config("solve", {"tol": {}}),
     _config("solve", {"operator": "estimated", "ridge": [1]}),
+    _config("verify-bound", {"emit_matrix": 1}), _config("verify-bound", {"emit_matrix": "x"}),
+    _config("gen-data", {"noise_sigma": 10**400}), _config("gen-data", {"noise_sigma": True}),
+    _config("solve", {"tol": False}), _config_digits,
 ], ids=["missing-dataset", "manifest-not-json", "manifest-not-object", "manifest-not-utf8",
         "manifest-without-splits", "checkpoint-blob-deleted", "checkpoint-tensors-not-entries",
         "checkpoint-for-other-image-size", "checkpoint-holds-pool-grid",
@@ -742,7 +771,10 @@ def _config(command, entries):
         "config-solve-max-iter-float", "config-solve-sparsity-integral-float",
         "config-train-epochs-float", "config-train-embed-dim-bool",
         "config-gen-data-image-size-float", "config-gen-data-seed-bool",
-        "config-fista-lam-list", "config-solve-tol-object", "config-solve-ridge-list"])
+        "config-fista-lam-list", "config-solve-tol-object", "config-solve-ridge-list",
+        "config-verify-bound-emit-matrix-number", "config-verify-bound-emit-matrix-string",
+        "config-gen-data-noise-sigma-beyond-float", "config-gen-data-noise-sigma-bool",
+        "config-solve-tol-bool", "config-file-integer-too-long"])
 def test_bad_input_exits_2_without_traceback(runner, small_dataset, tmp_path, make_args):
     res = runner.invoke(main, make_args(tmp_path, small_dataset))
     assert res.exit_code == 2, res.output
@@ -1097,3 +1129,55 @@ def test_model_settings_are_the_specs_and_name_their_config_fields():
         assert set(spec.settings.values()) <= fields - {"image_size", "seed"}
         assert set(spec.settings) == {name for name, p in params.items()
                                       if isinstance(p, _Owned) and kind in p.owners}
+
+
+# ---- the exit contract under any config-file entry ---------------------------------
+
+# what a config-file entry is replaced by
+_FUZZ_VALUES = (None, True, False, 0, 1, -1, 2.5, float("nan"), 1e308, -1e308, "", "x", [1], {})
+# (command, setting) of every setting a config file may hold
+_FUZZ_SETTINGS = [(name, param.name) for name, command in main.commands.items()
+                  for param in command.params if name != "report" and param.name != "config"]
+
+
+@pytest.fixture(scope="module")
+def fuzz_configs(small_dataset, tmp_path_factory):
+    """Per command, the config file entries of a quick run that exits 0."""
+    checkpoint = tmp_path_factory.mktemp("fuzz") / "c.json"
+    cfg = model.UnetConfig(image_size=8)
+    model.checkpoint_save(model.init_params(model.UNET, cfg), model.UNET, cfg, checkpoint)
+    data = str(small_dataset)
+    return {
+        "gen-data": {"out": "out", "image_size": 8, "train": 2, "val": 1, "test": 1},
+        "verify-bound": {"out": "out", "kinds": "identity", "m_list": "8", "n_list": "8",
+                         "k_list": "2", "trials": 2},
+        "solve": {"dataset": data, "out": "out", "limit": 1, "max_iter": 20},
+        "train": {"dataset": data, "out": "out", "model": "trust", "loss": "l2", "epochs": 1,
+                  "batch": 4, "embed_dim": 8, "depth": 1, "heads": 2, "limit": 4},
+        "eval": {"checkpoint": str(checkpoint), "dataset": data, "out": "out", "limit": 1},
+    }
+
+
+def test_fuzz_configs_run(runner, fuzz_configs):
+    for command, entries in fuzz_configs.items():
+        with runner.isolated_filesystem():
+            Path("cfg.json").write_text(json.dumps(entries))
+            res = runner.invoke(main, [command, "--config", "cfg.json"])
+            assert res.exit_code == 0, (command, res.output)
+
+
+@settings(max_examples=700)
+@given(setting=st.sampled_from(_FUZZ_SETTINGS), value=st.sampled_from(_FUZZ_VALUES))
+@example(setting=("verify-bound", "emit_matrix"), value=1)
+def test_any_config_entry_keeps_the_exit_contract(runner, fuzz_configs, setting, value):
+    # exit 0, 1 or 2, no traceback, and a failed run leaves no new empty directory
+    command, key = setting
+    with runner.isolated_filesystem() as cwd:
+        Path("cfg.json").write_text(json.dumps(dict(fuzz_configs[command], **{key: value})))
+        res = runner.invoke(main, [command, "--config", "cfg.json"])
+        assert res.exit_code in (0, 1, 2), res.output
+        assert "Traceback" not in res.output
+        assert res.exception is None or isinstance(res.exception, SystemExit), res.exception
+        if res.exit_code:
+            empty = [path for path, dirs, files in os.walk(cwd) if not dirs and not files]
+            assert empty == [], res.output

@@ -347,6 +347,8 @@ def _edit_manifest(tmp_path, edit):
     (("splits", "test"), "norm", None, "norm"),
     ((), "version", True, "version"),
     ((), "version", 1.0, "version"),
+    ((), "noise_sigma", -0.5, "noise_sigma"),
+    ((), "noise_sigma", True, "noise_sigma"),
 ])
 def test_load_manifest_rejects_malformed_entries(tmp_path, where, key, value, message):
     def edit(manifest):
@@ -361,9 +363,10 @@ def test_load_manifest_rejects_malformed_entries(tmp_path, where, key, value, me
 
 # ---- corrupt datasets: typed errors, and the CLI exits 2 ---------------------------
 
-# every manifest entry that load_manifest, load_split and operator_from_manifest read
+# every manifest entry that load_manifest, load_split, operator_from_manifest
+# and check_operator read
 _READ_KEYS = (
-    [("version",), ("image_size",), ("dtype",), ("splits",), ("operator",)]
+    [("version",), ("image_size",), ("dtype",), ("noise_sigma",), ("splits",), ("operator",)]
     + [("operator", key) for key in ("kind", "m", "n", "seed")]
     + [("splits", split, key) for split in dataset.SPLITS
        for key in ("count", "pairs", "pairs_sha256", "norm", "norm_sha256")]
@@ -433,13 +436,13 @@ def test_any_substituted_manifest_entry_is_a_dataset_error(clean_dataset, path, 
         split = path[1] if len(path) == 3 else "test"
         try:
             loaded = dataset.load_manifest(tmp)
-            dataset.load_split(loaded, split)
-            dataset.operator_from_manifest(loaded)
+            data = dataset.load_split(loaded, split)
+            dataset.check_operator(loaded, dataset.operator_from_manifest(loaded), data)
         except DatasetError:
             _solve_exits_2(tmp, split)
             return
-        # only another operator of the stored shape still fits the stored pairs
-        assert path in (("operator", "kind"), ("operator", "seed")), (path, value)
+        # a noise level above the stored one only widens what the pairs must meet
+        assert path == ("noise_sigma",) and value > 0, (path, value)
 
 
 @settings(max_examples=30)
@@ -457,3 +460,32 @@ def test_flipped_blob_byte_is_a_dataset_error(clean_dataset, split, blob, where,
         with pytest.raises(DatasetError, match="dataset file digest mismatch"):
             dataset.load_split(manifest, split)
         _solve_exits_2(tmp, split)
+
+
+@pytest.mark.parametrize("noise_sigma", [0.0, 0.01, 0.1])
+@pytest.mark.parametrize("dtype", dataset.DTYPES)
+@pytest.mark.parametrize("kind", dataset.OPERATOR_KINDS)
+def test_check_operator_accepts_every_valid_dataset_and_refuses_another_seed(
+        tmp_path, kind, dtype, noise_sigma):
+    dataset.gen_dataset(small_spec(operator_kind=kind, dtype=dtype, noise_sigma=noise_sigma),
+                        tmp_path)
+    manifest = dataset.load_manifest(tmp_path)
+    op = dataset.operator_from_manifest(manifest)
+    splits = [dataset.load_split(manifest, split) for split in dataset.SPLITS]
+    for data in splits:
+        dataset.check_operator(manifest, op, data)
+    info = manifest["operator"]
+    other = sensing.sample_operator(info["kind"], info["m"], info["n"], info["seed"] + 1)
+    if kind == sensing.IDENTITY:  # its one member does not depend on the seed
+        dataset.check_operator(manifest, other, splits[0])
+    else:
+        with pytest.raises(DatasetError, match="did not measure the stored pairs"):
+            dataset.check_operator(manifest, other, splits[0])
+
+
+def test_check_operator_passes_a_split_of_zero_targets(tmp_path):
+    spec = small_spec(target=dataset.TargetSpec(num_blobs=(0, 0)))
+    dataset.gen_dataset(spec, tmp_path)
+    manifest = dataset.load_manifest(tmp_path)
+    other = sensing.sample_operator(sensing.DENSE, 64, 64, seed=1)
+    dataset.check_operator(manifest, other, dataset.load_split(manifest, "test"))

@@ -226,13 +226,31 @@ def _rip_unpruned_stack(op, k):
     return max(0.0, float(np.max(np.abs(eigs - 1.0))))
 
 
+def _rip_margin(op):
+    """The absolute margin of ``estimate_rip``'s exact branch."""
+    return 1e-9 * max(1.0, float(np.max(np.diagonal(op.gram))))
+
+
+def _assert_interlacing_bound(op, k, delta):
+    """An isometry's delta is at most the margin, and within it of the full scan's."""
+    margin = _rip_margin(op)
+    assert delta <= margin
+    assert abs(delta - _rip_unpruned_stack(op, k)) <= margin
+
+
+# (kind, m) at n = 16 whose Gram is the identity up to rounding
+_ROUNDED_ISOMETRIES = {(sensing.ORTHONORMAL_SQUARE, 16), (sensing.TALL_ORTHONORMAL, 24),
+                       (sensing.FOURIER_MASKED, 32)}
+
+
 @pytest.mark.parametrize("kind,m", [
     (sensing.ORTHONORMAL_SQUARE, 16), (sensing.TALL_ORTHONORMAL, 24),
     (sensing.GAUSSIAN_FAT, 10), (sensing.FOURIER_MASKED, 12), (sensing.DENSE, 16),
-    (sensing.IDENTITY, 16),
+    (sensing.IDENTITY, 16), (sensing.FOURIER_MASKED, 32),
 ])
 def test_rip_stacked_matches_per_support_loop(kind, m):
-    # the pruned scan gives the unpruned stack's bits, whatever the kind
+    # the pruned scan gives the unpruned stack's bits, whatever the kind; an
+    # isometry takes no scan, and its delta is the interlacing bound
     op = sensing.sample_operator(kind, m, 16, seed=7)
     chunking = []
     for k in (1, 2, 3):
@@ -240,7 +258,10 @@ def test_rip_stacked_matches_per_support_loop(kind, m):
         delta, count = _rip_per_support_loop(op, k)
         assert est.count == count == math.comb(16, 2 * k)
         assert abs(est.delta - delta) < 1e-12
-        assert est.delta == _rip_unpruned_stack(op, k)
+        if (kind, m) in _ROUNDED_ISOMETRIES:
+            _assert_interlacing_bound(op, k, est.delta)
+        else:
+            assert est.delta == _rip_unpruned_stack(op, k)
         chunking.append((count, sensing._RIP_CHUNK_BYTES // (2 * k * m * 8)))
     assert any(count < per_chunk for count, per_chunk in chunking)
     assert any(count > per_chunk and count % per_chunk for count, per_chunk in chunking)
@@ -299,29 +320,31 @@ def test_rip_pruned_scan_is_bitwise_the_unpruned_one(case):
 
 
 @pytest.mark.parametrize("kind,m,fewest,most", [
-    # the Schatten-4 bound rules out nearly all supports of a Gaussian draw,
-    # and none of an isometry's, whose deviations are all rounding noise
-    (sensing.GAUSSIAN_FAT, 10, 0.0, 0.1), (sensing.ORTHONORMAL_SQUARE, 16, 1.0, 1.0),
+    # the Schatten-4 bound rules out nearly all supports of a Gaussian draw;
+    # an isometry's delta comes from its n x n Gram, and no support's is solved
+    (sensing.GAUSSIAN_FAT, 10, 0.0, 0.1), (sensing.ORTHONORMAL_SQUARE, 16, 0.0, 0.0),
 ])
 def test_rip_eigen_solves_only_supports_the_bound_keeps(monkeypatch, kind, m, fewest, most):
     solved = []
     eigvalsh = np.linalg.eigvalsh
 
     def counting(stack):
-        solved.append(len(stack))
+        solved.append(stack.shape)
         return eigvalsh(stack)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
     op = sensing.sample_operator(kind, m, 16, seed=7)
     est = sensing.estimate_rip(op, 3)
     assert est.count == math.comb(16, 6)
-    assert fewest * est.count <= sum(solved) <= most * est.count
+    supports = sum(size for size, *matrix in solved if matrix == [6, 6])
+    assert fewest * est.count <= supports <= most * est.count
+    assert all(matrix in ([6, 6], [16, 16]) for _, *matrix in solved)
 
 
 @pytest.mark.parametrize("kind,m,bounded_chunks", [
-    # an isometry's delta stays below the margin, so only its first chunk
-    # gets bounds; a Gaussian draw's does not, and every chunk is pruned
-    (sensing.ORTHONORMAL_SQUARE, 16, 1), (sensing.GAUSSIAN_FAT, 10, None),
+    # an isometry takes no scan, so no chunk gets bounds; a Gaussian draw's
+    # delta exceeds the margin, and every chunk is pruned
+    (sensing.ORTHONORMAL_SQUARE, 16, 0), (sensing.GAUSSIAN_FAT, 10, None),
 ])
 def test_rip_forms_bounds_only_while_they_can_skip(monkeypatch, kind, m, bounded_chunks):
     calls = []
@@ -339,7 +362,49 @@ def test_rip_forms_bounds_only_while_they_can_skip(monkeypatch, kind, m, bounded
     est = sensing.estimate_rip(op, 3)
     assert len(calls) == (chunks if bounded_chunks is None else bounded_chunks)
     monkeypatch.setattr(sensing, "_schatten4_deviation", schatten4)
-    assert est.delta == _rip_unpruned_stack(op, 3)
+    if (kind, m) in _ROUNDED_ISOMETRIES:
+        _assert_interlacing_bound(op, 3, est.delta)
+    else:
+        assert est.delta == _rip_unpruned_stack(op, 3)
+
+
+@pytest.mark.parametrize("column,bounded_chunks", [(0, 6), (15, 3)])
+def test_rip_scans_an_operator_just_past_the_isometry_margin(monkeypatch, column,
+                                                             bounded_chunks):
+    # one column of an isometry scaled by 1 + 6e-10 puts |G - I|_F at about
+    # 1.2e-9, just past the 1e-9 margin: the scan runs, with the unpruned
+    # stack's bits. Of C(16, 6) = 8008 supports in six chunks, those holding
+    # column 15 are the last 3003 in colex order, so before them delta is
+    # rounding noise and chunks 1-3 are solved whole, without bounds.
+    matrix = sensing.sample_operator(sensing.ORTHONORMAL_SQUARE, 16, 16, seed=7).matrix.copy()
+    matrix[:, column] *= 1.0 + 6e-10
+    op = sensing.SensingOperator(sensing.DENSE, 16, 16, seed=0, matrix=matrix)
+    margin = _rip_margin(op)
+    assert margin < np.linalg.norm(op.gram - np.eye(16)) < 1.5 * margin
+    calls = []
+    schatten4 = sensing._schatten4_deviation
+
+    def counting(grams):
+        calls.append(len(grams))
+        return schatten4(grams)
+
+    monkeypatch.setattr(sensing, "_schatten4_deviation", counting)
+    est = sensing.estimate_rip(op, 3)
+    assert len(calls) == bounded_chunks
+    monkeypatch.setattr(sensing, "_schatten4_deviation", schatten4)
+    assert est.delta == _rip_unpruned_stack(op, 3) > margin
+
+
+@pytest.mark.parametrize("kind,m", [
+    (sensing.ORTHONORMAL_SQUARE, 8), (sensing.TALL_ORTHONORMAL, 12),
+    (sensing.FOURIER_MASKED, 16), (sensing.IDENTITY, 8),
+])
+def test_rip_of_an_isometry_at_full_order_is_the_scans_bits(kind, m):
+    # at 2k = n the only support is G itself
+    op = sensing.sample_operator(kind, m, 8, seed=3)
+    est = sensing.estimate_rip(op, 4)
+    assert est.count == 1
+    assert est.delta == _rip_unpruned_stack(op, 4) <= _rip_margin(op)
 
 
 @pytest.mark.parametrize("per_chunk", [1, 5, 7])
