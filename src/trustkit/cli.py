@@ -303,8 +303,12 @@ def verify_bound(**cfg):
 
     An exactly-enumerated cell's delta is exact, the maximum over all
     C(n, 2k) supports; on an isometry it is the interlacing bound
-    |A^T A - I|_2, which bounds every support's deviation. Exits 1 if any
-    such cell violates the bound.
+    |A^T A - I|_2, which bounds every support's deviation. When G = A^T A
+    is circulant up to rounding, as a partial DFT's is (tau = max |G_ij -
+    G_0,(j-i) mod n| at most 16 (m + n) eps max |G|), one support per orbit
+    under rotations and reflections of range(n) is solved, and delta is at
+    most the full maximum and within 2 * 2k tau of it. Exits 1 if any such
+    cell violates the bound.
     """
     started = time.monotonic()
     kind_names = [k.strip() for k in cfg["kinds"].split(",") if k.strip()]

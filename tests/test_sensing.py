@@ -238,6 +238,14 @@ def _assert_interlacing_bound(op, k, delta):
     assert abs(delta - _rip_unpruned_stack(op, k)) <= margin
 
 
+def _assert_orbit_bound(op, k, delta):
+    """A circulant Gram's delta, over one support per dihedral orbit, is at
+    most the full scan's and within 2k tau of it; ``estimate_rip`` promises
+    2 * 2k tau, and a partial DFT's cells at n = 16 keep within half of that."""
+    reference = _rip_unpruned_stack(op, k)
+    assert reference - 2 * k * sensing._circulance(op.gram) <= delta <= reference
+
+
 # (kind, m) at n = 16 whose Gram is the identity up to rounding
 _ROUNDED_ISOMETRIES = {(sensing.ORTHONORMAL_SQUARE, 16), (sensing.TALL_ORTHONORMAL, 24),
                        (sensing.FOURIER_MASKED, 32)}
@@ -250,7 +258,8 @@ _ROUNDED_ISOMETRIES = {(sensing.ORTHONORMAL_SQUARE, 16), (sensing.TALL_ORTHONORM
 ])
 def test_rip_stacked_matches_per_support_loop(kind, m):
     # the pruned scan gives the unpruned stack's bits, whatever the kind; an
-    # isometry takes no scan, and its delta is the interlacing bound
+    # isometry takes no scan, and its delta is the interlacing bound; a
+    # partial DFT's circulant Gram is scanned over one support per orbit
     op = sensing.sample_operator(kind, m, 16, seed=7)
     chunking = []
     for k in (1, 2, 3):
@@ -260,6 +269,8 @@ def test_rip_stacked_matches_per_support_loop(kind, m):
         assert abs(est.delta - delta) < 1e-12
         if (kind, m) in _ROUNDED_ISOMETRIES:
             _assert_interlacing_bound(op, k, est.delta)
+        elif kind == sensing.FOURIER_MASKED:
+            _assert_orbit_bound(op, k, est.delta)
         else:
             assert est.delta == _rip_unpruned_stack(op, k)
         chunking.append((count, sensing._RIP_CHUNK_BYTES // (2 * k * m * 8)))
@@ -405,6 +416,104 @@ def test_rip_of_an_isometry_at_full_order_is_the_scans_bits(kind, m):
     est = sensing.estimate_rip(op, 4)
     assert est.count == 1
     assert est.delta == _rip_unpruned_stack(op, 4) <= _rip_margin(op)
+
+
+def _counting_orbit_scans(monkeypatch):
+    """Patch ``_dihedral_supports`` to record its calls; return the record."""
+    calls = []
+    dihedral = sensing._dihedral_supports
+
+    def counting(*args):
+        calls.append(args)
+        return dihedral(*args)
+
+    monkeypatch.setattr(sensing, "_dihedral_supports", counting)
+    return calls
+
+
+@pytest.mark.parametrize("m", [8, 10, 12, 14, 16, 24])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_rip_of_a_partial_dft_scans_one_support_per_orbit(monkeypatch, m, seed):
+    calls = _counting_orbit_scans(monkeypatch)
+    op = sensing.sample_operator(sensing.FOURIER_MASKED, m, 16, seed=seed)
+    assert sensing._circulance(op.gram) <= sensing._circulant_tolerance(m, op.gram)
+    for k in (1, 2, 3):
+        est = sensing.estimate_rip(op, k)
+        assert est.count == math.comb(16, 2 * k)
+        _assert_orbit_bound(op, k, est.delta)
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("past", [0.99, 1.01])
+def test_rip_takes_the_full_scan_just_past_the_circulant_tolerance(monkeypatch, past):
+    # G[3, 9] and G[9, 3] of a partial DFT's Gram moved so tau lands at 0.99
+    # or 1.01 times the tolerance: the first keeps the orbit scan, the second
+    # takes the full scan and gives the unpruned stack's bits
+    op = sensing.sample_operator(sensing.FOURIER_MASKED, 12, 16, seed=7)
+    gram = op.gram.copy()
+    tolerance = sensing._circulant_tolerance(12, gram)
+    i, j = 3, 9
+    off = gram[i, j] - gram[0, j - i]
+    shift = np.copysign(past * tolerance - abs(off), off)
+    gram[i, j] += shift
+    gram[j, i] += shift
+    op = sensing.SensingOperator(op.kind, op.m, op.n, op.seed, op.matrix)
+    gram.setflags(write=False)
+    op.__dict__["gram"] = gram  # the cached Gram, which the matrix need not have
+    tau = sensing._circulance(op.gram)
+    assert (tau > tolerance) == (past > 1) and tau < 1.5 * tolerance
+    calls = _counting_orbit_scans(monkeypatch)
+    for k in (1, 2, 3):
+        est = sensing.estimate_rip(op, k)
+        if past < 1:
+            _assert_orbit_bound(op, k, est.delta)
+        else:
+            assert est.delta == _rip_unpruned_stack(op, k)
+    assert len(calls) == (3 if past < 1 else 0)
+
+
+def test_rip_takes_the_full_scan_of_a_tiny_gram(monkeypatch):
+    # a Gaussian Gram scaled by 1e-12 is within the absolute 1e-9 margin of
+    # circulant, but far from it relative to its own entries
+    matrix = sensing.sample_operator(sensing.GAUSSIAN_FAT, 10, 16, seed=7).matrix * 1e-6
+    op = sensing.SensingOperator(sensing.DENSE, 10, 16, seed=0, matrix=matrix)
+    assert sensing._circulance(op.gram) < _rip_margin(op)
+    assert sensing._circulance(op.gram) > 1e10 * sensing._circulant_tolerance(10, op.gram)
+    calls = _counting_orbit_scans(monkeypatch)
+    for k in (1, 2, 3):
+        assert sensing.estimate_rip(op, k).delta == _rip_unpruned_stack(op, k)
+    assert not calls
+
+
+def _orbit(support, n):
+    """Every rotation and reflection of ``support`` in range(n), as sorted tuples."""
+    return {tuple(sorted((sign * s + r) % n for s in support))
+            for r in range(n) for sign in (1, -1)}
+
+
+@pytest.mark.parametrize("per_chunk", [1, 5, 7, None])
+@pytest.mark.parametrize("n", [6, 8, 12, 16])
+@pytest.mark.parametrize("order", [2, 4, 6])
+def test_dihedral_supports_cover_every_support_once(per_chunk, n, order):
+    # None: one chunk holds every support
+    total = math.comb(n, order)
+    per_chunk = per_chunk or total
+    table = sensing._binomials(n, order)
+    colex_chunks = []
+    reps = []
+    for chunk in sensing._dihedral_supports(n, order, per_chunk):
+        assert chunk.dtype == np.intp and chunk.shape[1] == order and len(chunk)
+        ranks = table[np.arange(1, order + 1), chunk].sum(axis=1)
+        # each chunk is the representatives of one colex chunk, in colex order
+        assert np.all(np.diff(ranks) > 0)
+        assert len(set(ranks // per_chunk)) == 1
+        colex_chunks.append(int(ranks[0] // per_chunk))
+        reps.extend(map(tuple, chunk.tolist()))
+    assert colex_chunks == sorted(set(colex_chunks))
+    covered = [s for rep in reps for s in _orbit(rep, n)]
+    assert sorted(covered) == list(combinations(range(n), order))
+    if n == 16:
+        assert len(reps) == {2: 8, 4: 72, 6: 280}[order]
 
 
 @pytest.mark.parametrize("per_chunk", [1, 5, 7])
