@@ -19,14 +19,13 @@ scan's and within 2 * 2k tau of it.
 
 from __future__ import annotations
 
-import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
 from . import sensing
-from .errors import ContractError, DimensionError, ParameterError
+from .errors import ContractError, DimensionError, ParameterError, csv_text
 
 _NORM_TOL = 1e-9
 BOUND_SLACK = 1e-9  # numerical slack allowed on deviation <= delta
@@ -143,14 +142,7 @@ class SweepResult:
         return [c for c in self.cells if c.violates_bound]
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("kind,m,n,k,mean_dev,max_dev,delta,delta_method,trials,postsoftmax_mean_dev\n")
-        for c in self.cells:
-            buf.write(
-                f"{c.kind},{c.m},{c.n},{c.k},{c.mean_dev!r},{c.max_dev!r},"
-                f"{c.delta!r},{c.delta_method},{c.trials},{c.postsoftmax_mean_dev!r}\n"
-            )
-        return buf.getvalue()
+        return csv_text([f.name for f in fields(SweepCell)], map(astuple, self.cells))
 
     def to_matrix(self, kind: str) -> str:
         """Gnuplot-ready mean-deviation matrix (rows = m, cols = k) for one kind

@@ -1,13 +1,14 @@
 """Command-line entry point: dataset generation, bound verification, sparse
 solving, training, evaluation, and cross-run reporting.
 
-Every command accepts both flags and a JSON config file (flags win), echoes
-the fully resolved configuration into a run record next to its outputs, and
-follows a fixed exit-code contract: 0 success, 1 verification failure,
-2 usage or configuration error. ``_Command.invoke`` is the one place that
-maps the library's typed errors onto those codes. An input file that cannot
-be read (missing, a directory, a NUL byte in its name, or a wrong digest or
-size) is a usage error.
+Every command but ``report``, which takes flags alone and writes no record,
+accepts both flags and a JSON config file (flags win) and echoes the fully
+resolved configuration into a run record next to its outputs. All follow a
+fixed exit-code contract: 0 success, 1 verification failure, 2 usage or
+configuration error. ``_Command.invoke`` is the one place that maps the
+library's typed errors onto those codes. An input file that cannot be read
+(missing, a directory, a NUL byte in its name, or a wrong digest or size) is
+a usage error.
 
 A config file is a JSON object whose keys are those of the run record's
 ``config`` object (``out``, ``max_iter``, ``m_list``, ``emit_images``...), one
@@ -29,7 +30,6 @@ that run's settings and record.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
@@ -53,9 +53,12 @@ from .errors import (
     ParameterError,
     SingularMatrixError,
     check_entries,
+    csv_text,
+    digest,
     is_int,
     make_out_dir,
     read_json_object,
+    write_json,
 )
 
 _USAGE_ERRORS = (ParameterError, DatasetError, CheckpointError, DimensionError,
@@ -138,14 +141,12 @@ def write_run_record(out_dir: Path, command: str, config: dict, inputs: dict,
     input file, recorded by its sha256. ``config`` holds the settings alone,
     so it reruns as a config file; what a model command learns of its model
     (``kind``, ``param_count``) goes under ``model``."""
-    digests = {name: hashlib.sha256(Path(path).read_bytes()).hexdigest()
-               for name, path in inputs.items()}
+    digests = {name: digest(Path(path).read_bytes()) for name, path in inputs.items()}
     record = {
         "command": command,
         "config": config,
-        "input_hash": hashlib.sha256(
-            (json.dumps(config, sort_keys=True) + json.dumps(digests, sort_keys=True)).encode()
-        ).hexdigest(),
+        "input_hash": digest(
+            (json.dumps(config, sort_keys=True) + json.dumps(digests, sort_keys=True)).encode()),
         "inputs": digests,
         "outputs": sorted(outputs),
         "duration_seconds": round(time.monotonic() - started, 3),
@@ -154,9 +155,7 @@ def write_run_record(out_dir: Path, command: str, config: dict, inputs: dict,
     }
     if model_info is not None:
         record["model"] = model_info
-    (out_dir / "run_record.json").write_text(
-        json.dumps(record, sort_keys=True, indent=2) + "\n"
-    )
+    write_json(out_dir / "run_record.json", record)
 
 
 def _dataset_input(manifest: dict) -> dict:
@@ -171,7 +170,7 @@ def _score_and_record(out: Path, command: str, cfg: dict, inputs: dict, outputs:
     save the metric files, write the run record and print the summary line."""
     report = metrics.MetricReport()
     report.extend(preds, targets)
-    report.save(out, stem="metrics")
+    report.save(out)
     write_run_record(out, command, cfg, inputs,
                      ["metrics_per_image.csv", "metrics_aggregate.json", *outputs], started,
                      model_info=model_info)
@@ -352,13 +351,12 @@ def _solver_csv(results: list[solvers.RecoveryResult], ys: np.ndarray) -> str:
     """One row per sample: how its solve ended. A solve that took no step
     (y already within tolerance, or ``--max-iter 0``) returns x = 0, whose
     residual is |y|."""
-    lines = ["index,iterations,converged,rank_deficient,final_residual"]
+    rows = []
     for i, (r, y) in enumerate(zip(results, ys)):
         history = r.residual_norm_history
         residual = history[-1] if history else float(np.linalg.norm(y))
-        lines.append(f"{i},{r.iterations_used},{int(r.converged)},{int(r.rank_deficient)},"
-                     f"{residual!r}")
-    return "\n".join(lines) + "\n"
+        rows.append((i, r.iterations_used, r.converged, r.rank_deficient, residual))
+    return csv_text(("index", "iterations", "converged", "rank_deficient", "final_residual"), rows)
 
 
 @main.command("solve")
@@ -505,9 +503,10 @@ def eval_cmd(**cfg):
                              f"the checkpoint's model takes {model_cfg.image_size} px")
     data = dataset.load_split(data_manifest, cfg["split"]).head(cfg["limit"])
     preds = model.predict(model_kind, params, model_cfg, data.y)
+    # the images directory first: --out, made second, is not left empty when it cannot be made
+    img_dir = make_out_dir(cfg["emit_images"]) if cfg["emit_images"] else None
     out = make_out_dir(cfg["out"])
-    if cfg["emit_images"]:
-        img_dir = make_out_dir(cfg["emit_images"])
+    if img_dir:
         for i, (y, pred) in enumerate(zip(model.input_stage(model_cfg, data.y).data, preds)):
             dataset.write_pgm(img_dir / f"{i:04d}_y.pgm", y)
             dataset.write_pgm(img_dir / f"{i:04d}_x.pgm", data.x[i])
@@ -521,10 +520,11 @@ def eval_cmd(**cfg):
 
 
 _REPORT_FIELDS = ("mse", "mae", "psnr", "ssim", "fpr")
+_STATS = ("mean", "std")
 # what report reads of a run's metrics file and run record
 _AGGREGATE_KEYS = dict.fromkeys(_REPORT_FIELDS, (
     lambda cell: isinstance(cell, dict) and all(type(cell.get(k)) in (int, float)
-                                                for k in ("mean", "std")),
+                                                for k in _STATS),
     "a {mean, std} pair of numbers"))
 _RECORD_KEYS = {"command": STRING, "config": OBJECT}
 
@@ -541,8 +541,7 @@ def report_cmd(runs_dir, out_dir):
         raise click.UsageError(f"{runs_dir} is not a directory")
     md = ["| run | kind | params | " + " | ".join(f.upper() for f in _REPORT_FIELDS) + " |",
           "|" + "---|" * (3 + len(_REPORT_FIELDS))]
-    csv_lines = ["run,command,kind,param_count,"
-                 + ",".join(f"{f}_mean,{f}_std" for f in _REPORT_FIELDS)]
+    rows = []
     for sub in sorted(p for p in runs.iterdir() if p.is_dir()):
         agg_file = sub / "metrics_aggregate.json"
         record_file = sub / "run_record.json"
@@ -561,16 +560,17 @@ def report_cmd(runs_dir, out_dir):
         params = info.get("param_count", "")
         md.append(f"| {sub.name} | {kind} | {params} | " + " | ".join(
             f"{agg[f]['mean']:.4g} ± {agg[f]['std']:.2g}" for f in _REPORT_FIELDS) + " |")
-        csv_lines.append(f"{sub.name},{record['command']},{kind},{params},"
-                         + ",".join(f"{agg[f]['mean']!r},{agg[f]['std']!r}"
-                                    for f in _REPORT_FIELDS))
-    if len(csv_lines) == 1:  # the header alone
+        rows.append((sub.name, record["command"], kind, params,
+                     *(agg[f][stat] for f in _REPORT_FIELDS for stat in _STATS)))
+    if not rows:
         click.echo(f"no finished runs found under {runs_dir}", err=True)
         sys.exit(1)
     out = make_out_dir(out_dir) if out_dir else runs
     (out / "report.md").write_text("\n".join(md) + "\n")
-    (out / "report.csv").write_text("\n".join(csv_lines) + "\n")
-    click.echo(f"{len(csv_lines) - 1} runs -> {out / 'report.md'}")
+    (out / "report.csv").write_text(csv_text(
+        ("run", "command", "kind", "param_count",
+         *(f"{f}_{stat}" for f in _REPORT_FIELDS for stat in _STATS)), rows))
+    click.echo(f"{len(rows)} runs -> {out / 'report.md'}")
 
 
 if __name__ == "__main__":

@@ -12,8 +12,6 @@ can have: its m for an n-pixel image. ``OPERATOR_KINDS`` lists its keys.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -22,7 +20,8 @@ import numpy as np
 
 from . import metrics, sensing
 from .errors import (OBJECT, STRING, DatasetError, ParameterError, check_entries, check_finite,
-                     is_finite, is_int, make_out_dir, read_blob, read_json_object)
+                     is_finite, is_int, make_out_dir, read_blob, read_json_object, write_blob,
+                     write_json)
 
 MANIFEST_VERSION = 2
 SPLITS = ("train", "val", "test")
@@ -186,13 +185,6 @@ def _pair_dtype(dtype: str):
     return "<f4" if dtype == "f32" else "<f8"
 
 
-def _write_blob(path: Path, array: np.ndarray) -> str:
-    """Write the array's bytes to path and return their sha256."""
-    blob = array.tobytes()
-    path.write_bytes(blob)
-    return hashlib.sha256(blob).hexdigest()
-
-
 def gen_dataset(spec: DatasetSpec, out_dir: str | Path) -> dict:
     """Write split blobs, normalization sidecars, and the manifest.
 
@@ -225,12 +217,12 @@ def gen_dataset(spec: DatasetSpec, out_dir: str | Path) -> dict:
         manifest["splits"][split] = {
             "count": count,
             "pairs": pair_file.name,
-            "pairs_sha256": _write_blob(pair_file, records.astype(dt)),
+            "pairs_sha256": write_blob(pair_file, records.astype(dt).tobytes()),
             "norm": norm_file.name,
-            "norm_sha256": _write_blob(norm_file, np.stack([data.scale, data.offset], axis=1)
-                                       .astype("<f8")),
+            "norm_sha256": write_blob(norm_file, np.stack([data.scale, data.offset], axis=1)
+                                      .astype("<f8").tobytes()),
         }
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    write_json(out_dir / "manifest.json", manifest)
     return manifest
 
 

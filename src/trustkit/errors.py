@@ -3,7 +3,9 @@ raise them share: what an integer and a finite setting are (``is_int``,
 ``check_ints``, ``is_finite``, ``check_finite``); how a JSON file a command takes in is read
 and its entries checked against a key schema (``read_json_object``,
 ``check_entries``); how a data file a manifest names is read and its sha256
-checked (``read_blob``); and how an output directory is made (``make_out_dir``)."""
+checked (``read_blob``); and how an output directory is made (``make_out_dir``). The
+files the commands write have one writer per format: ``write_json`` (every JSON file),
+``write_blob`` (a data file, returning its ``digest``, the one sha256) and ``csv_text``."""
 
 import hashlib
 import json
@@ -80,9 +82,39 @@ def read_blob(path: Path, sha256: str, error: type[Exception], what: str) -> byt
         blob = path.read_bytes()
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the name
         raise error(f"unreadable {what} {path}: {exc}") from exc
-    if hashlib.sha256(blob).hexdigest() != sha256:
+    if digest(blob) != sha256:
         raise error(f"{what} digest mismatch for {path}")
     return blob
+
+
+def digest(blob: bytes) -> str:
+    """The hex sha256 of ``blob``: how every file and record is identified."""
+    return hashlib.sha256(blob).hexdigest()
+
+
+def write_blob(path: Path, blob: bytes) -> str:
+    """Write ``blob`` to the file at ``path``; returns its ``digest``."""
+    path.write_bytes(blob)
+    return digest(blob)
+
+
+def write_json(path: Path, value) -> None:
+    """Write ``value`` as JSON with sorted keys, two-space indents and a final newline."""
+    path.write_text(json.dumps(value, sort_keys=True, indent=2) + "\n")
+
+
+def _cell(value) -> str:
+    """A bool as 0/1, anything else as its str, which for a float is its repr
+    and reads back bit for bit; a numpy scalar as its Python value's cell."""
+    if hasattr(value, "item"):  # a numpy scalar
+        value = value.item()
+    return str(int(value) if isinstance(value, bool) else value)
+
+
+def csv_text(header, rows) -> str:
+    """The CSV of the ``header`` names and the ``rows`` of values, one line each."""
+    lines = [",".join(header)] + [",".join(map(_cell, row)) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def make_out_dir(path) -> Path:

@@ -3,15 +3,14 @@ usable as a differentiable loss term), and the hallucinated-pixel rate."""
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import ndtensor as nd
-from .errors import DimensionError
+from .errors import DimensionError, csv_text, write_json
 
 PSNR_RMSE_FLOOR = 1e-12  # caps a perfect match at 240 dB
 SSIM_C1 = 0.01**2
@@ -145,7 +144,7 @@ def score_batch(preds, targets) -> list[ImageMetrics]:
     ]
 
 
-_FIELDS = ("mse", "mae", "rmse", "psnr", "ssim", "fpr")
+_FIELDS = tuple(f.name for f in fields(ImageMetrics))
 
 
 @dataclass
@@ -178,32 +177,24 @@ class MetricReport:
         return out
 
     def to_csv(self) -> str:
-        lines = ["index," + ",".join(_FIELDS)]
-        for i, r in enumerate(self.rows):
-            lines.append(str(i) + "," + ",".join(repr(getattr(r, name)) for name in _FIELDS))
-        return "\n".join(lines) + "\n"
+        return csv_text(("index", *_FIELDS), ((i, *astuple(r)) for i, r in enumerate(self.rows)))
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "count": len(self.rows),
-                "aggregate": self.aggregate(),
-                "parameters": {
-                    "t_high": FPR_T_HIGH,
-                    "t_low": FPR_T_LOW,
-                    "ssim_window": SSIM_WINDOW,
-                    "ssim_c1": SSIM_C1,
-                    "ssim_c2": SSIM_C2,
-                    "psnr_max": 1.0,
-                    "psnr_rmse_floor": PSNR_RMSE_FLOOR,
-                },
+    def to_json(self) -> dict:
+        return {
+            "count": len(self.rows),
+            "aggregate": self.aggregate(),
+            "parameters": {
+                "t_high": FPR_T_HIGH,
+                "t_low": FPR_T_LOW,
+                "ssim_window": SSIM_WINDOW,
+                "ssim_c1": SSIM_C1,
+                "ssim_c2": SSIM_C2,
+                "psnr_max": 1.0,
+                "psnr_rmse_floor": PSNR_RMSE_FLOOR,
             },
-            sort_keys=True,
-            indent=2,
-        )
+        }
 
-    def save(self, directory: str | Path, stem: str = "metrics") -> None:
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        (directory / f"{stem}_per_image.csv").write_text(self.to_csv())
-        (directory / f"{stem}_aggregate.json").write_text(self.to_json() + "\n")
+    def save(self, directory: Path) -> None:
+        """Write the per-image CSV and the aggregate JSON into the existing ``directory``."""
+        (directory / "metrics_per_image.csv").write_text(self.to_csv())
+        write_json(directory / "metrics_aggregate.json", self.to_json())

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -13,7 +11,7 @@ import numpy as np
 
 from .. import ndtensor as nd
 from ..errors import (OBJECT, STRING, CheckpointError, ParameterError, check_entries, is_int,
-                      read_blob, read_json_object)
+                      read_blob, read_json_object, write_blob, write_json)
 from . import forward as _forward
 from .config import TrustConfig, UnetConfig
 from .forward import trust_param_shapes, unet_param_shapes
@@ -148,10 +146,9 @@ def checkpoint_save(params: dict[str, nd.Tensor], model_kind: str, cfg,
         "config": cfg.to_dict(),
         "tensors": [{"name": n, "shape": list(params[n].data.shape)} for n in names],
         "blob": _blob_path(path).name,
-        "blob_sha256": hashlib.sha256(blob).hexdigest(),
+        "blob_sha256": write_blob(_blob_path(path), blob),
     }
-    _blob_path(path).write_bytes(blob)
-    path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    write_json(path, manifest)
 
 
 # every manifest entry checkpoint_load reads but "tensors", which must equal

@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
 from .. import metrics, ndtensor as nd
-from ..errors import ContractError
+from ..errors import ContractError, csv_text
 from .config import TrainConfig
 from .losses import loss as make_loss, sample_losses
 from .params import init_params, model_spec
@@ -66,13 +66,7 @@ class TrainResult:
     best_epoch: int = 0
 
     def log_csv(self) -> str:
-        lines = ["epoch,train_loss,val_loss,val_ssim,val_psnr,val_fpr"]
-        for r in self.rows:
-            lines.append(
-                f"{r.epoch},{r.train_loss!r},{r.val_loss!r},{r.val_ssim!r},"
-                f"{r.val_psnr!r},{r.val_fpr!r}"
-            )
-        return "\n".join(lines) + "\n"
+        return csv_text([f.name for f in fields(EpochRow)], map(astuple, self.rows))
 
 
 def _abort_on_nonfinite(batch_loss: nd.Tensor, params: dict[str, nd.Tensor]) -> None:

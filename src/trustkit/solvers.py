@@ -133,7 +133,7 @@ def omp(op: sensing.SensingOperator, y: np.ndarray,
     if support:
         diag = np.diag(r_factor)[:rank]  # remainder norms, all >= 0
         rank_deficient = rank < len(support) or \
-            diag.min() <= _RANK_TOL * max(1.0, diag.max())
+            bool(diag.min() <= _RANK_TOL * max(1.0, diag.max()))
         if rank_deficient:
             coef, *_ = np.linalg.lstsq(a[:, support], y, rcond=_RANK_TOL)
         else:

@@ -990,6 +990,8 @@ def test_output_path_that_cannot_be_a_directory_exits_2(runner, small_dataset, t
     assert "Traceback" not in res.output
     assert res.exception is None or isinstance(res.exception, SystemExit)
     assert blocker.read_text() == "not a directory\n"
+    if flag != "--out":  # a failing run leaves no new empty --out behind
+        assert not Path(flags["--out"]).exists()
 
 
 # a choice made, a setting that only another choice reads, a value for it,

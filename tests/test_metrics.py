@@ -222,10 +222,10 @@ def test_report_rmse_is_sqrt_mse():
 def test_report_serialization(tmp_path):
     report = metrics.MetricReport()
     report.extend(rng.random((1, 9, 9)), rng.random((1, 9, 9)))
-    report.save(tmp_path, stem="m")
-    csv_text = (tmp_path / "m_per_image.csv").read_text()
+    report.save(tmp_path)
+    csv_text = (tmp_path / "metrics_per_image.csv").read_text()
     assert csv_text.splitlines()[0] == "index,mse,mae,rmse,psnr,ssim,fpr"
-    meta = json.loads((tmp_path / "m_aggregate.json").read_text())
+    meta = json.loads((tmp_path / "metrics_aggregate.json").read_text())
     assert meta["count"] == 1
     assert meta["parameters"]["ssim_window"] == 7
     assert meta["parameters"]["t_high"] == 0.5

@@ -123,7 +123,7 @@ def test_omp_matches_per_atom_qr_refit(m, n, k, seed):
     # at k = m the last residual is rounding noise of |y|, with no relative accuracy
     assert np.allclose(res.residual_norm_history, history, rtol=1e-9,
                        atol=1e-12 * np.linalg.norm(y))
-    assert not res.rank_deficient
+    assert res.rank_deficient is False  # a Python bool: json.dumps refuses a numpy one
 
 
 def test_omp_rank_deficient_support_gives_minimum_norm_fit():
@@ -147,7 +147,7 @@ def test_omp_tiny_column_on_support_reports_rank_deficient():
     y = tiny / np.linalg.norm(tiny) + 0.1 * (matrix[:, 3] + matrix[:, 12])
     res = solvers.omp(op, y, solvers.SolverConfig(sparsity_budget=5, residual_tolerance=0.0))
     assert 7 in res.support
-    assert res.rank_deficient
+    assert res.rank_deficient is True  # a Python bool: json.dumps refuses a numpy one
     assert np.abs(res.x_hat).max() < 10.0
 
 
