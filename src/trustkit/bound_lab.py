@@ -32,11 +32,6 @@ BOUND_SLACK = 1e-9  # numerical slack allowed on deviation <= delta
 MC_BUDGET = 2000  # random supports per cell when exact enumeration is over the cap
 
 
-def _row_dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """u_t^T v_t for every row t, each by the same dot routine as ``u[t] @ v[t]``."""
-    return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
-
-
 def _require_unit_rows(sq_norms: np.ndarray, label: str) -> None:
     norms = np.sqrt(sq_norms)
     off = np.flatnonzero(np.abs(norms - 1.0) > _NORM_TOL)
@@ -49,9 +44,9 @@ def _require_unit_rows(sq_norms: np.ndarray, label: str) -> None:
 
 def _gram2(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """The 2x2 similarity matrix [[u.u, u.v], [v.u, v.v]] of every row pair."""
-    uv = _row_dots(u, v)
-    return np.stack([np.stack([_row_dots(u, u), uv], axis=1),
-                     np.stack([uv, _row_dots(v, v)], axis=1)], axis=1)
+    uv = sensing.row_dots(u, v)
+    return np.stack([np.stack([sensing.row_dots(u, u), uv], axis=1),
+                     np.stack([uv, sensing.row_dots(v, v)], axis=1)], axis=1)
 
 
 def _postsoftmax_row_gaps(g_x: np.ndarray, g_y: np.ndarray) -> np.ndarray:
@@ -86,14 +81,13 @@ def pair_deviations(op: sensing.SensingOperator, xs: np.ndarray,
     g_x = _gram2(xs, xps)
     _require_unit_rows(g_x[:, 0, 0], "x")
     _require_unit_rows(g_x[:, 1, 1], "x'")
-    stacked = np.concatenate([xs, xps, xs + xps, xs - xps])
-    # A broadcast matrix-vector product per row keeps each row's bits equal
-    # to a single ``A @ x``.
-    ax, axp, a_sum, a_diff = np.split((op.matrix @ stacked[:, :, None])[:, :, 0], 4)
+    ax, axp, a_sum, a_diff = np.split(
+        sensing.apply(op, np.concatenate([xs, xps, xs + xps, xs - xps])), 4)
     g_y = _gram2(ax, axp)
     cross = g_x[:, 0, 1]
     direct = np.abs(g_y[:, 0, 1] - cross)
-    polarized = np.abs((_row_dots(a_sum, a_sum) - _row_dots(a_diff, a_diff)) / 4.0 - cross)
+    polarized = np.abs(
+        (sensing.row_dots(a_sum, a_sum) - sensing.row_dots(a_diff, a_diff)) / 4.0 - cross)
     split = np.flatnonzero(np.abs(direct - polarized) > 1e-12)
     if split.size:
         t = int(split[0])

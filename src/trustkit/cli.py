@@ -529,6 +529,11 @@ _AGGREGATE_KEYS = dict.fromkeys(_REPORT_FIELDS, (
 _RECORD_KEYS = {"command": STRING, "config": OBJECT}
 
 
+def _md_cell(text) -> str:
+    """``text`` as one Markdown table cell: a pipe escaped, a line break a space."""
+    return " ".join(str(text).splitlines()).replace("|", "\\|")
+
+
 @main.command("report")
 @click.option("--runs", "runs_dir", required=True,
               help="Directory whose subdirectories are solve/eval runs.")
@@ -558,7 +563,7 @@ def report_cmd(runs_dir, out_dir):
         info = record.get("model", {})
         kind = info.get("kind") or record["config"].get("method") or "?"
         params = info.get("param_count", "")
-        md.append(f"| {sub.name} | {kind} | {params} | " + " | ".join(
+        md.append(f"| {_md_cell(sub.name)} | {_md_cell(kind)} | {params} | " + " | ".join(
             f"{agg[f]['mean']:.4g} ± {agg[f]['std']:.2g}" for f in _REPORT_FIELDS) + " |")
         rows.append((sub.name, record["command"], kind, params,
                      *(agg[f][stat] for f in _REPORT_FIELDS for stat in _STATS)))

@@ -105,10 +105,15 @@ def write_json(path: Path, value) -> None:
 
 def _cell(value) -> str:
     """A bool as 0/1, anything else as its str, which for a float is its repr
-    and reads back bit for bit; a numpy scalar as its Python value's cell."""
+    and reads back bit for bit; a numpy scalar as its Python value's cell.
+    A cell holding a comma, a quote or a line break is quoted, its quotes
+    doubled (RFC 4180); no number holds one."""
     if hasattr(value, "item"):  # a numpy scalar
         value = value.item()
-    return str(int(value) if isinstance(value, bool) else value)
+    text = str(int(value) if isinstance(value, bool) else value)
+    if any(ch in text for ch in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def csv_text(header, rows) -> str:

@@ -14,7 +14,9 @@ graph node holds the product without it.
 
 These ops follow the gradient rule of ``tensor``: each states one gradient
 function per input and leaves it to ``_make`` to run it for a tracking
-input and accumulate the result.
+input and accumulate the result. The convolutions' gradient work that the
+input and the kernel share is their ``prepare``, which ``_make`` runs once
+per backward.
 """
 
 from __future__ import annotations
@@ -97,33 +99,26 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
                 out.append((a, c, phase, shifted))
         return out
 
-    # _make runs grad_kernel right after grad_x on the same output gradient,
-    # so grad_x leaves its shifted stacks here for it when the kernel tracks
-    handoff = []
-
-    def grad_x(g):
-        phases = phase_grads(g)
+    def grad_x(phases):
         gbuf = np.zeros((s, s, c_in, n))
         for a, c, phase, shifted in phases:
             w_phase = np.concatenate([w_taps[i, j] for i, j, _ in phase], axis=0)
             np.matmul(w_phase.T, shifted.reshape(-1, n), out=gbuf[a, c])
-        if kernel.requires_grad:
-            handoff.append(phases)
         gx = gbuf.reshape(s, s, c_in, hq, wq).transpose(2, 3, 0, 4, 1)
         return gx.reshape(c_in, hq * s, wq * s)[:, p : p + h, p : p + w]
 
-    def grad_kernel(g):
+    def grad_kernel(phases):
         # one GEMM per phase: shifted[k][:, m] is the gradient of the output
         # that tap k reads at buffer column m, zero where that output is off
         # the grid, so the full-width product is the kernel gradient
         gw = np.empty((kh, kw, c_out, c_in))
-        for a, c, phase, shifted in (handoff.pop() if handoff else phase_grads(g)):
+        for a, c, phase, shifted in phases:
             gw_phase = np.matmul(shifted.reshape(-1, n), buf[a, c].T)
             for k, (i, j, _) in enumerate(phase):
                 gw[i, j] = gw_phase[k * c_out : (k + 1) * c_out]
         return gw.transpose(2, 3, 0, 1)
 
-    return _make(data, (x, grad_x), (kernel, grad_kernel))
+    return _make(data, (x, grad_x), (kernel, grad_kernel), prepare=phase_grads)
 
 
 def _conv_extents(x_shape, k_shape, stride: int, padding: int) -> tuple[int, int]:
@@ -220,7 +215,8 @@ def resized_conv2d(parts, kernel: Tensor, bias: Tensor, padding: int = 0) -> Ten
     at the part's own resolution, the column expansion against the stacked
     [Q_0.T; Q_1.T; ...], and the row expansion by [P_0 P_1 ...]. Backward runs
     them transposed; each part's gradient at its own resolution is formed
-    once and serves both its input's gradient and the kernel's.
+    once, by the op's ``prepare``, and serves both its input's gradient and
+    the kernel's.
     """
     if kernel.data.ndim != 4:
         raise DimensionError(
@@ -284,28 +280,24 @@ def resized_conv2d(parts, kernel: Tensor, bias: Tensor, padding: int = 0) -> Ten
         mixed = rows_done.reshape(kh, c_out, b, h, kw, w).transpose(0, 4, 1, 2, 3, 5)
         return mixed.reshape(kh * kw * c_out, b * h * w)
 
-    # _make runs grad_kernel right after the parts' gradients on the same
-    # output gradient, so each part leaves its low_grad here when the kernel tracks
-    handoff = {}
+    def prepare(g):  # the output gradient and every part's low_grad
+        return g, [low_grad(k, g) for k in range(len(parts))]
 
     def grad_part(k):
-        def grad(g):
-            g_low = low_grad(k, g)
-            if kernel.requires_grad:
-                handoff[k] = g_low
+        def grad(gs):
             _, c, h, w = parts[k][0].data.shape
-            return (plans[k][1].T @ g_low).reshape(c, b, h, w).transpose(1, 0, 2, 3)
+            return (plans[k][1].T @ gs[1][k]).reshape(c, b, h, w).transpose(1, 0, 2, 3)
         return grad
 
-    def grad_kernel(g):
+    def grad_kernel(gs):
         gw = np.empty((kh, kw, c_out, c_total))
-        for k, ((x, _, _), (chans, _, _, _)) in enumerate(zip(parts, plans)):
-            g_low = handoff.pop(k) if k in handoff else low_grad(k, g)
+        for (x, _, _), (chans, _, _, _), g_low in zip(parts, plans, gs[1]):
             gw[..., chans] = (g_low @ _channels_first(x.data).T).reshape(kh, kw, c_out, -1)
         return gw.transpose(2, 3, 0, 1)
 
     edges = [(x, grad_part(k)) for k, (x, _, _) in enumerate(parts)]
-    return _make(data, *edges, (kernel, grad_kernel), (bias, _bias_grad))
+    return _make(data, *edges, (kernel, grad_kernel), (bias, lambda gs: _bias_grad(gs[0])),
+                 prepare=prepare)
 
 
 def _channels_first(a: np.ndarray) -> np.ndarray:

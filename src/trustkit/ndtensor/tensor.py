@@ -14,6 +14,9 @@ An op states only its local derivatives: one gradient function per input,
 mapping the output gradient to that input's gradient. ``_make`` applies
 the one rule for all ops: an input's function runs only when that input
 tracks gradients, and its result is accumulated into it, in input order.
+Work that several inputs' gradients share is an op's ``prepare``: ``_make``
+applies it once per backward to the output gradient, and every gradient
+function reads its result in place of the output gradient.
 
 An op keeps only what its gradient functions read. The graph holds every
 op's output for as long as a consumer lists it as an input, so an array
@@ -118,7 +121,8 @@ def zero_grads(tensors: Iterable[Tensor]) -> None:
 # ---- op plumbing -----------------------------------------------------------
 
 
-def _make(data: np.ndarray, *edges: tuple[Tensor, Callable[[np.ndarray], np.ndarray]]) -> Tensor:
+def _make(data: np.ndarray, *edges: tuple[Tensor, Callable],
+          prepare: Callable | None = None) -> Tensor:
     """The result of an op, and the one place the gradient rule is applied.
 
     Each edge pairs an input with its gradient function, which maps the
@@ -126,6 +130,8 @@ def _make(data: np.ndarray, *edges: tuple[Tensor, Callable[[np.ndarray], np.ndar
     when any input does; its backward runs an edge's function only for an
     input that tracks gradients, and accumulates the result into it, in
     input order (so ``mul(x, x)`` adds its two contributions as listed).
+    With ``prepare``, each backward applies it once to the output gradient,
+    and every edge's function receives its result instead.
     """
     out = Tensor(data)
     if any(t.requires_grad for t, _ in edges):
@@ -133,6 +139,8 @@ def _make(data: np.ndarray, *edges: tuple[Tensor, Callable[[np.ndarray], np.ndar
         out._parents = tuple(t for t, _ in edges)
 
         def vjp(g):
+            if prepare is not None:
+                g = prepare(g)
             for t, grad in edges:
                 if t.requires_grad:
                     _accumulate(t, grad(g))
@@ -259,31 +267,23 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> tuple[Tensor, np.n
     ctx = np.empty((b, t, d))
     np.matmul(weights, split(v.data), out=split(ctx))
 
-    def grad_scores(g):
+    def prepare(g):  # the output gradient and the scores' gradient
         g_weights = np.matmul(split(g), np.swapaxes(split(v.data), -1, -2))
-        return _softmax_grad(g_weights, weights, -1)
+        return g, _softmax_grad(g_weights, weights, -1)
 
-    # _make runs grad_k right after grad_q on the same output gradient, so
-    # grad_q leaves the scores' gradient here for it when the keys track
-    handoff = []
-
-    def grad_q(g):
-        g_scores = grad_scores(g)
-        if k.requires_grad:
-            handoff.append(g_scores)
-        gq = merge(np.matmul(g_scores, np.swapaxes(kt, -1, -2)))
+    def grad_q(gs):
+        gq = merge(np.matmul(gs[1], np.swapaxes(kt, -1, -2)))
         gq *= scale
         return gq
 
-    def grad_k(g):
-        g_scores = handoff.pop() if handoff else grad_scores(g)
-        gk = np.matmul(np.swapaxes(split(q.data * scale), -1, -2), g_scores)  # (B, H, d_k, T)
+    def grad_k(gs):
+        gk = np.matmul(np.swapaxes(split(q.data * scale), -1, -2), gs[1])  # (B, H, d_k, T)
         return gk.transpose(0, 3, 1, 2).reshape(b, t, d)
 
-    def grad_v(g):
-        return merge(np.matmul(np.swapaxes(weights, -1, -2), split(g)))
+    def grad_v(gs):
+        return merge(np.matmul(np.swapaxes(weights, -1, -2), split(gs[0])))
 
-    return _make(ctx, (q, grad_q), (k, grad_k), (v, grad_v)), weights
+    return _make(ctx, (q, grad_q), (k, grad_k), (v, grad_v), prepare=prepare), weights
 
 
 def reshape(a: Tensor, shape) -> Tensor:

@@ -252,11 +252,7 @@ def estimate_rip(op: SensingOperator, k: int, method: str = EXACT_ENUMERATION,
     supports, as ``eigvalsh`` solves each matrix of a stack on its own.
     A skipped support's computed |lambda - 1| would exceed b_S by at most
     O(2k eps |G_S|) of rounding, and |G_S| <= 2k max_j |a_j|^2, so it stays
-    below delta and the maximum does not move. While delta is at most the
-    margin after a chunk, the next chunk is solved whole and its bounds are
-    not formed: no bound could skip a support then. That still serves an
-    operator whose first supports are isometric and whose later ones are
-    not.
+    below delta and the maximum does not move.
 
     Beside the n x n Gram, a chunk holds its Grams with M_S and M_S^2, so
     peak memory stays a few MiB however many supports there are. ``count``
@@ -290,12 +286,8 @@ def estimate_rip(op: SensingOperator, k: int, method: str = EXACT_ENUMERATION,
         circulant = _circulance(gram) <= _circulant_tolerance(op.m, gram)
         chunks = (_dihedral_supports if circulant else _colex_supports)(op.n, order, per_chunk)
         delta = 0.0
-        for i, supports in enumerate(chunks):
+        for supports in chunks:
             grams = gram[supports[:, :, None], supports[:, None, :]]
-            if i and delta <= margin:
-                # no bound can fall below delta - margin: every support is solved
-                delta = _max_eig_deviation(grams, delta)
-                continue
             bounds = _schatten4_deviation(grams)
             kth = max(bounds.size - _RIP_SEEDS, 0)
             seeds = np.argpartition(bounds, kth)[kth:]
@@ -336,10 +328,14 @@ def unit_ksparse_rows(rng: np.random.Generator, count: int, n: int, k: int) -> n
     # (k = 0 partitions at the last key and keeps none)
     supports = np.sort(np.argpartition(keys, k - 1)[:, :k])
     rows = np.zeros((count, n))
-    # each row's squared norm by the same dot routine as ``vals[i] @ vals[i]``
-    norms = np.sqrt((vals[:, None, :] @ vals[:, :, None])[:, 0, 0])
+    norms = np.sqrt(row_dots(vals, vals))
     np.put_along_axis(rows, supports, vals / norms[:, None], axis=1)
     return rows
+
+
+def row_dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """u_t^T v_t for every row t, each by the same dot routine as ``u[t] @ v[t]``."""
+    return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
 
 
 def _schatten4_deviation(grams: np.ndarray) -> np.ndarray:

@@ -1,6 +1,8 @@
+import csv
 import dataclasses
 import json
 import os
+import re
 from pathlib import Path
 
 import click
@@ -492,12 +494,34 @@ def test_report_over_runs(runner, small_dataset, tmp_path):
     assert res.exit_code == 0, res.output
     md = (runs / "report.md").read_text()
     assert "eval_trust" in md and "solve_omp" in md
-    csv = (runs / "report.csv").read_text().strip().splitlines()
-    assert csv[0].startswith("run,command,kind,param_count,mse_mean")
-    assert len(csv) == 3
+    lines = (runs / "report.csv").read_text().strip().splitlines()
+    assert lines[0].startswith("run,command,kind,param_count,mse_mean")
+    assert len(lines) == 3
     # param_count column present for the model run
-    eval_row = [r for r in csv[1:] if r.startswith("eval_trust")][0]
+    eval_row = [r for r in lines[1:] if r.startswith("eval_trust")][0]
     assert eval_row.split(",")[3] != ""
+
+
+def test_report_tables_keep_their_columns_when_a_run_name_holds_a_delimiter(
+        runner, small_dataset, tmp_path):
+    runs = tmp_path / "runs"
+    names = ["a,b", "p|q", 'say "hi"', "plain"]
+    for name in names:
+        res = runner.invoke(main, ["solve", "--dataset", str(small_dataset),
+                                   "--out", str(runs / name), "--sparsity", "4"],
+                            catch_exceptions=False)
+        assert res.exit_code == 0, res.output
+    res = runner.invoke(main, ["report", "--runs", str(runs)], catch_exceptions=False)
+    assert res.exit_code == 0, res.output
+    with open(runs / "report.csv", newline="") as f:
+        header, *rows = csv.reader(f)
+    assert [len(row) for row in rows] == [len(header)] * len(names)
+    assert sorted(row[0] for row in rows) == sorted(names)
+    # a cell's pipe is escaped as \|, so only the unescaped pipes split a row
+    header, rule, *rows = (runs / "report.md").read_text().splitlines()
+    widths = [len(re.split(r"(?<!\\)\|", line)) for line in (header, *rows)]
+    assert widths == [len(header.split("|"))] * (1 + len(names))
+    assert any("| p\\|q |" in row for row in rows)
 
 
 def test_report_empty_dir_exit_1(runner, tmp_path):

@@ -854,6 +854,20 @@ def test_backward_accumulates_without_reset():
     assert np.allclose(x.grad, 2 * first, atol=1e-14)
 
 
+@pytest.mark.parametrize("name", ["attention", "conv2d", "batch_conv2d", "resized_conv2d"])
+def test_second_backward_of_a_shared_work_op_doubles_every_gradient(name, rng):
+    # these ops share gradient work between inputs; none of it may outlive a backward
+    op, shapes = _MULTI_INPUT_OPS[name]
+    tensors = [nd.Tensor(rng.standard_normal(shape), requires_grad=True) for shape in shapes]
+    out = op(*tensors)
+    loss = nd.reduce_sum(nd.mul(out, nd.Tensor(rng.standard_normal(out.data.shape))))
+    loss.backward()
+    first = [t.grad.copy() for t in tensors]
+    loss.backward()
+    for t, g in zip(tensors, first):
+        assert np.array_equal(t.grad, 2 * g), name
+
+
 def test_backward_frees_each_gradient_once_its_inputs_have_it(rng):
     n = 2**20 // 8  # 1 MiB of float64 per array
     x = nd.Tensor(rng.standard_normal(n), requires_grad=True)

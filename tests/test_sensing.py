@@ -379,14 +379,15 @@ def test_rip_forms_bounds_only_while_they_can_skip(monkeypatch, kind, m, bounded
         assert est.delta == _rip_unpruned_stack(op, 3)
 
 
-@pytest.mark.parametrize("column,bounded_chunks", [(0, 6), (15, 3)])
+@pytest.mark.parametrize("column,bounded_chunks", [(0, 6), (15, 6)])
 def test_rip_scans_an_operator_just_past_the_isometry_margin(monkeypatch, column,
                                                              bounded_chunks):
     # one column of an isometry scaled by 1 + 6e-10 puts |G - I|_F at about
     # 1.2e-9, just past the 1e-9 margin: the scan runs, with the unpruned
     # stack's bits. Of C(16, 6) = 8008 supports in six chunks, those holding
     # column 15 are the last 3003 in colex order, so before them delta is
-    # rounding noise and chunks 1-3 are solved whole, without bounds.
+    # rounding noise; every chunk still takes its bounds, which skip no
+    # support while delta is within the margin.
     matrix = sensing.sample_operator(sensing.ORTHONORMAL_SQUARE, 16, 16, seed=7).matrix.copy()
     matrix[:, column] *= 1.0 + 6e-10
     op = sensing.SensingOperator(sensing.DENSE, 16, 16, seed=0, matrix=matrix)
