@@ -372,8 +372,10 @@ def _solver_csv(results: list[solvers.RecoveryResult], ys: np.ndarray) -> str:
               owner="method", owners=("omp",), help="Greedy atom budget; 0 means n // 4.")
 @click.option("--lam", default=None, type=_FINITE, cls=_Owned, owner="method",
               owners=("ista", "fista"), help="l1 weight; default 0.05 * |A^T y|_inf per problem.")
-@click.option("--tol", default=1e-6, show_default=True, type=_FINITE)
-@click.option("--max-iter", default=500, show_default=True, type=_NON_NEGATIVE)
+@click.option("--tol", default=solvers.SolverConfig.residual_tolerance, show_default=True,
+              type=_FINITE)
+@click.option("--max-iter", default=solvers.SolverConfig.max_iterations, show_default=True,
+              type=_NON_NEGATIVE)
 @click.option("--ridge", default=None, type=_FINITE, cls=_Owned, owner="operator",
               owners=("estimated",), help="Ridge for operator estimation; default trace-scaled.")
 @_limit_option
@@ -390,10 +392,9 @@ def solve(**cfg):
         op = solvers.estimate_operator(train.x.reshape(len(train), -1), train.raw(),
                                        ridge=cfg["ridge"])
     data = split.head(cfg["limit"])
-    solver_cfg = solvers.SolverConfig(
-        max_iterations=cfg["max_iter"], residual_tolerance=cfg["tol"],
-        sparsity_budget=cfg.get("sparsity") or max(1, op.n // 4), lam=cfg.get("lam"),
-    )
+    solver_cfg = solvers.SolverConfig(max_iterations=cfg["max_iter"], lam=cfg.get("lam"),
+                                      residual_tolerance=cfg["tol"],
+                                      sparsity_budget=cfg.get("sparsity", 0))
     out = make_out_dir(cfg["out"])
     method = getattr(solvers, cfg["method"])  # looked up per call, so a wrapped solver is seen
     ys = data.raw()

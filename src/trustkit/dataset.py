@@ -26,7 +26,7 @@ from .errors import (OBJECT, STRING, DatasetError, ParameterError, check_entries
 MANIFEST_VERSION = 2
 SPLITS = ("train", "val", "test")
 DTYPES = ("f32", "f64")  # on-disk precisions
-_SPLIT_KEY = {"train": 0x10, "val": 0x11, "test": 0x12}
+_SPLIT_KEY = {split: 0x10 + i for i, split in enumerate(SPLITS)}
 
 
 @dataclass(frozen=True)
@@ -194,8 +194,7 @@ def gen_dataset(spec: DatasetSpec, out_dir: str | Path) -> dict:
     produce byte-identical files.
     """
     op = spec.build_operator()
-    splits = {split: generate_split(spec, op, split, count)
-              for split, count in (("train", spec.train), ("val", spec.val), ("test", spec.test))}
+    splits = {split: generate_split(spec, op, split, getattr(spec, split)) for split in SPLITS}
     out_dir = make_out_dir(out_dir)
     manifest = {
         "version": MANIFEST_VERSION,

@@ -78,29 +78,26 @@ def _check_params(params: dict, shapes: dict[str, tuple[int, ...]]) -> None:
         raise ContractError(f"unexpected parameter tensor {extra[0]!r}")
 
 
-def _as_image_batch(image, size: int) -> nd.Tensor:
-    """The input as a (B, S, S) tensor; DimensionError for any other shape."""
-    t = image if isinstance(image, nd.Tensor) else nd.Tensor(np.asarray(image, dtype=np.float64))
-    if t.data.ndim != 3 or t.data.shape[1:] != (size, size):
-        raise DimensionError(f"expected a (B, {size}, {size}) stack, got shape {t.data.shape}")
-    if not np.isfinite(t.data).all():
+def _as_image_batch(image, size: int) -> np.ndarray:
+    """A (B, S, S) image stack as a float64 array; DimensionError for any other shape."""
+    a = np.asarray(image, dtype=np.float64)
+    if a.ndim != 3 or a.shape[1:] != (size, size):
+        raise DimensionError(f"expected a (B, {size}, {size}) stack, got shape {a.shape}")
+    if not np.isfinite(a).all():
         raise ContractError("input image contains non-finite values")
-    return t
+    return a
 
 
 def input_stage(cfg: TrustConfig | UnetConfig, y) -> nd.Tensor:
-    """The input stage both models share: a (B, m) stack of normalized
-    measurements as the (B, S, S) images their networks read. Only a square
-    operator, m = S^2, has such images, and the stage is then a reshape; any
-    other m is a DimensionError. A (B, S, S) stack passes as it is."""
+    """The input stage both models share, and their one input form: a (B, m)
+    array of normalized measurements, reshaped to the (B, S, S) images their
+    networks read. Only a square operator, m = S^2, has such images; any other
+    m or shape, a (B, S, S) stack included, is a DimensionError."""
     s = cfg.image_size
-    t = y if isinstance(y, nd.Tensor) else nd.Tensor(np.asarray(y, dtype=np.float64))
-    if t.data.ndim == 2:
-        if t.data.shape[1] != s * s:
-            raise DimensionError(f"{t.data.shape[1]} measurements per sample do not form a "
-                                 f"{s}x{s} image; the models need a square operator dataset")
-        t = nd.reshape(t, (-1, s, s))
-    return _as_image_batch(t, s)
+    if np.ndim(y) != 2 or np.shape(y)[1] != s * s:
+        raise DimensionError(f"a {np.shape(y)} array is not (B, {s * s}) measurements of "
+                             f"{s}x{s} images; the models need a square operator dataset")
+    return nd.Tensor(_as_image_batch(np.reshape(y, (-1, s, s)), s))
 
 
 def _linear(x: nd.Tensor, params: dict, prefix: str) -> nd.Tensor:
@@ -124,6 +121,12 @@ def patchify(image: np.ndarray, patch: int) -> np.ndarray:
     g = s // patch
     rows = image.reshape(*lead, g, patch, g, patch)
     return np.swapaxes(rows, -3, -2).reshape(*lead, g * g, patch * patch)
+
+
+def _embed(imgs: np.ndarray, params: dict, cfg: TrustConfig) -> nd.Tensor:
+    """(B, S, S) images -> (B, T, D) tokens: the patch embedding plus positions."""
+    patches = nd.Tensor(patchify(imgs, cfg.patch_size))
+    return nd.add(_linear(patches, params, "patch_embed"), params["pos_embed"])
 
 
 def _attention(x: nd.Tensor, params: dict, block: int, cfg: TrustConfig,
@@ -162,8 +165,8 @@ def _tokens_to_grid(tokens: nd.Tensor, cfg: TrustConfig) -> nd.Tensor:
 
 def forward_trust(params: dict, cfg: TrustConfig, y,
                   capture: dict | None = None) -> nd.Tensor:
-    """Reconstruct a (B, m) measurement stack, through ``input_stage``, into
-    (B, S, S) estimates in (0, 1); the batch runs as one graph.
+    """Reconstruct a (B, m) measurement stack, and no other shape, through
+    ``input_stage`` into (B, S, S) estimates in (0, 1); the batch runs as one graph.
 
     ``params`` must hold exactly the tensors of ``trust_param_shapes(cfg)``.
     Pass a dict as ``capture`` to collect, per encoder block, each head's
@@ -183,9 +186,7 @@ def forward_trust(params: dict, cfg: TrustConfig, y,
     no scores that only the softmax reads.
     """
     _check_params(params, trust_param_shapes(cfg))
-    imgs = input_stage(cfg, y)
-    patches = nd.Tensor(patchify(imgs.data, cfg.patch_size))  # (B, T, P)
-    tokens = nd.add(_linear(patches, params, "patch_embed"), params["pos_embed"])
+    tokens = _embed(input_stage(cfg, y).data, params, cfg)
 
     block_outputs: list[nd.Tensor] = []
     for i in range(cfg.encoder_depth):
@@ -211,12 +212,12 @@ def forward_trust(params: dict, cfg: TrustConfig, y,
         else:
             out = _conv(cur, params, prefix, padding=1)
         cur = nd.relu(out)
-    return nd.reshape(nd.sigmoid(_conv(cur, params, "head")), imgs.data.shape)
+    return nd.reshape(nd.sigmoid(_conv(cur, params, "head")), (-1, cfg.image_size, cfg.image_size))
 
 
 def forward_unet(params: dict, cfg: UnetConfig, y) -> nd.Tensor:
     """Three-level encoder/decoder baseline with the tensors of ``unet_param_shapes(cfg)``
-    and forward_trust's contract: (B, m) measurements in, (B, S, S) estimates out."""
+    and forward_trust's contract: only (B, m) measurements in, (B, S, S) estimates out."""
     _check_params(params, unet_param_shapes(cfg))
     imgs = input_stage(cfg, y)
     x = nd.reshape(imgs, (-1, 1, cfg.image_size, cfg.image_size))
@@ -232,21 +233,19 @@ def forward_unet(params: dict, cfg: UnetConfig, y) -> nd.Tensor:
 
 def token_gram(params: dict, cfg: TrustConfig, image, mode: str = "embedded") -> np.ndarray:
     """Pre-softmax scaled token similarity matrices at the first encoder
-    block: (B, T, T) for a (B, S, S) stack.
+    block: (B, T, T) for a (B, S, S) image stack, and no other shape.
 
-    ``embedded`` runs the learned patch embedding and block-1 query/key
-    projections; ``raw`` takes plain pixel patches as tokens (the identity
-    embedding mode used to compare observation and target geometry).
+    ``embedded`` runs ``forward_trust``'s own patch embedding and block-1
+    query/key projections; ``raw`` takes plain pixel patches as tokens (the
+    identity embedding mode used to compare observation and target geometry).
     """
     imgs = _as_image_batch(image, cfg.image_size)
-    patches = patchify(imgs.data, cfg.patch_size)
     if mode == "raw":
+        patches = patchify(imgs, cfg.patch_size)
         return (patches @ np.swapaxes(patches, -1, -2)) / math.sqrt(cfg.patch_dim)
     if mode != "embedded":
         raise ContractError(f"unknown token_gram mode {mode!r}")
     _check_params(params, trust_param_shapes(cfg))
-    tokens = patches @ params["patch_embed.weight"].data + params["patch_embed.bias"].data
-    tokens = tokens + params["pos_embed"].data
-    q = tokens @ params["enc0.attn.q.weight"].data + params["enc0.attn.q.bias"].data
-    k = tokens @ params["enc0.attn.k.weight"].data
+    tokens = _embed(imgs, params, cfg)
+    q, k = (_linear(tokens, params, f"enc0.attn.{proj}").data for proj in "qk")
     return (q @ np.swapaxes(k, -1, -2)) / math.sqrt(cfg.head_dim)

@@ -25,13 +25,13 @@ _LANCZOS_SEED = 0
 
 @dataclass
 class SolverConfig:
-    max_iterations: int = 1000
+    max_iterations: int = 500
     residual_tolerance: float = 1e-6
-    sparsity_budget: int = 10          # greedy atom budget
+    sparsity_budget: int = 0           # greedy atom budget; 0 -> max(1, n // 4)
     lam: float | None = None           # l1 weight; None -> 0.05 * |A^T y|_inf
 
     def __post_init__(self):
-        check_ints(self, {"max_iterations": 0, "sparsity_budget": 1})
+        check_ints(self, {"max_iterations": 0, "sparsity_budget": 0})
         check_finite(self, ("residual_tolerance",) if self.lam is None
                      else ("residual_tolerance", "lam"))
 
@@ -85,7 +85,7 @@ def omp(op: sensing.SensingOperator, y: np.ndarray,
     support: list[int] = []
     residual = y.copy()
     history: list[float] = []
-    budget = min(config.sparsity_budget, op.n, config.max_iterations)
+    budget = min(config.sparsity_budget or max(1, op.n // 4), op.n, config.max_iterations)
 
     if float(np.linalg.norm(residual)) <= config.residual_tolerance:
         return RecoveryResult(np.zeros(op.n), np.array(support, dtype=np.intp), history, 0, True)

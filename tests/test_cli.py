@@ -355,6 +355,20 @@ def test_solve_writes_one_solver_row_per_sample(runner, small_dataset, tmp_path,
     assert "solver_per_sample.csv" in record["outputs"]
 
 
+def test_omp_without_a_config_solves_as_the_solve_command_does(runner, small_dataset, tmp_path):
+    # SolverConfig holds each solve setting's one default: the atom budget,
+    # 0 for max(1, n // 4), the iteration cap and the tolerance
+    out = tmp_path / "r"
+    res = runner.invoke(main, ["solve", "--dataset", str(small_dataset), "--out", str(out),
+                               "--method", "omp"], catch_exceptions=False)
+    assert res.exit_code == 0, res.output
+    manifest = dataset.load_manifest(small_dataset)
+    op = dataset.operator_from_manifest(manifest)
+    x_hat = np.stack([solvers.omp(op, y).x_hat
+                      for y in dataset.load_split(manifest, "test").raw()])
+    assert (out / "reconstructions.f64").read_bytes() == x_hat.astype("<f8").tobytes()
+
+
 def test_run_record_names_what_output_bytes_depend_on(small_dataset):
     env = json.loads((small_dataset / "run_record.json").read_text())["environment"]
     assert env["numpy"] == np.__version__

@@ -97,7 +97,7 @@ def test_config_derives_pool_grid_from_image_size(size, grid):
     cfg = model.TrustConfig(image_size=size, embed_dim=8, num_heads=2, encoder_depth=2)
     assert cfg.pool_grid == grid
     out = model.forward_trust(model.init_params(model.TRUST, cfg), cfg,
-                              rng.random((1, size, size)))
+                              rng.random((1, size * size)))
     assert out.data.shape == (1, size, size)
 
 
@@ -132,7 +132,7 @@ def test_config_to_dict_holds_only_the_settings():
 def test_forward_shape_default():
     cfg = model.TrustConfig()
     params = model.init_params(model.TRUST, cfg)
-    out = model.forward_trust(params, cfg, rng.random((1, 32, 32)))
+    out = model.forward_trust(params, cfg, rng.random((1, 32 * 32)))
     assert out.data.shape == (1, 32, 32)
     assert np.all(out.data > 0) and np.all(out.data < 1)
 
@@ -140,16 +140,16 @@ def test_forward_shape_default():
 def test_forward_shape_no_skips():
     cfg = model.TrustConfig(skip_enabled=(False, False))
     params = model.init_params(model.TRUST, cfg)
-    out = model.forward_trust(params, cfg, rng.random((1, 32, 32)))
+    out = model.forward_trust(params, cfg, rng.random((1, 32 * 32)))
     assert out.data.shape == (1, 32, 32)
 
 
 def test_skip_ablation_changes_output():
-    img = rng.random((1, 32, 32))
+    y = rng.random((1, 32 * 32))
     full = model.TrustConfig()
     none = model.TrustConfig(skip_enabled=(False, False))
-    out_full = model.forward_trust(model.init_params(model.TRUST, full), full, img)
-    out_none = model.forward_trust(model.init_params(model.TRUST, none), none, img)
+    out_full = model.forward_trust(model.init_params(model.TRUST, full), full, y)
+    out_none = model.forward_trust(model.init_params(model.TRUST, none), none, y)
     assert out_full.data.shape == out_none.data.shape
     assert not np.allclose(out_full.data, out_none.data, atol=1e-6)
 
@@ -157,9 +157,9 @@ def test_skip_ablation_changes_output():
 def test_forward_deterministic():
     cfg = reduced_trust()
     params = model.init_params(model.TRUST, cfg)
-    img = rng.random((1, 16, 16))
-    a = model.forward_trust(params, cfg, img)
-    b = model.forward_trust(params, cfg, img)
+    y = rng.random((1, 16 * 16))
+    a = model.forward_trust(params, cfg, y)
+    b = model.forward_trust(params, cfg, y)
     assert a.data.tobytes() == b.data.tobytes()
 
 
@@ -188,7 +188,7 @@ def test_forward_wrong_param_shape_names_tensor():
             params[name] = nd.Tensor(np.zeros((3, 3)), requires_grad=True)
             message = rf"parameter '{name}' has shape \(3, 3\), config expects"
         with pytest.raises(ContractError, match=message):
-            model.model_spec(kind).forward(params, cfg, rng.random((1, 16, 16)))
+            model.model_spec(kind).forward(params, cfg, rng.random((1, 16 * 16)))
 
 
 @pytest.mark.parametrize("kind", [model.TRUST, model.UNET])
@@ -198,14 +198,14 @@ def test_forward_rejects_a_tensor_outside_the_shape_map(kind):
     params = model.init_params(kind, cfg)
     params["enc0.attn.k.bias"] = nd.Tensor(np.zeros(8), requires_grad=True)
     with pytest.raises(ContractError, match="unexpected parameter tensor 'enc0.attn.k.bias'"):
-        model.model_spec(kind).forward(params, cfg, rng.random((1, 16, 16)))
+        model.model_spec(kind).forward(params, cfg, rng.random((1, 16 * 16)))
 
 
 def test_attention_rows_sum_to_one_every_head_and_block():
     cfg = model.TrustConfig()
     params = model.init_params(model.TRUST, cfg)
     capture = {}
-    model.forward_trust(params, cfg, rng.random((1, 32, 32)), capture=capture)
+    model.forward_trust(params, cfg, rng.random((1, 32 * 32)), capture=capture)
     keys = [k for k in capture if k.endswith(".attn")]
     assert len(keys) == cfg.encoder_depth * cfg.num_heads
     for k in keys:
@@ -217,7 +217,7 @@ def test_batched_forward_equals_per_sample_forwards(kind):
     cfg = model.model_spec(kind).config_class()
     params = model.init_params(kind, cfg)
     forward = model.model_spec(kind).forward
-    stack = rng.random((3, 32, 32))
+    stack = rng.random((3, 32 * 32))
     batched = forward(params, cfg, stack)
     assert batched.data.shape == (3, 32, 32)
     for b in range(3):
@@ -229,7 +229,7 @@ def test_batched_forward_equals_per_sample_forwards(kind):
 def test_batched_capture_keeps_batch_axis():
     cfg = reduced_trust(encoder_depth=2)
     params = model.init_params(model.TRUST, cfg)
-    stack = rng.random((3, 16, 16))
+    stack = rng.random((3, 16 * 16))
     batched = {}
     model.forward_trust(params, cfg, stack, capture=batched)
     assert sorted(batched) == sorted(
@@ -253,7 +253,7 @@ def test_first_block_attention_matches_per_head_softmax():
     params = model.init_params(model.TRUST, cfg)
     stack = rng.random((2, 16, 16))
     capture = {}
-    model.forward_trust(params, cfg, stack, capture=capture)
+    model.forward_trust(params, cfg, stack.reshape(2, -1), capture=capture)
     tokens = model.patchify(stack, cfg.patch_size) @ params["patch_embed.weight"].data
     tokens = tokens + params["patch_embed.bias"].data + params["pos_embed"].data
     q = tokens @ params["enc0.attn.q.weight"].data + params["enc0.attn.q.bias"].data
@@ -268,26 +268,33 @@ def test_first_block_attention_matches_per_head_softmax():
 
 
 _TRUST, _UNET = _REDUCED_CONFIGS[model.TRUST], _REDUCED_CONFIGS[model.UNET]
-_STACK_ONLY = {
-    "forward_trust": lambda x: model.forward_trust(
-        model.init_params(model.TRUST, _TRUST), _TRUST, x).data,
-    "forward_unet": lambda x: model.forward_unet(
-        model.init_params(model.UNET, _UNET), _UNET, x).data,
+# entry points that take a (B, S, S) image stack and no other shape
+_IMAGE_STACK_ONLY = {
     "token_gram": lambda x: model.token_gram(model.init_params(model.TRUST, _TRUST), _TRUST, x),
     "token_gram_raw": lambda x: model.token_gram({}, _TRUST, x, mode="raw"),
     "ssim_tensor": lambda x: metrics.ssim_tensor(nd.Tensor(x), nd.Tensor(x)).data,
     "sample_losses": lambda x: model.sample_losses("l2", nd.Tensor(x), x).data,
 }
+# entry points that take a (B, S^2) measurement stack and no other shape
+_MEASUREMENT_STACK_ONLY = {
+    "input_stage": lambda y: model.input_stage(_TRUST, y).data,
+    "forward_trust": lambda y: model.forward_trust(
+        model.init_params(model.TRUST, _TRUST), _TRUST, y).data,
+    "forward_unet": lambda y: model.forward_unet(
+        model.init_params(model.UNET, _UNET), _UNET, y).data,
+    "predict": lambda y: model.predict(model.UNET, model.init_params(model.UNET, _UNET), _UNET, y),
+    "batch_loss": lambda y: model.batch_loss(
+        model.TRUST, model.init_params(model.TRUST, _TRUST), _TRUST, model.TrainConfig(),
+        np.zeros((len(y), 16, 16)), y).data,
+}
 
 
-def _forward_trust_concat_decoder(params, cfg, image):
+def _forward_trust_concat_decoder(params, cfg, y):
     """forward_trust with the decoder as it was before ``resized_conv2d``:
     upsample, resize the skip, concatenate, and convolve at full resolution."""
     from trustkit.model import forward as fw
 
-    imgs = fw._as_image_batch(image, cfg.image_size)
-    patches = nd.Tensor(fw.patchify(imgs.data, cfg.patch_size))
-    tokens = nd.add(fw._linear(patches, params, "patch_embed"), params["pos_embed"])
+    tokens = fw._embed(fw.input_stage(cfg, y).data, params, cfg)
     block_outputs = []
     for i in range(cfg.encoder_depth):
         tokens = fw._encoder_block(tokens, params, i, cfg, None)
@@ -302,7 +309,8 @@ def _forward_trust_concat_decoder(params, cfg, image):
             skip = nd.resize_bilinear(skip, stage.resolution, stage.resolution)
             cur = nd.concat([cur, skip], axis=1)
         cur = nd.relu(fw._conv(cur, params, f"dec{s}.conv", padding=1))
-    return nd.reshape(nd.sigmoid(fw._conv(cur, params, "head")), imgs.data.shape)
+    head = nd.sigmoid(fw._conv(cur, params, "head"))
+    return nd.reshape(head, (-1, cfg.image_size, cfg.image_size))
 
 
 @pytest.mark.parametrize("overrides", [
@@ -316,12 +324,12 @@ def test_trust_decoder_equals_the_full_resolution_concat_decoder(overrides):
     cfg = model.TrustConfig(**{"embed_dim": 16, "num_heads": 2, "encoder_depth": 2, **overrides})
     params = model.init_params(model.TRUST, cfg)
     g = np.random.default_rng(11)
-    image = g.random((3, cfg.image_size, cfg.image_size))
+    y = g.random((3, cfg.image_size**2))
     weights = nd.Tensor(g.standard_normal((3, cfg.image_size, cfg.image_size)))
     results = []
     for forward in (model.forward_trust, _forward_trust_concat_decoder):
         nd.zero_grads(params.values())
-        out = forward(params, cfg, image)
+        out = forward(params, cfg, y)
         nd.reduce_sum(nd.mul(out, weights)).backward()
         results.append((out.data, {name: t.grad for name, t in params.items()}))
     (out, grads), (ref_out, ref_grads) = results
@@ -332,14 +340,20 @@ def test_trust_decoder_equals_the_full_resolution_concat_decoder(overrides):
 
 
 def test_forward_rejects_wrong_stack_shape():
-    # every stack-only entry point takes a (B, S, S) stack and refuses a single
-    # (S, S) image; the forwards also take (B, S^2), and test_input_stage_* covers that
-    for entry, call in _STACK_ONLY.items():
-        assert call(rng.random((2, 16, 16))).shape[0] == 2, entry
-        for bad in (rng.random((16, 16)), rng.random((16, 8)), rng.random((2, 1, 16, 16)),
-                    rng.random(16)):
-            with pytest.raises(DimensionError):
-                call(bad)
+    # the image entry points take a (B, S, S) stack and refuse a single (S, S)
+    # image; the model entry points take a (B, S^2) measurement stack, their
+    # one input form, and refuse a (B, S, S) stack as well
+    image_bad = (rng.random((16, 16)), rng.random((16, 8)), rng.random((2, 1, 16, 16)),
+                 rng.random(16))
+    measurement_bad = (rng.random((2, 16, 16)), rng.random((2, 1, 16 * 16)),
+                       rng.random(16 * 16), rng.random((16, 16)))
+    for entries, good, bads in ((_IMAGE_STACK_ONLY, (2, 16, 16), image_bad),
+                                (_MEASUREMENT_STACK_ONLY, (2, 16 * 16), measurement_bad)):
+        for entry, call in entries.items():
+            assert np.isfinite(call(rng.random(good))).all(), entry
+            for bad in bads:
+                with pytest.raises(DimensionError):
+                    call(bad)
 
 
 @pytest.mark.parametrize("kind", model.KINDS)
@@ -350,8 +364,7 @@ def test_input_stage_reads_a_square_measurement_stack_as_its_images(kind):
     y = rng.random((3, 16 * 16))
     stage = model.input_stage(cfg, y)
     assert stage.data.shape == (3, 16, 16) and stage.data.tobytes() == y.tobytes()
-    assert forward(params, cfg, y).data.tobytes() == \
-        forward(params, cfg, y.reshape(3, 16, 16)).data.tobytes()
+    assert forward(params, cfg, y).data.shape == (3, 16, 16)
     for m in (16 * 16 // 2, 16 * 16 + 1):
         with pytest.raises(DimensionError, match="square operator dataset"):
             forward(params, cfg, rng.random((3, m)))
@@ -368,9 +381,9 @@ def test_loss_rejects_a_target_of_another_shape():
 def test_unet_shape_and_determinism():
     cfg = model.UnetConfig()
     params = model.init_params(model.UNET, cfg)
-    img = rng.random((1, 32, 32))
-    a = model.forward_unet(params, cfg, img)
-    b = model.forward_unet(params, cfg, img)
+    y = rng.random((1, 32 * 32))
+    a = model.forward_unet(params, cfg, y)
+    b = model.forward_unet(params, cfg, y)
     assert a.data.shape == (1, 32, 32)
     assert a.data.tobytes() == b.data.tobytes()
     assert np.all(a.data > 0) and np.all(a.data < 1)
@@ -381,11 +394,11 @@ def test_unet_shape_and_determinism():
 
 def _model_gradcheck(model_kind, cfg, img_size, tol=1e-4):
     params = model.init_params(model_kind, cfg)
-    img = np.random.default_rng(1).random((1, img_size, img_size))
+    y = np.random.default_rng(1).random((1, img_size * img_size))
     weights = np.random.default_rng(2).standard_normal((1, img_size, img_size))
     forward = model.model_spec(model_kind).forward
 
-    loss = nd.reduce_sum(nd.mul(forward(params, cfg, img), nd.Tensor(weights)))
+    loss = nd.reduce_sum(nd.mul(forward(params, cfg, y), nd.Tensor(weights)))
     loss.backward()
 
     names = list(params)
@@ -395,7 +408,7 @@ def _model_gradcheck(model_kind, cfg, img_size, tol=1e-4):
         trial = {
             n: nd.Tensor(a, requires_grad=False, name=n) for n, a in zip(names, arrs)
         }
-        return forward(trial, cfg, img).data.ravel() @ weights.ravel()
+        return forward(trial, cfg, y).data.ravel() @ weights.ravel()
 
     numeric = finite_difference(f, arrays)
     worst = 0.0
@@ -614,11 +627,11 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
 def test_checkpoint_forward_reproduces_bitwise(tmp_path):
     cfg = reduced_trust()
     params = model.init_params(model.TRUST, cfg)
-    img = rng.random((1, 16, 16))
-    before = model.forward_trust(params, cfg, img).data.tobytes()
+    y = rng.random((1, 16 * 16))
+    before = model.forward_trust(params, cfg, y).data.tobytes()
     model.checkpoint_save(params, model.TRUST, cfg, tmp_path / "c.json")
     loaded, _ = model.checkpoint_load(tmp_path / "c.json")
-    after = model.forward_trust(loaded, cfg, img).data.tobytes()
+    after = model.forward_trust(loaded, cfg, y).data.tobytes()
     assert before == after
 
 
@@ -810,7 +823,7 @@ def test_model_spec_forward_follows_module_attribute(monkeypatch):
 
 
 def _toy_data(n, size, seed):
-    """(targets, observations) stacks of n samples."""
+    """(targets, observations) stacks of n samples: (n, S, S) and (n, S^2)."""
     # smooth blob targets: representable through the pooled bottleneck
     g = np.random.default_rng(seed)
     i, j = np.mgrid[0:size, 0:size]
@@ -819,14 +832,14 @@ def _toy_data(n, size, seed):
         r, c = g.uniform(4, size - 4, 2)
         xs[t] = 0.9 * np.exp(-((i - r) ** 2 + (j - c) ** 2) / (2 * 2.0**2))
         ys[t] = np.clip(xs[t] + 0.05 * g.random((size, size)), 0.0, 1.0)
-    return xs, ys
+    return xs, ys.reshape(n, -1)
 
 
 def _head(data, n):
     return data[0][:n], data[1][:n]
 
 
-_NO_DATA = (np.empty((0, 16, 16)), np.empty((0, 16, 16)))
+_NO_DATA = (np.empty((0, 16, 16)), np.empty((0, 16 * 16)))
 
 
 def _reference_step_grads(kind, cfg, tcfg, params, data):
@@ -870,9 +883,9 @@ def test_trust_train_step_memory_is_bounded():
     cfg = model.TrustConfig()
     tcfg = model.TrainConfig(epochs=1, batch_size=16)
     g = np.random.default_rng(0)
-    samples = [(g.random((32, 32)), g.random((32, 32))) for _ in range(16)]
+    samples = [(g.random((32, 32)), g.random(32 * 32)) for _ in range(16)]
     data = tuple(np.stack(stack) for stack in zip(*samples))
-    no_data = (np.empty((0, 32, 32)), np.empty((0, 32, 32)))
+    no_data = (np.empty((0, 32, 32)), np.empty((0, 32 * 32)))
     params = model.init_params(model.TRUST, cfg)
     tracemalloc.start()
     try:
@@ -917,7 +930,7 @@ def _predict_peak(params, cfg, observations):
 def test_predict_memory_does_not_grow_with_sample_count():
     cfg = model.TrustConfig()
     params = model.init_params(model.TRUST, cfg)
-    observations = np.random.default_rng(1).random((32, 32, 32))
+    observations = np.random.default_rng(1).random((32, 32 * 32))
     one_chunk = _predict_peak(params, cfg, observations[: model.PREDICT_CHUNK])
     all_chunks = _predict_peak(params, cfg, observations)
     # a chunk of 4 at 32 px peaks near 11.5 MiB (one sample: 3.0 MiB)
@@ -939,8 +952,7 @@ def test_predict_is_one_graph_free_stack_equal_to_the_whole_stack_forward():
 def test_evaluate_loss_is_the_fsum_of_per_sample_losses(loss_kind):
     cfg = reduced_trust()
     params = model.init_params(model.TRUST, cfg)
-    targets, images = _toy_data(model.PREDICT_CHUNK * 2 + 1, 16, seed=5)
-    y = images.reshape(len(images), -1)
+    targets, y = _toy_data(model.PREDICT_CHUNK * 2 + 1, 16, seed=5)
     val_loss, *_ = model.evaluate(model.TRUST, params, cfg, (targets, y),
                                   model.TrainConfig(loss_kind=loss_kind))
     preds = model.forward_trust(params, cfg, y)

@@ -362,7 +362,7 @@ def test_negative_lambda_rejected():
 @pytest.mark.parametrize("values, message", [
     ({"max_iterations": 2.5}, "max_iterations must be an integer >= 0, got 2.5"),
     ({"max_iterations": -1}, "max_iterations must be an integer >= 0, got -1"),
-    ({"sparsity_budget": True}, "sparsity_budget must be an integer >= 1, got True"),
+    ({"sparsity_budget": True}, "sparsity_budget must be an integer >= 0, got True"),
     ({"residual_tolerance": float("nan")}, "residual_tolerance must be finite and >= 0, got nan"),
     ({"lam": float("inf")}, "lam must be finite and >= 0, got inf"),
     ({"lam": float("nan")}, "lam must be finite and >= 0, got nan"),
