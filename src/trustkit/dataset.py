@@ -24,9 +24,9 @@ from .errors import (OBJECT, STRING, DatasetError, ParameterError, check_entries
                      write_json)
 
 MANIFEST_VERSION = 2
-SPLITS = ("train", "val", "test")
+_SPLIT_KEY = {"train": 0x10, "val": 0x11, "test": 0x12}  # each split's sample seed
+SPLITS = tuple(_SPLIT_KEY)
 DTYPES = ("f32", "f64")  # on-disk precisions
-_SPLIT_KEY = {split: 0x10 + i for i, split in enumerate(SPLITS)}
 
 
 @dataclass(frozen=True)

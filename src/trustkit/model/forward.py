@@ -79,7 +79,7 @@ def _check_params(params: dict, shapes: dict[str, tuple[int, ...]]) -> None:
 
 
 def _as_image_batch(image, size: int) -> np.ndarray:
-    """A (B, S, S) image stack as a float64 array; DimensionError for any other shape."""
+    """``token_gram``'s (B, S, S) image stack as a float64 array; DimensionError otherwise."""
     a = np.asarray(image, dtype=np.float64)
     if a.ndim != 3 or a.shape[1:] != (size, size):
         raise DimensionError(f"expected a (B, {size}, {size}) stack, got shape {a.shape}")
@@ -94,10 +94,13 @@ def input_stage(cfg: TrustConfig | UnetConfig, y) -> nd.Tensor:
     networks read. Only a square operator, m = S^2, has such images; any other
     m or shape, a (B, S, S) stack included, is a DimensionError."""
     s = cfg.image_size
-    if np.ndim(y) != 2 or np.shape(y)[1] != s * s:
-        raise DimensionError(f"a {np.shape(y)} array is not (B, {s * s}) measurements of "
+    a = np.asarray(y, dtype=np.float64)
+    if a.ndim != 2 or a.shape[1] != s * s:
+        raise DimensionError(f"a {a.shape} array is not (B, {s * s}) measurements of "
                              f"{s}x{s} images; the models need a square operator dataset")
-    return nd.Tensor(_as_image_batch(np.reshape(y, (-1, s, s)), s))
+    if not np.isfinite(a).all():
+        raise ContractError("input measurements contain non-finite values")
+    return nd.Tensor(a.reshape(-1, s, s))
 
 
 def _linear(x: nd.Tensor, params: dict, prefix: str) -> nd.Tensor:
@@ -135,9 +138,7 @@ def _attention(x: nd.Tensor, params: dict, block: int, cfg: TrustConfig,
     value projections, one ``nd.attention`` op over all heads, and the
     output projection. The graph so holds each projection once and the
     attention weights, but not the scores."""
-    q = _linear(x, params, f"enc{block}.attn.q")
-    k = _linear(x, params, f"enc{block}.attn.k")
-    v = _linear(x, params, f"enc{block}.attn.v")
+    q, k, v = (_linear(x, params, f"enc{block}.attn.{proj}") for proj in "qkv")
     ctx, weights = nd.attention(q, k, v, cfg.num_heads)  # weights: (B, H, T, T)
     if capture is not None:
         for h in range(cfg.num_heads):
@@ -219,8 +220,7 @@ def forward_unet(params: dict, cfg: UnetConfig, y) -> nd.Tensor:
     """Three-level encoder/decoder baseline with the tensors of ``unet_param_shapes(cfg)``
     and forward_trust's contract: only (B, m) measurements in, (B, S, S) estimates out."""
     _check_params(params, unet_param_shapes(cfg))
-    imgs = input_stage(cfg, y)
-    x = nd.reshape(imgs, (-1, 1, cfg.image_size, cfg.image_size))
+    x = nd.reshape(input_stage(cfg, y), (-1, 1, cfg.image_size, cfg.image_size))
     e0 = nd.relu(_conv(x, params, "enc0.conv", padding=1))
     e1 = nd.relu(_conv(e0, params, "enc1.conv", stride=2, padding=1))
     e2 = nd.relu(_conv(e1, params, "enc2.conv", stride=2, padding=1))
@@ -228,7 +228,7 @@ def forward_unet(params: dict, cfg: UnetConfig, y) -> nd.Tensor:
     d1 = nd.relu(_conv(d1, params, "dec1.conv", padding=1))
     d0 = nd.concat([nd.upsample_nearest(d1, 2), e0], axis=1)
     d0 = nd.relu(_conv(d0, params, "dec0.conv", padding=1))
-    return nd.reshape(nd.sigmoid(_conv(d0, params, "head")), imgs.data.shape)
+    return nd.reshape(nd.sigmoid(_conv(d0, params, "head")), (-1, cfg.image_size, cfg.image_size))
 
 
 def token_gram(params: dict, cfg: TrustConfig, image, mode: str = "embedded") -> np.ndarray:

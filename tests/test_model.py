@@ -350,7 +350,10 @@ def test_forward_rejects_wrong_stack_shape():
     for entries, good, bads in ((_IMAGE_STACK_ONLY, (2, 16, 16), image_bad),
                                 (_MEASUREMENT_STACK_ONLY, (2, 16 * 16), measurement_bad)):
         for entry, call in entries.items():
-            assert np.isfinite(call(rng.random(good))).all(), entry
+            # one output per sample, but batch_loss's one mean loss of the batch
+            out = np.asarray(call(rng.random(good)))
+            assert out.shape[:1] == (() if entry == "batch_loss" else (2,)), entry
+            assert np.isfinite(out).all(), entry
             for bad in bads:
                 with pytest.raises(DimensionError):
                     call(bad)
