@@ -8,7 +8,6 @@ from typing import NamedTuple
 from ..errors import ParameterError, check_finite, check_ints, is_int
 
 MLP_RATIO = 4  # transformer feed-forward width, in multiples of embed_dim
-MAX_POOL_GRID = 8  # largest pooled token grid
 
 
 class Stage(NamedTuple):
@@ -25,18 +24,18 @@ class Stage(NamedTuple):
 
 @dataclass(frozen=True)
 class TrustConfig:
-    """Hybrid reconstructor: attention encoder, adaptive pooling, upsampling
+    """Hybrid reconstructor: attention encoder over patch tokens, upsampling
     decoder with projected token skips.
 
-    The decoder's geometry follows from the other settings. ``pool_grid`` is
-    the largest grid that is at most ``MAX_POOL_GRID`` (8), at most the token
-    grid, and divides ``image_size`` by a power of two: 8 at 32 px, 2 at
-    8 px, 6 at 48 px. Decoder stages double the resolution from it until the
-    image size is reached; any remaining stages refine at full resolution.
-    Skip connection j wires encoder block ``skip_sources[j]`` (1-indexed)
-    into decoder stage j when ``skip_enabled[j]`` is set; the sources are
-    (min(4, depth), min(2, depth)) for the encoder depth: (4, 2) at the
-    default depth 4, (1, 1) at depth 1.
+    The decoder's geometry follows from the other settings. Its first stage
+    reads the token grid, ``image_size / patch_size`` tokens a side, and
+    stages double the resolution from there until the image size is reached;
+    any remaining stages refine at full resolution. Doubling lands on the
+    image size only from a power-of-two patch, so ``patch_size`` must be one:
+    1, 2, 4, ... Skip connection j wires encoder block ``skip_sources[j]``
+    (1-indexed) into decoder stage j when ``skip_enabled[j]`` is set; the
+    sources are (min(4, depth), min(2, depth)) for the encoder depth: (4, 2)
+    at the default depth 4, (1, 1) at depth 1.
     """
 
     image_size: int = 32
@@ -60,6 +59,8 @@ class TrustConfig:
             raise ParameterError(
                 f"every skip_enabled entry must be a bool, got {self.skip_enabled}"
             )
+        if self.patch_size & (self.patch_size - 1):
+            raise ParameterError(f"patch_size must be a power of two, got {self.patch_size}")
         if self.image_size % self.patch_size != 0:
             raise ParameterError(
                 f"image_size {self.image_size} not divisible by patch_size {self.patch_size}"
@@ -68,11 +69,11 @@ class TrustConfig:
             raise ParameterError(
                 f"embed_dim {self.embed_dim} not divisible by num_heads {self.num_heads}"
             )
-        ups = (self.image_size // self.pool_grid).bit_length() - 1
+        ups = self.patch_size.bit_length() - 1
         if len(self.decoder_channels) < ups:
             raise ParameterError(
                 f"{ups} upsampling stages needed to reach {self.image_size} from "
-                f"{self.pool_grid}, but only {len(self.decoder_channels)} decoder channels given"
+                f"{self.token_grid}, but only {len(self.decoder_channels)} decoder channels given"
             )
         if len(self.skip_enabled) != len(self.skip_sources):
             raise ParameterError(f"skip_enabled must hold one flag per skip connection "
@@ -101,19 +102,15 @@ class TrustConfig:
         return MLP_RATIO * self.embed_dim
 
     @property
-    def pool_grid(self) -> int:
-        return _derive_pool_grid(self.image_size, self.token_grid)
-
-    @property
     def skip_sources(self) -> tuple[int, int]:
         return (min(4, self.encoder_depth), min(2, self.encoder_depth))
 
     def stage_plan(self) -> list[Stage]:
         """One ``Stage`` per decoder stage, in order. A stage upsamples by two
         while below the image size, concatenates its skip, projected to the
-        stage's channels, and convolves; stage 0 reads the pooled tokens."""
+        stage's channels, and convolves; stage 0 reads the token grid."""
         plan = []
-        res, in_ch = self.pool_grid, self.embed_dim
+        res, in_ch = self.token_grid, self.embed_dim
         for s, ch in enumerate(self.decoder_channels):
             up = res < self.image_size
             if up:
@@ -128,17 +125,6 @@ class TrustConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-
-def _derive_pool_grid(image_size: int, token_grid: int) -> int:
-    for grid in range(min(MAX_POOL_GRID, token_grid), 0, -1):
-        ratio, rest = divmod(image_size, grid)
-        if rest == 0 and ratio & (ratio - 1) == 0:  # a power of two
-            return grid
-    raise ParameterError(
-        f"no pool grid <= {min(MAX_POOL_GRID, token_grid)} divides image_size "
-        f"{image_size} by a power of two"
-    )
 
 
 @dataclass(frozen=True)

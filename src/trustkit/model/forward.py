@@ -173,13 +173,15 @@ def forward_trust(params: dict, cfg: TrustConfig, y,
     Pass a dict as ``capture`` to collect, per encoder block, each head's
     (B, T, T) attention maps and the block's (B, T, D) output tokens.
 
-    A decoder stage that upsamples or takes a skip convolves, in one
-    ``resized_conv2d``, the previous stage through its nearest-neighbour
-    upsampling (the identity when the stage does not upsample) and the
-    projected skip through its bilinear resize from the token grid. So the
-    convolution runs at the resolution its inputs come from, and the
-    upsampled map, the resized skip and their concatenation are never
-    formed. The other stages run ``batch_conv2d`` at full resolution.
+    The decoder starts at the token grid: stage 0 reads the last block's
+    tokens as (B, D, S/patch, S/patch) maps. A stage that upsamples or takes
+    a skip convolves, in one ``resized_conv2d``, the previous stage through
+    its nearest-neighbour upsampling (the identity when the stage does not
+    upsample) and the projected skip through its bilinear resize from the
+    token grid. So the convolution runs at the resolution its inputs come
+    from, and the upsampled map, the resized skip and their concatenation
+    are never formed. The other stages run ``batch_conv2d`` at full
+    resolution.
 
     Every bias goes into the op that makes its product (``nd.matmul``, the
     convolutions), and each block's attention is one ``nd.attention`` op, so
@@ -196,8 +198,7 @@ def forward_trust(params: dict, cfg: TrustConfig, y,
         if capture is not None:
             capture[f"enc{i}.tokens"] = tokens.data.copy()
 
-    grid = _tokens_to_grid(tokens, cfg)
-    cur = nd.adaptive_avg_pool(grid, cfg.pool_grid, cfg.pool_grid)
+    cur = _tokens_to_grid(tokens, cfg)
     for s, stage in enumerate(cfg.stage_plan()):
         prefix, res = f"dec{s}.conv", stage.resolution
         if stage.upsampled or stage.skip_block is not None:

@@ -83,7 +83,7 @@ def _unet_flops(cfg: UnetConfig) -> int:
 
 
 def flop_estimate(model_kind: str, cfg) -> int:
-    """Multiply-add estimate for one forward pass (pool/resize/pointwise excluded)."""
+    """Multiply-add estimate for one forward pass (resize and pointwise ops excluded)."""
     return model_spec(model_kind).flops(cfg)
 
 

@@ -10,7 +10,7 @@ import numpy as np
 from .. import metrics, ndtensor as nd
 from ..errors import ContractError, csv_text
 from .config import TrainConfig
-from .losses import loss as make_loss, sample_losses
+from .losses import sample_losses
 from .params import init_params, model_spec
 
 
@@ -117,23 +117,25 @@ def evaluate(model_kind: str, params: dict[str, nd.Tensor], model_cfg,
 def batch_loss(model_kind: str, params: dict[str, nd.Tensor], model_cfg,
                train_cfg: TrainConfig, targets: np.ndarray,
                observations: np.ndarray) -> nd.Tensor:
-    """Mean training loss of a batch, (B, S, S) targets and (B, m)
-    measurements, as one graph: one forward, one loss."""
+    """The (B,) per-sample training losses of a batch, (B, S, S) targets and
+    (B, m) measurements, as one graph: one forward, one loss."""
     pred = model_spec(model_kind).forward(params, model_cfg, observations)
-    return make_loss(train_cfg.loss_kind, pred, targets)
+    return sample_losses(train_cfg.loss_kind, pred, targets)
 
 
 def _train_step(model_kind: str, params: dict[str, nd.Tensor], model_cfg,
                 train_cfg: TrainConfig, adam: Adam, targets: np.ndarray,
-                observations: np.ndarray) -> float:
-    """One Adam step on a batch; returns its mean loss. The step's graph is
-    released on return, before the next step builds its own."""
+                observations: np.ndarray) -> np.ndarray:
+    """One Adam step on the mean loss of a batch; returns its per-sample
+    losses. The step's graph is released on return, before the next step
+    builds its own."""
     adam.zero_grad()
-    step_loss = batch_loss(model_kind, params, model_cfg, train_cfg, targets, observations)
+    losses = batch_loss(model_kind, params, model_cfg, train_cfg, targets, observations)
+    step_loss = nd.reduce_mean(losses)
     _abort_on_nonfinite(step_loss, params)
     step_loss.backward()
     adam.step()
-    return step_loss.item()
+    return losses.data
 
 
 def train(model_kind: str, model_cfg, train_cfg: TrainConfig, train_data,
@@ -164,9 +166,9 @@ def train(model_kind: str, model_cfg, train_cfg: TrainConfig, train_data,
             epoch_losses = []
             for lo in range(0, n_train, train_cfg.batch_size):
                 batch = order[lo : lo + train_cfg.batch_size]
-                step_loss = _train_step(model_kind, params, model_cfg, train_cfg, adam,
-                                        targets[batch], observations[batch])
-                epoch_losses.append(step_loss * len(batch))
+                epoch_losses.extend(_train_step(model_kind, params, model_cfg, train_cfg, adam,
+                                                targets[batch], observations[batch]))
+            # one sum over the samples, so the shuffle's batching cannot round it
             train_loss = math.fsum(epoch_losses) / n_train
             val_loss, val_ssim, val_psnr, val_fpr = evaluate(
                 model_kind, params, model_cfg, val_data, train_cfg

@@ -92,19 +92,32 @@ def test_train_config_refuses_non_integers_and_non_finite_rates(values, message)
         model.TrainConfig(**values)
 
 
-@pytest.mark.parametrize("size,grid", [(8, 2), (16, 4), (48, 6)])
-def test_config_derives_pool_grid_from_image_size(size, grid):
-    cfg = model.TrustConfig(image_size=size, embed_dim=8, num_heads=2, encoder_depth=2)
-    assert cfg.pool_grid == grid
-    out = model.forward_trust(model.init_params(model.TRUST, cfg), cfg,
-                              rng.random((1, size * size)))
-    assert out.data.shape == (1, size, size)
+@pytest.mark.parametrize("size", range(8, 65, 4))
+def test_both_models_build_at_every_size_and_trust_doubles_from_the_token_grid(size):
+    for kind, cfg in ((model.TRUST, reduced_trust(image_size=size)),
+                      (model.UNET, model.UnetConfig(image_size=size, base_channels=2))):
+        assert model.param_count(kind, cfg) == sum(
+            p.data.size for p in model.init_params(kind, cfg).values())
+    for patch in (1, 2, 4):
+        cfg = reduced_trust(image_size=size, patch_size=patch, decoder_channels=(4, 4, 4))
+        # log2(patch) doublings from the S/patch token grid, then stages at S
+        ups = patch.bit_length() - 1
+        plan = cfg.stage_plan()
+        assert [stage.resolution for stage in plan] == [
+            cfg.token_grid * 2 ** min(s + 1, ups) for s in range(3)]
+        assert [stage.upsampled for stage in plan] == [s < ups for s in range(3)]
+    if size == 36:  # a 9x9 token grid: 9 -> 18 -> 36
+        cfg = reduced_trust(image_size=size)
+        out = model.forward_trust(model.init_params(model.TRUST, cfg), cfg,
+                                  rng.random((1, size * size)))
+        assert out.data.shape == (1, size, size)
 
 
-def test_config_pool_grid_default_and_underivable():
-    assert model.TrustConfig().pool_grid == 8
-    with pytest.raises(ParameterError, match="no pool grid"):
-        model.TrustConfig(image_size=36)  # no grid <= 8 divides 36 by a power of two
+@pytest.mark.parametrize("patch", [3, 6, 12])
+def test_config_refuses_a_patch_that_is_not_a_power_of_two(patch):
+    # x2 stages cannot land on the image size from the token grid of such a patch
+    with pytest.raises(ParameterError, match="^patch_size must be a power of two"):
+        model.TrustConfig(image_size=36, patch_size=patch)
 
 
 @pytest.mark.parametrize("depth,sources", [(1, (1, 1)), (2, (2, 2)), (4, (4, 2))])
@@ -119,8 +132,8 @@ def test_config_derives_skip_sources_from_depth(tmp_path, depth, sources):
 
 
 def test_config_to_dict_holds_only_the_settings():
-    # the pool grid and the skip sources follow from these, so a checkpoint
-    # stores neither
+    # the decoder's stages and the skip sources follow from these, so a
+    # checkpoint stores neither
     assert list(model.TrustConfig().to_dict()) == [
         "image_size", "patch_size", "embed_dim", "num_heads", "encoder_depth",
         "decoder_channels", "skip_enabled", "seed"]
@@ -299,7 +312,7 @@ def _forward_trust_concat_decoder(params, cfg, y):
     for i in range(cfg.encoder_depth):
         tokens = fw._encoder_block(tokens, params, i, cfg, None)
         block_outputs.append(tokens)
-    cur = nd.adaptive_avg_pool(fw._tokens_to_grid(tokens, cfg), cfg.pool_grid, cfg.pool_grid)
+    cur = fw._tokens_to_grid(tokens, cfg)
     for s, stage in enumerate(cfg.stage_plan()):
         if stage.upsampled:
             cur = nd.upsample_nearest(cur, 2)
@@ -316,10 +329,10 @@ def _forward_trust_concat_decoder(params, cfg, y):
 @pytest.mark.parametrize("overrides", [
     {},
     dict(image_size=16),
-    dict(image_size=48),  # pool grid 6: three upsampling stages, the third without a skip
+    dict(image_size=48),  # 12 -> 24 -> 48, then two stages at 48 px
     dict(skip_enabled=(False, False)),
-    dict(image_size=8, patch_size=1),  # pool grid 8: skips, and no upsampling at all
-], ids=["32px", "16px", "48px", "no-skips", "pool-grid-is-image-size"])
+    dict(image_size=8, patch_size=1),  # token grid 8: skips, and no upsampling at all
+], ids=["32px", "16px", "48px", "no-skips", "token-grid-is-image-size"])
 def test_trust_decoder_equals_the_full_resolution_concat_decoder(overrides):
     cfg = model.TrustConfig(**{"embed_dim": 16, "num_heads": 2, "encoder_depth": 2, **overrides})
     params = model.init_params(model.TRUST, cfg)
@@ -350,9 +363,9 @@ def test_forward_rejects_wrong_stack_shape():
     for entries, good, bads in ((_IMAGE_STACK_ONLY, (2, 16, 16), image_bad),
                                 (_MEASUREMENT_STACK_ONLY, (2, 16 * 16), measurement_bad)):
         for entry, call in entries.items():
-            # one output per sample, but batch_loss's one mean loss of the batch
+            # one output per sample
             out = np.asarray(call(rng.random(good)))
-            assert out.shape[:1] == (() if entry == "batch_loss" else (2,)), entry
+            assert out.shape[:1] == (2,), entry
             assert np.isfinite(out).all(), entry
             for bad in bads:
                 with pytest.raises(DimensionError):
@@ -827,7 +840,7 @@ def test_model_spec_forward_follows_module_attribute(monkeypatch):
 
 def _toy_data(n, size, seed):
     """(targets, observations) stacks of n samples: (n, S, S) and (n, S^2)."""
-    # smooth blob targets: representable through the pooled bottleneck
+    # smooth blob targets: representable through the token bottleneck
     g = np.random.default_rng(seed)
     i, j = np.mgrid[0:size, 0:size]
     xs, ys = np.empty((n, size, size)), np.empty((n, size, size))
@@ -870,7 +883,7 @@ def test_batched_step_gradients_match_per_sample_loop(kind, cfg, loss_kind):
     params = model.init_params(kind, cfg)
     ref_loss, ref = _reference_step_grads(kind, cfg, tcfg, params, (targets, observations))
     nd.zero_grads(params.values())
-    loss = model.batch_loss(kind, params, cfg, tcfg, targets, observations)
+    loss = nd.reduce_mean(model.batch_loss(kind, params, cfg, tcfg, targets, observations))
     loss.backward()
     assert abs(loss.item() - ref_loss) <= 1e-12 * abs(ref_loss)
     for name, p in params.items():
@@ -978,6 +991,22 @@ def test_zero_learning_rate_freezes_parameters():
         assert np.array_equal(v.data, before[k])
     losses = [r.train_loss for r in result.rows]
     assert max(losses) - min(losses) < 1e-12
+
+
+@pytest.mark.parametrize("kind", model.KINDS)
+@pytest.mark.parametrize("loss_kind", ["l2", "l2_ssim"])
+def test_zero_learning_rate_logs_one_train_loss_bit_for_bit(kind, loss_kind):
+    # the epoch loss is one sum over the samples: a sum of batch means
+    # weighted by batch sizes rounds by how the shuffle splits 10 into 3s
+    cfg = _REDUCED_CONFIGS[kind]
+    data = _toy_data(10, 16, seed=0)
+    params = model.init_params(kind, cfg)
+    for seed in range(12):
+        tcfg = model.TrainConfig(learning_rate=0.0, epochs=4, batch_size=3,
+                                 loss_kind=loss_kind, seed=seed)
+        result = model.train(kind, cfg, tcfg, data, _head(data, 2), params=params)
+        losses = {r.train_loss.hex() for r in result.rows}
+        assert len(losses) == 1, (seed, losses)
 
 
 def test_training_deterministic_same_seed():
