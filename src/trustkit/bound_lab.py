@@ -19,13 +19,12 @@ scan's and within 2 * 2k tau of it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
 from . import sensing
-from .errors import ContractError, DimensionError, ParameterError, csv_text
+from .errors import ContractError, DimensionError, EnumerationCapExceeded, ParameterError, csv_text
 
 _NORM_TOL = 1e-9
 BOUND_SLACK = 1e-9  # numerical slack allowed on deviation <= delta
@@ -165,9 +164,9 @@ def _run_cell(kind: str, m: int, n: int, k: int, index: int, trials: int,
     op = sensing.sample_operator(kind, m, n, op_seed)
     pairs = sensing.unit_ksparse_rows(rng, 2 * trials, n, k)  # x_t, x'_t interleaved
     devs, post = pair_deviations(op, pairs[0::2], pairs[1::2])
-    if math.comb(n, 2 * k) <= sensing.ENUMERATION_CAP:
+    try:
         est = sensing.estimate_rip(op, k, sensing.EXACT_ENUMERATION)
-    else:
+    except EnumerationCapExceeded:
         est = sensing.estimate_rip(op, k, sensing.MONTE_CARLO, budget=MC_BUDGET, seed=op_seed)
     return SweepCell(
         kind=kind, m=m, n=n, k=k,

@@ -21,8 +21,8 @@ default is not none (only ``lam``, ``ridge`` and ``emit_images`` take it),
 anything but ``true`` or ``false`` for a flag (``emit_matrix``), and a bool
 or a number beyond the float range for a float setting.
 
-A setting that only some choices of another read (``--keep`` only
-``--operator fourier_masked``; a model kind's are those its ``ModelSpec`` lists)
+A setting that only some choices of another read (``--sparsity`` only
+``--method omp``; a model kind's are those its ``ModelSpec`` lists)
 says so in its ``--help``. Given, as a flag or a config entry, to a run of
 another choice, it is a usage error; left at its default, it is left out of
 that run's settings and record.
@@ -64,7 +64,7 @@ from .errors import (
 _USAGE_ERRORS = (ParameterError, DatasetError, CheckpointError, DimensionError,
                  SingularMatrixError, EnumerationCapExceeded)
 
-_LOSS_TOKENS = {"l2": "l2", "l2l1": "l2_l1", "l2ssim": "l2_ssim"}
+_LOSS_TOKENS = {kind.replace("_", ""): kind for kind in model.LOSS_KINDS}
 
 
 class _Owned(click.Option):
@@ -242,30 +242,29 @@ main.command_class = _Command
 @main.command("gen-data")
 @click.option("--out", default="data", show_default=True)
 @_config_option
-@click.option("--image-size", default=32, type=_INT, show_default=True)
-@click.option("--train", default=2000, type=_INT, show_default=True)
-@click.option("--val", default=400, type=_INT, show_default=True)
-@click.option("--test", default=400, type=_INT, show_default=True)
-@click.option("--operator", default=sensing.DENSE, show_default=True,
-              type=click.Choice(dataset.OPERATOR_KINDS),
-              help="Sensing operator kind; its m measurements of an SxS image, n = S^2: "
-                   + ", ".join(f"{kind} {rule}" for kind, (_, rule)
-                               in dataset.MEASUREMENTS.items()) + ".")
-@click.option("--keep", default=0.25, show_default=True, type=_FINITE, cls=_Owned,
-              owner="operator", owners=(sensing.FOURIER_MASKED,),
-              help="Kept-frequency fraction, in (0, 1].")
-@click.option("--noise-sigma", default=0.0, show_default=True, type=_FINITE)
+@click.option("--image-size", default=dataset.DatasetSpec.image_size, type=_INT, show_default=True)
+@click.option("--train", default=dataset.DatasetSpec.train, type=_INT, show_default=True)
+@click.option("--val", default=dataset.DatasetSpec.val, type=_INT, show_default=True)
+@click.option("--test", default=dataset.DatasetSpec.test, type=_INT, show_default=True)
+@click.option("--operator", default=dataset.DatasetSpec.operator_kind, show_default=True,
+              type=click.Choice(sensing.KINDS),
+              help="Sensing operator kind; its default m on an SxS image, n = S^2: "
+                   + ", ".join(f"{kind} {rule}" for kind, rule
+                               in sensing.DEFAULT_M_RULES.items()) + ".")
+@click.option("--measurements", default=dataset.DatasetSpec.measurements, show_default=True,
+              type=_NON_NEGATIVE, help="The operator's m; 0 takes its kind's default.")
+@click.option("--noise-sigma", default=dataset.DatasetSpec.noise_sigma, show_default=True,
+              type=_FINITE)
 @_seed_option
-@click.option("--dtype", default="f32", type=click.Choice(dataset.DTYPES), show_default=True)
+@click.option("--dtype", default=dataset.DatasetSpec.dtype, type=click.Choice(dataset.DTYPES),
+              show_default=True)
 def gen_data(**cfg):
     """Generate a synthetic observation-target dataset with a manifest."""
     started = time.monotonic()
     spec = dataset.DatasetSpec(
-        image_size=cfg["image_size"], train=cfg["train"], val=cfg["val"],
-        test=cfg["test"], operator_kind=cfg["operator"],
-        operator_keep=cfg.get("keep", dataset.DatasetSpec.operator_keep),
-        noise_sigma=cfg["noise_sigma"], seed=cfg["seed"], dtype=cfg["dtype"],
-    )
+        image_size=cfg["image_size"], train=cfg["train"], val=cfg["val"], test=cfg["test"],
+        operator_kind=cfg["operator"], measurements=cfg["measurements"],
+        noise_sigma=cfg["noise_sigma"], seed=cfg["seed"], dtype=cfg["dtype"])
     manifest = dataset.gen_dataset(spec, cfg["out"])
     out = Path(cfg["out"])
     outputs = ["manifest.json"] + [
@@ -368,9 +367,10 @@ def _solver_csv(results: list[solvers.RecoveryResult], ys: np.ndarray) -> str:
 @click.option("--operator", default="known",
               type=click.Choice(["known", "estimated"]), show_default=True)
 @click.option("--split", default="test", show_default=True)
-@click.option("--sparsity", default=0, type=_NON_NEGATIVE, show_default=True, cls=_Owned,
-              owner="method", owners=("omp",), help="Greedy atom budget; 0 means n // 4.")
-@click.option("--lam", default=None, type=_FINITE, cls=_Owned, owner="method",
+@click.option("--sparsity", default=solvers.SolverConfig.sparsity_budget, type=_NON_NEGATIVE,
+              show_default=True, cls=_Owned, owner="method", owners=("omp",),
+              help="Greedy atom budget; 0 means n // 4.")
+@click.option("--lam", default=solvers.SolverConfig.lam, type=_FINITE, cls=_Owned, owner="method",
               owners=("ista", "fista"), help="l1 weight; default 0.05 * |A^T y|_inf per problem.")
 @click.option("--tol", default=solvers.SolverConfig.residual_tolerance, show_default=True,
               type=_FINITE)
@@ -423,10 +423,12 @@ def _model_info(kind: str, model_cfg) -> dict:
 
 
 def _model_option(flag: str, **attrs):
-    """An option that only the model kinds whose spec lists it read."""
+    """An option only the model kinds whose spec lists it read, by default its field's value."""
     name = flag[2:].replace("-", "_")
     kinds = tuple(kind for kind in model.KINDS if name in model.model_spec(kind).settings)
-    return click.option(flag, cls=_Owned, owner="model", owners=kinds, **attrs)
+    spec = model.model_spec(kinds[0])
+    attrs.setdefault("default", getattr(spec.config_class, spec.settings[name]))
+    return click.option(flag, cls=_Owned, owner="model", owners=kinds, show_default=True, **attrs)
 
 
 @main.command("train")
@@ -434,18 +436,18 @@ def _model_option(flag: str, **attrs):
 @click.option("--out", default="train_run", show_default=True)
 @_config_option
 @click.option("--model", default=model.TRUST, type=click.Choice(model.KINDS), show_default=True)
-@click.option("--loss", default="l2ssim",
+@click.option("--loss", default=model.TrainConfig.loss_kind.replace("_", ""),
               type=click.Choice(sorted(_LOSS_TOKENS)), show_default=True)
-@_model_option("--skips", default="all", show_default=True,
+@_model_option("--skips", default="all",
                help="Skip-connection mask: all, none, or per-connection 0/1 list.")
-@click.option("--epochs", default=20, type=_INT, show_default=True)
-@click.option("--lr", default=1e-4, show_default=True, type=_FINITE)
-@click.option("--batch", default=16, type=_INT, show_default=True)
+@click.option("--epochs", default=model.TrainConfig.epochs, type=_INT, show_default=True)
+@click.option("--lr", default=model.TrainConfig.learning_rate, show_default=True, type=_FINITE)
+@click.option("--batch", default=model.TrainConfig.batch_size, type=_INT, show_default=True)
 @_seed_option
-@_model_option("--embed-dim", default=64, type=_INT, show_default=True)
-@_model_option("--depth", default=4, type=_INT, show_default=True)
-@_model_option("--heads", default=4, type=_INT, show_default=True)
-@_model_option("--base-channels", default=8, type=_INT, show_default=True)
+@_model_option("--embed-dim", type=_INT)
+@_model_option("--depth", type=_INT)
+@_model_option("--heads", type=_INT)
+@_model_option("--base-channels", type=_INT)
 @_limit_option
 def train_cmd(**cfg):
     """Train a reconstruction model; writes checkpoints and an epoch log."""

@@ -5,9 +5,6 @@ observation is the operator's m measurements of the flattened target plus
 optional noise, affine-normalized into [0, 1] with the constants stored so
 the raw measurement can be recovered. A split stores them as an (N, m)
 block.
-
-``MEASUREMENTS`` is the one description of each operator kind a dataset
-can have: its m for an n-pixel image. ``OPERATOR_KINDS`` lists its keys.
 """
 
 from __future__ import annotations
@@ -20,8 +17,8 @@ import numpy as np
 
 from . import metrics, sensing
 from .errors import (OBJECT, STRING, DatasetError, ParameterError, check_entries, check_finite,
-                     is_finite, is_int, make_out_dir, read_blob, read_json_object, write_blob,
-                     write_json)
+                     check_ints, is_finite, is_int, make_out_dir, read_blob, read_json_object,
+                     write_blob, write_json)
 
 MANIFEST_VERSION = 2
 _SPLIT_KEY = {"train": 0x10, "val": 0x11, "test": 0x12}  # each split's sample seed
@@ -46,19 +43,6 @@ class TargetSpec:
                 raise ParameterError(f"{name} must be a (low, high) range of {what}, got {pair}")
 
 
-# kind -> (m of its operator on an n-pixel image, given the fourier_masked keep
-# fraction; that rule as --help states it)
-MEASUREMENTS = {
-    sensing.DENSE: (lambda n, keep: n, "n"),
-    sensing.GAUSSIAN_FAT: (lambda n, keep: n // 2, "n // 2"),
-    sensing.ORTHONORMAL_SQUARE: (lambda n, keep: n, "n"),
-    sensing.FOURIER_MASKED: (lambda n, keep: 2 * max(1, round(keep * n)),
-                             "2 * max(1, round(keep * n))"),
-    sensing.IDENTITY: (lambda n, keep: n, "n"),
-}
-OPERATOR_KINDS = tuple(MEASUREMENTS)
-
-
 @dataclass(frozen=True)
 class DatasetSpec:
     image_size: int = 32
@@ -66,7 +50,7 @@ class DatasetSpec:
     val: int = 400
     test: int = 400
     operator_kind: str = sensing.DENSE
-    operator_keep: float = 0.25  # fourier_masked only
+    measurements: int = 0  # 0: the operator kind's sensing.default_m
     noise_sigma: float = 0.0
     seed: int = 0
     dtype: str = "f32"  # on-disk precision; generation is always f64
@@ -79,23 +63,23 @@ class DatasetSpec:
         if not all(is_int(count, 1) for count in (self.train, self.val, self.test)):
             raise ParameterError(f"split counts must be integers >= 1, got {self.train!r}, "
                                  f"{self.val!r}, {self.test!r}")
-        if not is_int(self.seed, 0):
-            raise ParameterError(f"seed must be a non-negative integer, got {self.seed!r}")
+        check_ints(self, {"seed": 0, "measurements": 0})
         if self.dtype not in DTYPES:
             raise ParameterError(f"dtype must be f32 or f64, got {self.dtype!r}")
-        if self.operator_kind not in MEASUREMENTS:
-            raise ParameterError(f"unsupported dataset operator kind {self.operator_kind!r}; "
-                                 f"choose from {OPERATOR_KINDS}")
-        if self.operator_kind == sensing.FOURIER_MASKED and not 0 < self.operator_keep <= 1:
-            raise ParameterError(f"keep fraction must be in (0, 1], got {self.operator_keep}")
         check_finite(self, ("noise_sigma",))
+        violation = sensing.shape_violation(self.operator_kind, self.m, self.image_size**2)
+        if violation:
+            raise ParameterError(violation)
+
+    @property
+    def m(self) -> int:
+        """The operator's m: ``measurements``, or its kind's default when that is 0."""
+        return self.measurements or sensing.default_m(self.operator_kind, self.image_size**2)
 
     def build_operator(self) -> sensing.SensingOperator:
-        n = self.image_size**2
         rng = np.random.default_rng(np.random.SeedSequence(entropy=self.seed, spawn_key=(0x20,)))
         op_seed = int(rng.integers(0, 2**31 - 1))
-        m = MEASUREMENTS[self.operator_kind][0](n, self.operator_keep)
-        return sensing.sample_operator(self.operator_kind, m, n, op_seed)
+        return sensing.sample_operator(self.operator_kind, self.m, self.image_size**2, op_seed)
 
 
 @dataclass(frozen=True)
@@ -202,8 +186,7 @@ def gen_dataset(spec: DatasetSpec, out_dir: str | Path) -> dict:
         "dtype": spec.dtype,
         "seed": spec.seed,
         "noise_sigma": spec.noise_sigma,
-        "operator": {"kind": op.kind, "m": op.m, "n": op.n, "seed": op.seed,
-                     **({"keep": spec.operator_keep} if op.kind == sensing.FOURIER_MASKED else {})},
+        "operator": {"kind": op.kind, "m": op.m, "n": op.n, "seed": op.seed},
         "target": asdict(spec.target),
         "splits": {},
     }

@@ -34,6 +34,8 @@ def sample_losses(kind: str, pred: nd.Tensor, target) -> nd.Tensor:
     if kind == "l2_l1":
         return nd.add(l2, nd.scalar_mul(image_mean(nd.absolute(diff)), LAMBDA_L1))
     if kind == "l2_ssim":
+        # SSIM rewards an inverted image, both its factors negative: over the 50 test targets of
+        # a 16 px, seed-0 dataset, ssim(-x, x) averages 0.815 and ssim(0, x) 0.348.
         dissim = nd.scalar_add(nd.scalar_mul(ssim_tensor(pred, target), -1.0), 1.0)
         return nd.add(l2, nd.scalar_mul(dissim, LAMBDA_SSIM))
     raise ParameterError(f"unknown loss kind {kind!r}")

@@ -1,7 +1,7 @@
 """Sensing operators and isometry-constant estimation.
 
-``_KINDS`` is the one description of each operator kind: the shapes it
-has members of, and how a member is drawn. ``KINDS`` lists its keys.
+``_KINDS`` is the one description of each operator kind: the shapes it has
+members of, how a member is drawn, and its default m. ``KINDS`` lists its keys.
 """
 
 from __future__ import annotations
@@ -129,17 +129,32 @@ def _masked_fourier(rng: np.random.Generator, m: int, n: int) -> tuple[np.ndarra
     return a, mask
 
 
-# kind -> (predicate on m, n; the requirement it states; its draw (rng, m, n) -> (A, mask))
+# kind -> (predicate on m, n; the requirement it states; its draw (rng, m, n) -> (A, mask);
+#          its default m on an n-pixel image; that rule as --help states it)
 _KINDS = {
-    ORTHONORMAL_SQUARE: (lambda m, n: m == n, "m == n", _orthonormal),
-    TALL_ORTHONORMAL: (lambda m, n: m >= n, "m >= n", _orthonormal),
-    GAUSSIAN_FAT: (lambda m, n: m < n, "m < n", _gaussian),
+    DENSE: (lambda m, n: True, "any shape", _gaussian, lambda n: n, "n"),
+    ORTHONORMAL_SQUARE: (lambda m, n: m == n, "m == n", _orthonormal, lambda n: n, "n"),
+    TALL_ORTHONORMAL: (lambda m, n: m >= n, "m >= n", _orthonormal, lambda n: n, "n"),
+    GAUSSIAN_FAT: (lambda m, n: m < n, "m < n", _gaussian, lambda n: n // 2, "n // 2"),
     FOURIER_MASKED: (lambda m, n: m % 2 == 0 and 0 < m <= 2 * n, "even m with 0 < m <= 2n",
-                     _masked_fourier),
-    DENSE: (lambda m, n: True, "any shape", _gaussian),
-    IDENTITY: (lambda m, n: m == n, "m == n", lambda rng, m, n: (np.eye(n), None)),
+                     _masked_fourier, lambda n: n // 2, "n // 2"),
+    IDENTITY: (lambda m, n: m == n, "m == n", lambda rng, m, n: (np.eye(n), None),
+               lambda n: n, "n"),
 }
 KINDS = tuple(_KINDS)
+DEFAULT_M_RULES = {kind: entry[4] for kind, entry in _KINDS.items()}  # as --help states them
+
+
+def _kind(kind: str) -> tuple:
+    """The ``_KINDS`` entry of ``kind``; ParameterError for an unknown kind."""
+    if kind not in _KINDS:
+        raise ParameterError(f"unknown operator kind {kind!r}; choose from {KINDS}")
+    return _KINDS[kind]
+
+
+def default_m(kind: str, n: int) -> int:
+    """The m of the kind's default operator on an n-pixel image."""
+    return _kind(kind)[3](n)
 
 
 def shape_violation(kind: str, m: int, n: int) -> str | None:
@@ -148,14 +163,12 @@ def shape_violation(kind: str, m: int, n: int) -> str | None:
     Raises ParameterError for an unknown kind and for a matrix of more than
     MAX_OPERATOR_ENTRIES entries, so no caller allocates one.
     """
-    if kind not in _KINDS:
-        raise ParameterError(f"unknown operator kind {kind!r}; choose from {KINDS}")
+    holds, requirement = _kind(kind)[:2]
     if m * n > MAX_OPERATOR_ENTRIES:
         raise ParameterError(
             f"a {m}x{n} operator has {m * n} entries, more than the "
             f"{MAX_OPERATOR_ENTRIES} a dense float64 matrix may hold"
         )
-    holds, requirement, _ = _KINDS[kind]
     return None if holds(m, n) else f"{kind} requires {requirement}, got {m}x{n}"
 
 

@@ -12,7 +12,7 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from trustkit import dataset, model, solvers
+from trustkit import dataset, model, sensing, solvers
 from trustkit.cli import _Owned, main
 from trustkit.errors import (
     CheckpointError,
@@ -62,14 +62,7 @@ def test_gen_data_deterministic(runner, tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
-def test_gen_data_fourier_records_keep(runner, tmp_path):
-    out = _gen(runner, tmp_path / "f", extra=["--operator", "fourier_masked", "--keep", "0.25"])
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["operator"]["kind"] == "fourier_masked"
-    assert manifest["operator"]["keep"] == 0.25
-
-
-@pytest.mark.parametrize("kind", dataset.OPERATOR_KINDS)
+@pytest.mark.parametrize("kind", sensing.KINDS)
 def test_gen_data_operator_kind_names_the_manifest_the_sweep_and_the_solve(runner, tmp_path,
                                                                            kind):
     data = _gen(runner, tmp_path / "ds", extra=["--operator", kind])
@@ -112,9 +105,27 @@ def test_gen_data_refuses_images_below_the_ssim_window(runner, tmp_path):
     assert not (tmp_path / "ds").exists()
 
 
+def test_gen_data_measurements_set_the_m_of_a_kind_with_another_default(runner, tmp_path):
+    data = _gen(runner, tmp_path / "ds",
+                extra=["--operator", "gaussian_fat", "--measurements", "16"])
+    op = json.loads((data / "manifest.json").read_text())["operator"]
+    assert (op["kind"], op["m"], op["n"]) == ("gaussian_fat", 16, 64)
+    res = runner.invoke(main, ["solve", "--dataset", str(data), "--out", str(tmp_path / "s"),
+                               "--method", "omp"], catch_exceptions=False)
+    assert res.exit_code == 0, res.output
+
+
 @pytest.mark.parametrize("flags, message", [
     (["--image-size", "256"], "may hold"), (["--noise-sigma", "1e308"], "overflows"),
-], ids=["operator-over-the-size-cap", "noise-overflows"])
+    (["--operator", "fourier_masked", "--measurements", "33"],
+     "fourier_masked requires even m with 0 < m <= 2n, got 33x1024"),
+    (["--operator", "identity", "--measurements", "512"],
+     "identity requires m == n, got 512x1024"),
+    (["--operator", "gaussian_fat", "--measurements", "1024"],
+     "gaussian_fat requires m < n, got 1024x1024"),
+    (["--measurements", str(sensing.MAX_OPERATOR_ENTRIES // 1024 + 1)], "may hold"),
+], ids=["operator-over-the-size-cap", "noise-overflows", "fourier-m-odd", "identity-m-not-n",
+        "gaussian-fat-m-not-below-n", "measurements-over-the-size-cap"])
 def test_gen_data_refuses_a_spec_before_making_out(runner, tmp_path, flags, message):
     # the operator and the splits are drawn before the directory is made
     res = runner.invoke(main, ["gen-data", "--out", str(tmp_path / "cap" / "ds"), *flags])
@@ -769,7 +780,7 @@ def _config_digits(tmp, data):
     _flags("train", "--lr", "nan"), _flags("solve", "--method", "fista", "--lam", "nan"),
     _flags("solve", "--tol", "nan"), _flags("solve", "--operator", "estimated", "--ridge", "nan"),
     _flags("gen-data", "--noise-sigma", "inf"), _flags("gen-data", "--noise-sigma", "nan"),
-    _flags("gen-data", "--operator", "fourier_masked", "--keep", "inf"),
+    _flags("gen-data", "--operator", "fourier_masked", "--measurements", "inf"),
     _config("gen-data", {"noise_sigma": float("nan")}), _config("train", {"lr": float("inf")}),
     _flags("gen-data", "--noise-sigma", "1e308"), _flags("train", "--model", "unet",
                                                         "--skips", "bogus"),
@@ -803,7 +814,7 @@ def _config_digits(tmp, data):
         "config-solve-out-null", "config-solve-max-iter-null", "config-train-epochs-null",
         "config-verify-bound-emit-matrix-null", "config-solve-max-iters-unknown",
         "train-lr-nan", "fista-lam-nan", "solve-tol-nan", "solve-ridge-nan",
-        "gen-data-noise-sigma-inf", "gen-data-noise-sigma-nan", "gen-data-keep-inf",
+        "gen-data-noise-sigma-inf", "gen-data-noise-sigma-nan", "gen-data-measurements-inf",
         "config-gen-data-noise-sigma-nan", "config-train-lr-inf",
         "gen-data-noise-sigma-overflows", "unet-skips-bogus", "config-file-not-utf8",
         "config-solve-max-iter-float", "config-solve-sparsity-integral-float",
@@ -1040,7 +1051,6 @@ _FOREIGN_SETTINGS = [
     ("train", "--model unet", "depth", 1, "--model trust"),
     ("train", "--model unet", "heads", 2, "--model trust"),
     ("train", "--model trust", "base_channels", 4, "--model unet"),
-    ("gen-data", "--operator dense", "keep", 0.9, "--operator fourier_masked"),
     ("solve", "--method omp", "lam", 0.3, "--method ista/fista"),
     ("solve", "--method fista", "sparsity", 3, "--method omp"),
     ("solve", "--operator known", "ridge", 5.0, "--operator estimated"),
@@ -1090,8 +1100,6 @@ def test_setting_of_another_choice_exits_2(runner, small_dataset, tmp_path, comm
 _OWN_SETTINGS = [
     ("train", "--model unet", {"base_channels"}, {"embed_dim", "depth", "heads", "skips"}),
     ("train", "--model trust", {"embed_dim", "depth", "heads", "skips"}, {"base_channels"}),
-    ("gen-data", "--operator dense", set(), {"keep"}),
-    ("gen-data", "--operator fourier_masked", {"keep"}, set()),
     ("solve", "--method omp", {"sparsity"}, {"lam", "ridge"}),
     ("solve", "--method fista", {"lam"}, {"sparsity", "ridge"}),
     ("solve", "--operator estimated", {"sparsity", "ridge"}, {"lam"}),
@@ -1140,7 +1148,7 @@ def test_run_record_config_reruns_as_a_config_file(runner, small_dataset, tmp_pa
 # the options that every choice of each command reads
 _SHARED = {
     "gen-data": {"out", "config", "image_size", "train", "val", "test", "operator",
-                 "noise_sigma", "seed", "dtype"},
+                 "measurements", "noise_sigma", "seed", "dtype"},
     "solve": {"dataset", "out", "config", "method", "operator", "split", "tol", "max_iter",
               "limit"},
     "train": {"dataset", "out", "config", "model", "loss", "epochs", "lr", "batch", "seed",

@@ -234,14 +234,26 @@ def test_load_manifest_rejects_missing_or_malformed_keys(tmp_path, key, value):
         dataset.load_manifest(tmp_path)
 
 
-@pytest.mark.parametrize("kind,keep,m", [
-    (sensing.DENSE, 0.25, 64), (sensing.GAUSSIAN_FAT, 0.25, 32),
-    (sensing.ORTHONORMAL_SQUARE, 0.25, 64), (sensing.FOURIER_MASKED, 0.25, 32),
-    (sensing.FOURIER_MASKED, 0.01, 2), (sensing.FOURIER_MASKED, 1.0, 128),
-    (sensing.IDENTITY, 0.25, 64),
-])
-def test_each_dataset_operator_kind_has_its_tables_m(kind, keep, m):
-    op = small_spec(operator_kind=kind, operator_keep=keep).build_operator()
+# each kind's m on an n-pixel image when the datasets' table held it, with
+# fourier_masked keeping a quarter of the n frequencies
+_TABLE_M = {sensing.GAUSSIAN_FAT: lambda n: n // 2,
+            sensing.FOURIER_MASKED: lambda n: 2 * max(1, round(0.25 * n))}
+
+
+@pytest.mark.parametrize("kind", sensing.KINDS)
+def test_each_operator_kinds_default_m_is_the_tables(kind):
+    for size in range(7, 33):
+        n = size * size
+        assert sensing.default_m(kind, n) == _TABLE_M.get(kind, lambda n: n)(n)
+    op = small_spec(operator_kind=kind).build_operator()
+    assert (op.kind, op.m, op.n) == (kind, _TABLE_M.get(kind, lambda n: n)(64), 64)
+
+
+# m = 2 max(1, round(f n)) reproduces the old fourier_masked keep fraction f
+@pytest.mark.parametrize("kind,m", [(sensing.FOURIER_MASKED, 2), (sensing.FOURIER_MASKED, 128),
+                                    (sensing.TALL_ORTHONORMAL, 128)])
+def test_measurements_set_the_operators_m(kind, m):
+    op = small_spec(operator_kind=kind, measurements=m).build_operator()
     assert (op.kind, op.m, op.n) == (kind, m, 64)
 
 
@@ -260,14 +272,16 @@ def test_each_dataset_operator_kind_has_its_tables_m(kind, keep, m):
     (small_spec, {"noise_sigma": float("nan")}, "noise_sigma"),
     (small_spec, {"noise_sigma": float("inf")}, "noise_sigma"),
     (small_spec, {"noise_sigma": -0.1}, "noise_sigma"),
-    (small_spec, {"operator_kind": sensing.TALL_ORTHONORMAL}, "operator kind"),
     (small_spec, {"operator_kind": "bogus"}, "operator kind"),
-    (small_spec, {"operator_kind": sensing.FOURIER_MASKED, "operator_keep": 0.0}, "keep"),
-    (small_spec, {"operator_kind": sensing.FOURIER_MASKED, "operator_keep": 1.5}, "keep"),
+    (small_spec, {"measurements": -1}, "measurements"),
+    (small_spec, {"measurements": 2.0}, "measurements"),
+    (small_spec, {"operator_kind": sensing.IDENTITY, "measurements": 32},
+     "identity requires m == n, got 32x64"),
 ], ids=["sigma-zero", "sigma-negative", "amplitude-reversed", "amplitude-inf",
         "blobs-float", "blobs-three", "image-size-float", "train-float", "test-bool",
         "seed-negative", "seed-float", "noise-nan", "noise-inf", "noise-negative",
-        "kind-without-dataset-form", "kind-unknown", "keep-zero", "keep-above-one"])
+        "kind-unknown", "measurements-negative", "measurements-float",
+        "measurements-off-the-kinds-rule"])
 def test_bad_spec_values_are_parameter_errors(make, values, message):
     with pytest.raises(ParameterError, match=message):
         make(**values)
@@ -464,7 +478,7 @@ def test_flipped_blob_byte_is_a_dataset_error(clean_dataset, split, blob, where,
 
 @pytest.mark.parametrize("noise_sigma", [0.0, 0.01, 0.1])
 @pytest.mark.parametrize("dtype", dataset.DTYPES)
-@pytest.mark.parametrize("kind", dataset.OPERATOR_KINDS)
+@pytest.mark.parametrize("kind", sensing.KINDS)
 def test_check_operator_accepts_every_valid_dataset_and_refuses_another_seed(
         tmp_path, kind, dtype, noise_sigma):
     dataset.gen_dataset(small_spec(operator_kind=kind, dtype=dtype, noise_sigma=noise_sigma),
